@@ -1,16 +1,14 @@
 /**
  * @file
  * Microbenchmark of Gaussian sampling for the yield Monte Carlo:
- * the legacy scalar Rng::gaussian() trial-major fill (draw scheme
- * v1) versus the lane-parallel GaussianBlockSampler filling the
- * same SoA trial blocks directly (scheme v2), plus the end-to-end
- * effect on estimateYield, single-threaded so the sampler itself is
- * what is measured.
+ * scalar Rng::gaussian() filling SoA trial blocks trial by trial
+ * versus the lane-parallel GaussianBlockSampler filling them
+ * directly, plus the end-to-end estimateYield cost per trial,
+ * single-threaded so the sampler itself is what is measured.
  *
- * The bench also asserts the v2 determinism contract on every run —
- * bit-identical estimateYield tallies across thread counts and a
- * QPAD_RNG_V1 env round trip — and exits nonzero on any violation.
- * QPAD_FAST reduces the budgets.
+ * The bench also asserts the determinism contract on every run —
+ * bit-identical estimateYield tallies across thread counts — and
+ * exits nonzero on any violation. QPAD_FAST reduces the budgets.
  */
 
 #include <chrono>
@@ -23,6 +21,7 @@
 #include "arch/ibm.hh"
 #include "bench_common.hh"
 #include "common/gauss_block.hh"
+#include "common/rng.hh"
 #include "eval/report.hh"
 #include "yield/yield_sim.hh"
 
@@ -88,17 +87,16 @@ benchFill(std::size_t nq, std::size_t reps, bench::BenchJson *json)
     }
 }
 
-/** us per trial of estimateYield under the given scheme. */
+/** us per trial of estimateYield. */
 double
-timeYield(const arch::Architecture &arch, RngScheme scheme,
-          std::size_t trials, std::size_t &successes)
+timeYield(const arch::Architecture &arch, std::size_t trials,
+          std::size_t &successes)
 {
     yield::YieldOptions opts;
     opts.trials = trials;
     opts.seed = 11;
     opts.sigma_ghz = 0.030;
     opts.exec.num_threads = 1;
-    opts.rng_scheme = scheme;
     using clock = std::chrono::steady_clock;
     const auto t0 = clock::now();
     const auto r = yield::estimateYield(arch, opts);
@@ -107,11 +105,10 @@ timeYield(const arch::Architecture &arch, RngScheme scheme,
     return seconds(t0, t1) / double(trials) * 1e6;
 }
 
-/** v2 contract checks; returns 0 when every identity holds. */
+/** Thread-count identity check; returns 0 when it holds. */
 int
 checkDeterminism(const arch::Architecture &arch, std::size_t trials)
 {
-    int rc = 0;
     yield::YieldOptions opts;
     opts.trials = trials + 3; // force a remainder batch
     opts.seed = 2020;
@@ -119,30 +116,11 @@ checkDeterminism(const arch::Architecture &arch, std::size_t trials)
     const auto seq = yield::estimateYield(arch, opts);
     opts.exec.num_threads = 4;
     const auto par = yield::estimateYield(arch, opts);
-    if (seq.successes != par.successes) {
-        std::printf("DETERMINISM VIOLATION: v2 threads 1 vs 4: "
-                    "%zu != %zu\n",
-                    seq.successes, par.successes);
-        rc = 1;
-    }
-    // Env round trip: QPAD_RNG_V1 must select exactly the kV1 path.
-    opts.exec.num_threads = 1;
-    opts.rng_scheme = RngScheme::kV1;
-    const auto v1 = yield::estimateYield(arch, opts);
-    setenv("QPAD_RNG_V1", "1", 1);
-    opts.rng_scheme = RngScheme::kV2;
-    const auto forced = yield::estimateYield(arch, opts);
-    unsetenv("QPAD_RNG_V1");
-    const auto back = yield::estimateYield(arch, opts);
-    if (forced.successes != v1.successes ||
-        back.successes != seq.successes) {
-        std::printf("DETERMINISM VIOLATION: QPAD_RNG_V1 round trip "
-                    "(%zu/%zu vs %zu/%zu)\n",
-                    forced.successes, v1.successes, back.successes,
-                    seq.successes);
-        rc = 1;
-    }
-    return rc;
+    if (seq.successes == par.successes)
+        return 0;
+    std::printf("DETERMINISM VIOLATION: threads 1 vs 4: %zu != %zu\n",
+                seq.successes, par.successes);
+    return 1;
 }
 
 } // namespace
@@ -167,16 +145,6 @@ main(int argc, char **argv)
                       "Gaussian sampling: scalar Rng vs lane-parallel "
                       "block sampler");
 
-    // This bench compares the schemes against each other, and its
-    // determinism check flips QPAD_RNG_V1 itself; an inherited
-    // override would silently turn the "v2" rows into v1 and then
-    // trip the round-trip check with a spurious violation.
-    if (std::getenv("QPAD_RNG_V1")) {
-        std::printf("note: ignoring inherited QPAD_RNG_V1 (this "
-                    "bench exercises both schemes itself)\n\n");
-        unsetenv("QPAD_RNG_V1");
-    }
-
     const std::size_t reps = bench::fastMode() ? 20000 : 200000;
     std::printf("%zu blocks of 8 lanes per pass\n\n", reps);
     std::printf("%-22s %11s %11s %10s\n", "workload", "scalar ns",
@@ -188,28 +156,20 @@ main(int argc, char **argv)
 
     const std::size_t trials = bench::fastMode() ? 40000 : 200000;
     auto arch = arch::ibm16Q(false);
-    std::size_t s1 = 0, s2 = 0;
-    const double us_v1 = timeYield(arch, RngScheme::kV1, trials, s1);
-    const double us_v2 = timeYield(arch, RngScheme::kV2, trials, s2);
+    std::size_t successes = 0;
+    const double us = timeYield(arch, trials, successes);
     std::printf("\nestimateYield (16q, sigma 30 MHz, %zu trials, "
-                "1 thread):\n",
-                trials);
-    std::printf("  v1 scalar draws:  %.3f us/trial (yield %.4f)\n",
-                us_v1, double(s1) / double(trials));
-    std::printf("  v2 lane draws:    %.3f us/trial (yield %.4f)\n",
-                us_v2, double(s2) / double(trials));
-    std::printf("  end-to-end speedup: %.2fx\n", us_v1 / us_v2);
+                "1 thread): %.3f us/trial (yield %.4f)\n",
+                trials, us, double(successes) / double(trials));
 
     const int rc = checkDeterminism(arch, bench::fastMode() ? 5000
                                                             : 20000);
     if (rc == 0)
-        std::printf("\nv2 determinism contract holds (threads, "
-                    "remainders, env round trip)\n");
+        std::printf("\ndeterminism contract holds (threads, "
+                    "remainders)\n");
     if (jp) {
         jp->config("yield_trials", trials);
-        jp->metric("yield_v1_us_per_trial", us_v1);
-        jp->metric("yield_v2_us_per_trial", us_v2);
-        jp->metric("yield_speedup", us_v1 / us_v2);
+        jp->metric("yield_us_per_trial", us);
         jp->metric("determinism_ok", rc == 0);
         json.writeTo(json_path);
     }

@@ -7,7 +7,6 @@
 #include <mutex>
 #include <string_view>
 
-#include "common/gauss_block.hh"
 #include "common/logging.hh"
 
 namespace qpad::cache
@@ -199,10 +198,9 @@ yieldKey(const arch::Architecture &arch,
     enc.u64(options.seed);
     enc.u8(options.collect_condition_stats ? 1 : 0);
     encodeCollisionModel(enc, options.model);
-    // The *resolved* scheme: QPAD_RNG_V1 changes the drawn numbers,
-    // so it must change the key. options.exec never does (the
-    // runtime contract) and is excluded.
-    enc.u8(uint8_t(resolveRngScheme(options.rng_scheme)));
+    // options.exec never changes the result (the runtime contract)
+    // and is excluded.
+    enc.u8(kDrawOrderByte);
     return enc.digest();
 }
 
@@ -221,7 +219,7 @@ freqAllocKey(const arch::Architecture &arch,
     encodeCollisionModel(enc, options.model);
     enc.u64(options.seed);
     enc.u32(options.refine_sweeps);
-    enc.u8(uint8_t(resolveRngScheme(options.rng_scheme)));
+    enc.u8(kDrawOrderByte);
     return enc.digest();
 }
 

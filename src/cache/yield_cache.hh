@@ -8,10 +8,9 @@
  * (see cache/fingerprint.hh): estimateYield and allocateFrequencies
  * are bit-identical across thread counts by the qpad::runtime
  * contract, so runtime::Options is deliberately *excluded* from the
- * keys, while the resolved RngScheme (which does change the drawn
- * numbers) is included. Cache-on is therefore bit-identical to
- * cache-off by construction — a hit returns exactly the bytes a miss
- * would have computed.
+ * keys. Cache-on is therefore bit-identical to cache-off by
+ * construction — a hit returns exactly the bytes a miss would have
+ * computed.
  *
  * The global store is configured from the environment on first use:
  *   QPAD_CACHE=0       disable memoization entirely
@@ -32,6 +31,11 @@
 
 namespace qpad::cache
 {
+
+/** Written by every yield, freq-alloc and DataPoint key where earlier
+ * builds wrote their draw-order version (2 = the lane order), so
+ * their persistent logs stay warm. */
+inline constexpr uint8_t kDrawOrderByte = 2;
 
 /** The process-wide store (created from the environment on first
  * use; never null). */

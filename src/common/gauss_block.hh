@@ -20,13 +20,16 @@
  * non-AVX2 builds. tests/test_gauss_block.cc pins golden bit
  * patterns to keep both backends honest.
  *
- * Draw-order contract ("v2 scheme", see also common/rng.hh): lane l
- * produces an autonomous stream of deviates; a fill of n rows
+ * Draw-order contract (the "lane order", see also common/rng.hh):
+ * lane l produces an autonomous stream of deviates; a fill of n rows
  * appends n deviates to every lane at out[row * kLanes + lane]. The
  * per-lane streams are pure functions of the sampler seed — they do
  * not depend on how fills are sized or batched (an odd row count
  * carries the pending Box-Muller pair partner into the next fill),
- * which is what makes v2 results independent of batch remainders.
+ * which is what makes Monte Carlo results independent of batch
+ * remainders. The yield simulation and the frequency allocator
+ * group trials in blocks of kLanes: trial t of a block consumes
+ * lane t % kLanes, qubits in row order.
  */
 
 #ifndef QPAD_COMMON_GAUSS_BLOCK_HH
@@ -37,36 +40,6 @@
 
 namespace qpad
 {
-
-/**
- * Version of the random draw order used by the Monte Carlo
- * consumers (yield simulation, frequency allocation).
- *
- *  - kV1: the legacy scalar order — every trial draws its deviates
- *    one after another from a single Rng via Rng::gaussian(), whose
- *    Box-Muller cache pairs draws across consecutive calls.
- *  - kV2 (default): the lane order — trials are grouped in blocks of
- *    GaussianBlockSampler::kLanes, trial t of a block consumes lane
- *    t % kLanes of a GaussianBlockSampler, qubits in row order.
- *
- * Both schemes are deterministic, thread-count independent, and
- * batch-remainder independent; they simply draw different (equally
- * distributed) numbers for the same seed. kV1 reproduces the exact
- * tallies of the pre-sampler releases.
- */
-enum class RngScheme
-{
-    kV1 = 1,
-    kV2 = 2,
-};
-
-/**
- * The scheme a simulation should actually run: `requested` unless
- * the QPAD_RNG_V1 environment variable is set non-empty, which
- * forces kV1 everywhere (mirroring QPAD_SCALAR_KERNEL). Queried per
- * simulation call so tests can flip it at runtime.
- */
-RngScheme resolveRngScheme(RngScheme requested);
 
 /** 8-lane xoshiro256** + batched Box-Muller standard normals. */
 class GaussianBlockSampler

@@ -81,24 +81,16 @@ class Rng
      * mechanisms serve different call sites and must not be mixed
      * within one workload.
      *
-     * Draw-order schemes built on this splitting (see RngScheme in
-     * common/gauss_block.hh): a Monte Carlo shard with child seed s
-     * draws its Gaussians either
-     *
-     *  - v1 (legacy): from Rng(s) trial-major — trial t draws its
-     *    deviates qubit after qubit through gaussian(), whose
-     *    Box-Muller cache pairs consecutive calls; or
-     *  - v2 (default): from GaussianBlockSampler(s) lane-major —
-     *    trials are grouped in blocks of 8, lane t % 8 is the child
-     *    stream Rng::childSeed(s, t % 8), and each trial reads its
-     *    deviates from its own lane row by row.
-     *
-     * Both orders are pure functions of (seed, shard layout), so
-     * both are bit-identical across thread counts, batch remainders,
-     * and collision-kernel choices; they draw different numbers for
-     * the same seed. QPAD_RNG_V1 in the environment forces v1
-     * globally; v1 reproduces the tallies of the releases that
-     * predate the block sampler.
+     * The Monte Carlo draw order built on this splitting (the lane
+     * order of common/gauss_block.hh): a shard with child seed s
+     * draws its Gaussians from GaussianBlockSampler(s) lane-major —
+     * trials are grouped in blocks of 8, lane t % 8 is the child
+     * stream Rng::childSeed(s, t % 8), and each trial reads its
+     * deviates from its own lane row by row. The order is a pure
+     * function of (seed, shard layout), so results are bit-identical
+     * across thread counts, batch remainders, and collision-kernel
+     * choices. Changing it (or adding a draw) changes every seeded
+     * result.
      */
     static uint64_t childSeed(uint64_t seed, uint64_t stream);
 

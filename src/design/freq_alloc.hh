@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "arch/architecture.hh"
-#include "common/gauss_block.hh"
 #include "exec/context.hh"
 #include "runtime/parallel.hh"
 #include "yield/collision.hh"
@@ -55,14 +54,6 @@ struct FreqAllocOptions
      * frequencies are identical for every thread count.
      */
     runtime::Options exec = {};
-    /**
-     * Draw order of the common-random-numbers table (see RngScheme
-     * in common/gauss_block.hh): kV2 (default) fills it through the
-     * lane-parallel GaussianBlockSampler, kV1 reproduces the legacy
-     * sequential Rng::gaussian() order and therefore the exact
-     * frequencies of pre-sampler releases. QPAD_RNG_V1 forces kV1.
-     */
-    RngScheme rng_scheme = RngScheme::kV2;
 };
 
 /** Allocation outcome. */

@@ -23,8 +23,8 @@ namespace
  * identity (generate() is deterministic per name; the counts are an
  * integrity check), the mapper knobs, and the yield-measurement
  * policy including adaptive escalation (which changes yield_trials).
- * options.exec and options.stream never affect the bytes of a
- * DataPoint (runtime contract) and are excluded.
+ * options.exec never affects the bytes of a DataPoint (runtime
+ * contract) and is excluded.
  */
 void
 encodeMeasureInputs(cache::Encoder &enc,
@@ -48,8 +48,7 @@ encodeMeasureInputs(cache::Encoder &enc,
     enc.u64(yo.seed);
     enc.u8(yo.collect_condition_stats ? 1 : 0);
     cache::encodeCollisionModel(enc, yo.model);
-    // Resolved: QPAD_RNG_V1 changes the drawn numbers.
-    enc.u8(uint8_t(resolveRngScheme(yo.rng_scheme)));
+    enc.u8(cache::kDrawOrderByte);
     enc.u8(options.adaptive_yield_trials ? 1 : 0);
     enc.u64(options.max_yield_trials);
 }
@@ -104,7 +103,7 @@ flowPointKey(const benchmarks::BenchmarkInfo &info,
     cache::encodeCollisionModel(enc, fo.model);
     enc.u64(fo.seed);
     enc.u32(fo.refine_sweeps);
-    enc.u8(uint8_t(resolveRngScheme(fo.rng_scheme)));
+    enc.u8(cache::kDrawOrderByte);
     encodeMeasureInputs(enc, info, circuit, options);
     return enc.digest();
 }
@@ -406,9 +405,6 @@ runBenchmark(const benchmarks::BenchmarkInfo &info,
                 QPAD_SPAN("eval.data_point");
                 data_points.add();
                 experiment.points[i] = jobs[i]();
-                // Stream the point the moment it lands in its slot;
-                // the emit is serialized inside the sink.
-                options.stream.emit(i, experiment.points[i]);
             }
         });
 

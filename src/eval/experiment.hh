@@ -16,7 +16,6 @@
 #include "cache/store.hh"
 #include "design/design_flow.hh"
 #include "exec/context.hh"
-#include "exec/stream.hh"
 #include "mapping/sabre.hh"
 #include "obs/metrics.hh"
 #include "runtime/parallel.hh"
@@ -74,16 +73,6 @@ struct ExperimentOptions
      * any thread count; points keep their sequential order.
      */
     runtime::Options exec = {};
-    /**
-     * Optional streaming sink: when attached, every completed
-     * DataPoint is emitted as (job index, point) the moment its job
-     * finishes — completion order is scheduler-dependent, the index
-     * is the point's deterministic slot in `points`. Emitted points
-     * carry the raw measurement; norm_recip_gates is a whole-run
-     * derived value and is only filled in the final blocking result
-     * (0.0 in streamed items). Excluded from all cache keys.
-     */
-    exec::Sink<DataPoint> stream = {};
 };
 
 /** All points for one benchmark (one subplot of Figure 10). */

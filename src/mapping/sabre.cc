@@ -110,7 +110,7 @@ class Router
 
             // All remaining front gates are blocked two-qubit gates:
             // pick the best SWAP.
-            auto [pa, pb] = bestSwap(circ, dag, front, indeg, l2p, decay);
+            auto [pa, pb] = bestSwap(circ, dag, front, l2p, decay);
             applySwap(pa, pb, l2p, p2l);
             decay[pa] += options_.decay_delta;
             decay[pb] += options_.decay_delta;
@@ -178,11 +178,9 @@ class Router
     std::pair<PhysQubit, PhysQubit>
     bestSwap(const Circuit &circ, const circuit::DependencyDag &dag,
              const std::vector<std::size_t> &front,
-             const std::vector<std::size_t> &indeg,
              const std::vector<PhysQubit> &l2p,
              const std::vector<double> &decay) const
     {
-        (void)indeg;
         // Candidate swaps: edges touching any physical qubit that
         // hosts an operand of a blocked front gate.
         std::vector<std::pair<PhysQubit, PhysQubit>> candidates;

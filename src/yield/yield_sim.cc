@@ -4,15 +4,15 @@
 #include <bit>
 #include <cmath>
 
+#include "common/gauss_block.hh"
 #include "common/logging.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "runtime/seed_seq.hh"
+#include "yield/collision_batch.hh"
 
 namespace qpad::yield
 {
-
-using arch::PhysQubit;
 
 namespace
 {
@@ -30,7 +30,7 @@ namespace
  */
 constexpr std::size_t kShardTrials = 1024;
 
-// The v2 lane order identifies sampler lanes with SoA block lanes;
+// The lane order identifies sampler lanes with SoA block lanes;
 // a diverging lane count would silently re-pair trials and draws.
 static_assert(GaussianBlockSampler::kLanes ==
               BatchCollisionChecker::kLanes);
@@ -99,7 +99,6 @@ estimateYield(const CollisionChecker &checker,
     const BatchCollisionChecker batch =
         batched ? BatchCollisionChecker(checker)
                 : BatchCollisionChecker();
-    const RngScheme scheme = resolveRngScheme(options.rng_scheme);
 
     // Evaluate one trial of the scalar walk (count statistics or
     // oracle check) on the post-fabrication frequencies in `post`.
@@ -133,63 +132,31 @@ estimateYield(const CollisionChecker &checker,
             ShardCounts local;
             const std::size_t nq = pre_fab_freqs.size();
             constexpr std::size_t B = BatchCollisionChecker::kLanes;
-            if (scheme == RngScheme::kV2) {
-                // v2 lane order: the shard's sampler fills a whole
-                // SoA block at once (trial t+l = lane l, qubits in
-                // row order). All kLanes lanes advance even in a
-                // remainder block — lanes are independent streams,
-                // so discarding the inactive ones cannot disturb
-                // draws elsewhere, which is what makes the tallies
-                // remainder-independent. The scalar walk reads the
-                // very same block, so kernel choice never changes
-                // the stream.
-                GaussianBlockSampler sampler(seeds.childSeed(shard));
-                std::vector<double> block(nq * B);
-                std::vector<double> post(nq);
-                for (std::size_t t = begin; t < end; t += B) {
-                    const std::size_t active = std::min(B, end - t);
-                    sampler.fillAffine(block.data(),
-                                       pre_fab_freqs.data(),
-                                       options.sigma_ghz, nq);
-                    if (batched) {
-                        local.successes += std::size_t(std::popcount(
-                            batch.survivorMask(block.data(), active)));
-                        continue;
-                    }
-                    for (std::size_t l = 0; l < active; ++l) {
-                        for (std::size_t q = 0; q < nq; ++q)
-                            post[q] = block[q * B + l];
-                        scalarTrial(post, local);
-                    }
-                }
-                return local;
-            }
-            Rng rng = seeds.childRng(shard);
-            if (batched) {
-                std::vector<double> block(nq * B, 0.0);
-                for (std::size_t t = begin; t < end; t += B) {
-                    const std::size_t active = std::min(B, end - t);
-                    // v1 trial-major draw order: lane l consumes
-                    // exactly the gaussians trial t+l consumes in
-                    // the scalar loop, so the RNG stream is
-                    // unchanged. Remainder lanes keep
-                    // stale-but-readable values and are masked off
-                    // by `active`.
-                    for (std::size_t l = 0; l < active; ++l)
-                        for (std::size_t q = 0; q < nq; ++q)
-                            block[q * B + l] = rng.gaussian(
-                                pre_fab_freqs[q], options.sigma_ghz);
+            // Lane order: the shard's sampler fills a whole SoA block
+            // at once (trial t+l = lane l, qubits in row order). All
+            // kLanes lanes advance even in a remainder block — lanes
+            // are independent streams, so discarding the inactive
+            // ones cannot disturb draws elsewhere, which is what
+            // makes the tallies remainder-independent. The scalar
+            // walk reads the very same block, so kernel choice never
+            // changes the stream.
+            GaussianBlockSampler sampler(seeds.childSeed(shard));
+            std::vector<double> block(nq * B);
+            std::vector<double> post(nq);
+            for (std::size_t t = begin; t < end; t += B) {
+                const std::size_t active = std::min(B, end - t);
+                sampler.fillAffine(block.data(), pre_fab_freqs.data(),
+                                   options.sigma_ghz, nq);
+                if (batched) {
                     local.successes += std::size_t(std::popcount(
                         batch.survivorMask(block.data(), active)));
+                    continue;
                 }
-                return local;
-            }
-            std::vector<double> post(nq);
-            for (std::size_t t = begin; t < end; ++t) {
-                for (std::size_t q = 0; q < post.size(); ++q)
-                    post[q] = rng.gaussian(pre_fab_freqs[q],
-                                           options.sigma_ghz);
-                scalarTrial(post, local);
+                for (std::size_t l = 0; l < active; ++l) {
+                    for (std::size_t q = 0; q < nq; ++q)
+                        post[q] = block[q * B + l];
+                    scalarTrial(post, local);
+                }
             }
             return local;
         },
@@ -210,190 +177,6 @@ estimateYield(const arch::Architecture &arch, const YieldOptions &options,
                 "' has unassigned frequencies");
     CollisionChecker checker(arch, options.model);
     return estimateYield(checker, arch.frequencies(), options, ctx);
-}
-
-LocalYieldSimulator::LocalYieldSimulator(
-    std::vector<CollisionChecker::PairTerm> pairs,
-    std::vector<CollisionChecker::TripleTerm> triples,
-    const CollisionModel &model, std::vector<PhysQubit> involved)
-    : pairs_(std::move(pairs)), triples_(std::move(triples)),
-      involved_(std::move(involved)), model_(model),
-      batch_(pairs_, triples_, model_)
-{
-}
-
-bool
-LocalYieldSimulator::postSucceeds(const std::vector<double> &post) const
-{
-    for (const auto &p : pairs_)
-        if (pairCollides(model_, post[p.a], post[p.b]))
-            return false;
-    for (const auto &tr : triples_)
-        if (tripleCollides(model_, post[tr.j], post[tr.k], post[tr.i]))
-            return false;
-    return true;
-}
-
-bool
-LocalYieldSimulator::trialSucceeds(const std::vector<double> &freqs,
-                                   double sigma_ghz, Rng &rng,
-                                   std::vector<double> &post) const
-{
-    for (PhysQubit q : involved_)
-        post[q] = rng.gaussian(freqs[q], sigma_ghz);
-    return postSucceeds(post);
-}
-
-std::size_t
-LocalYieldSimulator::runTrialsV2(const std::vector<double> &freqs,
-                                 double sigma_ghz, std::size_t count,
-                                 GaussianBlockSampler &sampler,
-                                 bool batched) const
-{
-    constexpr std::size_t B = BatchCollisionChecker::kLanes;
-    const std::size_t n_inv = involved_.size();
-    // The sampler fills a compact involved-major scratch (its rows
-    // must be contiguous). The batched kernel reads a full SoA block
-    // whose uninvolved rows keep the pre-fabrication value in every
-    // lane; the scalar walk reads the same draws through a per-lane
-    // post vector — exactly like the v1 scratch buffer — via the
-    // shared postSucceeds term walk.
-    std::vector<double> means(n_inv);
-    for (std::size_t i = 0; i < n_inv; ++i)
-        means[i] = freqs[involved_[i]];
-    std::vector<double> scratch(n_inv * B);
-    std::vector<double> block;
-    if (batched) {
-        block.resize(freqs.size() * B);
-        for (std::size_t q = 0; q < freqs.size(); ++q)
-            for (std::size_t l = 0; l < B; ++l)
-                block[q * B + l] = freqs[q];
-    }
-    std::vector<double> post(freqs);
-
-    std::size_t successes = 0;
-    for (std::size_t t = 0; t < count; t += B) {
-        const std::size_t active = std::min(B, count - t);
-        sampler.fillAffine(scratch.data(), means.data(), sigma_ghz,
-                           n_inv);
-        if (batched) {
-            for (std::size_t i = 0; i < n_inv; ++i)
-                std::copy_n(&scratch[i * B], B,
-                            &block[std::size_t(involved_[i]) * B]);
-            successes += std::size_t(std::popcount(
-                batch_.survivorMask(block.data(), active)));
-            continue;
-        }
-        for (std::size_t l = 0; l < active; ++l) {
-            for (std::size_t i = 0; i < n_inv; ++i)
-                post[involved_[i]] = scratch[i * B + l];
-            successes += postSucceeds(post);
-        }
-    }
-    return successes;
-}
-
-std::size_t
-LocalYieldSimulator::runTrials(const std::vector<double> &freqs,
-                               double sigma_ghz, std::size_t count,
-                               Rng &rng, bool batched) const
-{
-    std::size_t successes = 0;
-    if (!batched) {
-        std::vector<double> post(freqs);
-        for (std::size_t t = 0; t < count; ++t)
-            successes += trialSucceeds(freqs, sigma_ghz, rng, post);
-        return successes;
-    }
-
-    constexpr std::size_t B = BatchCollisionChecker::kLanes;
-    // All lanes start at the pre-fabrication frequencies; only the
-    // involved qubits are redrawn per trial, exactly like the scalar
-    // scratch buffer (uninvolved term endpoints keep freqs[q]).
-    std::vector<double> block(freqs.size() * B);
-    for (std::size_t q = 0; q < freqs.size(); ++q)
-        for (std::size_t l = 0; l < B; ++l)
-            block[q * B + l] = freqs[q];
-    for (std::size_t t = 0; t < count; t += B) {
-        const std::size_t active = std::min(B, count - t);
-        for (std::size_t l = 0; l < active; ++l)
-            for (PhysQubit q : involved_)
-                block[q * B + l] = rng.gaussian(freqs[q], sigma_ghz);
-        successes += std::size_t(
-            std::popcount(batch_.survivorMask(block.data(), active)));
-    }
-    return successes;
-}
-
-double
-LocalYieldSimulator::simulate(const std::vector<double> &freqs,
-                              double sigma_ghz, std::size_t trials,
-                              Rng &rng, RngScheme scheme) const
-{
-    if (pairs_.empty() && triples_.empty())
-        return 1.0;
-    // Zero-trial call: no evidence of success, and 0/0 below would
-    // poison the caller's argmax with NaN.
-    if (trials == 0)
-        return 0.0;
-
-    // Counters only — local sims run inside anneal chains, far too
-    // hot for spans.
-    static obs::Counter &sims = obs::counter("yield.local_sims");
-    static obs::Counter &sim_trials = obs::counter("yield.local_trials");
-    sims.add();
-    sim_trials.add(trials);
-
-    std::size_t successes;
-    if (resolveRngScheme(scheme) == RngScheme::kV2) {
-        // One draw of the caller's generator seeds the lane sampler:
-        // repeated calls stay independent, and the caller's stream
-        // advances deterministically regardless of `trials`.
-        GaussianBlockSampler sampler(rng.next());
-        successes = runTrialsV2(freqs, sigma_ghz, trials, sampler,
-                                useBatchedKernel());
-    } else {
-        successes = runTrials(freqs, sigma_ghz, trials, rng,
-                              useBatchedKernel());
-    }
-    return double(successes) / double(trials);
-}
-
-double
-LocalYieldSimulator::simulate(const std::vector<double> &freqs,
-                              double sigma_ghz, std::size_t trials,
-                              uint64_t seed,
-                              const runtime::Options &exec,
-                              RngScheme scheme,
-                              const qpad::exec::Context &ctx) const
-{
-    if (pairs_.empty() && triples_.empty())
-        return 1.0;
-    if (trials == 0)
-        return 0.0;
-
-    static obs::Counter &sims = obs::counter("yield.local_sims");
-    static obs::Counter &sim_trials = obs::counter("yield.local_trials");
-    sims.add();
-    sim_trials.add(trials);
-
-    const bool batched = useBatchedKernel();
-    const RngScheme active = resolveRngScheme(scheme);
-    const runtime::SeedSequence seeds(seed);
-    std::size_t successes = runtime::parallel_reduce(
-        ctx.apply(exec), trials, kShardTrials, std::size_t{0},
-        [&](std::size_t begin, std::size_t end, std::size_t shard) {
-            if (active == RngScheme::kV2) {
-                GaussianBlockSampler sampler(seeds.childSeed(shard));
-                return runTrialsV2(freqs, sigma_ghz, end - begin,
-                                   sampler, batched);
-            }
-            Rng rng = seeds.childRng(shard);
-            return runTrials(freqs, sigma_ghz, end - begin, rng,
-                             batched);
-        },
-        [](std::size_t acc, std::size_t x) { return acc + x; });
-    return double(successes) / double(trials);
 }
 
 } // namespace qpad::yield

@@ -14,12 +14,9 @@
 #include <cstdint>
 
 #include "arch/architecture.hh"
-#include "common/gauss_block.hh"
-#include "common/rng.hh"
 #include "exec/context.hh"
 #include "runtime/parallel.hh"
 #include "yield/collision.hh"
-#include "yield/collision_batch.hh"
 
 namespace qpad::yield
 {
@@ -44,17 +41,6 @@ struct YieldOptions
      * the sequential num_threads = 1).
      */
     runtime::Options exec = {};
-    /**
-     * Random draw order (see RngScheme in common/gauss_block.hh and
-     * the scheme note in common/rng.hh): kV2 (default) fills each
-     * shard's trial blocks from the lane-parallel
-     * GaussianBlockSampler, kV1 reproduces the legacy per-call
-     * Rng::gaussian() order — and therefore the exact tallies of
-     * pre-sampler releases. QPAD_RNG_V1 in the environment
-     * overrides this to kV1. Either scheme is bit-identical across
-     * thread counts, batch remainders, and collision kernels.
-     */
-    RngScheme rng_scheme = RngScheme::kV2;
 };
 
 /** Simulation outcome. */
@@ -74,12 +60,11 @@ struct YieldResult
  * Estimate the yield rate of an architecture. All frequencies must
  * be assigned. Trials are evaluated through the batched SoA kernel
  * (BatchCollisionChecker) unless condition statistics are requested
- * or QPAD_SCALAR_KERNEL forces the scalar oracle; both paths draw
- * the same RNG stream in the same order and return bit-identical
- * results. The stream itself follows options.rng_scheme: the v2
- * lane order by default, the legacy v1 scalar order under kV1 or
- * QPAD_RNG_V1. options.trials == 0 returns a zero-trial result
- * (yield 0, stderr 0) instead of dividing by zero.
+ * or QPAD_SCALAR_KERNEL forces the scalar oracle; both paths read
+ * the same GaussianBlockSampler blocks (the lane order of
+ * common/gauss_block.hh) and return bit-identical results.
+ * options.trials == 0 returns a zero-trial result (yield 0,
+ * stderr 0) instead of dividing by zero.
  */
 YieldResult
 estimateYield(const arch::Architecture &arch,
@@ -92,87 +77,6 @@ estimateYield(const CollisionChecker &checker,
               const std::vector<double> &pre_fab_freqs,
               const YieldOptions &options = {},
               const exec::Context &ctx = exec::Context::none());
-
-/**
- * Local yield estimator used by the frequency allocator: only the
- * supplied pair/triple terms are checked, and only the frequencies
- * of qubits appearing in those terms are perturbed.
- */
-class LocalYieldSimulator
-{
-  public:
-    LocalYieldSimulator(std::vector<CollisionChecker::PairTerm> pairs,
-                        std::vector<CollisionChecker::TripleTerm> triples,
-                        const CollisionModel &model,
-                        std::vector<arch::PhysQubit> involved);
-
-    /**
-     * Fraction of trials with no local collision, given the current
-     * pre-fabrication frequencies. Runs kLanes trials at a time
-     * through the batched kernel (scalar under QPAD_SCALAR_KERNEL;
-     * both paths are bit-identical and consume the same RNG draws).
-     * Zero trials return 0.0 — except with no terms at all, where
-     * nothing can collide and the result is 1.0.
-     *
-     * Draw scheme: under kV1 the deviates come straight from `rng`
-     * in the legacy trial-major order; under kV2 (default) one
-     * rng.next() draw seeds a GaussianBlockSampler whose lanes fill
-     * the trial blocks (QPAD_RNG_V1 forces kV1; see
-     * common/gauss_block.hh).
-     */
-    double simulate(const std::vector<double> &freqs, double sigma_ghz,
-                    std::size_t trials, Rng &rng,
-                    RngScheme scheme = RngScheme::kV2) const;
-
-    /**
-     * Sharded variant: trials split into fixed-size blocks seeded
-     * from independent streams of `seed`, executed under `exec`.
-     * The returned fraction is independent of the thread count.
-     * Same zero-trial, batching, and draw-scheme semantics as
-     * above (under kV2 each shard's sampler is seeded with the
-     * shard's child seed directly). A cancelled/expired `ctx` stops
-     * between shards (never mid-shard; see exec/context.hh).
-     */
-    // (Context fully qualified: the `exec` parameter name shadows
-    // the qpad::exec namespace for the rest of the parameter list.)
-    double simulate(const std::vector<double> &freqs, double sigma_ghz,
-                    std::size_t trials, uint64_t seed,
-                    const runtime::Options &exec,
-                    RngScheme scheme = RngScheme::kV2,
-                    const qpad::exec::Context &ctx =
-                        qpad::exec::Context::none()) const;
-
-  private:
-    /** Walk the local terms over `post`; true iff none collides. */
-    bool postSucceeds(const std::vector<double> &post) const;
-    /** One trial on the scratch buffer `post`; true on success. */
-    bool trialSucceeds(const std::vector<double> &freqs,
-                       double sigma_ghz, Rng &rng,
-                       std::vector<double> &post) const;
-    /**
-     * `count` consecutive trials drawn from `rng` in the legacy v1
-     * order (batched when `batched`; the draw order is identical
-     * either way), returning the number of successes.
-     */
-    std::size_t runTrials(const std::vector<double> &freqs,
-                          double sigma_ghz, std::size_t count,
-                          Rng &rng, bool batched) const;
-    /**
-     * `count` consecutive trials whose deviates come from the lane
-     * streams of `sampler` (v2 order: trial t of each 8-trial block
-     * reads lane t % 8 row by row). `batched` again only selects
-     * the collision kernel, never the draws.
-     */
-    std::size_t runTrialsV2(const std::vector<double> &freqs,
-                            double sigma_ghz, std::size_t count,
-                            GaussianBlockSampler &sampler,
-                            bool batched) const;
-    std::vector<CollisionChecker::PairTerm> pairs_;
-    std::vector<CollisionChecker::TripleTerm> triples_;
-    std::vector<arch::PhysQubit> involved_;
-    CollisionModel model_;
-    BatchCollisionChecker batch_;
-};
 
 } // namespace qpad::yield
 

@@ -159,17 +159,23 @@ TEST(Fingerprint, YieldKeyTracksOptionsButNotExec)
     yield::YieldOptions model = base;
     model.model.thr1 = 0.018;
     EXPECT_NE(k0, cache::yieldKey(arch, model));
+}
 
-    yield::YieldOptions v1 = base;
-    v1.rng_scheme = RngScheme::kV1;
-    if (resolveRngScheme(RngScheme::kV2) == RngScheme::kV2) {
-        EXPECT_NE(k0, cache::yieldKey(arch, v1))
-            << "the draw scheme changes the sampled numbers";
-    } else {
-        // Under QPAD_RNG_V1 both requests resolve to the same v1
-        // stream, so they *must* share a key.
-        EXPECT_EQ(k0, cache::yieldKey(arch, v1));
-    }
+TEST(Fingerprint, KeysMatchEarlierBuilds)
+{
+    // Captured from a build that still had a draw-order option: the
+    // keys must never move, or every existing persistent cache log
+    // goes cold.
+    const auto arch = arch::ibm16Q(false);
+    yield::YieldOptions yo;
+    yo.trials = 1000;
+    EXPECT_EQ(cache::yieldKey(arch, yo).hex(),
+              "ab2ec6260f00571befe609a226196167");
+    design::FreqAllocOptions fo;
+    fo.local_trials = 300;
+    fo.refine_sweeps = 1;
+    EXPECT_EQ(cache::freqAllocKey(arch, fo).hex(),
+              "d749a5c2b33bd81855d96c7619c1b3d8");
 }
 
 TEST(Fingerprint, SerializeRoundTripPreservesFingerprint)
@@ -382,20 +388,26 @@ TEST(StoreDedup, CancellingAWaiterNeverDisturbsTheOwner)
     cache::Store store;
     exec::CancelToken waiter_token;
     std::atomic<int> computes{0};
+    std::atomic<bool> waiter_unwound{false};
     const auto key = keyOf(9);
 
     std::thread owner([&] {
         const auto r = store.getOrCompute(key, [&] {
             ++computes;
             // Wait for the waiter to register, cancel it, and keep
-            // computing: the waiter's stop is its own business.
+            // computing until it has unwound (bounded, so a waiter
+            // that ignores its token still fails the test below
+            // rather than hanging it): the waiter's stop is its own
+            // business.
             for (int spin = 0;
                  store.stats().dedup_waits < 1 && spin < 2000; ++spin)
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(1));
             waiter_token.cancel();
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(30));
+            for (int spin = 0; !waiter_unwound.load() && spin < 2000;
+                 ++spin)
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(1));
             return std::vector<uint8_t>{5};
         });
         EXPECT_EQ(r, (std::vector<uint8_t>{5}));
@@ -415,6 +427,7 @@ TEST(StoreDedup, CancellingAWaiterNeverDisturbsTheOwner)
     } catch (const exec::CancelledError &) {
         waiter_cancelled = true;
     }
+    waiter_unwound = true;
     owner.join();
 
     EXPECT_TRUE(waiter_cancelled);

@@ -6,8 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <map>
-#include <mutex>
 #include <sstream>
 
 #include "arch/ibm.hh"
@@ -123,69 +121,8 @@ TEST(Experiment, MeasureFillsAllFields)
 }
 
 // --------------------------------------------------------------------
-// Streaming sink and cancellation
+// Cancellation
 // --------------------------------------------------------------------
-
-/** Everything decodeDataPoint round-trips; norm_recip_gates is
- * excluded (streamed items carry 0.0 — normalization runs after the
- * parallel region). */
-bool
-samePoint(const DataPoint &a, const DataPoint &b)
-{
-    return a.config == b.config && a.arch_name == b.arch_name &&
-           a.num_qubits == b.num_qubits &&
-           a.num_edges == b.num_edges &&
-           a.num_buses == b.num_buses &&
-           a.gate_count == b.gate_count && a.swaps == b.swaps &&
-           a.yield == b.yield && a.yield_trials == b.yield_trials;
-}
-
-TEST(Streaming, SinkReceivesEveryPointWithItsFinalIndex)
-{
-    // Run once blocking, once streaming, at several thread counts:
-    // the set of (index, point) pairs emitted must reassemble the
-    // blocking result exactly, and every index must arrive once.
-    auto info = benchmarks::getBenchmark("sym6_145");
-    const auto blocking = runBenchmark(info, fastOptions());
-    for (std::size_t threads : {1u, 4u}) {
-        std::mutex mutex;
-        std::map<std::size_t, DataPoint> streamed;
-        ExperimentOptions opts = fastOptions();
-        opts.exec.num_threads = threads;
-        opts.stream = exec::Sink<DataPoint>(
-            [&](std::size_t index, const DataPoint &point) {
-                std::lock_guard<std::mutex> lock(mutex);
-                EXPECT_TRUE(streamed.emplace(index, point).second)
-                    << "duplicate index " << index;
-            });
-        const auto exp = runBenchmark(info, opts);
-        EXPECT_EQ(opts.stream.emitted(), exp.points.size());
-        ASSERT_EQ(streamed.size(), blocking.points.size()) << threads;
-        for (std::size_t i = 0; i < blocking.points.size(); ++i) {
-            ASSERT_TRUE(streamed.count(i)) << "missing index " << i;
-            EXPECT_TRUE(samePoint(streamed.at(i), blocking.points[i]))
-                << "index " << i << " at " << threads << " threads";
-        }
-    }
-}
-
-TEST(Streaming, DisabledSinkChangesNothing)
-{
-    // The default (disabled) sink is the blocking path: results are
-    // bit-identical with or without a Sink object in the options.
-    auto info = benchmarks::getBenchmark("sym6_145");
-    auto a = runBenchmark(info, fastOptions());
-    ExperimentOptions opts = fastOptions();
-    opts.stream = exec::Sink<DataPoint>();
-    auto b = runBenchmark(info, opts);
-    ASSERT_EQ(a.points.size(), b.points.size());
-    for (std::size_t i = 0; i < a.points.size(); ++i) {
-        EXPECT_TRUE(samePoint(a.points[i], b.points[i])) << i;
-        EXPECT_DOUBLE_EQ(a.points[i].norm_recip_gates,
-                         b.points[i].norm_recip_gates)
-            << i;
-    }
-}
 
 TEST(ExecCancel, ExpiredDeadlineStopsRunBenchmark)
 {

@@ -1,15 +1,14 @@
 /**
  * @file
- * Tests for the lane-parallel Gaussian block sampler and the
- * versioned v1/v2 draw schemes of the Monte Carlo consumers.
+ * Tests for the lane-parallel Gaussian block sampler and the lane
+ * draw order of the Monte Carlo consumers.
  *
  * The golden-bit tests pin the sampler output for a fixed seed; the
  * same constants must hold on AVX2 and non-AVX2 builds (the CI
- * matrix runs both), which is the cross-build half of the v2
+ * matrix runs both), which is the cross-build half of the
  * bit-identity contract. The yield-level tests check the other
- * halves: thread counts, batch remainders, collision kernels, and
- * the QPAD_RNG_V1 environment override — plus the legacy golden
- * tallies that scheme v1 must keep reproducing.
+ * halves: thread counts, batch remainders, and collision kernels —
+ * plus golden tallies and frequencies for fixed seeds.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +17,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <numeric>
 #include <vector>
 
 #include "arch/ibm.hh"
@@ -33,7 +31,6 @@ namespace
 
 using namespace qpad;
 using arch::Architecture;
-using test::ScopedRngV1;
 using test::ScopedScalarKernel;
 
 constexpr std::size_t B = GaussianBlockSampler::kLanes;
@@ -46,7 +43,7 @@ TEST(GaussBlock, GoldenBitsIdenticalOnEveryBackend)
 {
     // Captured from the AVX2 build and verified identical on the
     // portable build; any drift (FMA contraction, reordered
-    // polynomial ops, changed lane seeding) breaks cross-build v2
+    // polynomial ops, changed lane seeding) breaks cross-build
     // reproducibility and must fail here.
     const uint64_t golden_row0[B] = {
         0xbfab60409c23520eull, 0x3ff1ff61818fa3feull,
@@ -177,51 +174,9 @@ TEST(GaussBlock, MomentsMatchStandardNormalAndScalarSampler)
     EXPECT_NEAR(block[2], legacy[2], 0.04);
 }
 
-TEST(GaussBlock, ResolveSchemeHonoursEnvOverride)
-{
-    EXPECT_EQ(resolveRngScheme(RngScheme::kV1), RngScheme::kV1);
-    {
-        ScopedRngV1 forced;
-        EXPECT_EQ(resolveRngScheme(RngScheme::kV2), RngScheme::kV1);
-        EXPECT_EQ(resolveRngScheme(RngScheme::kV1), RngScheme::kV1);
-    }
-}
-
 // --------------------------------------------------------------------
-// estimateYield: scheme goldens and the v2 identity contract
+// estimateYield: goldens and the identity contract
 // --------------------------------------------------------------------
-
-TEST(YieldScheme, V1ReproducesLegacyGoldenTallies)
-{
-    // Captured from the release that predates the block sampler
-    // (plain ibm16Q, 4999 trials, seed 11 — full shards plus a
-    // 903-trial tail with a 7-lane remainder batch). Scheme v1 is
-    // the compatibility contract: these exact tallies, forever.
-    auto arch = arch::ibm16Q(false);
-    yield::YieldOptions opts;
-    opts.trials = 4999;
-    opts.seed = 11;
-    opts.rng_scheme = RngScheme::kV1;
-    EXPECT_EQ(estimateYield(arch, opts).successes, 109u);
-
-    ScopedRngV1 forced; // env must force the same path from kV2
-    opts.rng_scheme = RngScheme::kV2;
-    EXPECT_EQ(estimateYield(arch, opts).successes, 109u);
-}
-
-TEST(YieldScheme, V1ReproducesLegacyConditionStats)
-{
-    auto arch = arch::ibm16Q(false);
-    yield::YieldOptions opts;
-    opts.trials = 10000;
-    opts.seed = 2020;
-    opts.collect_condition_stats = true;
-    opts.rng_scheme = RngScheme::kV1;
-    auto r = estimateYield(arch, opts);
-    EXPECT_EQ(r.successes, 188u);
-    EXPECT_EQ(r.condition_trials[1], 7228u);
-    EXPECT_EQ(r.condition_trials[7], 6485u);
-}
 
 TEST(YieldScheme, V2BitIdenticalAcrossThreadCounts)
 {
@@ -265,36 +220,12 @@ TEST(YieldScheme, V2KernelChoiceNeverChangesTallies)
     }
 }
 
-TEST(YieldScheme, EnvFlipRoundTripRestoresTheScheme)
-{
-    auto arch = arch::ibm16Q(false);
-    yield::YieldOptions opts;
-    opts.trials = 3000;
-    opts.seed = 5;
-    const auto before = estimateYield(arch, opts);
-    yield::YieldResult forced_env;
-    {
-        ScopedRngV1 forced;
-        forced_env = estimateYield(arch, opts);
-    }
-    const auto after = estimateYield(arch, opts);
-
-    opts.rng_scheme = RngScheme::kV1;
-    const auto v1 = estimateYield(arch, opts);
-    EXPECT_EQ(forced_env.successes, v1.successes);
-    EXPECT_EQ(before.successes, after.successes);
-    EXPECT_DOUBLE_EQ(before.yield, after.yield);
-}
-
 TEST(YieldScheme, V2GoldenTalliesIdenticalOnEveryBuild)
 {
-    // The v2 counterpart of the legacy goldens, captured once on the
-    // AVX2 build: the CI matrix re-runs this on the portable build
-    // (where the yield path takes the scalar walk over the very
-    // same sampler blocks), so any backend divergence — sampler or
-    // kernel — fails here.
-    if (resolveRngScheme(RngScheme::kV2) != RngScheme::kV2)
-        GTEST_SKIP() << "QPAD_RNG_V1 forces v1 in this environment";
+    // Captured once on the AVX2 build: the CI matrix re-runs this on
+    // the portable build (where the yield path takes the scalar walk
+    // over the very same sampler blocks), so any backend divergence
+    // — sampler or kernel — fails here.
     auto arch = arch::ibm16Q(false);
     yield::YieldOptions opts;
     opts.trials = 4999;
@@ -318,118 +249,9 @@ TEST(YieldScheme, V2GoldenTalliesIdenticalOnEveryBuild)
     EXPECT_DOUBLE_EQ(fr.freqs[15], 5.2499999999999947);
 }
 
-TEST(YieldScheme, V2ActuallyDrawsADifferentStreamThanV1)
-{
-    if (resolveRngScheme(RngScheme::kV2) != RngScheme::kV2)
-        GTEST_SKIP() << "QPAD_RNG_V1 forces v1 in this environment";
-    auto arch = arch::ibm16Q(false);
-    yield::YieldOptions opts;
-    opts.trials = 4999;
-    opts.seed = 11;
-    const auto v2 = estimateYield(arch, opts);
-    opts.rng_scheme = RngScheme::kV1;
-    const auto v1 = estimateYield(arch, opts);
-    // Deterministic for this (seed, trials): the lane order draws
-    // different numbers, so the tallies differ.
-    EXPECT_NE(v2.successes, v1.successes);
-}
-
 // --------------------------------------------------------------------
-// LocalYieldSimulator under v2
+// Frequency allocation
 // --------------------------------------------------------------------
-
-TEST(LocalScheme, ShardedV2IdenticalAcrossThreadCounts)
-{
-    auto arch = arch::ibm16Q(false);
-    yield::CollisionChecker checker(arch);
-    std::vector<arch::PhysQubit> involved(arch.numQubits());
-    std::iota(involved.begin(), involved.end(), 0u);
-    yield::LocalYieldSimulator sim(checker.pairs(), checker.triples(),
-                                   {}, involved);
-    const double seq = sim.simulate(arch.frequencies(), 0.03, 20000,
-                                    5, runtime::Options{1});
-    const double par = sim.simulate(arch.frequencies(), 0.03, 20000,
-                                    5, runtime::Options{4});
-    EXPECT_DOUBLE_EQ(seq, par);
-}
-
-TEST(LocalScheme, V2KernelEnvIsBitIdentical)
-{
-    auto arch = arch::ibm16Q(false);
-    yield::CollisionChecker checker(arch);
-    std::vector<arch::PhysQubit> involved(arch.numQubits());
-    std::iota(involved.begin(), involved.end(), 0u);
-    yield::LocalYieldSimulator sim(checker.pairs(), checker.triples(),
-                                   {}, involved);
-    // 1003 trials: remainder batch of 3 under both kernels.
-    Rng r1(3), r2(3);
-    const double batched =
-        sim.simulate(arch.frequencies(), 0.03, 1003, r1);
-    double scalar;
-    {
-        ScopedScalarKernel forced;
-        scalar = sim.simulate(arch.frequencies(), 0.03, 1003, r2);
-    }
-    EXPECT_DOUBLE_EQ(batched, scalar);
-}
-
-TEST(LocalScheme, RngOverloadIsDeterministicAndAdvancesParent)
-{
-    auto arch = arch::ibm16Q(false);
-    yield::CollisionChecker checker(arch);
-    std::vector<arch::PhysQubit> involved(arch.numQubits());
-    std::iota(involved.begin(), involved.end(), 0u);
-    yield::LocalYieldSimulator sim(checker.pairs(), checker.triples(),
-                                   {}, involved);
-    Rng r1(17), r2(17);
-    const double a = sim.simulate(arch.frequencies(), 0.03, 800, r1);
-    const double b = sim.simulate(arch.frequencies(), 0.03, 800, r2);
-    EXPECT_DOUBLE_EQ(a, b);
-    // The parent generators advanced identically, and a second call
-    // draws a fresh (still equal) estimate.
-    const double a2 = sim.simulate(arch.frequencies(), 0.03, 800, r1);
-    const double b2 = sim.simulate(arch.frequencies(), 0.03, 800, r2);
-    EXPECT_DOUBLE_EQ(a2, b2);
-    EXPECT_EQ(r1.next(), r2.next());
-}
-
-// --------------------------------------------------------------------
-// Frequency allocation under the schemes
-// --------------------------------------------------------------------
-
-TEST(FreqAllocScheme, V1ReproducesLegacyGoldenFrequencies)
-{
-    // Captured from the pre-sampler release (ibm16Q plain,
-    // local_trials = 300, refine_sweeps = 1, default seed 11).
-    auto arch = arch::ibm16Q(false);
-    design::FreqAllocOptions opts;
-    opts.local_trials = 300;
-    opts.refine_sweeps = 1;
-    opts.rng_scheme = RngScheme::kV1;
-    const auto r = design::allocateFrequencies(arch, opts);
-    EXPECT_DOUBLE_EQ(r.freqs[0], 5.2199999999999953);
-    EXPECT_DOUBLE_EQ(r.freqs[5], 5.2899999999999938);
-    EXPECT_DOUBLE_EQ(r.freqs[15], 5.2999999999999936);
-}
-
-TEST(FreqAllocScheme, EnvForcesV1AndRoundTrips)
-{
-    auto arch = arch::ibm16Q(false);
-    design::FreqAllocOptions opts;
-    opts.local_trials = 200;
-    opts.refine_sweeps = 0;
-    const auto before = design::allocateFrequencies(arch, opts);
-    design::FreqAllocResult env_forced;
-    {
-        ScopedRngV1 forced;
-        env_forced = design::allocateFrequencies(arch, opts);
-    }
-    const auto after = design::allocateFrequencies(arch, opts);
-    opts.rng_scheme = RngScheme::kV1;
-    const auto v1 = design::allocateFrequencies(arch, opts);
-    EXPECT_EQ(env_forced.freqs, v1.freqs);
-    EXPECT_EQ(before.freqs, after.freqs);
-}
 
 TEST(FreqAllocScheme, V2IdenticalAcrossThreadCountsAndKernels)
 {

@@ -11,7 +11,9 @@
 #include <numeric>
 
 #include "arch/ibm.hh"
+#include "common/rng.hh"
 #include "scoped_scalar_kernel.hh"
+#include "yield/collision_batch.hh"
 #include "yield/yield_sim.hh"
 
 namespace
@@ -238,14 +240,6 @@ TEST(YieldSim, RequiresAssignedFrequencies)
     EXPECT_THROW(estimateYield(arch, {}), std::logic_error);
 }
 
-TEST(LocalSim, EmptyTermsYieldOne)
-{
-    LocalYieldSimulator sim({}, {}, kModel, {});
-    Rng rng(1);
-    std::vector<double> freqs = {5.1};
-    EXPECT_DOUBLE_EQ(sim.simulate(freqs, 0.03, 100, rng), 1.0);
-}
-
 TEST(YieldSim, ZeroTrialsReturnZeroTrialResult)
 {
     Architecture arch(Layout::grid(1, 3));
@@ -279,57 +273,67 @@ TEST(YieldSim, ScalarKernelEnvIsBitIdentical)
     EXPECT_DOUBLE_EQ(batched.yield, scalar.yield);
 }
 
-TEST(LocalSim, ZeroTrialsReturnZero)
+// --------------------------------------------------------------------
+// Analytic oracle: the yield of one connected pair in closed form
+// --------------------------------------------------------------------
+
+/** P(lo < X < hi) for X ~ N(mean, sd^2). */
+double
+normalMass(double lo, double hi, double mean, double sd)
 {
-    Architecture arch(Layout::grid(1, 2));
-    CollisionChecker checker(arch);
-    LocalYieldSimulator sim(checker.pairs(), checker.triples(), kModel,
-                            {0, 1});
-    Rng rng(9);
-    std::vector<double> freqs = {5.08, 5.17};
-    EXPECT_DOUBLE_EQ(sim.simulate(freqs, 0.03, 0, rng), 0.0);
-    EXPECT_DOUBLE_EQ(sim.simulate(freqs, 0.03, 0, 42, {}), 0.0);
+    auto cdf = [&](double x) {
+        return 0.5 * std::erfc((mean - x) / (sd * std::sqrt(2.0)));
+    };
+    return cdf(hi) - cdf(lo);
 }
 
-TEST(LocalSim, ScalarKernelEnvIsBitIdentical)
+/**
+ * Exact yield of a 2-qubit chip. One edge has no triples, and
+ * conditions 1-4 depend only on D = f_a - f_b ~ N(f_a - f_b, 2 sigma^2)
+ * after fabrication. With a = |delta|, condition 4 fails every
+ * |D| > a; inside (-a, a), condition 1 removes |D| < thr1, condition 2
+ * the windows of half-width thr2 around +-a/2, and condition 3 the
+ * strips of width thr3 below +a and above -a. Those windows are
+ * disjoint, so their masses subtract.
+ */
+double
+pairYield(double fa, double fb, double sigma, const CollisionModel &m)
 {
-    auto arch = arch::ibm16Q(false);
-    CollisionChecker checker(arch);
-    std::vector<arch::PhysQubit> involved(arch.numQubits());
-    std::iota(involved.begin(), involved.end(), 0u);
-    LocalYieldSimulator sim(checker.pairs(), checker.triples(), kModel,
-                            involved);
-    // Equal fresh generators, 1003 trials (remainder batch of 3).
-    Rng r1(3), r2(3);
-    const double batched =
-        sim.simulate(arch.frequencies(), 0.03, 1003, r1);
-    double scalar;
-    {
-        ScopedScalarKernel forced;
-        scalar = sim.simulate(arch.frequencies(), 0.03, 1003, r2);
+    const double a = -m.delta; // delta < 0 for transmons
+    auto mass = [&](double lo, double hi) {
+        return normalMass(lo, hi, fa - fb, sigma * std::sqrt(2.0));
+    };
+    double yield = mass(-a, a) - mass(-m.thr1, m.thr1);
+    for (double side : {-1.0, 1.0}) {
+        yield -= mass(side * a / 2 - m.thr2, side * a / 2 + m.thr2);
+        yield -= side > 0 ? mass(a - m.thr3, a) : mass(-a, -a + m.thr3);
     }
-    EXPECT_DOUBLE_EQ(batched, scalar);
+    return yield;
 }
 
-TEST(LocalSim, MatchesGlobalOnTinyChip)
+TEST(YieldOracle, TwoQubitChipMatchesClosedForm)
 {
-    // On a 2-qubit chip the local region of the pair IS the chip,
-    // so local and global simulations must agree statistically.
-    Architecture arch(Layout::grid(1, 2));
-    arch.setAllFrequencies({5.08, 5.17});
-    CollisionChecker checker(arch);
+    // The windows pairYield subtracts must not overlap.
+    const double a = -kModel.delta;
+    ASSERT_LT(kModel.thr1, a / 2 - kModel.thr2);
+    ASSERT_LT(a / 2 + kModel.thr2, a - kModel.thr3);
 
-    YieldOptions opts;
-    opts.trials = 40000;
-    opts.seed = 5;
-    double global = estimateYield(arch, opts).yield;
-
-    LocalYieldSimulator sim(checker.pairs(), checker.triples(), kModel,
-                            {0, 1});
-    Rng rng(6);
-    double local =
-        sim.simulate(arch.frequencies(), opts.sigma_ghz, 40000, rng);
-    EXPECT_NEAR(local, global, 0.01);
+    // Detunings from inside condition 1 out to the condition-2 and
+    // condition-3 edges; each estimate must land within 4 standard
+    // errors of the exact yield.
+    const double fa = 5.08;
+    for (double fb : {5.00, 5.05, 5.10, 5.17, 5.26}) {
+        Architecture arch(Layout::grid(1, 2));
+        arch.setAllFrequencies({fa, fb});
+        YieldOptions opts;
+        opts.trials = 200000;
+        const double exact =
+            pairYield(fa, fb, opts.sigma_ghz, opts.model);
+        const double se =
+            std::sqrt(exact * (1.0 - exact) / double(opts.trials));
+        EXPECT_NEAR(estimateYield(arch, opts).yield, exact, 4.0 * se)
+            << "f_b = " << fb;
+    }
 }
 
 // --------------------------------------------------------------------

@@ -16,7 +16,7 @@
  *     exclude = ["src/obs/"]
  *
  *     [rng]
- *     sanctioned = ["yield_sim.cc:estimateYield", ...]
+ *     sanctioned = ["freq_alloc.cc:allocateFrequencies"]
  *
  *     [wallclock]
  *     sanctioned = ["cancel.cc:now"]

@@ -13,12 +13,11 @@
  *   no-uninit             uninitialized-read idioms in compute paths
  *                         (malloc/realloc/alloca, raw new T[n] of
  *                         arithmetic type)
- *   rng-draw-site         direct Rng draw calls in draw-order
- *                         versioned paths (src/yield/, freq_alloc,
+ *   rng-draw-site         direct Rng draw calls in the Monte Carlo
+ *                         paths (src/yield/, freq_alloc,
  *                         gauss_block) outside sanctioned helpers —
- *                         a new draw site is a draw-consumption
- *                         change and must bump RngScheme or justify
- *                         itself
+ *                         a new draw site changes every seeded
+ *                         result and must justify itself
  *   unordered-iter        range-for / .begin() iteration over
  *                         std::unordered_{map,set} in files whose
  *                         output order matters (reports,
