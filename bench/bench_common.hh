@@ -312,7 +312,7 @@ paperOptions()
     }
     opts.yield_options.sigma_ghz = 0.030; // paper Section 5.1
     // Parallel runtime: data points, yield shards, and the frequency
-    // allocator's candidate scan all share the worker budget.
+    // allocator's trial chunks all share the worker budget.
     opts.exec = execOptions();
     opts.yield_options.exec = opts.exec;
     opts.freq_options.exec = opts.exec;

@@ -78,7 +78,7 @@ designArchitecture(const profile::CouplingProfile &profile,
     freq_allocs.add();
     switch (options.freq_scheme) {
       case FreqScheme::Optimized:
-        // Algorithm 3's candidate scan dominates the flow's cost and
+        // Algorithm 3's candidate sweep dominates the flow's cost and
         // is a pure function of (topology, options): route it through
         // the result cache so repeated designs (sweeps, re-runs with
         // a warm on-disk cache) skip the Monte Carlo entirely.

@@ -9,7 +9,10 @@
  * every candidate on a 10 MHz grid across 5.00-5.34 GHz is scored
  * by a Monte Carlo estimate of the yield of the qubit's local
  * region (the collision terms its frequency participates in, among
- * already-assigned qubits), and the argmax is committed.
+ * already-assigned qubits), and the argmax is committed. All
+ * candidates share one common-random-numbers table per visit, and
+ * an exact interval sweep over the grid (design/freq_sweep.hh)
+ * counts each candidate's surviving trials.
  */
 
 #ifndef QPAD_DESIGN_FREQ_ALLOC_HH
@@ -29,7 +32,10 @@ namespace qpad::design
 /** Allocator configuration. */
 struct FreqAllocOptions
 {
-    /** Candidate grid spacing in GHz (paper: 0.01). */
+    /**
+     * Candidate grid spacing in GHz (paper: 0.01). Must be finite and
+     * at least 1e-6; anything else is a fatal error.
+     */
     double grid_step_ghz = 0.01;
     /** Monte Carlo trials per candidate evaluation. */
     std::size_t local_trials = 2000;
@@ -48,10 +54,11 @@ struct FreqAllocOptions
      */
     unsigned refine_sweeps = 2;
     /**
-     * Parallel execution of the per-qubit candidate scan (the hot
-     * path of Algorithm 3). Candidates share one common-random-
-     * numbers table generated ahead of the scan, so the chosen
-     * frequencies are identical for every thread count.
+     * Parallel execution of the per-qubit candidate sweep (the hot
+     * path of Algorithm 3), in fixed 1024-trial chunks. The
+     * common-random-numbers table is generated ahead of the sweep and
+     * survivor counts are integers, so the chosen frequencies are
+     * identical for every thread count.
      */
     runtime::Options exec = {};
 };

@@ -12,32 +12,23 @@ namespace qpad::yield
 {
 
 BatchCollisionChecker::BatchCollisionChecker(
-    const std::vector<CollisionChecker::PairTerm> &pairs,
-    const std::vector<CollisionChecker::TripleTerm> &triples,
-    const CollisionModel &model)
-    : model_(model)
+    const CollisionChecker &checker)
+    : model_(checker.model())
 {
-    pair_a_.reserve(pairs.size());
-    pair_b_.reserve(pairs.size());
-    for (const auto &p : pairs) {
+    pair_a_.reserve(checker.pairs().size());
+    pair_b_.reserve(checker.pairs().size());
+    for (const auto &p : checker.pairs()) {
         pair_a_.push_back(p.a);
         pair_b_.push_back(p.b);
     }
-    tri_j_.reserve(triples.size());
-    tri_k_.reserve(triples.size());
-    tri_i_.reserve(triples.size());
-    for (const auto &t : triples) {
+    tri_j_.reserve(checker.triples().size());
+    tri_k_.reserve(checker.triples().size());
+    tri_i_.reserve(checker.triples().size());
+    for (const auto &t : checker.triples()) {
         tri_j_.push_back(t.j);
         tri_k_.push_back(t.k);
         tri_i_.push_back(t.i);
     }
-}
-
-BatchCollisionChecker::BatchCollisionChecker(
-    const CollisionChecker &checker)
-    : BatchCollisionChecker(checker.pairs(), checker.triples(),
-                            checker.model())
-{
 }
 
 namespace

@@ -29,7 +29,8 @@
  * kernels agree bit-for-bit on every trial (tests/test_yield.cc
  * asserts this trial-for-trial, including remainder batches).
  * Setting QPAD_SCALAR_KERNEL non-empty in the environment makes
- * every call site fall back to the scalar oracle.
+ * estimateYield fall back to the scalar oracle. (Algorithm 3 scores
+ * its candidates with neither kernel: see design/freq_sweep.hh.)
  */
 
 #ifndef QPAD_YIELD_COLLISION_BATCH_HH
@@ -52,13 +53,8 @@ class BatchCollisionChecker
 
     BatchCollisionChecker() = default;
 
-    /** Pack explicit term lists (indices address the post block). */
-    BatchCollisionChecker(
-        const std::vector<CollisionChecker::PairTerm> &pairs,
-        const std::vector<CollisionChecker::TripleTerm> &triples,
-        const CollisionModel &model);
-
-    /** Pack the terms of a prebuilt scalar checker. */
+    /** Pack the terms of a prebuilt scalar checker (indices address
+     * the post block). */
     explicit BatchCollisionChecker(const CollisionChecker &checker);
 
     std::size_t numPairs() const { return pair_a_.size(); }

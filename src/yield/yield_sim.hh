@@ -71,7 +71,7 @@ estimateYield(const arch::Architecture &arch,
               const YieldOptions &options = {},
               const exec::Context &ctx = exec::Context::none());
 
-/** Same, reusing a prebuilt checker (hot path of Algorithm 3). */
+/** Same, reusing a prebuilt checker. */
 YieldResult
 estimateYield(const CollisionChecker &checker,
               const std::vector<double> &pre_fab_freqs,

@@ -6,10 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
+#include "arch/ibm.hh"
 #include "benchmarks/generators.hh"
-#include "scoped_scalar_kernel.hh"
 #include "benchmarks/suite.hh"
 #include "design/design_flow.hh"
+#include "design/freq_sweep.hh"
 #include "profile/coupling.hh"
 #include "yield/yield_sim.hh"
 
@@ -299,24 +303,22 @@ TEST(FreqAlloc, DeterministicForEqualSeeds)
     EXPECT_EQ(a.freqs, b.freqs);
 }
 
-TEST(FreqAlloc, ScalarKernelEnvIsBitIdentical)
+TEST(FreqAlloc, RejectsDegenerateGridSteps)
 {
-    // The batched candidate scan must commit the exact frequencies
-    // the scalar oracle picks — any score divergence would surface
-    // as a different argmax somewhere in the sweep. 301 trials also
-    // exercises the remainder batch (301 % 8 == 5).
-    Architecture arch(Layout::grid(2, 4));
-    arch.addFourQubitBus({0, 1});
+    // A zero, negative or tiny step never carries `f += step` past
+    // the top of the band, so the grid grew until memory ran out; NaN
+    // or infinity made a meaningless one-candidate grid.
+    Architecture arch(Layout::grid(2, 2));
     FreqAllocOptions opts;
-    opts.local_trials = 301;
-    auto batched = allocateFrequencies(arch, opts);
-    FreqAllocResult scalar;
-    {
-        qpad::test::ScopedScalarKernel forced;
-        scalar = allocateFrequencies(arch, opts);
+    opts.local_trials = 10;
+    for (double step : {0.0, -0.01, std::nan(""),
+                        std::numeric_limits<double>::infinity(),
+                        1e-300}) {
+        opts.grid_step_ghz = step;
+        EXPECT_THROW(allocateFrequencies(arch, opts),
+                     std::runtime_error)
+            << step;
     }
-    EXPECT_EQ(batched.freqs, scalar.freqs);
-    EXPECT_EQ(batched.local_scores, scalar.local_scores);
 }
 
 TEST(FreqAlloc, BeatsFiveFrequencySchemeOnDesignedLayout)
@@ -360,6 +362,176 @@ TEST(FreqAlloc, RefinementSweepsHelpOrAreNeutral)
     double y_refined = yield::estimateYield(b, yo).yield;
     // Refinement should not lose more than noise allows.
     EXPECT_GE(y_refined, 0.7 * y_plain);
+}
+
+// --------------------------------------------------------------------
+// Algorithm 3's candidate sweep vs brute force
+// --------------------------------------------------------------------
+
+/**
+ * Brute-force oracle, scanning every candidate in every trial:
+ * candidate c survives trial t iff no pair or triple condition fires
+ * with q (local index 0) at grid[c] + q_noise[t].
+ */
+std::vector<std::size_t>
+bruteForceSurvivors(const sweep::LocalTerms &terms,
+                    const sweep::CandidateGrid &grid,
+                    const std::vector<double> &post,
+                    const std::vector<double> &q_noise,
+                    const yield::CollisionModel &model)
+{
+    const std::size_t n_inv = terms.involved.size();
+    std::vector<std::size_t> survivors(grid.freqs.size(), 0);
+    for (std::size_t c = 0; c < grid.freqs.size(); ++c) {
+        for (std::size_t t = 0; t < q_noise.size(); ++t) {
+            const double *row = &post[t * n_inv];
+            const double qv = grid.freqs[c] + q_noise[t];
+            auto at = [&](std::size_t idx) {
+                return idx == 0 ? qv : row[idx];
+            };
+            bool failed = false;
+            for (const auto &p : terms.pairs)
+                failed = failed || yield::pairConditionMask(
+                                       model, at(p.a), at(p.b)) != 0;
+            for (const auto &tr : terms.triples)
+                failed = failed ||
+                         yield::tripleConditionMask(model, at(tr.j),
+                                                    at(tr.k),
+                                                    at(tr.i)) != 0;
+            survivors[c] += !failed;
+        }
+    }
+    return survivors;
+}
+
+/** One qubit visit: its terms and a CRN table around chosen means. */
+struct Visit
+{
+    sweep::LocalTerms terms;
+    std::vector<double> post, q_noise;
+};
+
+/**
+ * A random visit state on `arch`: random q, each other qubit assigned
+ * with probability 3/4, partner means drawn from the grid, and
+ * Gaussian noise of `sigma` (0 gives every trial the means exactly).
+ */
+Visit
+randomVisit(const Architecture &arch, const sweep::CandidateGrid &grid,
+            std::size_t trials, double sigma, Rng &rng)
+{
+    const auto q = arch::PhysQubit(rng.below(arch.numQubits()));
+    std::vector<bool> assigned(arch.numQubits());
+    for (std::size_t x = 0; x < assigned.size(); ++x)
+        assigned[x] = x != q && rng.chance(0.75);
+    Visit v;
+    v.terms = sweep::localTerms(arch, q, assigned);
+    const std::size_t n_inv = v.terms.involved.size();
+    std::vector<double> means(n_inv);
+    for (double &m : means)
+        m = grid.freqs[rng.below(grid.freqs.size())];
+    v.post.resize(trials * n_inv);
+    v.q_noise.resize(trials);
+    for (std::size_t t = 0; t < trials; ++t) {
+        for (std::size_t idx = 0; idx < n_inv; ++idx)
+            v.post[t * n_inv + idx] =
+                means[idx] + sigma * rng.gaussian();
+        v.q_noise[t] = sigma * rng.gaussian();
+    }
+    return v;
+}
+
+std::vector<std::size_t>
+sweepSurvivors(const Visit &v, const sweep::CandidateGrid &grid,
+               const yield::CollisionModel &model, std::size_t threads)
+{
+    runtime::Options exec;
+    exec.num_threads = threads;
+    return sweep::survivorCounts(v.terms, grid, v.post, v.q_noise,
+                                 model, exec);
+}
+
+TEST(FreqSweep, GridSizes)
+{
+    EXPECT_EQ(sweep::candidateGrid(0.02).freqs.size(), 18u);
+    EXPECT_EQ(sweep::candidateGrid(0.01).freqs.size(), 35u);
+    EXPECT_EQ(sweep::candidateGrid(0.005).freqs.size(), 69u);
+    EXPECT_EQ(sweep::candidateGrid(0.0025).freqs.size(), 137u);
+    EXPECT_EQ(sweep::candidateGrid(0.00535).freqs.size(), 64u);
+    EXPECT_EQ(sweep::candidateGrid(0.5).freqs.size(), 1u);
+}
+
+TEST(FreqSweep, MatchesBruteForceOnRandomNeighbourhoods)
+{
+    // Exact survivor counts, not just the argmax, on chips with and
+    // without 4-qubit buses. 0.005 GHz (69 candidates) and 0.0025 GHz
+    // (137) cross one and two bitset word boundaries, 0.00535 GHz
+    // fills one word exactly and 0.5 GHz leaves one candidate; 2000
+    // and 4097 trials span two and five 1024-trial chunks.
+    const yield::CollisionModel model;
+    for (const Architecture &chip :
+         {arch::ibm16Q(false), arch::ibm16Q(true)}) {
+        for (uint64_t seed : {1u, 2u, 3u}) {
+            Rng rng(seed);
+            for (double step : {0.02, 0.01, 0.005, 0.0025, 0.00535, 0.5}) {
+                const auto grid = sweep::candidateGrid(step);
+                for (std::size_t trials :
+                     {1u, 7u, 8u, 301u, 2000u, 4097u}) {
+                    const Visit v =
+                        randomVisit(chip, grid, trials, 0.03, rng);
+                    const auto expect = bruteForceSurvivors(
+                        v.terms, grid, v.post, v.q_noise, model);
+                    for (std::size_t threads : {1u, 2u, 3u, 4u})
+                        ASSERT_EQ(
+                            sweepSurvivors(v, grid, model, threads),
+                            expect)
+                            << chip.name() << " seed " << seed
+                            << " step " << step << " trials " << trials
+                            << " threads " << threads;
+                }
+            }
+        }
+    }
+}
+
+TEST(FreqSweep, SettlesRangeEndsOnGridPoints)
+{
+    // Zero noise puts q and every partner exactly on grid points, and
+    // thresholds and delta that are differences of grid points put
+    // range ends on grid points too: only evaluating the conditions
+    // there decides them, and some |x - b| < thr comparisons are
+    // exact ties. Noise of a whole number of steps shifts q along the
+    // grid up to rounding.
+    for (double step : {0.02, 0.01, 0.005}) {
+        const auto grid = sweep::candidateGrid(step);
+        auto gap = [&](std::size_t n) {
+            return grid.freqs[n] - grid.freqs[0];
+        };
+        yield::CollisionModel model;
+        model.delta = -gap(8);
+        model.thr1 = gap(2);
+        model.thr2 = gap(1);
+        model.thr3 = gap(3);
+        model.thr5 = gap(2);
+        model.thr6 = gap(3);
+        model.thr7 = gap(2);
+        Rng rng(7);
+        for (const Architecture &chip :
+             {arch::ibm16Q(false), arch::ibm16Q(true)}) {
+            for (int round = 0; round < 40; ++round) {
+                Visit v = randomVisit(chip, grid, 16, 0.0, rng);
+                if (round % 2 == 1)
+                    for (double &noise : v.q_noise)
+                        noise = double(rng.range(-3, 3)) * step;
+                const auto expect = bruteForceSurvivors(
+                    v.terms, grid, v.post, v.q_noise, model);
+                for (std::size_t threads : {1u, 4u})
+                    ASSERT_EQ(sweepSurvivors(v, grid, model, threads),
+                              expect)
+                        << "step " << step << " round " << round;
+            }
+        }
+    }
 }
 
 // --------------------------------------------------------------------

@@ -253,7 +253,7 @@ TEST(YieldScheme, V2GoldenTalliesIdenticalOnEveryBuild)
 // Frequency allocation
 // --------------------------------------------------------------------
 
-TEST(FreqAllocScheme, V2IdenticalAcrossThreadCountsAndKernels)
+TEST(FreqAllocScheme, V2IdenticalAcrossThreadCounts)
 {
     auto arch = arch::ibm16Q(true);
     design::FreqAllocOptions opts;
@@ -265,13 +265,6 @@ TEST(FreqAllocScheme, V2IdenticalAcrossThreadCountsAndKernels)
     const auto par = design::allocateFrequencies(arch, opts);
     EXPECT_EQ(seq.freqs, par.freqs);
     EXPECT_EQ(seq.local_scores, par.local_scores);
-    design::FreqAllocResult scalar;
-    {
-        ScopedScalarKernel forced;
-        scalar = design::allocateFrequencies(arch, opts);
-    }
-    EXPECT_EQ(seq.freqs, scalar.freqs);
-    EXPECT_EQ(seq.local_scores, scalar.local_scores);
 }
 
 } // namespace
