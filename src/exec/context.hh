@@ -71,8 +71,8 @@ class Context
     uint64_t id() const { return id_; }
 
     /**
-     * Thread budget (and stats sink) this request runs under;
-     * merged into callee options via apply().
+     * Thread budget this request runs under; merged into callee
+     * options via apply().
      */
     runtime::Options options;
 

@@ -54,7 +54,7 @@ class ChunkDeque
 
     /**
      * Preload the deque. Must happen-before any take/steal (the
-     * scheduler publishes deques through the pool's slot mutexes).
+     * scheduler publishes deques through the pool's offer mutex).
      * The owner's take() order is back-to-front, so pass the list
      * reversed if the owner should run it front-to-back.
      */
@@ -62,7 +62,7 @@ class ChunkDeque
     {
         items_ = std::move(items);
         // qpad-lint: allow(atomic-relaxed) "reset happens-before any
-        // take/steal via the pool's slot mutexes (see contract above)"
+        // take/steal via the pool's offer mutex (see contract above)"
         top_.store(0, std::memory_order_relaxed);
         // qpad-lint: allow(atomic-relaxed) "same publication contract
         // as the top_ reset store"

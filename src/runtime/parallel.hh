@@ -34,16 +34,18 @@
  * drains its own deque and then steals from randomly-ordered
  * victims, so a runner that finishes early takes load off whoever is
  * stuck with expensive chunks. The caller always participates as
- * runner 0, helpers are borrowed from ThreadPool::global(), and the
- * caller's completion wait is a condition-variable handshake — no
- * sleep-polling anywhere. Nested parallel regions cannot deadlock:
- * a region's completion never depends on a helper starting, because
- * the caller can steal every chunk itself; a saturated pool degrades
- * toward sequential execution, never toward a cycle of blocked
- * workers.
+ * runner 0, helpers are borrowed from ThreadPool::global() through
+ * its one queue of region offers, and the caller's completion wait
+ * is a condition-variable handshake — no sleep-polling anywhere.
+ * Nested parallel regions cannot deadlock: a region's completion
+ * never depends on a helper starting, because the caller can steal
+ * every chunk itself; a saturated pool degrades toward sequential
+ * execution, never toward a cycle of blocked workers.
  *
- * Per-region scheduler statistics (steals, chunks per runner, max
- * idle time) are reported through Options::stats.
+ * Scheduler statistics go to the metrics registry only: every region
+ * counts into runtime.regions (parallel) or runtime.seq_regions
+ * (sequential), plus runtime.chunks, runtime.steals and the
+ * runtime.region_seconds / runtime.region_idle_seconds histograms.
  */
 
 #ifndef QPAD_RUNTIME_PARALLEL_HH
@@ -85,14 +87,6 @@ struct Options
     std::size_t num_threads = 0;
 
     /**
-     * Optional per-region statistics sink. Each completed region
-     * overwrites the whole struct, so point at most one live region
-     * at a given RegionStats at a time (nested regions run
-     * concurrently — give them their own sink or none).
-     */
-    RegionStats *stats = nullptr;
-
-    /**
      * Optional cooperative stop signal (null = unlimited), polled at
      * chunk-claim boundaries. A stop surfaces as exec::CancelledError
      * through the region's first-error-wins path; it never interrupts
@@ -131,23 +125,15 @@ clampRunners(std::size_t threads, std::size_t chunks)
     return std::min(threads, ThreadPool::global().size() + 1);
 }
 
-/** Fill the stats sink for a sequentially-executed region, and fold
- * the region into the process metrics (parallel regions publish the
- * same series from runRegion). */
+/** Fold a sequentially-executed region into the process metrics
+ * (parallel regions publish their series from runRegion). */
 inline void
-sequentialStats(RegionStats *stats, std::size_t chunks)
+publishSequential(std::size_t chunks)
 {
     static obs::Counter &regions = obs::counter("runtime.seq_regions");
     static obs::Counter &chunk_count = obs::counter("runtime.chunks");
     regions.add();
     chunk_count.add(chunks);
-    if (!stats)
-        return;
-    stats->threads = 1;
-    stats->chunks = chunks;
-    stats->steals = 0;
-    stats->max_idle_seconds = 0.0;
-    stats->chunks_per_runner.assign(1, chunks);
 }
 
 } // namespace detail
@@ -167,7 +153,7 @@ parallel_for(const Options &options, std::size_t n, std::size_t grain,
     // path re-tags every runner inside runRegion.
     obs::ScopedRequestId rid_scope(options.request_id);
     if (n == 0) {
-        detail::sequentialStats(options.stats, 0);
+        detail::publishSequential(0);
         return;
     }
     const detail::ChunkPlan plan(n, grain);
@@ -175,12 +161,12 @@ parallel_for(const Options &options, std::size_t n, std::size_t grain,
     const std::size_t threads =
         detail::clampRunners(resolveThreads(options), chunks);
     if (threads <= 1) {
-        // Stats filled before the loop so a throwing chunk leaves
-        // them populated, mirroring the parallel path (which
-        // collects stats before rethrowing and counts failure-
-        // skipped chunks as claimed — the reported chunk count is
-        // the full region either way).
-        detail::sequentialStats(options.stats, chunks);
+        // Counted before the loop so a region with a throwing chunk
+        // is still counted in full, mirroring the parallel path
+        // (which publishes before rethrowing and counts failure-
+        // skipped chunks — the chunk count is the full region
+        // either way).
+        detail::publishSequential(chunks);
         for (std::size_t c = 0; c < chunks; ++c) {
             exec::throwIfStopped(options.cancel);
             const auto [begin, end] = plan.bounds(c);
@@ -193,8 +179,7 @@ parallel_for(const Options &options, std::size_t n, std::size_t grain,
                           const auto [begin, end] = plan.bounds(c);
                           body(begin, end, c);
                       },
-                      options.cancel, options.stats,
-                      options.request_id);
+                      options.cancel, options.request_id);
 }
 
 /**
@@ -211,7 +196,7 @@ parallel_reduce(const Options &options, std::size_t n, std::size_t grain,
 {
     obs::ScopedRequestId rid_scope(options.request_id);
     if (n == 0) {
-        detail::sequentialStats(options.stats, 0);
+        detail::publishSequential(0);
         return identity;
     }
     const detail::ChunkPlan plan(n, grain);
@@ -220,7 +205,7 @@ parallel_reduce(const Options &options, std::size_t n, std::size_t grain,
     const std::size_t threads =
         detail::clampRunners(resolveThreads(options), chunks);
     if (threads <= 1) {
-        detail::sequentialStats(options.stats, chunks);
+        detail::publishSequential(chunks);
         for (std::size_t c = 0; c < chunks; ++c) {
             exec::throwIfStopped(options.cancel);
             const auto [begin, end] = plan.bounds(c);
@@ -232,8 +217,7 @@ parallel_reduce(const Options &options, std::size_t n, std::size_t grain,
                               const auto [begin, end] = plan.bounds(c);
                               partials[c] = map(begin, end, c);
                           },
-                          options.cancel, options.stats,
-                          options.request_id);
+                          options.cancel, options.request_id);
     }
     T result = std::move(identity);
     for (std::size_t c = 0; c < chunks; ++c)

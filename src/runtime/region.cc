@@ -28,7 +28,8 @@ secondsSince(clock::time_point t0)
 
 /** Fold one completed region into the process metrics registry. */
 void
-publishRegion(const RegionStats &stats, double seconds)
+publishRegion(std::size_t chunk_count, const RegionState &region,
+              double seconds)
 {
     static obs::Counter &regions = obs::counter("runtime.regions");
     static obs::Counter &chunks = obs::counter("runtime.chunks");
@@ -38,10 +39,10 @@ publishRegion(const RegionStats &stats, double seconds)
     static obs::Histogram &idle =
         obs::histogram("runtime.region_idle_seconds");
     regions.add();
-    chunks.add(stats.chunks);
-    steals.add(stats.steals);
+    chunks.add(chunk_count);
+    steals.add(region.steals());
     duration.observe(seconds);
-    idle.observe(stats.max_idle_seconds);
+    idle.observe(region.maxIdleSeconds());
 }
 
 } // namespace
@@ -51,8 +52,7 @@ RegionState::RegionState(std::size_t runners, std::size_t chunks,
                          const exec::CancelToken *cancel,
                          uint64_t request_id)
     : run_chunk_(std::move(run_chunk)), runners_(runners),
-      cancel_(cancel), request_id_(request_id), pending_(chunks),
-      claimed_(runners)
+      cancel_(cancel), request_id_(request_id), pending_(chunks)
 {
     qpad_assert(runners >= 1, "region needs at least one runner");
     deques_.reserve(runners);
@@ -70,7 +70,8 @@ void
 RegionState::helperEntry()
 {
     // qpad-lint: allow(atomic-relaxed) "slot ticket only; the deque
-    // contents were published before dispatch via the pool mutexes"
+    // contents were published before dispatch via the pool's offer
+    // mutex"
     const std::size_t id =
         next_runner_.fetch_add(1, std::memory_order_relaxed);
     if (id >= runners_)
@@ -133,9 +134,6 @@ RegionState::runAs(std::size_t id)
                 recordError();
             }
         }
-        // qpad-lint: allow(atomic-relaxed) "per-runner stat counter;
-        // read only after pending_ acq/rel orders the region done"
-        claimed_[id].fetch_add(1, std::memory_order_relaxed);
         finishChunk();
     }
     if (idle_ns > 0)
@@ -199,8 +197,8 @@ RegionState::waitDone()
 void
 RegionState::armFinishedSignal(std::atomic<std::size_t> &counter)
 {
-    // Pre-dispatch only (single-threaded); the pool's enqueue mutexes
-    // publish the pointer to whichever thread later runs waitDone.
+    // Pre-dispatch only (single-threaded); the pool's offer mutex
+    // publishes the pointer to whichever thread later runs waitDone.
     finished_signal_ = &counter;
 }
 
@@ -251,26 +249,20 @@ RegionState::recordStop(exec::StopReason reason)
     failed_.store(true, std::memory_order_relaxed);
 }
 
-void
-RegionState::collectStats(RegionStats &out) const
+std::size_t
+RegionState::steals() const
 {
-    out.threads = runners_;
-    out.chunks = 0;
     // qpad-lint: allow(atomic-relaxed) "stat read; waitDone's
     // acquire on pending_ already ordered all runner writes"
-    out.steals = steals_.load(std::memory_order_relaxed);
+    return steals_.load(std::memory_order_relaxed);
+}
+
+double
+RegionState::maxIdleSeconds() const
+{
     // qpad-lint: allow(atomic-relaxed) "stat read; same ordering
     // argument as steals_ above"
-    out.max_idle_seconds =
-        double(max_idle_ns_.load(std::memory_order_relaxed)) * 1e-9;
-    out.chunks_per_runner.assign(runners_, 0);
-    for (std::size_t i = 0; i < runners_; ++i) {
-        // qpad-lint: allow(atomic-relaxed) "stat read; same ordering
-        // argument as steals_ above"
-        out.chunks_per_runner[i] =
-            claimed_[i].load(std::memory_order_relaxed);
-        out.chunks += out.chunks_per_runner[i];
-    }
+    return double(max_idle_ns_.load(std::memory_order_relaxed)) * 1e-9;
 }
 
 void
@@ -293,8 +285,7 @@ RegionState::rethrowIfFailed()
 void
 runRegion(std::size_t chunks, std::size_t threads, bool guided,
           std::function<void(std::size_t)> run_chunk,
-          const exec::CancelToken *cancel, RegionStats *stats,
-          uint64_t request_id)
+          const exec::CancelToken *cancel, uint64_t request_id)
 {
     qpad_assert(threads >= 2 && threads <= chunks,
                 "runRegion caller must pre-clamp the runner count");
@@ -333,12 +324,13 @@ runRegion(std::size_t chunks, std::size_t threads, bool guided,
         region->loadDeque(r, std::move(list));
     }
 
-    // Offer helper slots to the pool (never to the calling worker
-    // itself) and work the region as runner 0. If the pool is
-    // saturated — e.g. a nested region on a busy machine — the
-    // helpers simply start late or never, and the caller steals the
-    // whole range itself: graceful degradation to sequential
-    // execution instead of a blocked cycle.
+    // Offer helper slots to the pool and work the region as runner
+    // 0. If the pool is saturated — e.g. a nested region on a busy
+    // machine — the helpers simply start late or never, and the
+    // caller steals the whole range itself: graceful degradation to
+    // sequential execution instead of a blocked cycle. A calling
+    // pool worker cannot pop its own offer early: it stays in
+    // runAs/waitDone until the region completes.
     ThreadPool::global().dispatchRegion(region, threads - 1);
     region->runAs(0);
     // qpad-lint: allow(no-wallclock) "caller wait time feeds the
@@ -347,14 +339,10 @@ runRegion(std::size_t chunks, std::size_t threads, bool guided,
     region->waitDone();
     region->recordIdle(secondsSince(wait_begin));
 
-    // Scheduler statistics always flow into the metrics registry
-    // (the RegionStats sink is the per-region view, the registry the
-    // process-wide one), and before the rethrow so failed regions
-    // are counted too.
-    RegionStats local;
-    RegionStats &collected = stats ? *stats : local;
-    region->collectStats(collected);
-    publishRegion(collected, secondsSince(region_begin));
+    // Published before the rethrow so failed regions are counted
+    // too. Every chunk is claimed exactly once (failure-skipped ones
+    // included), so the region's chunk count is exact.
+    publishRegion(chunks, *region, secondsSince(region_begin));
     region->rethrowIfFailed();
 }
 

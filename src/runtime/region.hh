@@ -6,10 +6,10 @@
  * parallel_reduce call: the type-erased chunk body, one ChunkDeque
  * per runner, the outstanding-chunk counter the caller's completion
  * wait hangs off, first-error-wins exception capture, and the
- * scheduler counters surfaced through RegionStats.
+ * scheduler counters runRegion publishes as the runtime.* metrics.
  *
  * Lifetime: regions are heap-allocated and shared_ptr-owned by the
- * caller *and* by every helper task queued on the ThreadPool. The
+ * caller *and* by every helper offer queued on the ThreadPool. The
  * caller returns as soon as every chunk has finished executing
  * (pending == 0) — helpers that the pool only gets around to
  * starting later find the deques drained, touch nothing but the
@@ -38,38 +38,6 @@
 
 namespace qpad::runtime
 {
-
-/**
- * Per-region scheduler statistics, filled into Options::stats when
- * the region completes. Point at most one live region at a stats
- * object at a time: each region overwrites the whole struct, and
- * nested regions run concurrently.
- */
-struct RegionStats
-{
-    /**
-     * Runner slots the region allocated (caller included). A slot
-     * whose helper offer was never picked up — e.g. on a saturated
-     * pool, where the caller steals the whole range — shows zero in
-     * chunks_per_runner; count the nonzero entries for the runners
-     * that actually executed work.
-     */
-    std::size_t threads = 0;
-    /** Chunks the range was split into. */
-    std::size_t chunks = 0;
-    /** Chunks claimed by a runner other than their deque's owner. */
-    std::size_t steals = 0;
-    /**
-     * Worst per-runner time spent hunting for work or waiting for
-     * stragglers, in seconds. Best-effort: a helper still retiring
-     * when the caller collects the stats (possible — the caller
-     * does not wait for helpers, only for chunks) reports its idle
-     * time too late to be counted.
-     */
-    double max_idle_seconds = 0.0;
-    /** Chunks processed by each runner (index 0 = the caller). */
-    std::vector<std::size_t> chunks_per_runner;
-};
 
 namespace detail
 {
@@ -162,8 +130,8 @@ class RegionState
     /**
      * Pool-worker entry point: claim the next helper runner id and
      * work the region. Ids beyond runners() mean every runner slot
-     * is claimed already (the pool queued more helper tasks than the
-     * region ended up needing); such late arrivals retire at once.
+     * is claimed already (the pool queued more offers than the
+     * region has helper slots); such late arrivals retire at once.
      */
     void helperEntry();
 
@@ -181,7 +149,7 @@ class RegionState
      * Arm a one-shot countdown that waitDone() decrements once every
      * chunk has finished. dispatchRegion points this at the pool's
      * active-region counter, so a region is "active" from dispatch
-     * until its caller has observed completion — helper items that
+     * until its caller has observed completion — helper offers that
      * outlive a finished region (by design; see the lifetime notes
      * above) keep the count at zero. Call before dispatch only.
      */
@@ -190,13 +158,17 @@ class RegionState
     /** Fold `seconds` into the max-idle statistic. */
     void recordIdle(double seconds);
 
+    /** Chunks claimed by a runner other than their deque's owner;
+     * exact after waitDone. */
+    std::size_t steals() const;
+
     /**
-     * Copy the scheduler counters out (call after waitDone). Chunk
-     * counts are exact — every chunk has finished by then — but a
-     * helper still retiring may add its idle time after the copy
-     * (see RegionStats::max_idle_seconds).
+     * Worst per-runner time spent hunting for work or waiting for
+     * stragglers, in seconds. Best-effort: a helper still retiring
+     * after waitDone (the caller waits for chunks, not for helpers)
+     * may report its idle time too late to be read.
      */
-    void collectStats(RegionStats &out) const;
+    double maxIdleSeconds() const;
 
     /** Rethrow the first captured chunk exception, if any. */
     void rethrowIfFailed();
@@ -238,7 +210,6 @@ class RegionState
     // Scheduler statistics (relaxed counters; read after waitDone).
     std::atomic<std::size_t> steals_{0};
     std::atomic<std::uint64_t> max_idle_ns_{0};
-    std::vector<std::atomic<std::size_t>> claimed_;
 };
 
 /**
@@ -249,12 +220,13 @@ class RegionState
  * locality). The first exception thrown by any chunk is rethrown in
  * the caller after every chunk has finished or been skipped; a stop
  * signalled through `cancel` (null = unlimited) surfaces the same
- * way, as a CancelledError.
+ * way, as a CancelledError. Every region, failed ones included, is
+ * counted in the runtime.regions / .chunks / .steals series and the
+ * runtime.region_seconds / .region_idle_seconds histograms.
  */
 void runRegion(std::size_t chunks, std::size_t threads, bool guided,
                std::function<void(std::size_t)> run_chunk,
-               const exec::CancelToken *cancel, RegionStats *stats,
-               uint64_t request_id);
+               const exec::CancelToken *cancel, uint64_t request_id);
 
 } // namespace detail
 

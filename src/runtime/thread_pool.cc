@@ -11,26 +11,12 @@
 namespace qpad::runtime
 {
 
-namespace
-{
-
-/** Which pool (and which worker index) the current thread is, so
- * dispatchRegion never offers a region back to the worker that is
- * opening it (that worker is already the region's runner 0). */
-thread_local const ThreadPool *t_pool = nullptr;
-thread_local std::size_t t_worker = 0;
-
-} // namespace
-
 ThreadPool::ThreadPool(std::size_t num_threads)
 {
     qpad_assert(num_threads >= 1, "ThreadPool needs at least 1 worker");
-    slots_.reserve(num_threads);
-    for (std::size_t i = 0; i < num_threads; ++i)
-        slots_.push_back(std::make_unique<Slot>());
     threads_.reserve(num_threads);
     for (std::size_t i = 0; i < num_threads; ++i)
-        threads_.emplace_back([this, i] { workerLoop(i); });
+        threads_.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool()
@@ -59,223 +45,54 @@ ThreadPool::~ThreadPool()
         std::fflush(stderr);
         std::abort();
     }
-    stopping_.store(true, std::memory_order_seq_cst);
-    for (auto &slot : slots_) {
-        // Taking the lock pairs with the waiter's predicate check,
-        // so no worker can miss the stop signal between its check
-        // and its wait.
-        std::lock_guard<std::mutex> lock(slot->mutex);
-        slot->cv.notify_all();
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        stopping_ = true;
     }
+    cv_.notify_all();
     for (auto &thread : threads_)
         thread.join();
-}
-
-void
-ThreadPool::enqueueOn(std::size_t worker, Item item)
-{
-    Slot &slot = *slots_[worker];
-    bool target_sleeping;
-    {
-        std::lock_guard<std::mutex> lock(slot.mutex);
-        // qpad-lint: allow(atomic-relaxed) "assert-only read; the
-        // destructor's seq_cst store makes a true value stick"
-        qpad_assert(!stopping_.load(std::memory_order_relaxed),
-                    "enqueue on a stopping ThreadPool");
-        if (item.region)
-            region_items_.fetch_add(1, std::memory_order_seq_cst);
-        slot.queue.push_back(std::move(item));
-        // qpad-lint: allow(atomic-relaxed) "counter is ordered by the
-        // slot mutex held here; see the pairing note below"
-        queued_.fetch_add(1, std::memory_order_relaxed);
-        target_sleeping = slot.sleeping;
-    }
-    slot.cv.notify_one();
-    // A target observed asleep under its own mutex is guaranteed to
-    // wake and run the item itself — done. Otherwise it may be
-    // mid-item, leaving the new item stealable, but a sibling that
-    // is already asleep will not look: wake ONE sleeping sibling (at
-    // most). `sleeping` is mutated only under the slot mutex, so for
-    // every sibling either we lock first and it then sees
-    // queued_ > 0 in its wait predicate (mutex release/acquire
-    // orders the counter), or it locks first and is inside the wait
-    // when our notify lands. (An earlier busy-flag variant raced the
-    // flag update around popOwn/stealOther; an all-siblings
-    // broadcast cost O(workers) lock/notify pairs per item.) One
-    // wake per enqueued item keeps the no-stranding guarantee: a
-    // woken sibling drains everything it can reach before sleeping
-    // again.
-    if (target_sleeping)
-        return;
-    for (std::size_t k = 1; k < slots_.size(); ++k) {
-        Slot &sibling = *slots_[(worker + k) % slots_.size()];
-        std::lock_guard<std::mutex> lock(sibling.mutex);
-        if (sibling.sleeping) {
-            sibling.cv.notify_one();
-            return;
-        }
-    }
-}
-
-std::future<void>
-ThreadPool::submit(std::function<void()> task)
-{
-    Item item;
-    item.task = std::packaged_task<void()>(std::move(task));
-    std::future<void> future = item.task.get_future();
-
-    // Prefer a worker that is not currently executing anything: its
-    // slot wakeup runs the task immediately instead of queueing it
-    // behind someone's long-running item.
-    const std::size_t n = slots_.size();
-    // qpad-lint: allow(atomic-relaxed) "placement hint only; any
-    // interleaving of tickets spreads load acceptably"
-    const std::size_t start =
-        round_robin_.fetch_add(1, std::memory_order_relaxed) % n;
-    std::size_t target = start;
-    for (std::size_t k = 0; k < n; ++k) {
-        const std::size_t w = (start + k) % n;
-        // qpad-lint: allow(atomic-relaxed) "placement hint only; a
-        // stale busy flag just queues behind a running item"
-        if (!slots_[w]->busy.load(std::memory_order_relaxed)) {
-            target = w;
-            break;
-        }
-    }
-    enqueueOn(target, std::move(item));
-    return future;
 }
 
 void
 ThreadPool::dispatchRegion(std::shared_ptr<detail::RegionState> region,
                            std::size_t helpers)
 {
-    const std::size_t n = slots_.size();
-    const bool on_worker = t_pool == this;
     // Count the region as active until its caller observes
     // completion: waitDone decrements through the armed signal, so
     // the destructor tripwire covers dispatch → observed-complete,
-    // not the (longer, harmless) lifetime of late helper items.
+    // not the (longer, harmless) lifetime of late offers.
     active_regions_.fetch_add(1, std::memory_order_seq_cst);
     region->armFinishedSignal(active_regions_);
-    // qpad-lint: allow(atomic-relaxed) "placement hint only; any
-    // interleaving of tickets spreads load acceptably"
-    const std::size_t start =
-        round_robin_.fetch_add(1, std::memory_order_relaxed) % n;
-    // Build the target order from ONE snapshot of the busy flags —
-    // idle workers first (they pick the offer up with one CV wakeup),
-    // then busy ones, whose queued offer is either reached later or
-    // stolen by whoever idles first. A single ordered list (rather
-    // than re-reading the flags per preference pass) guarantees each
-    // worker gets at most one offer and that min(helpers, n - self)
-    // offers are always made, however the flags flip mid-scan.
-    std::vector<std::size_t> targets;
-    std::vector<std::size_t> busy_targets;
-    targets.reserve(n);
-    for (std::size_t k = 0; k < n; ++k) {
-        const std::size_t w = (start + k) % n;
-        if (on_worker && w == t_worker)
-            continue;
-        // qpad-lint: allow(atomic-relaxed) "placement hint only; a
-        // stale busy flag just reorders the offer list"
-        if (slots_[w]->busy.load(std::memory_order_relaxed))
-            busy_targets.push_back(w);
-        else
-            targets.push_back(w);
+    const std::size_t offers = std::min(helpers, size());
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        qpad_assert(!stopping_, "dispatch on a stopping ThreadPool");
+        for (std::size_t i = 0; i < offers; ++i)
+            offers_.push_back(region);
     }
-    targets.insert(targets.end(), busy_targets.begin(),
-                   busy_targets.end());
-    for (std::size_t i = 0; i < targets.size() && i < helpers; ++i) {
-        Item item;
-        item.region = region;
-        enqueueOn(targets[i], std::move(item));
-    }
-}
-
-bool
-ThreadPool::popOwn(std::size_t worker, Item &out)
-{
-    Slot &slot = *slots_[worker];
-    std::lock_guard<std::mutex> lock(slot.mutex);
-    if (slot.queue.empty())
-        return false;
-    out = std::move(slot.queue.front());
-    slot.queue.pop_front();
-    // qpad-lint: allow(atomic-relaxed) "counter is ordered by the
-    // slot mutex held here; see enqueueOn's pairing note"
-    queued_.fetch_sub(1, std::memory_order_relaxed);
-    return true;
-}
-
-bool
-ThreadPool::stealOther(std::size_t worker, Item &out)
-{
-    const std::size_t n = slots_.size();
-    for (std::size_t k = 1; k < n; ++k) {
-        Slot &victim = *slots_[(worker + k) % n];
-        std::lock_guard<std::mutex> lock(victim.mutex);
-        if (victim.queue.empty())
-            continue;
-        // Oldest first: the victim's owner will get to the newer
-        // items soonest, so the head has waited the longest.
-        out = std::move(victim.queue.front());
-        victim.queue.pop_front();
-        // qpad-lint: allow(atomic-relaxed) "counter is ordered by the
-        // victim's mutex held here; see enqueueOn's pairing note"
-        queued_.fetch_sub(1, std::memory_order_relaxed);
-        return true;
-    }
-    return false;
+    // One wake per offer: a woken worker takes one offer, and a
+    // worker that is already awake re-checks the queue before it
+    // sleeps, so no offer strands while a worker idles.
+    for (std::size_t i = 0; i < offers; ++i)
+        cv_.notify_one();
 }
 
 void
-ThreadPool::runItem(Item &item)
+ThreadPool::workerLoop()
 {
-    if (item.region) {
-        item.region->helperEntry();
-        region_items_.fetch_sub(1, std::memory_order_seq_cst);
-    } else {
-        item.task(); // exceptions land in the matching future
-    }
-}
-
-void
-ThreadPool::workerLoop(std::size_t worker)
-{
-    t_pool = this;
-    t_worker = worker;
-    Slot &own = *slots_[worker];
     for (;;) {
-        Item item;
-        if (popOwn(worker, item) || stealOther(worker, item)) {
-            // qpad-lint: allow(atomic-relaxed) "busy is a placement
-            // hint; readers tolerate any staleness"
-            own.busy.store(true, std::memory_order_relaxed);
-            runItem(item);
-            // qpad-lint: allow(atomic-relaxed) "busy is a placement
-            // hint; readers tolerate any staleness"
-            own.busy.store(false, std::memory_order_relaxed);
-            continue;
+        std::shared_ptr<detail::RegionState> region;
+        {
+            std::unique_lock<std::mutex> lock(mutex_);
+            cv_.wait(lock,
+                     [this] { return stopping_ || !offers_.empty(); });
+            if (offers_.empty())
+                return; // stopping, and every stale offer retired
+            region = std::move(offers_.front());
+            offers_.pop_front();
         }
-        std::unique_lock<std::mutex> lock(own.mutex);
-        // qpad-lint: allow(atomic-relaxed) "own.mutex is held; the
-        // destructor stores stopping_ then notifies under it"
-        if (stopping_.load(std::memory_order_relaxed) &&
-            own.queue.empty())
-            return; // own slot drained; siblings drain their own
-        // queued_ > 0 covers items sitting in a *sibling's* queue:
-        // the outer loop re-runs stealOther on wakeup, so an idle
-        // worker never sleeps while stealable work exists (see
-        // enqueueOn for the pairing).
-        own.sleeping = true;
-        own.cv.wait(lock, [this, &own] {
-            // qpad-lint: allow(atomic-relaxed) "predicate runs under
-            // own.mutex; notifiers store/notify under a slot mutex"
-            return stopping_.load(std::memory_order_relaxed) ||
-                   !own.queue.empty() ||
-                   queued_.load(std::memory_order_relaxed) > 0;
-        });
-        own.sleeping = false;
+        region->helperEntry();
     }
 }
 

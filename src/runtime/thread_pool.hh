@@ -1,22 +1,20 @@
 /**
  * @file
- * Worker pool behind qpad's parallel primitives: per-worker task
- * slots with condition-variable wakeups and pool-level stealing.
+ * Worker pool behind qpad's parallel primitives: one FIFO queue of
+ * parallel-region helper offers under one mutex and one condition
+ * variable.
  *
- * Each worker owns a slot — a mutex, a condition variable, and a
- * small queue — instead of the single shared FIFO the pool started
- * with: a submission wakes exactly the worker it targets (preferring
- * an idle one), so nothing contends on a global lock and nothing
- * sleep-polls. A worker that drains its own slot steals the oldest
- * item from a sibling's slot before sleeping, so a backlog behind a
- * busy worker cannot idle the rest of the pool.
- *
- * The pool schedules two kinds of items: type-erased one-shot tasks
- * (submit(), observed through a future) and parallel-region helper
- * offers (dispatchRegion(), see runtime/region.hh). Determinism is
- * NOT the pool's job — items run in any order on any worker — it is
- * provided one level up by parallel_for/parallel_reduce, which fix
- * chunk identity and merge order (see runtime/parallel.hh).
+ * The pool's only job is "wake k helpers for this region":
+ * dispatchRegion (see runtime/region.hh) pushes one offer per helper
+ * slot and wakes one sleeping worker per offer; a worker pops the
+ * oldest offer and works that region until it is out of unclaimed
+ * chunks. Load balancing happens one level down, at chunk
+ * granularity, through the region's per-runner Chase–Lev deques
+ * (runtime/chunk_deque.hh), so the queue itself never needs
+ * stealing. Determinism is NOT the pool's job either — offers run in
+ * any order on any worker — it is provided by parallel_for /
+ * parallel_reduce, which fix chunk identity and merge order (see
+ * runtime/parallel.hh).
  */
 
 #ifndef QPAD_RUNTIME_THREAD_POOL_HH
@@ -26,8 +24,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -41,7 +37,7 @@ namespace detail
 class RegionState;
 }
 
-/** Fixed-size thread pool with per-worker task slots. */
+/** Fixed-size thread pool serving one queue of region offers. */
 class ThreadPool
 {
   public:
@@ -49,11 +45,9 @@ class ThreadPool
     explicit ThreadPool(std::size_t num_threads);
 
     /**
-     * Pending one-shot tasks are completed before exit (each worker
-     * drains its own slot once stopping is signalled), and helper
-     * items whose region already finished retire during the join —
+     * Offers whose region already finished retire during the join —
      * a region counts as active from dispatchRegion until its
-     * caller's waitDone returns, not until the last helper retires.
+     * caller's waitDone returns, not until the last offer retires.
      *
      * Destroying a pool while a region is still active (dispatched,
      * completion not yet observed) is a documented loud failure
@@ -72,20 +66,14 @@ class ThreadPool
     std::size_t size() const { return threads_.size(); }
 
     /**
-     * Enqueue a one-shot task on an idle worker's slot (round-robin
-     * when all are busy) and wake that worker. The returned future
-     * observes completion and rethrows any exception the task
-     * raised.
-     */
-    std::future<void> submit(std::function<void()> task);
-
-    /**
-     * Offer up to `helpers` helper slots of a parallel region to the
-     * workers (one queue item each, skipping the calling worker if
-     * the caller is itself a pool worker — it is already runner 0 of
-     * the region). Returns immediately; a worker that picks an offer
-     * up late, after the region's caller already finished the range,
-     * retires harmlessly (see runtime/region.hh lifetime notes).
+     * Queue min(helpers, size()) offers of a parallel region and
+     * wake one sleeping worker per offer. Returns immediately. A
+     * worker that picks an offer up late — after the region's caller
+     * already finished the range, or after the region's helper slots
+     * are all claimed — retires harmlessly (see runtime/region.hh
+     * lifetime notes). A worker that opens a region stays inside it
+     * until the region completes, so it never pops its own offer
+     * early; such an offer retires the same way.
      */
     void dispatchRegion(std::shared_ptr<detail::RegionState> region,
                         std::size_t helpers);
@@ -99,14 +87,6 @@ class ThreadPool
      */
     static ThreadPool &global();
 
-    /** Region helper items queued or executing right now. Nonzero
-     * after a region completed is normal (late helpers retire on
-     * their own schedule) and safe to destruct through. */
-    std::size_t activeRegionItems() const
-    {
-        return region_items_.load(std::memory_order_seq_cst);
-    }
-
     /** Regions dispatched whose caller has not yet observed
      * completion through waitDone; nonzero at destruction is the
      * documented abort (see ~ThreadPool). */
@@ -116,55 +96,21 @@ class ThreadPool
     }
 
   private:
-    /** One queued work item: exactly one of the two is set. */
-    struct Item
-    {
-        std::packaged_task<void()> task;
-        std::shared_ptr<detail::RegionState> region;
-    };
+    void workerLoop();
 
-    /** Per-worker task slot. */
-    struct Slot
-    {
-        std::mutex mutex;
-        std::condition_variable cv;
-        std::deque<Item> queue;
-        /** Executing an item right now. Heuristic only (read without
-         * the mutex for target preference); never used for
-         * correctness decisions. */
-        std::atomic<bool> busy{false};
-        /** Worker is blocked in its CV wait. Guarded by `mutex`, so
-         * enqueueOn's sleeper scan cannot race the wait entry/exit
-         * (unlike `busy`, which flips outside the lock). */
-        bool sleeping = false;
-    };
-
-    void workerLoop(std::size_t worker);
-    bool popOwn(std::size_t worker, Item &out);
-    bool stealOther(std::size_t worker, Item &out);
-    void runItem(Item &item);
-
-    /** Push to `worker`'s slot and wake it. */
-    void enqueueOn(std::size_t worker, Item item);
-
-    std::vector<std::thread> threads_;
-    std::vector<std::unique_ptr<Slot>> slots_;
-    std::atomic<bool> stopping_{false};
-    std::atomic<std::size_t> round_robin_{0};
-    /** Items queued (any slot) and not yet popped: lets an idle
-     * worker's wait predicate see stealable work behind a busy
-     * sibling instead of sleeping through it. */
-    std::atomic<std::size_t> queued_{0};
-    /** Region helper items queued or executing (enqueueOn increments,
-     * runItem decrements after helperEntry returns). Observability
-     * only — late retirees keep this nonzero past region completion,
-     * so it cannot serve as the destructor tripwire. */
-    std::atomic<std::size_t> region_items_{0};
+    /** Guards offers_ and stopping_; the deque contents of a region
+     * are published to its helpers through this mutex. */
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    /** Region offers, oldest first. */
+    std::deque<std::shared_ptr<detail::RegionState>> offers_;
+    bool stopping_ = false;
     /** Regions dispatched whose caller has not yet returned from
      * waitDone (dispatchRegion increments and arms the region's
      * finished signal; RegionState::waitDone decrements); the
      * destructor's active-region tripwire. */
     std::atomic<std::size_t> active_regions_{0};
+    std::vector<std::thread> threads_;
 };
 
 } // namespace qpad::runtime

@@ -22,6 +22,7 @@
 #include "design/freq_alloc.hh"
 #include "design/layout_design.hh"
 #include "eval/experiment.hh"
+#include "obs/metrics.hh"
 #include "profile/coupling.hh"
 #include "runtime/parallel.hh"
 #include "runtime/seed_seq.hh"
@@ -48,40 +49,6 @@ TEST(ThreadPool, StartupAndShutdown)
     }
 }
 
-TEST(ThreadPool, RunsSubmittedTasks)
-{
-    ThreadPool pool(3);
-    std::atomic<int> counter{0};
-    std::vector<std::future<void>> futures;
-    for (int i = 0; i < 100; ++i)
-        futures.push_back(pool.submit([&counter] { ++counter; }));
-    for (auto &f : futures)
-        f.get();
-    EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, DrainsPendingTasksOnDestruction)
-{
-    std::atomic<int> counter{0};
-    {
-        ThreadPool pool(2);
-        for (int i = 0; i < 50; ++i)
-            pool.submit([&counter] { ++counter; });
-    }
-    EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ThreadPool, SubmitFuturePropagatesException)
-{
-    ThreadPool pool(2);
-    auto future = pool.submit(
-        [] { throw std::runtime_error("task failed"); });
-    EXPECT_THROW(future.get(), std::runtime_error);
-    // The pool survives a throwing task.
-    auto ok = pool.submit([] {});
-    EXPECT_NO_THROW(ok.get());
-}
-
 TEST(ThreadPool, DestructionAfterRegionRetiresIsClean)
 {
     // A locally-constructed pool may be destroyed the moment its
@@ -101,8 +68,67 @@ TEST(ThreadPool, DestructionAfterRegionRetiresIsClean)
     state->rethrowIfFailed();
     EXPECT_EQ(hits.load(), 4u);
     EXPECT_EQ(pool.activeRegions(), 0u);
-    // No wait on activeRegionItems(): destructing through a late
+    // No wait for the surplus offer: destructing through a late
     // helper is exactly the case the active-region tripwire permits.
+}
+
+TEST(ThreadPool, OfferWakesASleepingWorker)
+{
+    // The caller never runs as runner 0 here and every chunk sits in
+    // runner 1's deque, so only a worker woken by the offer can
+    // finish the region: a lost wakeup hangs this test (and the
+    // ctest TIMEOUT turns the hang into a failure).
+    ThreadPool pool(2);
+    // Let both workers reach their condition-variable wait first.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    std::atomic<std::size_t> hits{0};
+    auto state = std::make_shared<runtime::detail::RegionState>(
+        2, 3, [&](std::size_t) { ++hits; }, nullptr, 0);
+    state->loadDeque(1, {2, 1, 0});
+    pool.dispatchRegion(state, 1);
+    state->waitDone();
+    state->rethrowIfFailed();
+    EXPECT_EQ(hits.load(), 3u);
+    EXPECT_EQ(pool.activeRegions(), 0u);
+}
+
+TEST(ThreadPool, SurplusOffersRetireWithoutRunningChunks)
+{
+    // Four offers for one helper slot: the first worker to pop an
+    // offer becomes runner 1, the other three find every runner slot
+    // claimed and retire without touching a chunk — so at most two
+    // threads (caller + one helper) ever run a chunk.
+    constexpr std::size_t kChunks = 64;
+    std::vector<std::atomic<int>> runs(kChunks);
+    std::mutex runners_mutex;
+    std::set<std::thread::id> runners;
+    {
+        ThreadPool pool(4);
+        auto state = std::make_shared<runtime::detail::RegionState>(
+            2, kChunks,
+            [&](std::size_t c) {
+                ++runs[c];
+                std::lock_guard<std::mutex> lock(runners_mutex);
+                runners.insert(std::this_thread::get_id());
+            },
+            nullptr, 0);
+        std::vector<std::size_t> low, high;
+        for (std::size_t c = kChunks / 2; c-- > 0;) {
+            low.push_back(c);
+            high.push_back(c + kChunks / 2);
+        }
+        state->loadDeque(0, std::move(low));
+        state->loadDeque(1, std::move(high));
+        pool.dispatchRegion(state, 4);
+        state->runAs(0);
+        state->waitDone();
+        state->rethrowIfFailed();
+        EXPECT_EQ(pool.activeRegions(), 0u);
+    } // surplus offers still queued retire during the join
+    for (std::size_t c = 0; c < kChunks; ++c)
+        EXPECT_EQ(runs[c].load(), 1) << "chunk " << c;
+    EXPECT_GE(runners.size(), 1u);
+    EXPECT_LE(runners.size(), 2u);
 }
 
 TEST(ThreadPoolDeathTest, DestructionDuringActiveRegionAborts)
@@ -624,51 +650,31 @@ TEST(WakeupLatency, SmallRegionsCompleteWithoutMillisecondStalls)
     EXPECT_LT(elapsed, 0.5e-3 * regions * timingSlack());
 }
 
-TEST(WakeupLatency, SingleSubmittedTaskCompletesPromptly)
-{
-    ThreadPool pool(2);
-    const int tasks = 100;
-    // qpad-lint: allow(no-wallclock) "wakeup-latency regression
-    // bound; timing never affects computed results"
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < tasks; ++i)
-        pool.submit([] {}).get();
-    // qpad-lint: allow(no-wallclock) "wakeup-latency regression
-    // bound; timing never affects computed results"
-    const double elapsed =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-    EXPECT_LT(elapsed, 0.5e-3 * tasks * timingSlack());
-}
-
 // --------------------------------------------------------------------
-// RegionStats
+// Region metrics (the runtime.* series, read as registry deltas)
 // --------------------------------------------------------------------
 
-TEST(RegionStats, CountsChunksAndRunners)
+TEST(RegionMetrics, CountsChunksAndSteals)
 {
-    runtime::RegionStats stats;
+    const obs::Snapshot before = obs::snapshot();
     runtime::parallel_for(
-        Options{4, &stats}, 1000, 10,
+        Options{4}, 1000, 10,
         [](std::size_t, std::size_t, std::size_t) {});
-    EXPECT_EQ(stats.chunks, 100u);
-    EXPECT_GE(stats.threads, 1u);
-    EXPECT_LE(stats.threads, 4u);
-    EXPECT_EQ(stats.chunks_per_runner.size(), stats.threads);
-    std::size_t total = 0;
-    for (std::size_t c : stats.chunks_per_runner)
-        total += c;
-    EXPECT_EQ(total, 100u);
-    EXPECT_LE(stats.steals, 100u);
-    EXPECT_GE(stats.max_idle_seconds, 0.0);
+    const obs::Snapshot d = obs::deltaSince(before);
+    EXPECT_EQ(obs::valueOf(d, "runtime.regions"), 1.0);
+    EXPECT_EQ(obs::valueOf(d, "runtime.chunks"), 100.0);
+    EXPECT_LE(obs::valueOf(d, "runtime.steals"), 100.0);
+    const obs::Sample *idle = obs::find(d, "runtime.region_idle_seconds");
+    ASSERT_NE(idle, nullptr);
+    EXPECT_EQ(idle->count, 1u);
+    EXPECT_GE(idle->sum, 0.0);
 }
 
-TEST(RegionStats, SequentialRegionReportsOneRunner)
+TEST(RegionMetrics, SequentialRegionCountsNoSteals)
 {
-    runtime::RegionStats stats;
+    const obs::Snapshot before = obs::snapshot();
     uint64_t sum = runtime::parallel_reduce(
-        Options{1, &stats}, 100, 0, uint64_t{0},
+        Options{1}, 100, 0, uint64_t{0},
         [](std::size_t begin, std::size_t end, std::size_t) {
             uint64_t s = 0;
             for (std::size_t i = begin; i < end; ++i)
@@ -677,11 +683,12 @@ TEST(RegionStats, SequentialRegionReportsOneRunner)
         },
         [](uint64_t a, uint64_t b) { return a + b; });
     EXPECT_EQ(sum, 4950u);
-    EXPECT_EQ(stats.threads, 1u);
-    EXPECT_GT(stats.chunks, 0u);
-    EXPECT_EQ(stats.steals, 0u);
-    ASSERT_EQ(stats.chunks_per_runner.size(), 1u);
-    EXPECT_EQ(stats.chunks_per_runner[0], stats.chunks);
+    const obs::Snapshot d = obs::deltaSince(before);
+    EXPECT_EQ(obs::valueOf(d, "runtime.seq_regions"), 1.0);
+    EXPECT_EQ(obs::valueOf(d, "runtime.regions"), 0.0);
+    EXPECT_EQ(obs::valueOf(d, "runtime.chunks"),
+              double(runtime::detail::ChunkPlan(100, 0).chunks()));
+    EXPECT_EQ(obs::valueOf(d, "runtime.steals"), 0.0);
 }
 
 // --------------------------------------------------------------------
