@@ -156,29 +156,102 @@ decodeDataPoint(const std::vector<uint8_t> &blob, std::string config,
 }
 
 /**
+ * `compute` through the global cache under `key`: concurrent
+ * identical requests compute once (dedup via Store::getOrCompute),
+ * and a record that does not decode is recomputed and overwritten,
+ * exactly as a plain miss would have been. A disabled cache falls
+ * straight through to `compute`.
+ */
+template <class T, class Compute, class Encode, class Decode>
+T
+memoized(const cache::Fingerprint &key, const char *what,
+         const exec::Context &ctx, const Compute &compute,
+         const Encode &encode, const Decode &decode)
+{
+    cache::Store &store = cache::globalStore();
+    if (!store.options().enabled)
+        return compute();
+    const std::vector<uint8_t> blob = store.getOrCompute(
+        key, [&] { return encode(compute()); }, ctx.token());
+    T value;
+    if (decode(blob, value))
+        return value;
+    qpad_warn("cache: dropping undecodable ", what, " record ",
+              key.hex());
+    value = compute();
+    store.put(key, encode(value));
+    return value;
+}
+
+/**
  * Run one data-point job through the global cache: a warm rerun
- * skips design, mapping, and yield entirely; concurrent identical
- * jobs (dedup via Store::getOrCompute) compute once. Disabled cache
- * falls straight through to `compute`.
+ * skips design, mapping, and yield entirely.
  */
 DataPoint
 memoizedPoint(const cache::Fingerprint &key, const std::string &config,
               const std::string &arch_name, const exec::Context &ctx,
               const std::function<DataPoint()> &compute)
 {
-    cache::Store &store = cache::globalStore();
-    if (!store.options().enabled)
-        return compute();
-    const std::vector<uint8_t> blob = store.getOrCompute(
-        key, [&] { return encodeDataPoint(compute()); }, ctx.token());
-    DataPoint point;
-    if (decodeDataPoint(blob, config, arch_name, point))
-        return point;
-    qpad_warn("cache: dropping undecodable data-point record ",
-              key.hex());
-    point = compute();
-    store.put(key, encodeDataPoint(point));
-    return point;
+    return memoized<DataPoint>(
+        key, "data-point", ctx, compute, encodeDataPoint,
+        [&](const std::vector<uint8_t> &blob, DataPoint &point) {
+            return decodeDataPoint(blob, config, arch_name, point);
+        });
+}
+
+/** Routing counts of one measurement, as memoized under mappingKey. */
+struct RoutingCounts
+{
+    std::size_t total_gates = 0;
+    std::size_t swaps = 0;
+};
+
+std::vector<uint8_t>
+encodeRoutingCounts(const RoutingCounts &counts)
+{
+    cache::Encoder enc;
+    enc.u64(counts.total_gates);
+    enc.u64(counts.swaps);
+    return enc.bytes();
+}
+
+/** Every SWAP adds three CX to the circuit's own unitary gates, so a
+ * record that breaks that identity is corrupt. */
+bool
+decodeRoutingCounts(const std::vector<uint8_t> &blob,
+                    const Circuit &circuit, RoutingCounts &counts)
+{
+    cache::Decoder in(blob);
+    uint64_t gates, swaps;
+    if (!in.u64(gates) || !in.u64(swaps) || !in.atEnd() ||
+        gates != circuit.unitaryGateCount() + 3 * swaps)
+        return false;
+    counts.total_gates = std::size_t(gates);
+    counts.swaps = std::size_t(swaps);
+    return true;
+}
+
+/**
+ * mapCircuit's counts through the global cache. Designs that share a
+ * coupling graph (eff-full and eff-5-freq at one K, eff-layout-only-2q
+ * and K = 0) route the circuit identically, so only the first routes.
+ */
+RoutingCounts
+routingCounts(const Architecture &arch, const Circuit &circuit,
+              const mapping::MappingOptions &options,
+              const exec::Context &ctx)
+{
+    return memoized<RoutingCounts>(
+        mappingKey(arch, circuit, options), "mapping", ctx,
+        [&] {
+            const mapping::MappingResult mapped =
+                mapping::mapCircuit(circuit, arch, options, ctx);
+            return RoutingCounts{mapped.total_gates, mapped.swaps};
+        },
+        encodeRoutingCounts,
+        [&](const std::vector<uint8_t> &blob, RoutingCounts &counts) {
+            return decodeRoutingCounts(blob, circuit, counts);
+        });
 }
 
 } // namespace
@@ -211,15 +284,40 @@ BenchmarkExperiment::bestGates(const std::string &config_name) const
     return best;
 }
 
+cache::Fingerprint
+mappingKey(const Architecture &arch, const Circuit &circuit,
+           const mapping::MappingOptions &options)
+{
+    cache::Encoder enc;
+    enc.str("qpad.mapping/v1");
+    cache::encodeTopology(enc, arch);
+    // Parameters, classical bits and the name never steer routing.
+    enc.u64(circuit.numQubits());
+    enc.u64(circuit.size());
+    for (const circuit::Gate &g : circuit.gates()) {
+        enc.u8(uint8_t(g.kind));
+        enc.u32(uint32_t(g.qubits.size()));
+        for (circuit::Qubit q : g.qubits)
+            enc.u32(q);
+    }
+    enc.f64(options.extended_weight);
+    enc.u64(options.extended_set_size);
+    enc.f64(options.decay_delta);
+    enc.u32(options.initial_mapping_rounds);
+    enc.u8(options.sabre_initial_mapping ? 1 : 0);
+    enc.u64(options.seed);
+    return enc.digest();
+}
+
 DataPoint
 measure(const std::string &config, const Architecture &arch,
         const Circuit &circuit, const ExperimentOptions &options,
         const exec::Context &ctx)
 {
     QPAD_SPAN("eval.measure");
-    // An already-stopped request does no work: the mapper below has
-    // no internal polls, and a warm yield cache would otherwise let
-    // a cancelled measurement run to completion.
+    // An already-stopped request does no work: warm mapping and
+    // yield caches would otherwise let a cancelled measurement run
+    // to completion without reaching a poll.
     ctx.throwIfStopped();
     static obs::Counter &measurements =
         obs::counter("eval.measurements");
@@ -232,10 +330,10 @@ measure(const std::string &config, const Architecture &arch,
     point.num_edges = arch.numEdges();
     point.num_buses = arch.fourQubitBuses().size();
 
-    mapping::MappingResult mapped =
-        mapping::mapCircuit(circuit, arch, options.mapping_options);
-    point.gate_count = mapped.total_gates;
-    point.swaps = mapped.swaps;
+    const RoutingCounts routed =
+        routingCounts(arch, circuit, options.mapping_options, ctx);
+    point.gate_count = routed.total_gates;
+    point.swaps = routed.swaps;
 
     // Every estimate goes through the result cache — including each
     // adaptive-escalation step, whose (arch, trials) pair is its own

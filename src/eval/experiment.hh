@@ -113,17 +113,30 @@ struct BenchmarkExperiment
 };
 
 /**
- * Evaluate one architecture against one circuit. A cancelled or
- * deadline-expired `ctx` raises exec::CancelledError between the
- * adaptive yield-escalation steps and inside the yield estimate's
- * parallel region; a completed measurement is bit-identical to one
- * without a context.
+ * Evaluate one architecture against one circuit. The routing counts
+ * (gate_count, swaps) go through the global cache under mappingKey,
+ * so chips that share a coupling graph are routed once. A cancelled
+ * or deadline-expired `ctx` raises exec::CancelledError before each
+ * routing pass, between the adaptive yield-escalation steps and
+ * inside the yield estimate's parallel region; a completed
+ * measurement is bit-identical to one without a context or cache.
  */
 DataPoint measure(const std::string &config,
                   const arch::Architecture &arch,
                   const circuit::Circuit &circuit,
                   const ExperimentOptions &options,
                   const exec::Context &ctx = exec::Context::none());
+
+/**
+ * Cache key of measure()'s routing counts: the chip's topology
+ * (coordinates and 4-qubit buses, never its name or frequencies,
+ * which routing does not read), the circuit's gate kinds and
+ * operands, and every MappingOptions field. Tagged
+ * "qpad.mapping/v1".
+ */
+cache::Fingerprint mappingKey(const arch::Architecture &arch,
+                              const circuit::Circuit &circuit,
+                              const mapping::MappingOptions &options);
 
 /**
  * Run the requested configurations for one benchmark. Each data

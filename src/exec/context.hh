@@ -8,7 +8,8 @@
  * `runtime::Options` thread budget, and an observability scope
  * (`RequestScope`). The compute entry points — `estimateYield`,
  * `allocateFrequencies`, `annealLayout`, `designArchitecture`,
- * `eval::measure` / `runBenchmark`, and the cached front ends — all
+ * `mapping::mapCircuit`, `eval::measure` / `runBenchmark`, and the
+ * cached front ends — all
  * take a trailing `const Context&` defaulting to `Context::none()`,
  * so existing call sites keep compiling and pay nothing.
  *

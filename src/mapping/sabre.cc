@@ -1,6 +1,8 @@
 #include "mapping/sabre.hh"
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <limits>
 #include <numeric>
 
@@ -8,6 +10,8 @@
 #include "circuit/decompose.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "obs/metrics.hh"
+#include "obs/trace.hh"
 
 namespace qpad::mapping
 {
@@ -22,245 +26,313 @@ namespace
 {
 
 /**
- * One routing pass. Works over an "extended" logical space the size
- * of the chip: logical ids >= circuit width are dummies occupying
- * the spare physical qubits so SWAPs stay a permutation.
+ * One routing direction in flat form, built once per mapCircuit
+ * call: the dependency DAG in CSR form, with every gate's successors
+ * in circuit::DependencyDag order (the order the lookahead walks),
+ * plus a two-qubit flag and the two logical operands per gate.
+ */
+struct RoutingView
+{
+    explicit RoutingView(const Circuit &circ)
+        : name(circ.name()), indegree(circ.size()),
+          two_qubit(circ.size()), operands(circ.size())
+    {
+        qpad_assert(circ.size() < std::numeric_limits<uint32_t>::max(),
+                    "circuit too large to route");
+        const circuit::DependencyDag dag(circ);
+        succ_begin.reserve(circ.size() + 1);
+        succ_begin.push_back(0);
+        for (uint32_t id = 0; id < circ.size(); ++id) {
+            for (std::size_t s : dag.successors(id))
+                succ.push_back(uint32_t(s));
+            succ_begin.push_back(uint32_t(succ.size()));
+            indegree[id] = uint32_t(dag.indegree(id));
+            if (indegree[id] == 0)
+                roots.push_back(id);
+            const Gate &g = circ.gate(id);
+            if (g.isTwoQubit()) {
+                two_qubit[id] = 1;
+                operands[id] = {g.qubits[0], g.qubits[1]};
+            }
+        }
+    }
+
+    std::size_t size() const { return two_qubit.size(); }
+
+    std::string name;
+    /** Successors of gate g: succ[succ_begin[g] .. succ_begin[g+1]). */
+    std::vector<uint32_t> succ_begin;
+    std::vector<uint32_t> succ;
+    std::vector<uint32_t> indegree;
+    /** Gates without predecessors, ascending: the first front. */
+    std::vector<uint32_t> roots;
+    std::vector<uint8_t> two_qubit;
+    /** Logical operands; meaningful only where two_qubit is set. */
+    std::vector<std::array<Qubit, 2>> operands;
+};
+
+/** The chip's all-pairs distances as a dense row-major n x n table. */
+class DistanceTable
+{
+  public:
+    explicit DistanceTable(const arch::Architecture &arch)
+        : n_(arch.numQubits()), d_(n_ * n_)
+    {
+        const SymMatrix<uint16_t> &dist = arch.distances();
+        for (std::size_t i = 0; i < n_; ++i)
+            for (std::size_t j = 0; j < n_; ++j)
+                d_[i * n_ + j] = dist(i, j);
+    }
+
+    std::size_t size() const { return n_; }
+
+    uint16_t
+    operator()(PhysQubit a, PhysQubit b) const
+    {
+        qpad_assert(a < n_ && b < n_, "distance (", a, ",", b,
+                    ") out of range ", n_);
+        return d_[a * n_ + b];
+    }
+
+  private:
+    std::size_t n_;
+    std::vector<uint16_t> d_;
+};
+
+void
+applySwap(PhysQubit pa, PhysQubit pb, std::vector<PhysQubit> &l2p,
+          std::vector<Qubit> &p2l)
+{
+    Qubit la = p2l[pa], lb = p2l[pb];
+    std::swap(p2l[pa], p2l[pb]);
+    l2p[la] = pb;
+    l2p[lb] = pa;
+}
+
+/**
+ * Routing passes over the views of one mapCircuit call. Works over
+ * an "extended" logical space the size of the chip: logical ids >=
+ * circuit width are dummies occupying the spare physical qubits so
+ * SWAPs stay a permutation. The scratch buffers are reused from step
+ * to step and pass to pass, and belong to this call alone.
  */
 class Router
 {
   public:
-    Router(const arch::Architecture &arch, const MappingOptions &options)
-        : arch_(arch), options_(options), dist_(arch.distances())
+    Router(const arch::Architecture &arch, const MappingOptions &options,
+           const exec::Context &ctx)
+        : edges_(arch.edges()), options_(options), ctx_(ctx),
+          dist_(arch), hosts_front_(arch.numQubits(), 0)
     {
     }
+
+    /** Gate `gate` executed, or a SWAP of (pa, pb) if gate == kSwap. */
+    struct Op
+    {
+        uint32_t gate;
+        PhysQubit pa = 0, pb = 0;
+    };
+    static constexpr uint32_t kSwap = std::numeric_limits<uint32_t>::max();
 
     struct PassResult
     {
         std::vector<PhysQubit> final_l2p;
         std::size_t swaps = 0;
-        std::vector<Gate> gates; // only filled when recording
+        std::vector<Op> ops; // only filled when recording
     };
 
     /**
-     * Route `circ` starting from logical->physical map l2p
-     * (size = chip size; entries past circ.numQubits() are dummies).
+     * Route `view` starting from logical->physical map l2p
+     * (size = chip size; entries past the circuit width are dummies).
      */
     PassResult
-    route(const Circuit &circ, std::vector<PhysQubit> l2p, bool record)
+    route(const RoutingView &view, std::vector<PhysQubit> l2p,
+          bool record)
     {
-        const std::size_t n_phys = arch_.numQubits();
+        ctx_.throwIfStopped();
+        QPAD_SPAN("mapping.route");
+        const std::size_t n_phys = dist_.size();
         qpad_assert(l2p.size() == n_phys, "l2p must cover the chip");
 
-        std::vector<Qubit> p2l(n_phys);
+        p2l_.resize(n_phys);
         for (Qubit l = 0; l < l2p.size(); ++l)
-            p2l[l2p[l]] = l;
-
-        circuit::DependencyDag dag(circ);
-        std::vector<std::size_t> indeg = dag.indegrees();
-        std::vector<std::size_t> front = dag.roots();
+            p2l_[l2p[l]] = l;
+        indeg_ = view.indegree;
+        front_ = view.roots;
+        decay_.assign(n_phys, 1.0);
 
         PassResult result;
-        std::vector<double> decay(n_phys, 1.0);
-
-        auto release = [&](std::size_t id) {
-            for (std::size_t succ : dag.successors(id))
-                if (--indeg[succ] == 0)
-                    front.push_back(succ);
-        };
-
-        auto emit = [&](const Gate &g) {
-            if (record)
-                result.gates.push_back(g);
-        };
-
         std::size_t executed = 0;
-        std::size_t stall_guard = 0;
         const std::size_t max_swaps =
-            1000 + 20 * circ.size() * (n_phys + 1);
+            1000 + 20 * view.size() * (n_phys + 1);
+        // Set when a gate executed since the last SWAP choice: the
+        // front changed, so the lookahead set must be rebuilt, and
+        // executing a gate resets the decay window.
+        bool front_changed = true;
 
-        while (!front.empty()) {
+        while (!front_.empty()) {
             // Execute everything executable in the current front.
             bool progress = true;
             while (progress) {
                 progress = false;
-                std::vector<std::size_t> still_blocked;
-                // Index loop: release() appends newly ready gates to
-                // `front`, and they are picked up in the same sweep.
-                for (std::size_t idx = 0; idx < front.size(); ++idx) {
-                    std::size_t id = front[idx];
-                    const Gate &g = circ.gate(id);
-                    if (executable(g, l2p)) {
-                        Gate phys = g;
-                        for (auto &q : phys.qubits)
-                            q = l2p[q];
-                        emit(phys);
-                        release(id);
-                        ++executed;
-                        progress = true;
-                        // Executing a gate resets the decay window.
-                        std::fill(decay.begin(), decay.end(), 1.0);
-                    } else {
-                        still_blocked.push_back(id);
+                blocked_.clear();
+                // Index loop: newly ready gates are appended to
+                // `front_` and picked up in the same sweep.
+                for (std::size_t idx = 0; idx < front_.size(); ++idx) {
+                    const uint32_t id = front_[idx];
+                    if (view.two_qubit[id]) {
+                        const auto &[a, b] = view.operands[id];
+                        if (dist_(l2p[a], l2p[b]) != 1) {
+                            blocked_.push_back(id);
+                            continue;
+                        }
                     }
+                    if (record)
+                        result.ops.push_back({id});
+                    for (uint32_t k = view.succ_begin[id];
+                         k < view.succ_begin[id + 1]; ++k)
+                        if (--indeg_[view.succ[k]] == 0)
+                            front_.push_back(view.succ[k]);
+                    ++executed;
+                    progress = true;
+                    front_changed = true;
                 }
-                front = std::move(still_blocked);
+                front_.swap(blocked_);
             }
-            if (front.empty())
+            if (front_.empty())
                 break;
 
             // All remaining front gates are blocked two-qubit gates:
             // pick the best SWAP.
-            auto [pa, pb] = bestSwap(circ, dag, front, l2p, decay);
-            applySwap(pa, pb, l2p, p2l);
-            decay[pa] += options_.decay_delta;
-            decay[pb] += options_.decay_delta;
-            ++result.swaps;
-            if (record) {
-                result.gates.push_back(
-                    Gate(GateKind::SWAP,
-                         {static_cast<Qubit>(pa), static_cast<Qubit>(pb)}));
+            if (front_changed) {
+                std::fill(decay_.begin(), decay_.end(), 1.0);
+                extendedSet(view);
+                front_changed = false;
             }
-            if (++stall_guard > max_swaps)
+            auto [pa, pb] = bestSwap(view, l2p);
+            applySwap(pa, pb, l2p, p2l_);
+            decay_[pa] += options_.decay_delta;
+            decay_[pb] += options_.decay_delta;
+            ++result.swaps;
+            if (record)
+                result.ops.push_back({kSwap, pa, pb});
+            if (result.swaps > max_swaps)
                 qpad_panic("router stalled after ", result.swaps,
-                           " swaps on '", circ.name(), "'");
+                           " swaps on '", view.name, "'");
         }
-        qpad_assert(executed == circ.size(), "router dropped gates");
+        qpad_assert(executed == view.size(), "router dropped gates");
         result.final_l2p = std::move(l2p);
         return result;
     }
 
   private:
-    const arch::Architecture &arch_;
+    using Edge = std::pair<PhysQubit, PhysQubit>;
+
+    /** Undirected coupling edges (a < b), sorted. */
+    const std::vector<Edge> &edges_;
     const MappingOptions &options_;
-    const SymMatrix<uint16_t> &dist_;
+    const exec::Context &ctx_;
+    const DistanceTable dist_;
 
-    bool
-    executable(const Gate &g, const std::vector<PhysQubit> &l2p) const
-    {
-        if (!g.isTwoQubit())
-            return true; // 1q / measure / reset / barrier
-        return dist_(l2p[g.qubits[0]], l2p[g.qubits[1]]) == 1;
-    }
+    // Per-pass state and per-step scratch.
+    std::vector<Qubit> p2l_;
+    std::vector<uint32_t> indeg_, front_, blocked_;
+    std::vector<double> decay_;
+    std::vector<uint32_t> frontier_, ext_ids_;
+    std::vector<Edge> front_ends_, ext_ends_, candidates_;
+    std::vector<uint8_t> hosts_front_;
 
-    static void
-    applySwap(PhysQubit pa, PhysQubit pb, std::vector<PhysQubit> &l2p,
-              std::vector<Qubit> &p2l)
+    /**
+     * Two-qubit gates reachable from the front (lookahead window),
+     * into ext_ids_. A breadth-first walk that re-pushes successors
+     * reachable along several paths, so a gate can enter the window
+     * more than once.
+     */
+    void
+    extendedSet(const RoutingView &view)
     {
-        Qubit la = p2l[pa], lb = p2l[pb];
-        std::swap(p2l[pa], p2l[pb]);
-        l2p[la] = pb;
-        l2p[lb] = pa;
-    }
-
-    /** Two-qubit gates reachable from the front (lookahead window). */
-    std::vector<std::size_t>
-    extendedSet(const Circuit &circ, const circuit::DependencyDag &dag,
-                const std::vector<std::size_t> &front) const
-    {
-        std::vector<std::size_t> extended;
-        std::vector<std::size_t> frontier = front;
-        std::size_t cursor = 0;
-        while (cursor < frontier.size() &&
-               extended.size() < options_.extended_set_size) {
-            std::size_t id = frontier[cursor++];
-            for (std::size_t succ : dag.successors(id)) {
-                if (circ.gate(succ).isTwoQubit()) {
-                    extended.push_back(succ);
-                    if (extended.size() >= options_.extended_set_size)
+        const std::size_t limit = options_.extended_set_size;
+        ext_ids_.clear();
+        frontier_.assign(front_.begin(), front_.end());
+        for (std::size_t cursor = 0;
+             cursor < frontier_.size() && ext_ids_.size() < limit;
+             ++cursor) {
+            const uint32_t id = frontier_[cursor];
+            for (uint32_t k = view.succ_begin[id];
+                 k < view.succ_begin[id + 1]; ++k) {
+                const uint32_t succ = view.succ[k];
+                if (view.two_qubit[succ]) {
+                    ext_ids_.push_back(succ);
+                    if (ext_ids_.size() >= limit)
                         break;
                 }
-                frontier.push_back(succ);
+                frontier_.push_back(succ);
             }
         }
-        return extended;
     }
 
+    /**
+     * The SWAP minimizing max(decay) * (mean front distance +
+     * extended_weight * mean lookahead distance), first in (pa, pb)
+     * order on ties. Distance sums are exact integers, so the double
+     * arithmetic on them does not depend on how they are summed.
+     */
     std::pair<PhysQubit, PhysQubit>
-    bestSwap(const Circuit &circ, const circuit::DependencyDag &dag,
-             const std::vector<std::size_t> &front,
-             const std::vector<PhysQubit> &l2p,
-             const std::vector<double> &decay) const
+    bestSwap(const RoutingView &view, const std::vector<PhysQubit> &l2p)
     {
-        // Candidate swaps: edges touching any physical qubit that
-        // hosts an operand of a blocked front gate.
-        std::vector<std::pair<PhysQubit, PhysQubit>> candidates;
-        std::vector<bool> seen_phys(arch_.numQubits(), false);
-        for (std::size_t id : front) {
-            const Gate &g = circ.gate(id);
-            for (Qubit lq : g.qubits) {
-                PhysQubit pq = l2p[lq];
-                if (seen_phys[pq])
-                    continue;
-                seen_phys[pq] = true;
-                for (PhysQubit nb : arch_.adjacency()[pq])
-                    candidates.emplace_back(std::min(pq, nb),
-                                            std::max(pq, nb));
+        // Physical endpoints of the front and lookahead gates.
+        auto endpoints = [&](const std::vector<uint32_t> &ids,
+                             std::vector<Edge> &ends) {
+            ends.clear();
+            for (uint32_t id : ids) {
+                const auto &[a, b] = view.operands[id];
+                ends.emplace_back(l2p[a], l2p[b]);
             }
-        }
-        std::sort(candidates.begin(), candidates.end());
-        candidates.erase(
-            std::unique(candidates.begin(), candidates.end()),
-            candidates.end());
-        qpad_assert(!candidates.empty(), "no candidate swaps");
+        };
+        endpoints(front_, front_ends_);
+        endpoints(ext_ids_, ext_ends_);
 
-        std::vector<std::size_t> extended =
-            extendedSet(circ, dag, front);
+        // Candidate swaps: edges touching any physical qubit that
+        // hosts an operand of a blocked front gate, in the chip's
+        // sorted edge order.
+        for (auto [a, b] : front_ends_)
+            hosts_front_[a] = hosts_front_[b] = 1;
+        candidates_.clear();
+        for (Edge e : edges_)
+            if (hosts_front_[e.first] || hosts_front_[e.second])
+                candidates_.push_back(e);
+        for (auto [a, b] : front_ends_)
+            hosts_front_[a] = hosts_front_[b] = 0;
+        qpad_assert(!candidates_.empty(), "no candidate swaps");
 
+        const double front_terms = double(front_ends_.size());
+        const double ext_terms = double(ext_ends_.size());
         double best_score = std::numeric_limits<double>::infinity();
-        std::pair<PhysQubit, PhysQubit> best = candidates.front();
-        for (auto [pa, pb] : candidates) {
-            double score = swapScore(circ, front, extended, l2p, decay,
-                                     pa, pb);
+        Edge best = candidates_.front();
+        for (auto [pa, pb] : candidates_) {
+            auto moved = [pa, pb](PhysQubit p) {
+                return p == pa ? pb : p == pb ? pa : p;
+            };
+            auto sum = [&](const std::vector<Edge> &ends) {
+                std::size_t total = 0;
+                for (auto [a, b] : ends)
+                    total += dist_(moved(a), moved(b));
+                return double(total);
+            };
+            const double front_cost = sum(front_ends_) / front_terms;
+            const double ext_cost =
+                ext_ends_.empty()
+                    ? 0.0
+                    : options_.extended_weight * sum(ext_ends_) /
+                          ext_terms;
+            const double score = std::max(decay_[pa], decay_[pb]) *
+                                 (front_cost + ext_cost);
             if (score < best_score) {
                 best_score = score;
                 best = {pa, pb};
             }
         }
         return best;
-    }
-
-    double
-    swapScore(const Circuit &circ, const std::vector<std::size_t> &front,
-              const std::vector<std::size_t> &extended,
-              const std::vector<PhysQubit> &l2p,
-              const std::vector<double> &decay, PhysQubit pa,
-              PhysQubit pb) const
-    {
-        auto mapped = [&](Qubit lq) {
-            PhysQubit pq = l2p[lq];
-            if (pq == pa)
-                return pb;
-            if (pq == pb)
-                return pa;
-            return pq;
-        };
-
-        double front_cost = 0.0;
-        std::size_t front_terms = 0;
-        for (std::size_t id : front) {
-            const Gate &g = circ.gate(id);
-            if (!g.isTwoQubit())
-                continue;
-            front_cost +=
-                dist_(mapped(g.qubits[0]), mapped(g.qubits[1]));
-            ++front_terms;
-        }
-        if (front_terms)
-            front_cost /= double(front_terms);
-
-        double ext_cost = 0.0;
-        if (!extended.empty()) {
-            for (std::size_t id : extended) {
-                const Gate &g = circ.gate(id);
-                ext_cost +=
-                    dist_(mapped(g.qubits[0]), mapped(g.qubits[1]));
-            }
-            ext_cost =
-                options_.extended_weight * ext_cost / extended.size();
-        }
-
-        double decay_factor = std::max(decay[pa], decay[pb]);
-        return decay_factor * (front_cost + ext_cost);
     }
 };
 
@@ -281,12 +353,16 @@ reversedUnitary(const Circuit &circ)
     return out;
 }
 
-/** Strip trailing measurements; they are re-appended after routing. */
+/**
+ * Everything but the measurements, widened to the chip (a barrier
+ * synchronizes every qubit of the widened circuit). Measurements are
+ * re-appended after routing.
+ */
 Circuit
-unitaryPart(const Circuit &circ,
-            std::vector<std::pair<Qubit, circuit::Clbit>> &measures)
+widenedUnitaryPart(const Circuit &circ, std::size_t chip_qubits,
+                   std::vector<std::pair<Qubit, circuit::Clbit>> &measures)
 {
-    Circuit out(circ.numQubits(), circ.numClbits(), circ.name());
+    Circuit out(chip_qubits, circ.numClbits(), circ.name());
     for (const Gate &g : circ.gates()) {
         if (g.kind == GateKind::Measure) {
             measures.emplace_back(g.qubits[0], g.clbit);
@@ -301,8 +377,19 @@ unitaryPart(const Circuit &circ,
 
 MappingResult
 mapCircuit(const Circuit &circuit, const arch::Architecture &arch,
-           const MappingOptions &options)
+           const MappingOptions &options, const exec::Context &ctx)
 {
+    QPAD_SPAN("mapping.map");
+    // Negative, infinite or NaN weights make the cost meaningless
+    // and can keep the router swapping forever.
+    if (!(std::isfinite(options.extended_weight) &&
+          options.extended_weight >= 0.0))
+        qpad_fatal("mapping: extended_weight must be finite and >= 0, "
+                   "got ", options.extended_weight);
+    if (!(std::isfinite(options.decay_delta) &&
+          options.decay_delta >= 0.0))
+        qpad_fatal("mapping: decay_delta must be finite and >= 0, got ",
+                   options.decay_delta);
     qpad_assert(circuit.numQubits() <= arch.numQubits(),
                 "circuit '", circuit.name(), "' needs ",
                 circuit.numQubits(), " qubits but chip has ",
@@ -311,16 +398,14 @@ mapCircuit(const Circuit &circuit, const arch::Architecture &arch,
                 "architecture coupling graph is disconnected");
     qpad_assert(circuit::isInBasis(circuit),
                 "circuit must be lowered to the {1q, CX} basis");
+    static obs::Counter &calls = obs::counter("mapping.calls");
+    calls.add();
 
     std::vector<std::pair<Qubit, circuit::Clbit>> measures;
-    Circuit unitary = unitaryPart(circuit, measures);
-
-    // Widen the logical space to chip size with dummy logicals.
-    Circuit widened(arch.numQubits(), circuit.numClbits(),
-                    unitary.name());
-    widened.append(unitary);
-
-    Router router(arch, options);
+    const Circuit unitary =
+        widenedUnitaryPart(circuit, arch.numQubits(), measures);
+    const RoutingView forward(unitary);
+    Router router(arch, options, ctx);
 
     // Candidate initial mappings: the identity (qpad layouts use an
     // identity pseudo-mapping, so this is often already perfect) and
@@ -338,11 +423,11 @@ mapCircuit(const Circuit &circuit, const arch::Architecture &arch,
         // reverse circuit and vice versa.
         for (std::size_t i = l2p.size(); i > 1; --i)
             std::swap(l2p[i - 1], l2p[rng.below(i)]);
-        Circuit reversed = reversedUnitary(widened);
+        const RoutingView backward(reversedUnitary(unitary));
         for (unsigned round = 0; round < options.initial_mapping_rounds;
              ++round) {
-            l2p = router.route(widened, std::move(l2p), false).final_l2p;
-            l2p = router.route(reversed, std::move(l2p), false)
+            l2p = router.route(forward, std::move(l2p), false).final_l2p;
+            l2p = router.route(backward, std::move(l2p), false)
                       .final_l2p;
         }
         candidates.push_back(std::move(l2p));
@@ -353,7 +438,7 @@ mapCircuit(const Circuit &circuit, const arch::Architecture &arch,
     Router::PassResult pass;
     for (std::size_t i = 0; i < candidates.size(); ++i) {
         Router::PassResult attempt =
-            router.route(widened, candidates[i], true);
+            router.route(forward, candidates[i], true);
         if (i == 0 || attempt.swaps < pass.swaps) {
             pass = std::move(attempt);
             best = i;
@@ -369,24 +454,37 @@ mapCircuit(const Circuit &circuit, const arch::Architecture &arch,
         pass.final_l2p.begin(),
         pass.final_l2p.begin() + circuit.numQubits());
 
-    // Materialize the physical circuit: SWAP lowers to three CX.
+    // Materialize the physical circuit by replaying the pass: each
+    // gate takes the mapping current at its execution, and a SWAP
+    // lowers to three CX.
     Circuit mapped(arch.numQubits(), circuit.numClbits(),
                    circuit.name() + "@" + arch.name());
-    for (const Gate &g : pass.gates) {
-        if (g.kind == GateKind::SWAP) {
-            mapped.cx(g.qubits[0], g.qubits[1]);
-            mapped.cx(g.qubits[1], g.qubits[0]);
-            mapped.cx(g.qubits[0], g.qubits[1]);
+    std::vector<PhysQubit> l2p = std::move(candidates[best]);
+    std::vector<Qubit> p2l(l2p.size());
+    for (Qubit l = 0; l < l2p.size(); ++l)
+        p2l[l2p[l]] = l;
+    for (const Router::Op &op : pass.ops) {
+        if (op.gate == Router::kSwap) {
+            mapped.cx(op.pa, op.pb);
+            mapped.cx(op.pb, op.pa);
+            mapped.cx(op.pa, op.pb);
+            applySwap(op.pa, op.pb, l2p, p2l);
         } else {
-            mapped.add(g);
+            Gate phys = unitary.gate(op.gate);
+            for (auto &q : phys.qubits)
+                q = l2p[q];
+            mapped.add(std::move(phys));
         }
     }
+    qpad_assert(l2p == pass.final_l2p, "replayed mapping diverged");
     for (auto [lq, cb] : measures)
         mapped.measure(pass.final_l2p[lq], cb);
 
     result.total_gates = mapped.unitaryGateCount();
     result.two_qubit_gates = mapped.twoQubitGateCount();
     result.mapped = std::move(mapped);
+    static obs::Counter &swaps = obs::counter("mapping.swaps");
+    swaps.add(result.swaps);
     return result;
 }
 

@@ -11,6 +11,20 @@
  *  - an initial-mapping search: forward and backward routing passes
  *    over the circuit refine the initial layout (the "reverse
  *    traversal" trick of the SABRE paper).
+ *
+ * Unlike SABRE's extended *set*, the lookahead window here is the
+ * first extended_set_size two-qubit gates of a breadth-first walk
+ * from the front that keeps its multiplicity: a gate reachable along
+ * several dependency paths enters the window once per path. On the
+ * Figure 10 chips 53.6 % of window entries are such repeats, and
+ * 99.9 % of SWAP choices see at least one, so making the window a
+ * set would change the routing of almost every circuit (and every
+ * golden that pins it).
+ *
+ * Each call routes over a flat view of the circuit built once per
+ * direction (the dependency DAG in CSR form, a two-qubit flag and two
+ * operands per gate) and a dense distance table, and scores a
+ * candidate SWAP from exact integer distance sums.
  */
 
 #ifndef QPAD_MAPPING_SABRE_HH
@@ -21,6 +35,7 @@
 
 #include "arch/architecture.hh"
 #include "circuit/circuit.hh"
+#include "exec/context.hh"
 
 namespace qpad::mapping
 {
@@ -60,14 +75,20 @@ struct MappingResult
 };
 
 /**
- * Map a {1q, CX} circuit onto an architecture.
+ * Map a {1q, CX} circuit onto an architecture. A cancelled or
+ * deadline-expired `ctx` raises exec::CancelledError before the next
+ * routing pass (a call runs up to 2 + 2 x initial_mapping_rounds
+ * passes); a completed call is bit-identical to one without a
+ * context. Invalid options (a negative or non-finite extended_weight
+ * or decay_delta) are a caller error: qpad_fatal.
  *
  * @pre circuit.numQubits() <= arch.numQubits() and the architecture
  *      coupling graph is connected.
  */
 MappingResult mapCircuit(const circuit::Circuit &circuit,
                          const arch::Architecture &arch,
-                         const MappingOptions &options = {});
+                         const MappingOptions &options = {},
+                         const exec::Context &ctx = exec::Context::none());
 
 /**
  * Check that every CX of a mapped circuit respects the coupling

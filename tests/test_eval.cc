@@ -5,13 +5,19 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
+#include <set>
 #include <sstream>
+#include <tuple>
 
 #include "arch/ibm.hh"
 #include "benchmarks/suite.hh"
+#include "cache/yield_cache.hh"
+#include "design/design_flow.hh"
 #include "eval/experiment.hh"
 #include "eval/report.hh"
+#include "profile/coupling.hh"
 
 namespace
 {
@@ -145,6 +151,175 @@ TEST(ExecCancel, CancelledContextStopsMeasure)
     auto circ = benchmarks::getBenchmark("UCCSD_ansatz_8").generate();
     EXPECT_THROW(measure("probe", arch, circ, fastOptions(), ctx),
                  exec::CancelledError);
+}
+
+// --------------------------------------------------------------------
+// Mapping memo
+// --------------------------------------------------------------------
+
+/** Install a fresh in-memory global cache (enabled or not) for one
+ * test, and a default one again when it ends. */
+struct ScopedGlobalCache
+{
+    explicit ScopedGlobalCache(bool enabled)
+    {
+        cache::CacheOptions options;
+        options.enabled = enabled;
+        cache::configureGlobalCache(options);
+    }
+    ~ScopedGlobalCache() { cache::configureGlobalCache({}); }
+};
+
+TEST(MappingMemo, RoutesEachTopologyOnce)
+{
+    // sym6_145 without the random-bus samples, whose bus seeds the
+    // topology count below would have to repeat.
+    const auto &info = benchmarks::getBenchmark("sym6_145");
+    ExperimentOptions opts = fastOptions();
+    opts.run_eff_rd_bus = false;
+
+    // The chips runBenchmark measures, by topology: the IBM baselines
+    // and the designed layout at every bus count K, with none and
+    // with the maximum number of buses (frequencies are irrelevant).
+    const circuit::Circuit circ = info.generate();
+    const profile::CouplingProfile prof = profile::profileCircuit(circ);
+    std::set<std::string> topologies;
+    auto add = [&](const arch::Architecture &a) {
+        cache::Encoder enc;
+        cache::encodeTopology(enc, a);
+        topologies.insert(enc.digest().hex());
+    };
+    for (const arch::Architecture &a : arch::ibmBaselines())
+        if (a.numQubits() >= circ.numQubits())
+            add(a);
+    const arch::Architecture bare(design::designLayout(prof).layout);
+    const std::size_t beneficial =
+        design::selectBuses(bare, prof, SIZE_MAX).selected.size();
+    design::DesignFlowOptions flow;
+    flow.freq_scheme = design::FreqScheme::FiveFrequency;
+    for (std::size_t k = 0; k <= beneficial; ++k) {
+        flow.max_buses = k;
+        add(design::designArchitecture(prof, flow).architecture);
+    }
+    flow.max_buses = SIZE_MAX;
+    for (auto scheme : {design::BusScheme::None, design::BusScheme::Max}) {
+        flow.bus_scheme = scheme;
+        add(design::designArchitecture(prof, flow).architecture);
+    }
+
+    BenchmarkExperiment off;
+    {
+        ScopedGlobalCache cache(false);
+        off = runBenchmark(info, opts);
+    }
+    ScopedGlobalCache cache(true);
+    const BenchmarkExperiment on = runBenchmark(info, opts);
+
+    auto count = [](const BenchmarkExperiment &exp, const char *name) {
+        return obs::valueOf(exp.metrics, name);
+    };
+    EXPECT_EQ(count(off, "mapping.calls"), double(off.points.size()));
+    EXPECT_EQ(count(on, "eval.measurements"), double(on.points.size()));
+    EXPECT_EQ(count(on, "mapping.calls"), double(topologies.size()));
+    EXPECT_LT(count(on, "mapping.calls"), count(on, "eval.measurements"));
+
+    // The cached run's points are the uncached ones, bit for bit.
+    auto bytes = [](const DataPoint &p) {
+        return std::make_tuple(p.config, p.arch_name, p.num_qubits,
+                               p.num_edges, p.num_buses, p.gate_count,
+                               p.swaps, std::bit_cast<uint64_t>(p.yield),
+                               p.yield_trials,
+                               std::bit_cast<uint64_t>(p.norm_recip_gates));
+    };
+    ASSERT_EQ(on.points.size(), off.points.size());
+    for (std::size_t i = 0; i < on.points.size(); ++i)
+        EXPECT_EQ(bytes(on.points[i]), bytes(off.points[i]))
+            << on.points[i].arch_name;
+}
+
+TEST(MappingMemo, UndecodableRecordIsRecomputed)
+{
+    const auto arch = arch::ibm16Q(false);
+    const auto circ =
+        benchmarks::getBenchmark("UCCSD_ansatz_8").generate();
+    const ExperimentOptions opts = fastOptions();
+    const mapping::MappingResult routed =
+        mapping::mapCircuit(circ, arch, opts.mapping_options);
+    const cache::Fingerprint key =
+        mappingKey(arch, circ, opts.mapping_options);
+
+    // Truncated bytes, and counts that break gates = circuit + 3 x
+    // swaps: both are dropped, routed again and overwritten.
+    cache::Encoder inconsistent;
+    inconsistent.u64(routed.total_gates);
+    inconsistent.u64(routed.swaps + 1);
+    for (const auto &blob : {std::vector<uint8_t>{1, 2, 3},
+                             inconsistent.bytes()}) {
+        ScopedGlobalCache cache(true);
+        cache::globalStore().put(key, blob);
+        const DataPoint p = measure("probe", arch, circ, opts);
+        EXPECT_EQ(p.gate_count, routed.total_gates);
+        EXPECT_EQ(p.swaps, routed.swaps);
+        std::vector<uint8_t> stored;
+        ASSERT_TRUE(cache::globalStore().get(key, stored));
+        EXPECT_NE(stored, blob);
+    }
+}
+
+TEST(MappingMemo, KeyCoversRoutingInputsOnly)
+{
+    circuit::Circuit circ(3, 3, "probe");
+    circ.h(0);
+    circ.cx(0, 2);
+    circ.cx(2, 1);
+    circ.measure(1, 0);
+    const mapping::MappingOptions mo;
+    const arch::Architecture chip = arch::ibm16Q(false);
+    const cache::Fingerprint key = mappingKey(chip, circ, mo);
+
+    // Name and frequencies do not route.
+    arch::Architecture renamed = chip;
+    renamed.setName("renamed");
+    renamed.setAllFrequencies(
+        std::vector<double>(chip.numQubits(), 5.1));
+    EXPECT_EQ(mappingKey(renamed, circ, mo), key);
+    circuit::Circuit named = circ;
+    named.setName("other");
+    EXPECT_EQ(mappingKey(chip, named, mo), key);
+
+    // Buses, gates and every option do.
+    EXPECT_NE(mappingKey(arch::ibm16Q(true), circ, mo), key);
+    circuit::Circuit longer = circ;
+    longer.cx(1, 0);
+    EXPECT_NE(mappingKey(chip, longer, mo), key);
+    circuit::Circuit moved(3, 3, "probe");
+    moved.h(0);
+    moved.cx(0, 2);
+    moved.cx(2, 0);
+    moved.measure(1, 0);
+    EXPECT_NE(mappingKey(chip, moved, mo), key);
+    std::vector<mapping::MappingOptions> variants(6, mo);
+    variants[0].extended_weight = 0.25;
+    variants[1].extended_set_size = 10;
+    variants[2].decay_delta = 0.002;
+    variants[3].initial_mapping_rounds = 2;
+    variants[4].sabre_initial_mapping = false;
+    variants[5].seed = 8;
+    for (std::size_t i = 0; i < variants.size(); ++i)
+        EXPECT_NE(mappingKey(chip, circ, variants[i]), key) << i;
+}
+
+TEST(MappingMemo, KeyMatchesEarlierBuilds)
+{
+    // Captured when the key was introduced: it must never move, or
+    // the mapping records of every persistent cache log go cold.
+    circuit::Circuit circ(3, 3, "probe");
+    circ.h(0);
+    circ.cx(0, 2);
+    circ.cx(2, 1);
+    circ.measure(1, 0);
+    EXPECT_EQ(mappingKey(arch::ibm16Q(false), circ, {}).hex(),
+              "1a6c17631b0134f4bcbdcdbda0ad5350");
 }
 
 TEST(Report, FormatYieldScientific)

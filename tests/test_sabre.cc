@@ -2,14 +2,20 @@
  * @file
  * Tests for the SABRE mapper: coupling legality, gate-count
  * accounting, classical (permutation-level) semantic equivalence,
- * and behaviour on the paper's special cases.
+ * pinned routing decisions, option validation, cancellation, and
+ * behaviour on the paper's special cases.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cmath>
+#include <limits>
+
 #include "arch/ibm.hh"
 #include "benchmarks/generators.hh"
 #include "benchmarks/suite.hh"
+#include "cache/fingerprint.hh"
 #include "common/rng.hh"
 #include "design/design_flow.hh"
 #include "mapping/sabre.hh"
@@ -135,6 +141,56 @@ TEST(Sabre, RejectsDisconnectedArchitecture)
     EXPECT_THROW(mapCircuit(c, arch), std::logic_error);
 }
 
+TEST(Sabre, RejectsInvalidOptions)
+{
+    // A negative or non-finite lookahead weight or decay makes the
+    // swap cost meaningless: the router could swap until its stall
+    // bound and then panic as if qpad had a bug.
+    auto circ = benchmarks::qft(8);
+    auto arch = arch::ibm16Q(false);
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double bad : {std::nan(""), -5.0, inf, -inf}) {
+        MappingOptions opts;
+        opts.extended_weight = bad;
+        EXPECT_THROW(mapCircuit(circ, arch, opts), std::runtime_error)
+            << "extended_weight " << bad;
+        opts = {};
+        opts.decay_delta = bad;
+        EXPECT_THROW(mapCircuit(circ, arch, opts), std::runtime_error)
+            << "decay_delta " << bad;
+    }
+    MappingOptions zero;
+    zero.extended_weight = 0.0;
+    zero.decay_delta = 0.0;
+    EXPECT_TRUE(mapping::respectsCoupling(
+        mapCircuit(circ, arch, zero).mapped, arch));
+}
+
+TEST(Sabre, CancelledContextStopsMapping)
+{
+    exec::Context ctx;
+    ctx.cancel();
+    EXPECT_THROW(mapCircuit(benchmarks::qft(8), arch::ibm16Q(false),
+                            MappingOptions{}, ctx),
+                 exec::CancelledError);
+}
+
+TEST(Sabre, UnfiredContextLeavesMappingUnchanged)
+{
+    auto circ = benchmarks::qft(10);
+    auto arch = arch::ibm16Q(true);
+    exec::Context ctx;
+    ctx.setDeadlineAfter(std::chrono::hours(1));
+    const auto plain = mapCircuit(circ, arch);
+    const auto polled = mapCircuit(circ, arch, MappingOptions{}, ctx);
+    EXPECT_EQ(polled.swaps, plain.swaps);
+    EXPECT_EQ(polled.total_gates, plain.total_gates);
+    EXPECT_EQ(polled.two_qubit_gates, plain.two_qubit_gates);
+    EXPECT_EQ(polled.initial_mapping, plain.initial_mapping);
+    EXPECT_EQ(polled.final_mapping, plain.final_mapping);
+    EXPECT_EQ(polled.mapped, plain.mapped);
+}
+
 /**
  * Classical equivalence: for X/CX-only circuits the mapped circuit
  * must implement the same permutation of basis states, up to the
@@ -227,6 +283,68 @@ TEST(Sabre, DenserConnectivityNeedsFewerSwapsOnAverage)
         swaps_bused += mapCircuit(circ, bused).swaps;
     }
     EXPECT_LT(swaps_bused, swaps_plain);
+}
+
+/** Digest of everything routing decides: swaps, both mappings and
+ * every mapped gate's kind, operands and classical bit. */
+void
+encodeRouting(cache::Encoder &enc, const mapping::MappingResult &r)
+{
+    enc.u64(r.swaps);
+    for (const auto *mapping : {&r.initial_mapping, &r.final_mapping}) {
+        enc.u64(mapping->size());
+        for (arch::PhysQubit q : *mapping)
+            enc.u32(q);
+    }
+    enc.u64(r.mapped.size());
+    for (const circuit::Gate &g : r.mapped.gates()) {
+        enc.u8(uint8_t(g.kind));
+        enc.u64(g.qubits.size());
+        for (circuit::Qubit q : g.qubits)
+            enc.u32(q);
+        enc.u32(g.clbit);
+    }
+}
+
+TEST(Sabre, RoutingMatchesPinnedDigests)
+{
+    // Captured from the router that walked circuit::Gate operands and
+    // rebuilt the dependency DAG per pass. The goldens and reference
+    // CSVs pin only gate and swap counts; these pin every routing
+    // decision, so a byte-preserving router change must leave them
+    // untouched. One digest per program covers ibm16Q(false) and
+    // ibm20Q(true) at mapping seeds 7 and 1, in that order.
+    const std::vector<std::pair<const char *, const char *>> pinned = {
+        {"qft_16", "4f2ff7a241b3dd8355b7d896e955b668"},
+        {"ising_model_16", "a391e7feda9efb319d61c8408fef6ca6"},
+        {"UCCSD_ansatz_8", "3cf3ddecbd95f0c4eb121720dbfc1252"},
+        {"sym6_145", "92a238e77778273411d7d03a5efdac71"},
+        {"dc1_220", "7471fc5061ef81ced729b463ca009b93"},
+        {"z4_268", "4f7620fb037d314e3fada692b4511c25"},
+        {"cm152a_212", "52252c529089a65ae0e153d9a59f323d"},
+        {"adr4_197", "0dc7f37739e2bfad098ccf2b8419b14c"},
+        {"radd_250", "af41dd42d883e9d119c2284318ff6593"},
+        {"rd84_142", "a6dd9048360f49e997e1045b1726a882"},
+        {"misex1_241", "f9db3ce6ff73b23c11a58af5cf16e501"},
+        {"square_root_7", "0a7f784279b3f8027bf8de00d411fe9d"},
+    };
+    const arch::Architecture chips[] = {arch::ibm16Q(false),
+                                        arch::ibm20Q(true)};
+    ASSERT_EQ(benchmarks::paperSuite().size(), pinned.size());
+    for (std::size_t i = 0; i < pinned.size(); ++i) {
+        const auto &info = benchmarks::paperSuite()[i];
+        ASSERT_EQ(info.name, pinned[i].first);
+        const Circuit circ = info.generate();
+        cache::Encoder enc;
+        for (const arch::Architecture &chip : chips) {
+            for (uint64_t seed : {7, 1}) {
+                MappingOptions opts;
+                opts.seed = seed;
+                encodeRouting(enc, mapCircuit(circ, chip, opts));
+            }
+        }
+        EXPECT_EQ(enc.digest().hex(), pinned[i].second) << info.name;
+    }
 }
 
 TEST(Sabre, PerfectChainMappingForIsing)
