@@ -12,19 +12,13 @@
  *
  * Set QPAD_FIG10_CSV=1 to additionally emit machine-readable CSV,
  * or QPAD_FIG10_CSV=only for CSV alone (no report text — the CSV is
- * then byte-identical between cold and warm cache passes, which the
- * CI two-pass job cmp-checks; the report would differ in its cache-
+ * then byte-identical with the cache on or off, which the
+ * qpad_golden test checks; the report would differ in its cache-
  * statistics line). QPAD_DEADLINE_MS=<millis> arms a deadline on the
  * sweep's request context; if it expires the run stops within one
  * chunk of work and exits 4 (CI gates on both the exit code and the
  * stop latency). QPAD_FIG10_SUITE=<substring>[,<substring>...]
- * restricts the sweep to matching benchmark names. --expect-warm
- * exits nonzero unless the sweep was FULLY warm: at least one
- * result-cache hit and zero misses. (Hits alone would not prove a
- * warm cache — a multi-benchmark sweep re-evaluates the ibm
- * baselines with identical keys and hits its own intra-run inserts;
- * a cold run necessarily misses its first lookups, so the zero-miss
- * requirement is what ties the gate to pre-populated state.)
+ * restricts the sweep to matching benchmark names.
  */
 
 #include <algorithm>
@@ -69,18 +63,8 @@ suiteSelected(const std::string &name)
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    bool expect_warm = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--expect-warm") == 0) {
-            expect_warm = true;
-        } else {
-            std::fprintf(stderr, "usage: %s [--expect-warm]\n",
-                         argv[0]);
-            return 2;
-        }
-    }
     auto options = bench::paperOptions();
     const exec::Context ctx = bench::requestContext();
     // Request-scoped telemetry for the sweep: every span, log event,
@@ -102,15 +86,12 @@ main(int argc, char **argv)
                   << " MHz\n\n";
     }
 
-    std::size_t cache_hits = 0, cache_misses = 0;
     bool csv_header = true;
     try {
         for (const auto &info : benchmarks::paperSuite()) {
             if (!suiteSelected(info.name))
                 continue;
             auto experiment = eval::runBenchmark(info, options, ctx);
-            cache_hits += experiment.cache_stats.hits;
-            cache_misses += experiment.cache_stats.misses;
             if (!csv_only)
                 eval::printExperiment(std::cout, experiment);
             if (csv) {
@@ -162,8 +143,8 @@ main(int argc, char **argv)
             std::cout << "\n";
         }
     } catch (const exec::CancelledError &e) {
-        // Distinct from the usage (2) and --expect-warm (3) exits so
-        // CI can gate on "the deadline, and nothing else, fired".
+        // Distinct from the exit 2 of a malformed environment knob
+        // so CI can gate on "the deadline, and nothing else, fired".
         // Naming the request id ties the stderr line to the flight
         // dump and request report for the same run.
         std::fprintf(stderr,
@@ -171,13 +152,6 @@ main(int argc, char **argv)
                      "%s\n",
                      (unsigned long long)scope.id(), e.what());
         return 4;
-    }
-    if (expect_warm && (cache_hits == 0 || cache_misses != 0)) {
-        std::cerr << "--expect-warm: run was not fully warm ("
-                  << cache_hits << " hits, " << cache_misses
-                  << " misses; is QPAD_CACHE_DIR set and "
-                     "populated?)\n";
-        return 3;
     }
     return 0;
 }

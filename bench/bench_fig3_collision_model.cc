@@ -53,8 +53,9 @@ main()
     std::cout << "architecture     yield      c1     c2     c3     c4"
               << "     c5     c6     c7\n";
     for (const auto &arch : arch::ibmBaselines()) {
-        // Cached front end: repeated sweeps under QPAD_CACHE_DIR are
-        // served warm (condition statistics are part of the key).
+        // Cached front end: condition statistics are part of the
+        // key, so these never alias the plain estimates of the
+        // same chips.
         auto r = cache::cachedEstimateYield(arch, opts);
         std::cout << "  " << arch.name();
         for (std::size_t pad = arch.name().size(); pad < 15; ++pad)

@@ -4,17 +4,11 @@
  * baseline designs — layouts, 5-frequency tilings, bus placements —
  * and their simulated yields.
  *
- * Yield estimates go through cache::cachedEstimateYield, so with
- * QPAD_CACHE_DIR set a repeated run is served warm and byte-
- * identical. --expect-warm exits nonzero unless the run was FULLY
- * warm — at least one hit and zero misses (a cold run necessarily
- * misses its first lookups, so intra-run reuse can never satisfy
- * this); it never changes stdout, so pass outputs stay comparable
- * with cmp. Used by the CI two-pass persistence check.
+ * Yield estimates go through cache::cachedEstimateYield; stdout is
+ * byte-identical with the cache on or off (QPAD_CACHE=0), which the
+ * qpad_golden test checks.
  */
 
-#include <cstdio>
-#include <cstring>
 #include <iostream>
 
 #include "arch/ibm.hh"
@@ -26,18 +20,8 @@
 using namespace qpad;
 
 int
-main(int argc, char **argv)
+main()
 {
-    bool expect_warm = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--expect-warm") == 0) {
-            expect_warm = true;
-        } else {
-            std::fprintf(stderr, "usage: %s [--expect-warm]\n",
-                         argv[0]);
-            return 2;
-        }
-    }
     eval::printHeader(std::cout, "Figure 9: IBM baseline designs");
     auto yopts = bench::paperOptions().yield_options;
     // Request-scoped telemetry: spans, log events, and flight-
@@ -79,15 +63,5 @@ main(int argc, char **argv)
     std::cout << "Expected shape: yield drops monotonically with "
               << "connection count\n(16q-2qbus > 16q-4qbus, "
               << "20q-2qbus > 20q-4qbus).\n";
-    if (expect_warm) {
-        const cache::StoreStats stats = cache::globalCacheStats();
-        if (stats.hits == 0 || stats.misses != 0) {
-            std::cerr << "--expect-warm: run was not fully warm ("
-                      << stats.hits << " hits, " << stats.misses
-                      << " misses; is QPAD_CACHE_DIR set and "
-                         "populated?)\n";
-            return 3;
-        }
-    }
     return 0;
 }

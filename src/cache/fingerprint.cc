@@ -140,12 +140,6 @@ Encoder::str(std::string_view s)
     bytes_.insert(bytes_.end(), s.begin(), s.end());
 }
 
-void
-Encoder::raw(const uint8_t *data, std::size_t len)
-{
-    bytes_.insert(bytes_.end(), data, data + len);
-}
-
 Fingerprint
 Encoder::digest() const
 {

@@ -1,13 +1,13 @@
 /**
  * @file
- * Content-addressed fingerprints for the persistent result cache.
+ * Content-addressed fingerprints for the result cache.
  *
  * A Fingerprint is a 128-bit digest of a *canonical binary encoding*
  * of the cached computation's inputs. The encoding is explicit and
  * platform-independent — fixed-width little-endian integers, doubles
  * as their IEEE-754 bit patterns, length-prefixed byte strings — so
  * the same architecture and options hash to the same key on every
- * machine, which is what makes the on-disk cache shareable. The
+ * machine and in every build, which is what lets tests pin keys. The
  * digest itself is MurmurHash3 x64/128, chosen for speed and a fixed
  * public specification (no dependence on std::hash, whose values are
  * implementation-defined).
@@ -77,8 +77,6 @@ class Encoder
     void f64(double v);
     /** Length-prefixed byte string (for domain tags). */
     void str(std::string_view s);
-    /** Raw bytes, no length prefix. */
-    void raw(const uint8_t *data, std::size_t len);
 
     const std::vector<uint8_t> &bytes() const { return bytes_; }
 
@@ -91,7 +89,7 @@ class Encoder
 
 /**
  * Bounds-checked reader for Encoder-produced byte sequences (cache
- * payloads, log records). Every accessor returns false instead of
+ * payloads). Every accessor returns false instead of
  * reading past the end, so truncated or corrupt blobs decode to a
  * clean failure rather than garbage.
  */

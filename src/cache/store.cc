@@ -3,11 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <filesystem>
-#include <thread>
 
-#include "fault/fio.hh"
-#include "obs/log.hh"
 #include "obs/metrics.hh"
 
 namespace qpad::cache
@@ -16,11 +12,10 @@ namespace qpad::cache
 namespace
 {
 
-// Process-wide cache metrics, aggregated over every Store instance
-// (tests construct locals; production uses the one global store).
-// Counters mirror the per-store StoreStats counters; the residency
-// gauges move by delta on insert/evict/clear and a destructor
-// returns a store's remaining residency, so the levels stay exact.
+// Process-wide cache metrics, aggregated over every Store instance.
+// The residency gauges move by delta on insert/evict and a
+// destructor returns a store's remaining residency, so the levels
+// count live entries only.
 obs::Counter &
 hitMetric()
 {
@@ -70,73 +65,6 @@ dedupMetric()
     return c;
 }
 
-obs::Counter &
-lockWaitMetric()
-{
-    static obs::Counter &c = obs::counter("cache.lock_waits");
-    return c;
-}
-
-obs::Histogram &
-lockWaitSecondsMetric()
-{
-    static obs::Histogram &h =
-        obs::histogram("cache.lock_wait_seconds");
-    return h;
-}
-
-obs::Counter &
-lockTimeoutMetric()
-{
-    static obs::Counter &c = obs::counter("cache.lock_timeouts");
-    return c;
-}
-
-obs::Counter &
-compactionMetric()
-{
-    static obs::Counter &c = obs::counter("cache.compactions");
-    return c;
-}
-
-obs::Counter &
-compactDroppedMetric()
-{
-    static obs::Counter &c =
-        obs::counter("cache.compact_dropped_records");
-    return c;
-}
-
-obs::Counter &
-persistenceLostMetric()
-{
-    static obs::Counter &c = obs::counter("cache.persistence_lost");
-    return c;
-}
-
-/** Log / lock file names inside CacheOptions::dir. The lock file is
- * separate because compaction replaces the log inode by rename. */
-constexpr const char *kLogName = "qpad_cache.qpc";
-constexpr const char *kLockName = "qpad_cache.lock";
-
-/** 8-byte magic + format version; bump on any layout change. */
-constexpr char kMagic[8] = {'Q', 'P', 'A', 'D', 'C', 'A', 'C', '1'};
-constexpr uint32_t kFormatVersion = 1;
-constexpr std::size_t kHeaderBytes = 16;
-
-/** Fixed prefix of one record: len u32 | hi u64 | lo u64 | cksum. */
-constexpr std::size_t kFixedBytes = 28;
-
-/** Upper bound on one record's payload (corruption tripwire). */
-constexpr uint32_t kMaxRecordBytes = 1u << 28;
-
-/** Compaction never considers a log smaller than this many records,
- * whatever the live ratio — rewriting a tiny file buys nothing. */
-constexpr uint64_t kCompactMinRecords = 64;
-
-/** Backoff cap for flock retries (the schedule is 1,2,4,...ms). */
-constexpr uint32_t kMaxBackoffMs = 16;
-
 /**
  * Fixed per-entry accounting overhead (key, list/map nodes) added to
  * the payload size when charging the LRU budget.
@@ -149,105 +77,6 @@ entryBytes(const std::vector<uint8_t> &value)
     return value.size() + kEntryOverhead;
 }
 
-/** Checksum over (key, length, payload); detects torn/flipped tails. */
-uint64_t
-recordChecksum(const Fingerprint &key, uint32_t len,
-               const uint8_t *payload)
-{
-    Encoder enc;
-    enc.u64(key.hi);
-    enc.u64(key.lo);
-    enc.u32(len);
-    enc.raw(payload, len);
-    return enc.digest().lo;
-}
-
-/** The 16-byte header as written to a fresh log. */
-std::vector<uint8_t>
-headerBytes()
-{
-    Encoder enc;
-    enc.raw(reinterpret_cast<const uint8_t *>(kMagic), 8);
-    enc.u32(kFormatVersion);
-    enc.u32(0); // reserved
-    return enc.bytes();
-}
-
-/** One record as a single contiguous buffer, so the append is ONE
- * write call — a crash tears at most one record, never interleaves
- * a header with a stale payload. */
-std::vector<uint8_t>
-recordBytes(const Fingerprint &key, const std::vector<uint8_t> &value)
-{
-    Encoder enc;
-    enc.u32(uint32_t(value.size()));
-    enc.u64(key.hi);
-    enc.u64(key.lo);
-    enc.u64(recordChecksum(key, uint32_t(value.size()),
-                           value.data()));
-    enc.raw(value.data(), value.size());
-    return enc.bytes();
-}
-
-/** Read `in`'s 16-byte header; false on short read / wrong magic /
- * wrong version. */
-bool
-readHeader(std::FILE *in)
-{
-    uint8_t header[kHeaderBytes];
-    uint32_t version = 0;
-    Decoder header_in(header + 8, 8);
-    return fault::fioRead("cache.read", in, header, sizeof header) ==
-               sizeof header &&
-           std::equal(kMagic, kMagic + 8, header) &&
-           header_in.u32(version) && version == kFormatVersion;
-}
-
-/**
- * Walk `in` (positioned just past the header), handing every
- * checksum-valid record to `sink`. Returns false when the walk ended
- * on a torn/corrupt record instead of clean EOF; either way
- * `good_end` is the offset just past the last valid record and
- * `records` the count of valid ones.
- */
-template <typename Sink>
-bool
-scanRecords(std::FILE *in, Sink &&sink, long &good_end,
-            uint64_t &records)
-{
-    good_end = std::ftell(in);
-    records = 0;
-    for (;;) {
-        uint8_t fixed[kFixedBytes];
-        const std::size_t got =
-            fault::fioRead("cache.read", in, fixed, sizeof fixed);
-        if (got == 0)
-            return true; // clean EOF
-        bool ok = got == sizeof fixed;
-        uint32_t len = 0;
-        Fingerprint key;
-        uint64_t checksum = 0;
-        std::vector<uint8_t> payload;
-        if (ok) {
-            Decoder fields(fixed, sizeof fixed);
-            ok = fields.u32(len) && fields.u64(key.hi) &&
-                 fields.u64(key.lo) && fields.u64(checksum) &&
-                 len <= kMaxRecordBytes;
-        }
-        if (ok) {
-            payload.resize(len);
-            ok = fault::fioRead("cache.read", in, payload.data(),
-                                len) == len &&
-                 recordChecksum(key, len, payload.data()) == checksum;
-        }
-        if (!ok)
-            return false; // torn tail
-        sink(key, std::move(payload));
-        ++records;
-        good_end = std::ftell(in);
-    }
-}
-
 } // namespace
 
 Store::Store(const CacheOptions &options)
@@ -256,19 +85,7 @@ Store::Store(const CacheOptions &options)
       shard_budget_(std::max<std::size_t>(
           options.max_bytes / std::max<std::size_t>(options.shards, 1),
           1))
-{
-    if (!options_.dir.empty())
-        openLog();
-    if (disk_loaded_ > 0) {
-        static obs::Counter &loaded = obs::counter("cache.disk_loaded");
-        loaded.add(disk_loaded_);
-    }
-    if (disk_dropped_ > 0) {
-        static obs::Counter &dropped =
-            obs::counter("cache.disk_dropped");
-        dropped.add(disk_dropped_);
-    }
-}
+{}
 
 Store::~Store()
 {
@@ -283,8 +100,6 @@ Store::~Store()
     }
     bytesMetric().add(-bytes);
     entriesMetric().add(-entries);
-    fault::fioClose(log_);
-    fault::fioClose(lock_file_);
 }
 
 Store::Shard &
@@ -300,24 +115,17 @@ Store::get(const Fingerprint &key, std::vector<uint8_t> &value)
     std::lock_guard<std::mutex> lock(shard.mutex);
     auto it = shard.map.find(key);
     if (it == shard.map.end()) {
-        // qpad-lint: allow(atomic-relaxed) "monotonic stat counter;
-        // never synchronizes data"
-        misses_.fetch_add(1, std::memory_order_relaxed);
         missMetric().add();
         return false;
     }
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     value = it->second->value;
-    // qpad-lint: allow(atomic-relaxed) "monotonic stat counter;
-    // never synchronizes data"
-    hits_.fetch_add(1, std::memory_order_relaxed);
     hitMetric().add();
     return true;
 }
 
 void
-Store::putInMemory(const Fingerprint &key,
-                   const std::vector<uint8_t> &value)
+Store::put(const Fingerprint &key, const std::vector<uint8_t> &value)
 {
     Shard &shard = shardFor(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
@@ -351,26 +159,13 @@ Store::putInMemory(const Fingerprint &key,
         shard.bytes -= entryBytes(victim.value);
         shard.map.erase(victim.key);
         shard.lru.pop_back();
-        // qpad-lint: allow(atomic-relaxed) "monotonic stat counter;
-        // never synchronizes data"
-        evictions_.fetch_add(1, std::memory_order_relaxed);
         ++evicted;
     }
     if (evicted > 0)
         evictionMetric().add(evicted);
     bytesMetric().add(byte_delta);
     entriesMetric().add(entry_delta);
-}
-
-void
-Store::put(const Fingerprint &key, const std::vector<uint8_t> &value)
-{
-    putInMemory(key, value);
-    // qpad-lint: allow(atomic-relaxed) "monotonic stat counter;
-    // never synchronizes data"
-    inserts_.fetch_add(1, std::memory_order_relaxed);
     insertMetric().add();
-    appendRecord(key, value);
 }
 
 std::vector<uint8_t>
@@ -436,9 +231,6 @@ Store::getOrCompute(
         // outer loop re-runs get(): a successful owner turns it into
         // a hit, a failed (or evicted) one promotes some waiter to
         // owner on the next claim.
-        // qpad-lint: allow(atomic-relaxed) "monotonic stat counter;
-        // never synchronizes data"
-        dedup_waits_.fetch_add(1, std::memory_order_relaxed);
         dedupMetric().add();
         {
             std::unique_lock<std::mutex> lock(flight->mutex);
@@ -449,427 +241,6 @@ Store::getOrCompute(
             }
         }
     }
-}
-
-void
-Store::clear()
-{
-    for (Shard &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        bytesMetric().add(-std::int64_t(shard.bytes));
-        entriesMetric().add(-std::int64_t(shard.lru.size()));
-        shard.lru.clear();
-        shard.map.clear();
-        shard.bytes = 0;
-    }
-}
-
-bool
-Store::persistent() const
-{
-    std::lock_guard<std::mutex> lock(log_mutex_);
-    return log_ != nullptr;
-}
-
-StoreStats
-Store::stats() const
-{
-    StoreStats s;
-    // qpad-lint: allow(atomic-relaxed) "stat snapshot; approximate
-    // reads are fine and no data is published through them"
-    s.hits = hits_.load(std::memory_order_relaxed);
-    // qpad-lint: allow(atomic-relaxed) "stat snapshot; approximate
-    // reads are fine and no data is published through them"
-    s.misses = misses_.load(std::memory_order_relaxed);
-    // qpad-lint: allow(atomic-relaxed) "stat snapshot; approximate
-    // reads are fine and no data is published through them"
-    s.inserts = inserts_.load(std::memory_order_relaxed);
-    // qpad-lint: allow(atomic-relaxed) "stat snapshot; approximate
-    // reads are fine and no data is published through them"
-    s.evictions = evictions_.load(std::memory_order_relaxed);
-    // qpad-lint: allow(atomic-relaxed) "stat snapshot; approximate
-    // reads are fine and no data is published through them"
-    s.dedup_waits = dedup_waits_.load(std::memory_order_relaxed);
-    s.disk_loaded = disk_loaded_;
-    s.disk_dropped = disk_dropped_;
-    {
-        std::lock_guard<std::mutex> lock(log_mutex_);
-        s.lock_waits = lock_waits_;
-        s.lock_timeouts = lock_timeouts_;
-        s.compactions = compactions_;
-        s.persistence_lost = persistence_lost_ ? 1 : 0;
-    }
-    for (const Shard &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        s.bytes += shard.bytes;
-        s.entries += shard.lru.size();
-    }
-    return s;
-}
-
-bool
-Store::acquireFileLock()
-{
-    using fault::LockResult;
-    if (!lock_file_)
-        return false;
-    LockResult r = fault::fioTryLock("cache.lock", lock_file_);
-    if (r == LockResult::kLocked || r == LockResult::kUnsupported)
-        return true;
-    if (r == LockResult::kError)
-        return false;
-
-    // Contended: bounded deterministic backoff — 1,2,4,...ms capped
-    // at kMaxBackoffMs, total bounded by lock_timeout_ms of wall
-    // time measured on the sanctioned steady clock. No randomness:
-    // two workers that collide repeatedly resolve by the O_APPEND
-    // atomicity of the eventual writes, not by jitter.
-    ++lock_waits_;
-    lockWaitMetric().add();
-    const exec::TimePoint start = exec::now();
-    const exec::TimePoint deadline =
-        start + std::chrono::milliseconds(options_.lock_timeout_ms);
-    uint32_t backoff_ms = 1;
-    bool locked = false;
-    while (exec::now() < deadline) {
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(backoff_ms));
-        backoff_ms = std::min(backoff_ms * 2, kMaxBackoffMs);
-        r = fault::fioTryLock("cache.lock", lock_file_);
-        if (r == LockResult::kLocked ||
-            r == LockResult::kUnsupported) {
-            locked = true;
-            break;
-        }
-        if (r == LockResult::kError)
-            break;
-    }
-    lockWaitSecondsMetric().observe(
-        std::chrono::duration<double>(exec::now() - start).count());
-    return locked;
-}
-
-void
-Store::releaseFileLock()
-{
-    if (lock_file_)
-        fault::fioUnlock(lock_file_);
-}
-
-void
-Store::disablePersistence(const char *reason)
-{
-    // Memory-only from here on: every get/put keeps working, the log
-    // handles are gone, and exactly one warning marks the downgrade.
-    // Closing the lock file releases any flock we still hold.
-    persistence_lost_ = true;
-    fault::fioClose(log_);
-    log_ = nullptr;
-    fault::fioClose(lock_file_);
-    lock_file_ = nullptr;
-    if (obs::logWarnOnce(lost_warned_, "cache.persistence_lost",
-                         {{"reason", reason}, {"path", log_path_}}))
-        persistenceLostMetric().add();
-}
-
-void
-Store::openLog()
-{
-    namespace fs = std::filesystem;
-    std::error_code ec;
-    fs::create_directories(options_.dir, ec);
-    log_path_ = (fs::path(options_.dir) / kLogName).string();
-    dir_path_ = options_.dir;
-    if (ec) {
-        obs::logWarn("cache.open_failed",
-                     {{"path", options_.dir},
-                      {"error", ec.message()}});
-        disablePersistence("create_dir");
-        return;
-    }
-
-    const std::string lock_path =
-        (fs::path(options_.dir) / kLockName).string();
-    lock_file_ = fault::fioOpen("cache.open", lock_path, "ab");
-    if (!lock_file_) {
-        disablePersistence("open_lock");
-        return;
-    }
-    if (!acquireFileLock()) {
-        disablePersistence("lock_timeout");
-        return;
-    }
-
-    // The append handle is unbuffered and O_APPEND: every fioWrite
-    // reaches the kernel before it returns (truncation repair is
-    // exact) and concurrent writers cannot interleave a record.
-    log_ = fault::fioOpen("cache.open", log_path_, "ab");
-    if (!log_) {
-        disablePersistence("open_log");
-        return;
-    }
-    fault::fioUnbuffered(log_);
-    std::fseek(log_, 0, SEEK_END);
-    const long size = std::ftell(log_);
-
-    auto writeFreshHeader = [&]() -> bool {
-        const std::vector<uint8_t> header = headerBytes();
-        return fault::fioWrite("cache.header", log_, header.data(),
-                               header.size()) &&
-               fault::fioFlush("cache.flush", log_);
-    };
-
-    if (size == 0) {
-        if (!writeFreshHeader()) {
-            releaseFileLock();
-            disablePersistence("write_header");
-        } else {
-            releaseFileLock();
-        }
-        return;
-    }
-
-    // Replay through a separate buffered read handle (the append
-    // handle never reads). We hold the flock, so no other process
-    // can move the log mid-replay.
-    std::FILE *in = fault::fioOpen("cache.open", log_path_, "rb");
-    if (!in) {
-        releaseFileLock();
-        disablePersistence("open_replay");
-        return;
-    }
-    if (!readHeader(in)) {
-        fault::fioClose(in);
-        obs::logWarn("cache.bad_header", {{"path", log_path_}});
-        if (!fault::fioTruncate("cache.truncate", log_, 0) ||
-            !writeFreshHeader()) {
-            releaseFileLock();
-            disablePersistence("reset_log");
-            return;
-        }
-        releaseFileLock();
-        return;
-    }
-
-    long good_end = 0;
-    uint64_t records = 0;
-    const bool clean = scanRecords(
-        in,
-        [&](const Fingerprint &key, std::vector<uint8_t> &&payload) {
-            putInMemory(key, payload);
-            disk_keys_.insert(key);
-            ++disk_loaded_;
-        },
-        good_end, records);
-    fault::fioClose(in);
-    disk_records_ = records;
-    if (!clean) {
-        // The torn tail of a crashed append: cut it off so the file
-        // is clean again and later appends extend a valid log.
-        ++disk_dropped_;
-        obs::logWarn("cache.torn_record",
-                     {{"path", log_path_},
-                      {"offset", std::int64_t(good_end)}});
-        if (!fault::fioTruncate("cache.truncate", log_, good_end)) {
-            releaseFileLock();
-            disablePersistence("truncate");
-            return;
-        }
-    }
-    maybeCompactLocked();
-    releaseFileLock();
-}
-
-void
-Store::appendRecord(const Fingerprint &key,
-                    const std::vector<uint8_t> &value)
-{
-    // log_ is checked and used under the same lock: a concurrent
-    // append failure may disable persistence at any time.
-    std::lock_guard<std::mutex> lock(log_mutex_);
-    if (!log_ || value.size() > kMaxRecordBytes)
-        return;
-    if (!acquireFileLock()) {
-        // Contention past the bound (or a lock fault): skip THIS
-        // append — the entry lives in memory, persistence stays up,
-        // and the miss is visible in cache.lock_timeouts.
-        ++lock_timeouts_;
-        lockTimeoutMetric().add();
-        return;
-    }
-
-    // Another process may have compacted while we were unlocked; the
-    // rename swapped the log inode, so our handle would append to an
-    // orphaned file. Detect and reopen before writing.
-    if (!fault::fioSameFile(log_, log_path_)) {
-        std::FILE *fresh =
-            fault::fioOpen("cache.open", log_path_, "ab");
-        if (!fresh) {
-            releaseFileLock();
-            disablePersistence("reopen");
-            return;
-        }
-        fault::fioUnbuffered(fresh);
-        fault::fioClose(log_);
-        log_ = fresh;
-        // The compactor owns the accurate census now; restart ours
-        // so our threshold re-arms only after fresh appends.
-        disk_records_ = 0;
-        disk_keys_.clear();
-    }
-
-    std::fseek(log_, 0, SEEK_END);
-    const long start = std::ftell(log_);
-    const std::vector<uint8_t> record = recordBytes(key, value);
-    bool ok = fault::fioWrite("cache.append", log_, record.data(),
-                              record.size());
-    // Flush is unconditional (the handle is unbuffered, so this only
-    // surfaces deferred errors); kFull adds the fsync that survives
-    // power loss. Either failure means the record cannot be trusted.
-    if (ok)
-        ok = fault::fioFlush("cache.flush", log_);
-    if (ok && options_.sync == SyncPolicy::kFull)
-        ok = fault::fioSync("cache.fsync", log_);
-    if (!ok) {
-        // Repair before degrading: seek back and cut the torn record
-        // off so the log never retains a half-written tail. If even
-        // the truncate fails, the next opener's checksum replay does
-        // the same cut.
-        (void)fault::fioTruncate("cache.truncate", log_, start);
-        releaseFileLock();
-        disablePersistence("append");
-        return;
-    }
-    ++disk_records_;
-    disk_keys_.insert(key);
-    maybeCompactLocked();
-    releaseFileLock();
-}
-
-void
-Store::maybeCompactLocked()
-{
-    if (options_.compact_factor == 0 || !log_)
-        return;
-    if (disk_records_ < kCompactMinRecords)
-        return;
-    const uint64_t keys =
-        std::max<uint64_t>(disk_keys_.size(), 1);
-    if (disk_records_ <= uint64_t(options_.compact_factor) * keys)
-        return;
-    (void)compactLocked();
-}
-
-bool
-Store::compactLocked()
-{
-    namespace fs = std::filesystem;
-    // Re-read the CURRENT log (other processes may have appended
-    // records our census never saw) and keep the latest record per
-    // key, in order of each key's first appearance — a deterministic
-    // function of the log contents.
-    std::FILE *in = fault::fioOpen("cache.open", log_path_, "rb");
-    if (!in)
-        return false;
-    if (!readHeader(in)) {
-        fault::fioClose(in);
-        return false;
-    }
-    std::vector<Fingerprint> order;
-    std::unordered_map<Fingerprint, std::vector<uint8_t>,
-                       FingerprintHash>
-        live;
-    long good_end = 0;
-    uint64_t records = 0;
-    // A torn tail just drops out of the rewrite; no need to repair
-    // the old file since it is about to be replaced.
-    (void)scanRecords(
-        in,
-        [&](const Fingerprint &key, std::vector<uint8_t> &&payload) {
-            auto it = live.find(key);
-            if (it == live.end()) {
-                order.push_back(key);
-                live.emplace(key, std::move(payload));
-            } else {
-                it->second = std::move(payload);
-            }
-        },
-        good_end, records);
-    fault::fioClose(in);
-
-    // Stream the live set to a temp file, make it durable, then
-    // atomically swap it in. A failure at any step leaves the old
-    // log untouched (a stale .tmp is overwritten next time).
-    const std::string tmp_path = log_path_ + ".tmp";
-    std::FILE *out =
-        fault::fioOpen("cache.compact.write", tmp_path, "wb");
-    if (!out)
-        return false;
-    const std::vector<uint8_t> header = headerBytes();
-    bool ok = fault::fioWrite("cache.compact.write", out,
-                              header.data(), header.size());
-    for (const Fingerprint &key : order) {
-        if (!ok)
-            break;
-        const std::vector<uint8_t> record =
-            recordBytes(key, live.find(key)->second);
-        ok = fault::fioWrite("cache.compact.write", out,
-                             record.data(), record.size());
-    }
-    // The temp file is always fsynced regardless of SyncPolicy: the
-    // rename is about to make it the ONLY copy of every record.
-    if (ok)
-        ok = fault::fioSync("cache.compact.sync", out);
-    fault::fioClose(out);
-    if (!ok)
-        return false;
-    if (!fault::fioRename("cache.compact.rename", tmp_path,
-                          log_path_))
-        return false;
-    (void)fault::fioSyncDir("cache.compact.sync", dir_path_);
-
-    // Point our append handle at the new inode. Failing here cannot
-    // keep the old handle: it now names an orphaned file, so appends
-    // through it would be silently lost.
-    std::FILE *fresh = fault::fioOpen("cache.open", log_path_, "ab");
-    if (!fresh) {
-        disablePersistence("reopen_compacted");
-        return false;
-    }
-    fault::fioUnbuffered(fresh);
-    fault::fioClose(log_);
-    log_ = fresh;
-
-    ++compactions_;
-    compactionMetric().add();
-    const uint64_t dropped = records - uint64_t(order.size());
-    if (dropped > 0)
-        compactDroppedMetric().add(dropped);
-    disk_records_ = order.size();
-    disk_keys_.clear();
-    for (const Fingerprint &key : order)
-        disk_keys_.insert(key);
-    obs::logInfo("cache.compacted",
-                 {{"path", log_path_},
-                  {"records", (unsigned long long)records},
-                  {"live", (unsigned long long)order.size()}});
-    return true;
-}
-
-bool
-Store::compactLog()
-{
-    std::lock_guard<std::mutex> lock(log_mutex_);
-    if (!log_)
-        return false;
-    if (!acquireFileLock()) {
-        ++lock_timeouts_;
-        lockTimeoutMetric().add();
-        return false;
-    }
-    const bool ok = compactLocked();
-    releaseFileLock();
-    return ok;
 }
 
 } // namespace qpad::cache

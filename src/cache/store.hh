@@ -1,62 +1,28 @@
 /**
  * @file
- * Sharded in-memory result store with an LRU byte budget and a
- * crash-safe, multi-process append-only on-disk log.
+ * Sharded in-memory result store with an LRU byte budget and
+ * in-flight deduplication of identical computations.
  *
  * Concurrency: keys are distributed over independently locked shards
  * (mutex per shard), so concurrent lookups from the qpad::runtime
- * thread pool contend only when they hash to the same shard. Disk
- * appends serialize on their own mutex in-process and on an
- * exclusive flock (taken on `<dir>/qpad_cache.lock`, never on the
- * log itself — compaction replaces the log inode by rename, which
- * would orphan locks held on it) across processes, so any number of
- * workers may share one QPAD_CACHE_DIR.
+ * thread pool contend only when they hash to the same shard.
  *
- * Persistence: when CacheOptions::dir is set, the store replays the
- * log `<dir>/qpad_cache.qpc` on construction and appends one record
- * per insertion. The file is a 16-byte header (magic + format
- * version) followed by checksummed records. The append handle is
- * unbuffered and opened O_APPEND, each record is one contiguous
- * write, and the flock is held from before the write until after the
- * sync policy (CacheOptions::sync) commits it — so concurrent
- * writers never interleave mid-record and a record is "committed"
- * exactly when put() returns.
- *
- * Crash safety: a torn or corrupted tail — the signature of a crash
- * mid-append — is detected by the per-record checksum on replay and
- * truncated away with a warning; a FAILED append (short write, I/O
- * error, flush/sync failure) truncates the log back to the
- * pre-record offset on the spot, so the file never retains a torn
- * record, and then degrades the store to memory-only mode: one
- * structured warning (`cache.persistence_lost`), counters keep
- * moving, and every get/put keeps serving from memory. Every I/O
- * site routes through the fault::fio shims, so the whole ladder is
- * provable under injected faults (QPAD_FAILPOINTS) — see
- * tests/test_fault.cc's crash-torture harness.
- *
- * Compaction: superseded records (a later append for the same key
- * wins on replay) accumulate; when the record count exceeds
- * CacheOptions::compact_factor times the distinct-key count the log
- * is rewritten — live records stream to a temp file, fsync, atomic
- * rename under the flock — and other processes detect the swapped
- * inode on their next locked append and reopen. compactLog() runs
- * the same rewrite on demand (the qpad-cache tool's offline mode).
+ * Statistics live in the obs registry only: the cache.{hits, misses,
+ * inserts, evictions, dedup_waits} counters and the cache.{bytes,
+ * entries} residency gauges, summed over every Store instance (tests
+ * construct locals; production uses the one global store).
  */
 
 #ifndef QPAD_CACHE_STORE_HH
 #define QPAD_CACHE_STORE_HH
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "cache/fingerprint.hh"
@@ -64,13 +30,6 @@
 
 namespace qpad::cache
 {
-
-/** When an append is durable enough to release the flock. */
-enum class SyncPolicy : uint8_t
-{
-    kFlush, ///< flushed to the kernel (survives process death)
-    kFull,  ///< + fsync (survives power loss); QPAD_CACHE_SYNC=full
-};
 
 /** Store configuration. */
 struct CacheOptions
@@ -81,44 +40,6 @@ struct CacheOptions
     std::size_t max_bytes = 64ull << 20;
     /** Lock shards (rounded up to at least 1). */
     std::size_t shards = 16;
-    /** Persistence directory; empty = memory only. */
-    std::string dir;
-    /** Durability point of one append (QPAD_CACHE_SYNC). */
-    SyncPolicy sync = SyncPolicy::kFlush;
-    /** Total bound on waiting for the inter-process lock, in
-     * milliseconds; 0 = one try. Retries follow a deterministic
-     * 1-2-4-...ms backoff schedule (QPAD_CACHE_LOCK_MS). */
-    uint32_t lock_timeout_ms = 5000;
-    /** Auto-compact when disk records exceed this many times the
-     * distinct keys (0 disables; QPAD_CACHE_COMPACT). */
-    uint32_t compact_factor = 4;
-};
-
-/** Counter snapshot; see Store::stats(). */
-struct StoreStats
-{
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t inserts = 0;
-    uint64_t evictions = 0;
-    /** Resident payload bytes / entries at snapshot time. */
-    uint64_t bytes = 0;
-    uint64_t entries = 0;
-    /** Records replayed / rejected from the on-disk log on open. */
-    uint64_t disk_loaded = 0;
-    uint64_t disk_dropped = 0;
-    /** getOrCompute() calls that waited on a concurrent identical
-     * computation instead of starting their own. */
-    uint64_t dedup_waits = 0;
-    /** Appends that had to retry for the inter-process flock, and
-     * appends skipped because the bounded wait ran out. */
-    uint64_t lock_waits = 0;
-    uint64_t lock_timeouts = 0;
-    /** Log rewrites (threshold-triggered or compactLog()). */
-    uint64_t compactions = 0;
-    /** 1 once the store degraded to memory-only after an I/O
-     * failure (persistence never comes back for this instance). */
-    uint64_t persistence_lost = 0;
 };
 
 /** Content-addressed blob store (thread-safe). */
@@ -140,14 +61,10 @@ class Store
     bool get(const Fingerprint &key, std::vector<uint8_t> &value);
 
     /**
-     * Insert (or overwrite) `key`. Evicts least-recently-used
-     * entries of the same shard while over budget, then appends the
-     * record to the on-disk log if persistence is enabled.
+     * Insert (or overwrite) `key`, then evict least-recently-used
+     * entries of the same shard while over budget.
      */
     void put(const Fingerprint &key, const std::vector<uint8_t> &value);
-
-    /** Drop every in-memory entry (the disk log is left alone). */
-    void clear();
 
     /**
      * Look up `key`; on a miss run `compute` and insert its result.
@@ -172,20 +89,6 @@ class Store
                  const std::function<std::vector<uint8_t>()> &compute,
                  const exec::CancelToken *cancel = nullptr);
 
-    /**
-     * Rewrite the log to live records only (latest per key, in order
-     * of first appearance), under the inter-process lock. Returns
-     * false when persistence is off/lost or the rewrite failed (the
-     * old log stays; a failure mid-rewrite never corrupts it — the
-     * swap is one atomic rename).
-     */
-    bool compactLog();
-
-    /** True while the on-disk log is open and accepting appends. */
-    bool persistent() const;
-
-    StoreStats stats() const;
-
   private:
     struct Entry
     {
@@ -196,7 +99,7 @@ class Store
 
     struct Shard
     {
-        mutable std::mutex mutex;
+        std::mutex mutex;
         Lru lru; ///< front = most recently used
         std::unordered_map<Fingerprint, Lru::iterator, FingerprintHash>
             map;
@@ -213,56 +116,16 @@ class Store
     };
 
     Shard &shardFor(const Fingerprint &key);
-    /** Insert into memory only (shared by put() and log replay). */
-    void putInMemory(const Fingerprint &key,
-                     const std::vector<uint8_t> &value);
-
-    // Log internals; all run with log_mutex_ held (or from the
-    // constructor/destructor, where no other thread exists yet).
-    void openLog();
-    void appendRecord(const Fingerprint &key,
-                      const std::vector<uint8_t> &value);
-    /** Take the inter-process flock with bounded deterministic
-     * backoff; false = contended past lock_timeout_ms or failed. */
-    bool acquireFileLock();
-    void releaseFileLock();
-    void disablePersistence(const char *reason);
-    bool compactLocked();
-    void maybeCompactLocked();
 
     CacheOptions options_;
     std::vector<Shard> shards_;
     std::size_t shard_budget_;
-
-    std::atomic<uint64_t> hits_{0};
-    std::atomic<uint64_t> misses_{0};
-    std::atomic<uint64_t> inserts_{0};
-    std::atomic<uint64_t> evictions_{0};
-    std::atomic<uint64_t> dedup_waits_{0};
-    uint64_t disk_loaded_ = 0;  ///< written once, in the constructor
-    uint64_t disk_dropped_ = 0; ///< ditto
 
     /** Guards inflight_ (never held while computing or waiting). */
     std::mutex inflight_mutex_;
     std::unordered_map<Fingerprint, std::shared_ptr<InFlight>,
                        FingerprintHash>
         inflight_;
-
-    /** Guards everything below (one append at a time in-process). */
-    mutable std::mutex log_mutex_;
-    std::FILE *log_ = nullptr;  ///< unbuffered O_APPEND write handle
-    std::FILE *lock_file_ = nullptr; ///< flock target; never renamed
-    std::string log_path_;
-    std::string dir_path_;
-    bool persistence_lost_ = false;
-    std::atomic<bool> lost_warned_{false}; ///< obs::logWarnOnce flag
-    /** Disk census this process knows about (its own appends plus
-     * whatever it replayed); drives the compaction threshold. */
-    uint64_t disk_records_ = 0;
-    std::unordered_set<Fingerprint, FingerprintHash> disk_keys_;
-    uint64_t lock_waits_ = 0;
-    uint64_t lock_timeouts_ = 0;
-    uint64_t compactions_ = 0;
 };
 
 } // namespace qpad::cache

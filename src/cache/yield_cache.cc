@@ -5,9 +5,6 @@
 #include <cstdlib>
 #include <memory>
 #include <mutex>
-#include <string_view>
-
-#include "common/logging.hh"
 
 namespace qpad::cache
 {
@@ -48,31 +45,10 @@ optionsFromEnv()
             qpad_fatal("invalid QPAD_CACHE value '", flag,
                        "' (expected 0 or 1)");
     }
-    if (const char *dir = std::getenv("QPAD_CACHE_DIR"); dir && *dir)
-        options.dir = dir;
     if (const char *bytes = std::getenv("QPAD_CACHE_BYTES");
         bytes && *bytes)
         options.max_bytes =
             std::size_t(parseEnvUint("QPAD_CACHE_BYTES", bytes));
-    if (const char *sync = std::getenv("QPAD_CACHE_SYNC");
-        sync && *sync) {
-        const std::string_view value(sync);
-        if (value == "flush")
-            options.sync = SyncPolicy::kFlush;
-        else if (value == "full")
-            options.sync = SyncPolicy::kFull;
-        else
-            qpad_fatal("invalid QPAD_CACHE_SYNC value '", sync,
-                       "' (expected flush or full)");
-    }
-    if (const char *factor = std::getenv("QPAD_CACHE_COMPACT");
-        factor && *factor)
-        options.compact_factor =
-            uint32_t(parseEnvUint("QPAD_CACHE_COMPACT", factor));
-    if (const char *ms = std::getenv("QPAD_CACHE_LOCK_MS");
-        ms && *ms)
-        options.lock_timeout_ms =
-            uint32_t(parseEnvUint("QPAD_CACHE_LOCK_MS", ms));
     return options;
 }
 
@@ -180,12 +156,6 @@ configureGlobalCache(const CacheOptions &options)
     g_store = std::make_unique<Store>(options);
 }
 
-StoreStats
-globalCacheStats()
-{
-    return globalStore().stats();
-}
-
 Fingerprint
 yieldKey(const arch::Architecture &arch,
          const yield::YieldOptions &options)
@@ -228,34 +198,18 @@ cachedEstimateYield(const arch::Architecture &arch,
                     const yield::YieldOptions &options,
                     const exec::Context &ctx)
 {
-    Store &store = globalStore();
-    if (!store.options().enabled || options.trials == 0)
+    if (options.trials == 0)
         return yield::estimateYield(arch, options, ctx);
-
-    // getOrCompute deduplicates concurrent identical estimates: one
-    // caller computes, the rest block on its result. The owner runs
-    // under its own ctx; a waiter's ctx only governs its wait. The
-    // encode/decode round trip is lossless (exact integers; the
+    // The encode/decode round trip is lossless (exact integers; the
     // yield ratio is recomputed from them), so the returned result
     // is bit-identical to the uncached call.
-    const Fingerprint key = yieldKey(arch, options);
-    const std::vector<uint8_t> blob = store.getOrCompute(
-        key,
-        [&] {
-            return encodeYieldResult(
-                yield::estimateYield(arch, options, ctx));
-        },
-        ctx.token());
-    yield::YieldResult result;
-    if (decodeYieldResult(blob, options, result))
-        return result;
-    // Undecodable bytes (corrupt disk record or a 128-bit key
-    // collision): recompute and overwrite, exactly as a plain miss
-    // would have.
-    qpad_warn("cache: dropping undecodable yield record ", key.hex());
-    result = yield::estimateYield(arch, options, ctx);
-    store.put(key, encodeYieldResult(result));
-    return result;
+    return memoized<yield::YieldResult>(
+        yieldKey(arch, options), "yield", ctx,
+        [&] { return yield::estimateYield(arch, options, ctx); },
+        encodeYieldResult,
+        [&](const std::vector<uint8_t> &blob, yield::YieldResult &r) {
+            return decodeYieldResult(blob, options, r);
+        });
 }
 
 design::FreqAllocResult
@@ -263,26 +217,14 @@ cachedAllocateFrequencies(const arch::Architecture &arch,
                           const design::FreqAllocOptions &options,
                           const exec::Context &ctx)
 {
-    Store &store = globalStore();
-    if (!store.options().enabled)
-        return design::allocateFrequencies(arch, options, ctx);
-
-    const Fingerprint key = freqAllocKey(arch, options);
-    const std::vector<uint8_t> blob = store.getOrCompute(
-        key,
-        [&] {
-            return encodeFreqAllocResult(
-                design::allocateFrequencies(arch, options, ctx));
-        },
-        ctx.token());
-    design::FreqAllocResult result;
-    if (decodeFreqAllocResult(blob, arch.numQubits(), result))
-        return result;
-    qpad_warn("cache: dropping undecodable freq-alloc record ",
-              key.hex());
-    result = design::allocateFrequencies(arch, options, ctx);
-    store.put(key, encodeFreqAllocResult(result));
-    return result;
+    return memoized<design::FreqAllocResult>(
+        freqAllocKey(arch, options), "freq-alloc", ctx,
+        [&] { return design::allocateFrequencies(arch, options, ctx); },
+        encodeFreqAllocResult,
+        [&](const std::vector<uint8_t> &blob,
+            design::FreqAllocResult &r) {
+            return decodeFreqAllocResult(blob, arch.numQubits(), r);
+        });
 }
 
 } // namespace qpad::cache

@@ -14,7 +14,6 @@
  *
  * The global store is configured from the environment on first use:
  *   QPAD_CACHE=0       disable memoization entirely
- *   QPAD_CACHE_DIR     enable the persistent on-disk log
  *   QPAD_CACHE_BYTES   in-memory LRU budget (default 64 MiB)
  * configureGlobalCache() overrides this programmatically (tests,
  * benches). Reconfiguration is not thread-safe against concurrent
@@ -25,6 +24,7 @@
 #define QPAD_CACHE_YIELD_CACHE_HH
 
 #include "cache/store.hh"
+#include "common/logging.hh"
 #include "design/freq_alloc.hh"
 #include "exec/context.hh"
 #include "yield/yield_sim.hh"
@@ -34,7 +34,7 @@ namespace qpad::cache
 
 /** Written by every yield, freq-alloc and DataPoint key where earlier
  * builds wrote their draw-order version (2 = the lane order), so
- * their persistent logs stay warm. */
+ * their keys stay the same. */
 inline constexpr uint8_t kDrawOrderByte = 2;
 
 /** The process-wide store (created from the environment on first
@@ -44,8 +44,34 @@ Store &globalStore();
 /** Replace the global store (tests/benches). */
 void configureGlobalCache(const CacheOptions &options);
 
-/** Counter snapshot of the global store. */
-StoreStats globalCacheStats();
+/**
+ * `compute` through the global store under `key`: concurrent
+ * identical requests compute once (Store::getOrCompute; `ctx` governs
+ * only this caller's wait), and a record that does not decode — a
+ * 128-bit key collision — is recomputed and overwritten, exactly as
+ * a plain miss would have been. A disabled cache falls straight
+ * through to `compute`. `what` names the record kind in the warning.
+ */
+template <class T, class Compute, class Encode, class Decode>
+T
+memoized(const Fingerprint &key, const char *what,
+         const exec::Context &ctx, const Compute &compute,
+         const Encode &encode, const Decode &decode)
+{
+    Store &store = globalStore();
+    if (!store.options().enabled)
+        return compute();
+    const std::vector<uint8_t> blob = store.getOrCompute(
+        key, [&] { return encode(compute()); }, ctx.token());
+    T value;
+    if (decode(blob, value))
+        return value;
+    qpad_warn("cache: dropping undecodable ", what, " record ",
+              key.hex());
+    value = compute();
+    store.put(key, encode(value));
+    return value;
+}
 
 /** Cache key of one estimateYield invocation (tagged, versioned). */
 Fingerprint yieldKey(const arch::Architecture &arch,

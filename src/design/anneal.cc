@@ -263,8 +263,6 @@ annealLayout(const profile::CouplingProfile &profile,
     // the classic annealer regardless of options.exec.
     const runtime::SeedSequence seeds(options.seed);
     std::vector<ChainResult> chains(options.restarts);
-    cache::Store &store = cache::globalStore();
-    const bool use_cache = store.options().enabled;
     // Guided sizing (grain 0): cache hits make finished chains ~free
     // while cold chains cost the full iteration budget, so restart
     // costs are heavily skewed on warm reruns; guided chunks plus
@@ -284,29 +282,22 @@ annealLayout(const profile::CouplingProfile &profile,
                 // Count (and span) only chains that actually anneal;
                 // cache-served chains are already visible as
                 // cache.hits.
-                static obs::Counter &chain_runs =
-                    obs::counter("design.anneal_chains");
-                std::vector<uint8_t> blob;
-                if (use_cache) {
-                    const cache::Fingerprint key =
-                        chainKey(profile, start, options, seed);
-                    if (store.get(key, blob) &&
-                        decodeChain(blob, n, chains[i]))
-                        continue;
-                    {
+                chains[i] = cache::memoized<ChainResult>(
+                    chainKey(profile, start, options, seed),
+                    "anneal-chain", ctx,
+                    [&] {
                         QPAD_SPAN("design.anneal_chain");
+                        static obs::Counter &chain_runs =
+                            obs::counter("design.anneal_chains");
                         chain_runs.add();
-                        chains[i] = annealChain(profile, start,
-                                                options, seed,
-                                                run_exec.cancel);
-                    }
-                    store.put(key, encodeChain(chains[i]));
-                    continue;
-                }
-                QPAD_SPAN("design.anneal_chain");
-                chain_runs.add();
-                chains[i] = annealChain(profile, start, options, seed,
-                                        run_exec.cancel);
+                        return annealChain(profile, start, options,
+                                           seed, run_exec.cancel);
+                    },
+                    encodeChain,
+                    [&](const std::vector<uint8_t> &blob,
+                        ChainResult &chain) {
+                        return decodeChain(blob, n, chain);
+                    });
             }
         });
 

@@ -80,8 +80,8 @@ designArchitecture(const profile::CouplingProfile &profile,
       case FreqScheme::Optimized:
         // Algorithm 3's candidate sweep dominates the flow's cost and
         // is a pure function of (topology, options): route it through
-        // the result cache so repeated designs (sweeps, re-runs with
-        // a warm on-disk cache) skip the Monte Carlo entirely.
+        // the result cache so repeated designs within a process
+        // skip the Monte Carlo entirely.
         outcome.freq =
             cache::cachedAllocateFrequencies(outcome.architecture,
                                              options.freq_options,

@@ -156,34 +156,6 @@ decodeDataPoint(const std::vector<uint8_t> &blob, std::string config,
 }
 
 /**
- * `compute` through the global cache under `key`: concurrent
- * identical requests compute once (dedup via Store::getOrCompute),
- * and a record that does not decode is recomputed and overwritten,
- * exactly as a plain miss would have been. A disabled cache falls
- * straight through to `compute`.
- */
-template <class T, class Compute, class Encode, class Decode>
-T
-memoized(const cache::Fingerprint &key, const char *what,
-         const exec::Context &ctx, const Compute &compute,
-         const Encode &encode, const Decode &decode)
-{
-    cache::Store &store = cache::globalStore();
-    if (!store.options().enabled)
-        return compute();
-    const std::vector<uint8_t> blob = store.getOrCompute(
-        key, [&] { return encode(compute()); }, ctx.token());
-    T value;
-    if (decode(blob, value))
-        return value;
-    qpad_warn("cache: dropping undecodable ", what, " record ",
-              key.hex());
-    value = compute();
-    store.put(key, encode(value));
-    return value;
-}
-
-/**
  * Run one data-point job through the global cache: a warm rerun
  * skips design, mapping, and yield entirely.
  */
@@ -192,7 +164,7 @@ memoizedPoint(const cache::Fingerprint &key, const std::string &config,
               const std::string &arch_name, const exec::Context &ctx,
               const std::function<DataPoint()> &compute)
 {
-    return memoized<DataPoint>(
+    return cache::memoized<DataPoint>(
         key, "data-point", ctx, compute, encodeDataPoint,
         [&](const std::vector<uint8_t> &blob, DataPoint &point) {
             return decodeDataPoint(blob, config, arch_name, point);
@@ -241,7 +213,7 @@ routingCounts(const Architecture &arch, const Circuit &circuit,
               const mapping::MappingOptions &options,
               const exec::Context &ctx)
 {
-    return memoized<RoutingCounts>(
+    return cache::memoized<RoutingCounts>(
         mappingKey(arch, circuit, options), "mapping", ctx,
         [&] {
             const mapping::MappingResult mapped =
@@ -507,29 +479,8 @@ runBenchmark(const benchmarks::BenchmarkInfo &info,
         });
 
     // Surface this run's activity in the report: the metrics delta
-    // carries every series the run moved, and the legacy cache_stats
-    // view is derived from its cache.* entries (counter deltas; the
-    // gauges report residency, which deltaSince keeps absolute).
+    // carries every series the run moved.
     experiment.metrics = obs::deltaSince(before);
-    const obs::Snapshot &delta = experiment.metrics;
-    experiment.cache_stats = cache::globalCacheStats();
-    experiment.cache_stats.hits =
-        uint64_t(obs::valueOf(delta, "cache.hits"));
-    experiment.cache_stats.misses =
-        uint64_t(obs::valueOf(delta, "cache.misses"));
-    experiment.cache_stats.inserts =
-        uint64_t(obs::valueOf(delta, "cache.inserts"));
-    experiment.cache_stats.evictions =
-        uint64_t(obs::valueOf(delta, "cache.evictions"));
-    experiment.cache_stats.lock_waits =
-        uint64_t(obs::valueOf(delta, "cache.lock_waits"));
-    experiment.cache_stats.lock_timeouts =
-        uint64_t(obs::valueOf(delta, "cache.lock_timeouts"));
-    experiment.cache_stats.compactions =
-        uint64_t(obs::valueOf(delta, "cache.compactions"));
-    experiment.cache_stats.persistence_lost =
-        uint64_t(obs::valueOf(delta, "cache.persistence_lost"));
-
     normalize(experiment);
     return experiment;
 }

@@ -13,7 +13,7 @@
 
 #include "arch/architecture.hh"
 #include "benchmarks/suite.hh"
-#include "cache/store.hh"
+#include "cache/fingerprint.hh"
 #include "design/design_flow.hh"
 #include "exec/context.hh"
 #include "mapping/sabre.hh"
@@ -84,20 +84,11 @@ struct BenchmarkExperiment
     std::vector<DataPoint> points;
 
     /**
-     * Result-cache activity attributable to this run: hit / miss /
-     * insert / eviction counters are the delta over the run, bytes
-     * and entries the global store's residency when it finished.
-     * All zero when the cache is disabled. Purely informational —
-     * the DataPoints themselves are bit-identical with and without
-     * the cache.
-     */
-    cache::StoreStats cache_stats{};
-
-    /**
      * Process-metrics delta over this run (obs::deltaSince of a
      * snapshot taken before the first job): every runtime.*, cache.*,
-     * design.*, yield.* and eval.* series the run moved. cache_stats
-     * above is derived from the cache.* entries of this delta.
+     * design.*, yield.* and eval.* series the run moved. Purely
+     * informational — the DataPoints themselves are bit-identical
+     * with and without the cache.
      */
     obs::Snapshot metrics;
 

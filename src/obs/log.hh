@@ -181,22 +181,6 @@ logError(const char *event, std::initializer_list<LogField> fields = {})
         logEvent(LogLevel::kError, event, fields);
 }
 
-/**
- * Emit a warn event at most once per `flag` (callers own the flag —
- * typically one per degradation condition per object, so "warn once,
- * keep serving" paths cannot flood the log under retry storms).
- * Returns true when this call was the one that emitted.
- */
-inline bool
-logWarnOnce(std::atomic<bool> &flag, const char *event,
-            std::initializer_list<LogField> fields = {})
-{
-    if (flag.exchange(true, std::memory_order_relaxed))
-        return false;
-    logWarn(event, fields);
-    return true;
-}
-
 /** The calling thread's request id (0 = outside any request). */
 inline uint64_t
 currentRequestId()

@@ -2,24 +2,25 @@
 # must equal its golden file byte for byte — <bench>.txt next to this
 # script for sec53 and fig9, and the benchmark's own reference CSV
 # (read in place) for the Figure 10 sweep under QPAD_FIG10_CSV=only.
-# Runs as the qpad_golden ctest; after a deliberate output change,
-# regenerate the .txt files from a built tree (and justify the change
-# in the commit):
+# Each bench runs twice, with the result cache on and with
+# QPAD_CACHE=0, and both runs must match the same file: cache-on is
+# bit-identical to cache-off. Runs as the qpad_golden ctest; after a
+# deliberate output change, regenerate the .txt files from a built
+# tree (and justify the change in the commit):
 #
 #   cmake -DBIN_DIR=build -DBLESS=ON -P tests/golden/golden.cmake
 #
-# BLESS skips the Figure 10 leg: perfbench/reference/ belongs to the
-# benchmark and changes only together with it. Every output is
-# timing-free and identical for every QPAD_THREADS.
+# BLESS writes the cache-on output and still checks the cache-off run
+# against it. It skips the Figure 10 leg: perfbench/reference/
+# belongs to the benchmark and changes only together with it. Every
+# output is timing-free and identical for every QPAD_THREADS.
 if(NOT BIN_DIR)
     message(FATAL_ERROR "pass -DBIN_DIR=<build directory>")
 endif()
 
-# check(<bench> <golden file> [VAR=value...]): run <bench> under
-# QPAD_FAST=1 plus the given environment and compare (or bless) its
-# stdout.
-function(check bench golden)
-    set(actual ${CMAKE_CURRENT_BINARY_DIR}/${bench}.golden.out)
+# run(<bench> <output file> [VAR=value...]): run <bench> under
+# QPAD_FAST=1 plus the given environment, stdout to <output file>.
+function(run bench actual)
     execute_process(
         COMMAND ${CMAKE_COMMAND} -E env QPAD_FAST=1 ${ARGN}
                 ${BIN_DIR}/${bench}
@@ -28,20 +29,36 @@ function(check bench golden)
     if(NOT rc EQUAL 0)
         message(FATAL_ERROR "${bench} exited with ${rc}")
     endif()
-    if(BLESS)
-        file(RENAME ${actual} ${golden})
-        message(STATUS "blessed ${golden}")
-        return()
-    endif()
+endfunction()
+
+# compare(<bench> <output file> <golden file> <leg>): fail unless the
+# output equals the golden file; a passing output is removed.
+function(compare bench actual golden leg)
     execute_process(
         COMMAND ${CMAKE_COMMAND} -E compare_files ${actual} ${golden}
         RESULT_VARIABLE differs)
     if(differs)
         message(FATAL_ERROR
-            "${bench}: QPAD_FAST stdout differs from the golden file; "
-            "see: diff ${actual} ${golden}")
+            "${bench} (${leg}): QPAD_FAST stdout differs from the "
+            "golden file; see: diff ${actual} ${golden}")
     endif()
     file(REMOVE ${actual})
+endfunction()
+
+# check(<bench> <golden file> [VAR=value...]): run <bench> with the
+# cache on and off, and compare (or bless, cache on) its stdout.
+function(check bench golden)
+    set(actual ${CMAKE_CURRENT_BINARY_DIR}/${bench}.golden.out)
+    run(${bench} ${actual} QPAD_CACHE=1 ${ARGN})
+    if(BLESS)
+        file(RENAME ${actual} ${golden})
+        message(STATUS "blessed ${golden}")
+    else()
+        compare(${bench} ${actual} ${golden} "cache on")
+    endif()
+    set(actual ${CMAKE_CURRENT_BINARY_DIR}/${bench}.cache-off.golden.out)
+    run(${bench} ${actual} QPAD_CACHE=0 ${ARGN})
+    compare(${bench} ${actual} ${golden} "QPAD_CACHE=0")
 endfunction()
 
 foreach(bench bench_sec53_overall bench_fig9_baselines)

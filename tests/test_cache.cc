@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for qpad::cache: fingerprint stability and sensitivity, the
- * sharded LRU store (memory and disk), and the cached front ends'
- * bit-identity and zero-recompute contracts.
+ * sharded LRU store, and the cached front ends' bit-identity and
+ * zero-recompute contracts. Cache traffic is read from the obs
+ * registry's cache.* series, the store's one source of statistics.
  */
 
 #include <gtest/gtest.h>
@@ -10,21 +11,20 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <filesystem>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "arch/ibm.hh"
-#include "arch/serialize.hh"
 #include "benchmarks/suite.hh"
 #include "cache/fingerprint.hh"
 #include "cache/store.hh"
 #include "cache/yield_cache.hh"
 #include "design/anneal.hh"
-#include "design/design_flow.hh"
 #include "eval/experiment.hh"
+#include "obs/metrics.hh"
 #include "profile/coupling.hh"
 #include "runtime/parallel.hh"
 #include "yield/yield_sim.hh"
@@ -33,7 +33,6 @@ namespace
 {
 
 using namespace qpad;
-namespace fs = std::filesystem;
 
 /** Fresh, memory-only global cache for one test. */
 void
@@ -44,14 +43,28 @@ freshGlobalCache(std::size_t max_bytes = 64ull << 20)
     cache::configureGlobalCache(options);
 }
 
-/** A unique scratch directory under the test temp dir. */
-std::string
-scratchDir(const std::string &name)
+/**
+ * How far the obs registry's cache.* series moved since construction.
+ * Counters and the residency gauges subtract alike, so a test sees
+ * its own traffic whatever other stores hold. Construct it after
+ * replacing the global store: the replaced store's residency leaves
+ * the gauges when it is destroyed.
+ */
+class CacheDelta
 {
-    const std::string dir = testing::TempDir() + "qpad_cache_" + name;
-    fs::remove_all(dir);
-    return dir;
-}
+  public:
+    CacheDelta() : before_(obs::snapshot()) {}
+
+    int64_t
+    operator()(std::string_view name) const
+    {
+        return int64_t(obs::valueOf(obs::snapshot(), name) -
+                       obs::valueOf(before_, name));
+    }
+
+  private:
+    obs::Snapshot before_;
+};
 
 cache::Fingerprint
 keyOf(uint64_t i)
@@ -163,9 +176,9 @@ TEST(Fingerprint, YieldKeyTracksOptionsButNotExec)
 
 TEST(Fingerprint, KeysMatchEarlierBuilds)
 {
-    // Captured from a build that still had a draw-order option: the
-    // keys must never move, or every existing persistent cache log
-    // goes cold.
+    // Captured from a build that still had a draw-order option: a
+    // key that moves is an encoding change, and must say so by
+    // bumping its domain tag instead.
     const auto arch = arch::ibm16Q(false);
     yield::YieldOptions yo;
     yo.trials = 1000;
@@ -178,36 +191,13 @@ TEST(Fingerprint, KeysMatchEarlierBuilds)
               "d749a5c2b33bd81855d96c7619c1b3d8");
 }
 
-TEST(Fingerprint, SerializeRoundTripPreservesFingerprint)
-{
-    // Generated architectures survive a JSON round trip with their
-    // cache identity intact — the invariant that lets exported
-    // designs re-enter a warm cache.
-    std::vector<arch::Architecture> archs = arch::ibmBaselines();
-
-    auto circuit = benchmarks::getBenchmark("sym6_145").generate();
-    profile::CouplingProfile prof = profile::profileCircuit(circuit);
-    design::DesignFlowOptions flow;
-    flow.freq_options.local_trials = 100;
-    flow.freq_options.refine_sweeps = 0;
-    archs.push_back(
-        design::designArchitecture(prof, flow, "eff-rt").architecture);
-
-    for (const arch::Architecture &a : archs) {
-        SCOPED_TRACE(a.name());
-        const arch::Architecture restored =
-            arch::fromJson(arch::toJson(a));
-        EXPECT_EQ(cache::fingerprintArchitecture(a),
-                  cache::fingerprintArchitecture(restored));
-    }
-}
-
 // --------------------------------------------------------------------
-// Store (memory)
+// Store
 // --------------------------------------------------------------------
 
 TEST(Store, PutGetAndCounters)
 {
+    const CacheDelta moved;
     cache::Store store;
     std::vector<uint8_t> blob;
     EXPECT_FALSE(store.get(keyOf(1), blob));
@@ -217,23 +207,23 @@ TEST(Store, PutGetAndCounters)
     ASSERT_TRUE(store.get(keyOf(1), blob));
     EXPECT_EQ(blob, payload);
 
-    const cache::StoreStats s = store.stats();
-    EXPECT_EQ(s.hits, 1u);
-    EXPECT_EQ(s.misses, 1u);
-    EXPECT_EQ(s.inserts, 1u);
-    EXPECT_EQ(s.entries, 1u);
-    EXPECT_GE(s.bytes, payload.size());
+    EXPECT_EQ(moved("cache.hits"), 1);
+    EXPECT_EQ(moved("cache.misses"), 1);
+    EXPECT_EQ(moved("cache.inserts"), 1);
+    EXPECT_EQ(moved("cache.entries"), 1);
+    EXPECT_GE(moved("cache.bytes"), int64_t(payload.size()));
 }
 
 TEST(Store, OverwriteKeepsOneEntry)
 {
+    const CacheDelta moved;
     cache::Store store;
     store.put(keyOf(9), std::vector<uint8_t>(10, 0xaa));
     store.put(keyOf(9), std::vector<uint8_t>(20, 0xbb));
     std::vector<uint8_t> blob;
     ASSERT_TRUE(store.get(keyOf(9), blob));
     EXPECT_EQ(blob, std::vector<uint8_t>(20, 0xbb));
-    EXPECT_EQ(store.stats().entries, 1u);
+    EXPECT_EQ(moved("cache.entries"), 1);
 }
 
 TEST(Store, LruEvictionRespectsBudgetAndRecency)
@@ -242,40 +232,31 @@ TEST(Store, LruEvictionRespectsBudgetAndRecency)
     cache::CacheOptions options;
     options.shards = 1;
     options.max_bytes = 2048;
+    const CacheDelta moved;
     cache::Store store(options);
 
     const std::vector<uint8_t> payload(100, 0x11);
     for (uint64_t i = 0; i < 10; ++i)
         store.put(keyOf(i), payload);
-    EXPECT_EQ(store.stats().evictions, 0u);
+    EXPECT_EQ(moved("cache.evictions"), 0);
 
     // Touch key 0 so key 1 is now the coldest, then overflow.
     std::vector<uint8_t> blob;
     ASSERT_TRUE(store.get(keyOf(0), blob));
     store.put(keyOf(10), payload);
 
-    EXPECT_GE(store.stats().evictions, 1u);
+    EXPECT_GE(moved("cache.evictions"), 1);
     EXPECT_TRUE(store.get(keyOf(0), blob)) << "recently used survives";
     EXPECT_FALSE(store.get(keyOf(1), blob)) << "coldest is evicted";
     EXPECT_TRUE(store.get(keyOf(10), blob));
-    EXPECT_LE(store.stats().bytes, options.max_bytes);
-}
-
-TEST(Store, ClearDropsEntriesKeepsCounters)
-{
-    cache::Store store;
-    store.put(keyOf(1), {1});
-    store.clear();
-    std::vector<uint8_t> blob;
-    EXPECT_FALSE(store.get(keyOf(1), blob));
-    EXPECT_EQ(store.stats().entries, 0u);
-    EXPECT_EQ(store.stats().inserts, 1u);
+    EXPECT_LE(moved("cache.bytes"), int64_t(options.max_bytes));
 }
 
 TEST(Store, ConcurrentAccessUnderThreadPool)
 {
     cache::CacheOptions options;
     options.shards = 8;
+    const CacheDelta moved;
     cache::Store store(options);
 
     constexpr uint64_t kKeys = 64;
@@ -302,9 +283,8 @@ TEST(Store, ConcurrentAccessUnderThreadPool)
         ASSERT_TRUE(store.get(keyOf(k), blob));
         EXPECT_EQ(blob, std::vector<uint8_t>(8 + k, uint8_t(k)));
     }
-    const cache::StoreStats s = store.stats();
-    EXPECT_EQ(s.entries, kKeys);
-    EXPECT_GE(s.inserts, kKeys);
+    EXPECT_EQ(moved("cache.entries"), int64_t(kKeys));
+    EXPECT_GE(moved("cache.inserts"), int64_t(kKeys));
 }
 
 // --------------------------------------------------------------------
@@ -316,6 +296,7 @@ TEST(StoreDedup, UncontendedOwnerPathMatchesReadThrough)
     // Without contention, getOrCompute must be counter-identical to
     // the classic get-miss / compute / put sequence, so the exact-
     // count assertions of the cached front-end tests keep holding.
+    const CacheDelta moved;
     cache::Store store;
     int computes = 0;
     const auto compute = [&] {
@@ -325,24 +306,23 @@ TEST(StoreDedup, UncontendedOwnerPathMatchesReadThrough)
     EXPECT_EQ(store.getOrCompute(keyOf(1), compute),
               (std::vector<uint8_t>{1, 2, 3}));
     EXPECT_EQ(computes, 1);
-    cache::StoreStats s = store.stats();
-    EXPECT_EQ(s.misses, 1u);
-    EXPECT_EQ(s.inserts, 1u);
-    EXPECT_EQ(s.hits, 0u);
-    EXPECT_EQ(s.dedup_waits, 0u);
+    EXPECT_EQ(moved("cache.misses"), 1);
+    EXPECT_EQ(moved("cache.inserts"), 1);
+    EXPECT_EQ(moved("cache.hits"), 0);
+    EXPECT_EQ(moved("cache.dedup_waits"), 0);
 
     EXPECT_EQ(store.getOrCompute(keyOf(1), compute),
               (std::vector<uint8_t>{1, 2, 3}));
     EXPECT_EQ(computes, 1) << "warm call must not recompute";
-    s = store.stats();
-    EXPECT_EQ(s.hits, 1u);
-    EXPECT_EQ(s.misses, 1u);
-    EXPECT_EQ(s.inserts, 1u);
-    EXPECT_EQ(s.dedup_waits, 0u);
+    EXPECT_EQ(moved("cache.hits"), 1);
+    EXPECT_EQ(moved("cache.misses"), 1);
+    EXPECT_EQ(moved("cache.inserts"), 1);
+    EXPECT_EQ(moved("cache.dedup_waits"), 0);
 }
 
 TEST(StoreDedup, ConcurrentIdenticalRequestsComputeExactlyOnce)
 {
+    const CacheDelta moved;
     cache::Store store;
     constexpr std::size_t kWaiters = 3;
     std::atomic<int> computes{0};
@@ -354,7 +334,8 @@ TEST(StoreDedup, ConcurrentIdenticalRequestsComputeExactlyOnce)
     const auto compute = [&] {
         ++computes;
         for (int spin = 0;
-             store.stats().dedup_waits < kWaiters && spin < 2000;
+             moved("cache.dedup_waits") < int64_t(kWaiters) &&
+             spin < 2000;
              ++spin)
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
         return std::vector<uint8_t>{7, 7};
@@ -378,13 +359,13 @@ TEST(StoreDedup, ConcurrentIdenticalRequestsComputeExactlyOnce)
         << "identical concurrent requests must share one computation";
     for (const auto &r : results)
         EXPECT_EQ(r, (std::vector<uint8_t>{7, 7}));
-    const cache::StoreStats s = store.stats();
-    EXPECT_EQ(s.inserts, 1u);
-    EXPECT_EQ(s.dedup_waits, kWaiters);
+    EXPECT_EQ(moved("cache.inserts"), 1);
+    EXPECT_EQ(moved("cache.dedup_waits"), int64_t(kWaiters));
 }
 
 TEST(StoreDedup, CancellingAWaiterNeverDisturbsTheOwner)
 {
+    const CacheDelta moved;
     cache::Store store;
     exec::CancelToken waiter_token;
     std::atomic<int> computes{0};
@@ -400,7 +381,7 @@ TEST(StoreDedup, CancellingAWaiterNeverDisturbsTheOwner)
             // rather than hanging it): the waiter's stop is its own
             // business.
             for (int spin = 0;
-                 store.stats().dedup_waits < 1 && spin < 2000; ++spin)
+                 moved("cache.dedup_waits") < 1 && spin < 2000; ++spin)
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(1));
             waiter_token.cancel();
@@ -440,6 +421,7 @@ TEST(StoreDedup, CancellingAWaiterNeverDisturbsTheOwner)
 
 TEST(StoreDedup, OwnerFailurePromotesAWaiter)
 {
+    const CacheDelta moved;
     cache::Store store;
     std::atomic<int> attempts{0};
     const auto key = keyOf(13);
@@ -450,7 +432,7 @@ TEST(StoreDedup, OwnerFailurePromotesAWaiter)
                 key,
                 [&]() -> std::vector<uint8_t> {
                     ++attempts;
-                    for (int spin = 0; store.stats().dedup_waits < 1 &&
+                    for (int spin = 0; moved("cache.dedup_waits") < 1 &&
                                        spin < 2000;
                          ++spin)
                         std::this_thread::sleep_for(
@@ -479,131 +461,6 @@ TEST(StoreDedup, OwnerFailurePromotesAWaiter)
 }
 
 // --------------------------------------------------------------------
-// Store (disk)
-// --------------------------------------------------------------------
-
-TEST(Store, DiskRoundTripAcrossInstances)
-{
-    const std::string dir = scratchDir("roundtrip");
-    cache::CacheOptions options;
-    options.dir = dir;
-
-    {
-        cache::Store writer(options);
-        for (uint64_t i = 0; i < 6; ++i)
-            writer.put(keyOf(i),
-                       std::vector<uint8_t>(5 + 3 * i, uint8_t(i + 1)));
-    } // writer closed: simulates the end of one process invocation
-
-    cache::Store reader(options);
-    const cache::StoreStats s = reader.stats();
-    EXPECT_EQ(s.disk_loaded, 6u);
-    EXPECT_EQ(s.disk_dropped, 0u);
-    std::vector<uint8_t> blob;
-    for (uint64_t i = 0; i < 6; ++i) {
-        ASSERT_TRUE(reader.get(keyOf(i), blob)) << "record " << i;
-        EXPECT_EQ(blob,
-                  std::vector<uint8_t>(5 + 3 * i, uint8_t(i + 1)));
-    }
-    fs::remove_all(dir);
-}
-
-TEST(Store, TornTailIsTruncatedNotFatal)
-{
-    const std::string dir = scratchDir("torn");
-    cache::CacheOptions options;
-    options.dir = dir;
-    const std::string path = dir + "/qpad_cache.qpc";
-
-    {
-        cache::Store writer(options);
-        for (uint64_t i = 0; i < 4; ++i)
-            writer.put(keyOf(i), std::vector<uint8_t>(32, uint8_t(i)));
-    }
-
-    // Rip 3 bytes off the last record, as a crash mid-append would.
-    const auto full_size = fs::file_size(path);
-    fs::resize_file(path, full_size - 3);
-
-    {
-        cache::Store reader(options);
-        const cache::StoreStats s = reader.stats();
-        EXPECT_EQ(s.disk_loaded, 3u);
-        EXPECT_EQ(s.disk_dropped, 1u);
-        std::vector<uint8_t> blob;
-        EXPECT_FALSE(reader.get(keyOf(3), blob));
-        ASSERT_TRUE(reader.get(keyOf(0), blob));
-        // The torn tail is gone; appends land on a clean file again.
-        reader.put(keyOf(7), std::vector<uint8_t>(16, 0x77));
-    }
-
-    cache::Store reopened(options);
-    EXPECT_EQ(reopened.stats().disk_loaded, 4u);
-    EXPECT_EQ(reopened.stats().disk_dropped, 0u);
-    std::vector<uint8_t> blob;
-    EXPECT_TRUE(reopened.get(keyOf(7), blob));
-    fs::remove_all(dir);
-}
-
-TEST(Store, CorruptPayloadIsDetectedByChecksum)
-{
-    const std::string dir = scratchDir("checksum");
-    cache::CacheOptions options;
-    options.dir = dir;
-    const std::string path = dir + "/qpad_cache.qpc";
-
-    {
-        cache::Store writer(options);
-        writer.put(keyOf(0), std::vector<uint8_t>(64, 0x42));
-    }
-
-    // Flip one payload byte in place (header 16 + fixed fields 28).
-    {
-        std::FILE *f = std::fopen(path.c_str(), "r+b");
-        ASSERT_NE(f, nullptr);
-        std::fseek(f, 16 + 28 + 10, SEEK_SET);
-        std::fputc(0x43, f);
-        std::fclose(f);
-    }
-
-    cache::Store reader(options);
-    EXPECT_EQ(reader.stats().disk_loaded, 0u);
-    EXPECT_EQ(reader.stats().disk_dropped, 1u);
-    std::vector<uint8_t> blob;
-    EXPECT_FALSE(reader.get(keyOf(0), blob));
-    fs::remove_all(dir);
-}
-
-TEST(Store, UnknownHeaderStartsFresh)
-{
-    const std::string dir = scratchDir("header");
-    cache::CacheOptions options;
-    options.dir = dir;
-    const std::string path = dir + "/qpad_cache.qpc";
-
-    {
-        cache::Store writer(options);
-        writer.put(keyOf(1), {1, 2, 3});
-    }
-    {
-        std::FILE *f = std::fopen(path.c_str(), "r+b");
-        ASSERT_NE(f, nullptr);
-        std::fputc('X', f); // clobber the magic
-        std::fclose(f);
-    }
-
-    cache::Store reader(options);
-    EXPECT_EQ(reader.stats().disk_loaded, 0u);
-    std::vector<uint8_t> blob;
-    EXPECT_FALSE(reader.get(keyOf(1), blob));
-    // And the store is usable/persistent again afterwards.
-    reader.put(keyOf(2), {9});
-    cache::Store reopened(options);
-    EXPECT_EQ(reopened.stats().disk_loaded, 1u);
-    fs::remove_all(dir);
-}
-
-// --------------------------------------------------------------------
 // Cached front ends
 // --------------------------------------------------------------------
 
@@ -619,6 +476,7 @@ expectSameYield(const yield::YieldResult &a, const yield::YieldResult &b)
 TEST(CachedYield, BitIdenticalToUncachedAndZeroRecompute)
 {
     freshGlobalCache();
+    const CacheDelta moved;
     auto arch = arch::ibm16Q(false);
     yield::YieldOptions options;
     options.trials = 3000;
@@ -628,24 +486,23 @@ TEST(CachedYield, BitIdenticalToUncachedAndZeroRecompute)
         cache::cachedEstimateYield(arch, options);
     expectSameYield(direct, miss);
 
-    cache::StoreStats s = cache::globalCacheStats();
-    EXPECT_EQ(s.hits, 0u);
-    EXPECT_EQ(s.misses, 1u);
-    EXPECT_EQ(s.inserts, 1u);
+    EXPECT_EQ(moved("cache.hits"), 0);
+    EXPECT_EQ(moved("cache.misses"), 1);
+    EXPECT_EQ(moved("cache.inserts"), 1);
 
     const yield::YieldResult hit =
         cache::cachedEstimateYield(arch, options);
     expectSameYield(direct, hit);
 
-    s = cache::globalCacheStats();
-    EXPECT_EQ(s.hits, 1u);
-    EXPECT_EQ(s.misses, 1u) << "warm lookup must not recompute";
-    EXPECT_EQ(s.inserts, 1u);
+    EXPECT_EQ(moved("cache.hits"), 1);
+    EXPECT_EQ(moved("cache.misses"), 1) << "warm lookup must not recompute";
+    EXPECT_EQ(moved("cache.inserts"), 1);
 }
 
 TEST(CachedYield, ConditionStatsVariantIsItsOwnKey)
 {
     freshGlobalCache();
+    const CacheDelta moved;
     auto arch = arch::ibm16Q(true);
     yield::YieldOptions options;
     options.trials = 1500;
@@ -657,7 +514,7 @@ TEST(CachedYield, ConditionStatsVariantIsItsOwnKey)
         cache::cachedEstimateYield(arch, options);
     const yield::YieldResult stats =
         cache::cachedEstimateYield(arch, stats_options);
-    EXPECT_EQ(cache::globalCacheStats().misses, 2u);
+    EXPECT_EQ(moved("cache.misses"), 2);
 
     // Same stream, same successes; only the tallies differ.
     EXPECT_EQ(plain.successes, stats.successes);
@@ -669,7 +526,7 @@ TEST(CachedYield, ConditionStatsVariantIsItsOwnKey)
     // Both variants replay from the cache, tallies included.
     expectSameYield(stats, cache::cachedEstimateYield(arch, stats_options));
     expectSameYield(plain, cache::cachedEstimateYield(arch, options));
-    EXPECT_EQ(cache::globalCacheStats().misses, 2u);
+    EXPECT_EQ(moved("cache.misses"), 2);
 }
 
 TEST(CachedYield, DisabledCachePassesThrough)
@@ -677,20 +534,23 @@ TEST(CachedYield, DisabledCachePassesThrough)
     cache::CacheOptions off;
     off.enabled = false;
     cache::configureGlobalCache(off);
+    const CacheDelta moved;
 
     auto arch = arch::ibm16Q(false);
     yield::YieldOptions options;
     options.trials = 500;
     expectSameYield(yield::estimateYield(arch, options),
                     cache::cachedEstimateYield(arch, options));
-    const cache::StoreStats s = cache::globalCacheStats();
-    EXPECT_EQ(s.hits + s.misses + s.inserts, 0u);
+    EXPECT_EQ(moved("cache.hits") + moved("cache.misses") +
+                  moved("cache.inserts"),
+              0);
     freshGlobalCache();
 }
 
 TEST(CachedFreqAlloc, BitIdenticalAndCached)
 {
     freshGlobalCache();
+    const CacheDelta moved;
     auto arch = arch::ibm16Q(true);
     design::FreqAllocOptions options;
     options.local_trials = 150;
@@ -710,9 +570,8 @@ TEST(CachedFreqAlloc, BitIdenticalAndCached)
     EXPECT_EQ(direct.order, hit.order);
     EXPECT_EQ(direct.local_scores, hit.local_scores);
 
-    const cache::StoreStats s = cache::globalCacheStats();
-    EXPECT_EQ(s.hits, 1u);
-    EXPECT_EQ(s.misses, 1u);
+    EXPECT_EQ(moved("cache.hits"), 1);
+    EXPECT_EQ(moved("cache.misses"), 1);
 
     // The allocator ignores pre-assigned frequencies, so a re-tuned
     // copy of the same topology must share the key.
@@ -726,6 +585,7 @@ TEST(CachedFreqAlloc, BitIdenticalAndCached)
 TEST(CachedAnneal, RestartChainsReplayFromCache)
 {
     freshGlobalCache();
+    const CacheDelta moved;
     auto circuit = benchmarks::getBenchmark("sym6_145").generate();
     profile::CouplingProfile prof = profile::profileCircuit(circuit);
     design::LayoutResult start = design::designLayout(prof);
@@ -736,15 +596,13 @@ TEST(CachedAnneal, RestartChainsReplayFromCache)
 
     const design::AnnealResult cold =
         design::annealLayout(prof, start, options);
-    cache::StoreStats s = cache::globalCacheStats();
-    EXPECT_EQ(s.misses, 3u) << "one key per chain";
-    EXPECT_EQ(s.inserts, 3u);
+    EXPECT_EQ(moved("cache.misses"), 3) << "one key per chain";
+    EXPECT_EQ(moved("cache.inserts"), 3);
 
     const design::AnnealResult warm =
         design::annealLayout(prof, start, options);
-    s = cache::globalCacheStats();
-    EXPECT_EQ(s.hits, 3u);
-    EXPECT_EQ(s.misses, 3u) << "warm rerun computes no chain";
+    EXPECT_EQ(moved("cache.hits"), 3);
+    EXPECT_EQ(moved("cache.misses"), 3) << "warm rerun computes no chain";
     EXPECT_EQ(warm.final_cost, cold.final_cost);
     EXPECT_EQ(warm.winning_chain, cold.winning_chain);
     EXPECT_EQ(warm.accepted_moves, cold.accepted_moves);
@@ -757,9 +615,8 @@ TEST(CachedAnneal, RestartChainsReplayFromCache)
     more.restarts = 5;
     const design::AnnealResult extended =
         design::annealLayout(prof, start, more);
-    s = cache::globalCacheStats();
-    EXPECT_EQ(s.hits, 6u);
-    EXPECT_EQ(s.misses, 5u) << "only the two new chains computed";
+    EXPECT_EQ(moved("cache.hits"), 6);
+    EXPECT_EQ(moved("cache.misses"), 5) << "only the two new chains computed";
 
     freshGlobalCache();
     const design::AnnealResult cold5 =
@@ -822,15 +679,15 @@ TEST(CachedExperiment, WarmRunIsBitIdenticalWithZeroYieldWork)
     const eval::BenchmarkExperiment cold =
         eval::runBenchmark(info, smallExperiment());
     expectSamePoints(uncached, cold);
-    EXPECT_GT(cold.cache_stats.misses, 0u);
+    EXPECT_GT(obs::valueOf(cold.metrics, "cache.misses"), 0.0);
 
     const eval::BenchmarkExperiment warm =
         eval::runBenchmark(info, smallExperiment());
     expectSamePoints(uncached, warm);
-    EXPECT_EQ(warm.cache_stats.misses, 0u)
+    EXPECT_EQ(obs::valueOf(warm.metrics, "cache.misses"), 0.0)
         << "a warm sweep performs zero estimateYield trial work";
-    EXPECT_GT(warm.cache_stats.hits, 0u);
-    EXPECT_EQ(warm.cache_stats.inserts, 0u);
+    EXPECT_GT(obs::valueOf(warm.metrics, "cache.hits"), 0.0);
+    EXPECT_EQ(obs::valueOf(warm.metrics, "cache.inserts"), 0.0);
     freshGlobalCache();
 }
 
@@ -840,6 +697,7 @@ TEST(CachedExperiment, AdaptiveEscalationStepsAreCached)
     // escalation; every escalation step must be served from the
     // cache on the second measurement.
     freshGlobalCache();
+    const CacheDelta moved;
     auto arch = arch::ibm20Q(true);
     auto circuit =
         benchmarks::getBenchmark("UCCSD_ansatz_8").generate();
@@ -850,17 +708,16 @@ TEST(CachedExperiment, AdaptiveEscalationStepsAreCached)
 
     const eval::DataPoint first =
         eval::measure("probe", arch, circuit, options);
-    const cache::StoreStats after_first = cache::globalCacheStats();
-    EXPECT_GT(after_first.misses, 1u) << "escalation ran and cached";
+    const int64_t first_misses = moved("cache.misses");
+    const int64_t first_hits = moved("cache.hits");
+    EXPECT_GT(first_misses, 1) << "escalation ran and cached";
 
     const eval::DataPoint second =
         eval::measure("probe", arch, circuit, options);
-    const cache::StoreStats after_second = cache::globalCacheStats();
     EXPECT_EQ(second.yield, first.yield);
     EXPECT_EQ(second.yield_trials, first.yield_trials);
-    EXPECT_EQ(after_second.misses, after_first.misses);
-    EXPECT_EQ(after_second.hits - after_first.hits,
-              after_first.misses);
+    EXPECT_EQ(moved("cache.misses"), first_misses);
+    EXPECT_EQ(moved("cache.hits") - first_hits, first_misses);
     freshGlobalCache();
 }
 

@@ -311,8 +311,8 @@ TEST(MappingMemo, KeyCoversRoutingInputsOnly)
 
 TEST(MappingMemo, KeyMatchesEarlierBuilds)
 {
-    // Captured when the key was introduced: it must never move, or
-    // the mapping records of every persistent cache log go cold.
+    // Captured when the key was introduced: a key that moves is an
+    // encoding change, and must say so by bumping its domain tag.
     circuit::Circuit circ(3, 3, "probe");
     circ.h(0);
     circ.cx(0, 2);

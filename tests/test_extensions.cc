@@ -1,15 +1,12 @@
 /**
  * @file
- * Tests for the Section 6 extensions: auxiliary routing qubits,
- * temporal profiling, and architecture JSON serialization.
+ * Tests for the Section 6 extensions: auxiliary routing qubits and
+ * temporal profiling.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
 #include "arch/ibm.hh"
-#include "arch/serialize.hh"
 #include "benchmarks/suite.hh"
 #include "design/auxiliary.hh"
 #include "design/design_flow.hh"
@@ -141,109 +138,6 @@ TEST(Temporal, EmptyCircuitIsHandled)
     EXPECT_EQ(prof.pairReuse(), 0.0);
     auto weighted = prof.weighted(0.5);
     EXPECT_EQ(weighted.total_two_qubit_gates, 0u);
-}
-
-// --------------------------------------------------------------------
-// Serialization
-// --------------------------------------------------------------------
-
-TEST(Serialize, RoundTripPreservesEverything)
-{
-    auto original = arch::ibm20Q(true);
-    auto restored = arch::fromJson(arch::toJson(original));
-    EXPECT_EQ(restored.name(), original.name());
-    ASSERT_EQ(restored.numQubits(), original.numQubits());
-    for (arch::PhysQubit q = 0; q < original.numQubits(); ++q) {
-        EXPECT_EQ(restored.layout().coord(q),
-                  original.layout().coord(q));
-        EXPECT_DOUBLE_EQ(restored.frequency(q), original.frequency(q));
-    }
-    EXPECT_EQ(restored.fourQubitBuses(), original.fourQubitBuses());
-    EXPECT_EQ(restored.edges(), original.edges());
-}
-
-TEST(Serialize, RoundTripWithoutFrequencies)
-{
-    arch::Architecture original(arch::Layout::grid(2, 3), "bare");
-    auto restored = arch::fromJson(arch::toJson(original));
-    EXPECT_FALSE(restored.frequenciesAssigned());
-    EXPECT_EQ(restored.numEdges(), original.numEdges());
-}
-
-TEST(Serialize, FileRoundTrip)
-{
-    auto original = arch::ibm16Q(true);
-    const std::string path = "/tmp/qpad_test_arch.json";
-    arch::saveArchitecture(original, path);
-    auto restored = arch::loadArchitecture(path);
-    EXPECT_EQ(restored.numEdges(), original.numEdges());
-    std::remove(path.c_str());
-}
-
-TEST(Serialize, RejectsMalformedInput)
-{
-    EXPECT_THROW(arch::fromJson("{"), std::runtime_error);
-    EXPECT_THROW(arch::fromJson("{\"zork\": 1}"), std::runtime_error);
-    EXPECT_THROW(
-        arch::fromJson(R"({"name":"x","qubits":[
-            {"id":0,"row":0,"col":0},{"id":2,"row":0,"col":1}],
-            "four_qubit_buses":[]})"),
-        std::runtime_error); // non-dense ids
-}
-
-TEST(Serialize, RejectsNonFiniteAndGarbageNumbers)
-{
-    // Frequencies feed the cache fingerprint: every accepted number
-    // must be a well-defined finite double.
-    auto arch_json = [](const std::string &freqs) {
-        return R"({"name":"x","qubits":[{"id":0,"row":0,"col":0}],
-                   "four_qubit_buses":[],"frequencies_ghz":[)" +
-               freqs + "]}";
-    };
-    // Overflow to +/-infinity.
-    EXPECT_THROW(arch::fromJson(arch_json("1e999")),
-                 std::runtime_error);
-    EXPECT_THROW(arch::fromJson(arch_json("-1e999")),
-                 std::runtime_error);
-    // NaN / inf literals are not numbers in this schema.
-    EXPECT_THROW(arch::fromJson(arch_json("nan")), std::runtime_error);
-    EXPECT_THROW(arch::fromJson(arch_json("inf")), std::runtime_error);
-    // Trailing garbage drawn from the numeric character set.
-    EXPECT_THROW(arch::fromJson(arch_json("5.0.1")),
-                 std::runtime_error);
-    EXPECT_THROW(arch::fromJson(arch_json("5.0e")),
-                 std::runtime_error);
-    EXPECT_THROW(arch::fromJson(arch_json("--5")), std::runtime_error);
-    // The error names the offending token and its offset.
-    try {
-        arch::fromJson(arch_json("1e999"));
-        FAIL() << "expected fromJson to reject 1e999";
-    } catch (const std::runtime_error &e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("1e999"), std::string::npos) << what;
-        EXPECT_NE(what.find("offset"), std::string::npos) << what;
-    }
-}
-
-TEST(Serialize, RejectsConstraintViolations)
-{
-    // Two buses on adjacent squares violate the prohibited condition
-    // and must be rejected at load time.
-    const char *bad = R"({
-      "name": "bad",
-      "qubits": [
-        {"id":0,"row":0,"col":0},{"id":1,"row":0,"col":1},
-        {"id":2,"row":0,"col":2},{"id":3,"row":1,"col":0},
-        {"id":4,"row":1,"col":1},{"id":5,"row":1,"col":2}],
-      "four_qubit_buses": [{"row":0,"col":0},{"row":0,"col":1}]
-    })";
-    EXPECT_THROW(arch::fromJson(bad), std::runtime_error);
-}
-
-TEST(Serialize, MissingFileFatal)
-{
-    EXPECT_THROW(arch::loadArchitecture("/nonexistent/a.json"),
-                 std::runtime_error);
 }
 
 } // namespace

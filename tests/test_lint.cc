@@ -45,7 +45,6 @@ extensions = [".cc", ".hh"]
 [rule.atomic-relaxed]
 [rule.metric-name]
 [rule.rawlog]
-[rule.raw-io]
 
 [rng]
 sanctioned = ["test.cc:sanctionedHelper"]
@@ -539,63 +538,6 @@ TEST(LintRawLog, JustifiedSuppressionSilencesTheSite)
         analyze("std::cerr << line; // qpad-lint: allow(rawlog) "
                 "\"the log sink itself\"\n");
     ASSERT_EQ(countRule(rep, "rawlog"), 1u);
-    EXPECT_EQ(unsuppressed(rep), 0u);
-}
-
-// --------------------------------------------------------------------
-// raw-io
-// --------------------------------------------------------------------
-
-TEST(LintRawIo, FiresOnRawFileCalls)
-{
-    EXPECT_EQ(countRule(analyze("FILE *f = fopen(p, \"ab\");\n"),
-                        "raw-io"),
-              1u);
-    EXPECT_EQ(
-        countRule(analyze("std::fwrite(buf, 1, n, f);\n"), "raw-io"),
-        1u);
-    EXPECT_EQ(countRule(analyze("std::fflush(f);\n"), "raw-io"), 1u);
-    EXPECT_EQ(countRule(analyze("fsync(fileno(f));\n"), "raw-io"),
-              1u);
-    EXPECT_EQ(
-        countRule(analyze("ftruncate(fd, off_t(end));\n"), "raw-io"),
-        1u);
-    EXPECT_EQ(countRule(analyze("flock(fd, LOCK_EX | LOCK_NB);\n"),
-                        "raw-io"),
-              1u);
-    EXPECT_EQ(countRule(analyze("std::rename(from, to);\n"),
-                        "raw-io"),
-              1u);
-    EXPECT_EQ(countRule(analyze("fs::resize_file(path, end, ec);\n"),
-                        "raw-io"),
-              1u);
-}
-
-TEST(LintRawIo, SilentOnShimsMembersCommentsAndStrings)
-{
-    // The fio shims themselves are differently named, so routing
-    // through them is invisible to the rule.
-    EXPECT_EQ(countRule(analyze("fault::fioWrite(\"cache.append\", "
-                                "f, buf, n);\n"),
-                        "raw-io"),
-              0u);
-    // Member calls are someone else's rename.
-    EXPECT_EQ(countRule(analyze("registry.rename(a, b);\n"),
-                        "raw-io"),
-              0u);
-    EXPECT_EQ(
-        countRule(analyze("// fwrite is banned here\n"
-                          "const char *s = \"fopen\";\n"),
-                  "raw-io"),
-        0u);
-}
-
-TEST(LintRawIo, JustifiedSuppressionSilencesTheSite)
-{
-    const FileReport rep =
-        analyze("std::fflush(f); // qpad-lint: allow(raw-io) "
-                "\"shutdown path outside the shim layer\"\n");
-    ASSERT_EQ(countRule(rep, "raw-io"), 1u);
     EXPECT_EQ(unsuppressed(rep), 0u);
 }
 

@@ -382,7 +382,6 @@ class RuleRunner
     void ruleAtomicOrder();
     void ruleMetricName();
     void ruleRawLog();
-    void ruleRawIo();
 };
 
 void
@@ -760,36 +759,6 @@ RuleRunner::ruleRawLog()
     }
 }
 
-void
-RuleRunner::ruleRawIo()
-{
-    // File I/O in the persistent cache must go through the
-    // fault::fio shims so every site is a named failpoint — a raw
-    // call is invisible to fault injection and skips the torn-write
-    // and crash-kill semantics the torture tests rely on. The set
-    // covers stdio, the POSIX durability/locking calls, and the
-    // filesystem mutations compaction performs.
-    static const std::set<std::string> calls = {
-        "fopen",     "freopen", "fread",   "fwrite", "fflush",
-        "fclose",    "fsync",   "fdatasync", "ftruncate", "flock",
-        "rename",    "remove",  "unlink",  "truncate", "resize_file"};
-    for (std::size_t i = 0; i < toks_.size(); ++i) {
-        const Token &tk = toks_[i];
-        if (tk.kind != Tok::kIdent || !calls.count(tk.text))
-            continue;
-        const Token *nx = at(i + 1);
-        const Token *pv = prev(i);
-        const bool member = pv && (isP(*pv, ".") || isP(*pv, "->"));
-        if (member || !nx || !isP(*nx, "("))
-            continue;
-        add("raw-io", tk.line,
-            "raw '" + tk.text +
-                "()' in the persistent cache: use the fault::fio "
-                "shims (fault/fio.hh) so the site is a named "
-                "failpoint, or justify the raw call");
-    }
-}
-
 std::vector<Finding>
 RuleRunner::run()
 {
@@ -809,8 +778,6 @@ RuleRunner::run()
         ruleMetricName();
     if (on("rawlog"))
         ruleRawLog();
-    if (on("raw-io"))
-        ruleRawIo();
     return std::move(findings_);
 }
 
