@@ -11,9 +11,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <mutex>
 #include <vector>
 
+#include "exec/cancel.hh"
 #include "obs/log.hh"
+#include "obs/trace.hh"
 
 namespace qpad::obs::flight
 {
@@ -39,15 +42,34 @@ struct Slot
     std::atomic<uint8_t> level{0};
 };
 
+/** A consistent copy of one published slot (false = empty slot or
+ * torn by a concurrent overwrite). */
+struct EventCopy
+{
+    uint64_t seq;
+    uint64_t ts_ns;
+    uint64_t rid;
+    const char *name;
+    char phase;
+    uint8_t level;
+    uint32_t tid;
+};
+
 struct Ring
 {
     std::atomic<uint64_t> head{0}; // next sequence number to write
     uint32_t tid = 0;
     Slot slots[kRingEvents];
+    // Trace-session drain state, guarded by the session mutex: the
+    // first index not yet drained (earlier ones are in `spill` or
+    // predate the session), and the session's span edges copied out
+    // before the ring overwrote them.
+    uint64_t drained = 0;
+    std::vector<EventCopy> spill;
 };
 
 /** Upper bound on recording threads; later threads still run, their
- * events just stay out of dumps. */
+ * events just stay out of dumps and trace files. */
 constexpr std::size_t kMaxRings = 512;
 
 std::atomic<Ring *> g_rings[kMaxRings];
@@ -60,6 +82,29 @@ std::atomic<bool> g_armed{false};
 std::atomic<bool> g_dumped{false};
 
 thread_local Ring *t_ring = nullptr;
+
+/**
+ * The trace session (startTracing/stopTracing). Leaked, so the
+ * at-exit stopTracing never meets a destroyed mutex. `active`, the
+ * path and every ring's drain state are read and written under
+ * `mutex` only; `g_tracing` is the recording hot path's hint that
+ * the mutex is worth taking.
+ */
+struct Session
+{
+    std::mutex mutex;
+    std::string path;
+    bool active = false;
+};
+
+Session &
+session()
+{
+    static Session *s = new Session;
+    return *s;
+}
+
+std::atomic<bool> g_tracing{false};
 
 /** First-use ring setup: the one allocation a thread ever pays.
  * Leaked deliberately — a crash handler must be able to walk rings
@@ -78,18 +123,18 @@ initRing()
     return ring;
 }
 
-/** A consistent copy of one published slot (false = empty slot or
- * torn by a concurrent overwrite). */
-struct EventCopy
+/** Visit every published ring. Threads past kMaxRings have no slot
+ * in g_rings, so dumps and trace files both leave them out. */
+template <class F>
+void
+forEachRing(F &&visit)
 {
-    uint64_t seq;
-    uint64_t ts_ns;
-    uint64_t rid;
-    const char *name;
-    char phase;
-    uint8_t level;
-    uint32_t tid;
-};
+    const uint32_t rings = std::min<uint32_t>(
+        g_ring_count.load(std::memory_order_acquire), kMaxRings);
+    for (uint32_t r = 0; r < rings; ++r)
+        if (Ring *ring = g_rings[r].load(std::memory_order_acquire))
+            visit(*ring);
+}
 
 bool
 readSlot(const Slot &slot, uint32_t tid, EventCopy &out)
@@ -106,6 +151,55 @@ readSlot(const Slot &slot, uint32_t tid, EventCopy &out)
     out.tid = tid;
     const uint64_t s2 = slot.seq.load(std::memory_order_acquire);
     return s1 == s2 && out.name != nullptr;
+}
+
+bool
+isSpanEdge(const EventCopy &e)
+{
+    return e.phase == 'B' || e.phase == 'E';
+}
+
+/** Append the ring's published events that `keep` accepts, in
+ * recording order. */
+template <class Keep>
+void
+appendRing(const Ring &ring, std::vector<EventCopy> &out, Keep keep)
+{
+    const std::size_t from = out.size();
+    for (const Slot &slot : ring.slots) {
+        EventCopy e;
+        if (readSlot(slot, ring.tid, e) && keep(e))
+            out.push_back(e);
+    }
+    std::sort(out.begin() + std::ptrdiff_t(from), out.end(),
+              [](const EventCopy &a, const EventCopy &b) {
+                  return a.seq < b.seq;
+              });
+}
+
+/**
+ * The owner's half of a trace session: index `end` is about to
+ * overwrite the ring-full [end - kRingEvents, end), so copy the span
+ * edges of it that belong to the session into the spill. Only the
+ * owner writes these slots, so every one reads back whole.
+ */
+void
+spill(Ring &ring, uint64_t end)
+{
+    if (ring.tid >= kMaxRings)
+        return; // never drained, so never spilled
+    Session &s = session();
+    std::lock_guard<std::mutex> lock(s.mutex);
+    if (!s.active || ring.drained >= end)
+        return; // no session, or it began after index `end`
+    for (uint64_t k = std::max(ring.drained, end - kRingEvents); k < end;
+         ++k) {
+        EventCopy e;
+        if (readSlot(ring.slots[k & (kRingEvents - 1)], ring.tid, e) &&
+            isSpanEdge(e))
+            ring.spill.push_back(e);
+    }
+    ring.drained = end;
 }
 
 void
@@ -147,6 +241,75 @@ appendEventJson(std::string &out, const EventCopy &e, uint64_t t0,
 constexpr char kHeader[] =
     "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
 constexpr char kFooter[] = "\n]}\n";
+
+/**
+ * The Chrome-trace writer of dumps and trace sessions: one event per
+ * line, each thread's events in recording order, ts in microseconds
+ * from the earliest event. Balanced replay: a stream may hold an 'E'
+ * whose 'B' was overwritten or predates the session, or a 'B' whose
+ * span is still open. The missing edges are synthesized (at the
+ * thread's first and last timestamps) so every stream nests.
+ */
+bool
+writeBalanced(const std::string &path,
+              const std::vector<std::vector<EventCopy>> &per_thread)
+{
+    uint64_t t0 = UINT64_MAX;
+    for (const auto &events : per_thread)
+        for (const EventCopy &e : events)
+            t0 = std::min(t0, e.ts_ns);
+    if (t0 == UINT64_MAX)
+        t0 = 0;
+
+    std::ofstream out(path, std::ios::trunc);
+    if (!out)
+        return false;
+    out << kHeader;
+    bool first = true;
+    std::string body;
+    for (const auto &events : per_thread) {
+        body.clear();
+        const uint64_t first_ts = events.front().ts_ns;
+        const uint64_t last_ts = events.back().ts_ns;
+        std::vector<EventCopy> opens; // synthetic leading 'B's
+        std::vector<EventCopy> stack; // currently open spans
+        for (const EventCopy &e : events) {
+            if (e.phase == 'B') {
+                stack.push_back(e);
+            } else if (e.phase == 'E') {
+                if (!stack.empty()) {
+                    stack.pop_back();
+                } else {
+                    EventCopy open = e;
+                    open.phase = 'B';
+                    open.ts_ns = first_ts;
+                    opens.push_back(open);
+                }
+            }
+        }
+        // Outermost synthetic open first: the last orphan close seen
+        // is the outermost span.
+        for (auto it = opens.rbegin(); it != opens.rend(); ++it) {
+            appendEventJson(body, *it, t0, first);
+            first = false;
+        }
+        for (const EventCopy &e : events) {
+            appendEventJson(body, e, t0, first);
+            first = false;
+        }
+        // Innermost unclosed span closes first (stack order).
+        for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
+            EventCopy close = *it;
+            close.phase = 'E';
+            close.ts_ns = last_ts;
+            appendEventJson(body, close, t0, first);
+            first = false;
+        }
+        out << body;
+    }
+    out << kFooter;
+    return bool(out);
+}
 
 // -----------------------------------------------------------------
 // Async-signal-safe path
@@ -214,7 +377,7 @@ nowNs()
 {
     return uint64_t(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
+            exec::now().time_since_epoch())
             .count());
 }
 
@@ -224,8 +387,15 @@ record(const char *name, char phase, uint8_t level)
     Ring *ring = t_ring;
     if (!ring)
         ring = initRing();
+    // seq_cst pairs with startTracing, which raises g_tracing before
+    // it reads the heads: a record that misses the raised flag took
+    // its index before the session's first one, so it has nothing to
+    // spill.
     const uint64_t i =
-        ring->head.fetch_add(1, std::memory_order_relaxed);
+        ring->head.fetch_add(1, std::memory_order_seq_cst);
+    if ((i & (kRingEvents - 1)) == 0 && i != 0 &&
+        g_tracing.load(std::memory_order_seq_cst))
+        spill(*ring, i);
     Slot &slot = ring->slots[i & (kRingEvents - 1)];
     slot.seq.store(0, std::memory_order_relaxed);
     slot.ts_ns.store(nowNs(), std::memory_order_relaxed);
@@ -273,110 +443,28 @@ dumpNow()
 bool
 dumpTo(const std::string &path)
 {
-    // Collect a consistent copy of every ring, newest kRingEvents
-    // per thread, ordered by each thread's sequence numbers.
-    const uint32_t rings = std::min<uint32_t>(
-        g_ring_count.load(std::memory_order_acquire), kMaxRings);
+    // A consistent copy of every ring, newest kRingEvents per thread,
+    // ordered by each thread's sequence numbers.
     std::vector<std::vector<EventCopy>> per_thread;
-    per_thread.reserve(rings);
-    for (uint32_t r = 0; r < rings; ++r) {
-        const Ring *ring =
-            g_rings[r].load(std::memory_order_acquire);
-        if (!ring)
-            continue;
+    forEachRing([&](const Ring &ring) {
         std::vector<EventCopy> events;
-        events.reserve(kRingEvents);
-        for (const Slot &slot : ring->slots) {
-            EventCopy e;
-            if (readSlot(slot, ring->tid, e))
-                events.push_back(e);
-        }
-        std::sort(events.begin(), events.end(),
-                  [](const EventCopy &a, const EventCopy &b) {
-                      return a.seq < b.seq;
-                  });
+        appendRing(ring, events, [](const EventCopy &) { return true; });
         if (!events.empty())
             per_thread.push_back(std::move(events));
-    }
-
-    uint64_t t0 = UINT64_MAX;
-    for (const auto &events : per_thread)
-        for (const EventCopy &e : events)
-            t0 = std::min(t0, e.ts_ns);
-    if (t0 == UINT64_MAX)
-        t0 = 0;
-
-    std::ofstream out(path, std::ios::trunc);
-    if (!out) {
-        logWarn("obs.flight_write_failed", {{"path", path}});
-        return false;
-    }
-    out << kHeader;
-    bool first = true;
-    std::string body;
-    for (const auto &events : per_thread) {
-        // Balanced replay: a ring that wrapped may retain an 'E'
-        // whose 'B' was overwritten, or a 'B' whose span is still
-        // open. Synthesize the missing edges (at the thread's first
-        // and last retained timestamps) so the stream nests.
-        body.clear();
-        const uint64_t first_ts = events.front().ts_ns;
-        const uint64_t last_ts = events.back().ts_ns;
-        std::vector<EventCopy> opens;   // synthetic leading 'B's
-        std::vector<EventCopy> stack;   // currently open spans
-        std::vector<EventCopy> ordered; // events in final order
-        for (const EventCopy &e : events) {
-            if (e.phase == 'B') {
-                stack.push_back(e);
-            } else if (e.phase == 'E') {
-                if (!stack.empty()) {
-                    stack.pop_back();
-                } else {
-                    EventCopy open = e;
-                    open.phase = 'B';
-                    open.ts_ns = first_ts;
-                    opens.push_back(open);
-                }
-            }
-            ordered.push_back(e);
-        }
-        // Outermost synthetic open first: the last orphan close seen
-        // is the outermost span.
-        for (auto it = opens.rbegin(); it != opens.rend(); ++it) {
-            appendEventJson(body, *it, t0, first);
-            first = false;
-        }
-        for (const EventCopy &e : ordered) {
-            appendEventJson(body, e, t0, first);
-            first = false;
-        }
-        // Innermost unclosed span closes first (stack order).
-        for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-            EventCopy close = *it;
-            close.phase = 'E';
-            close.ts_ns = last_ts;
-            appendEventJson(body, close, t0, first);
-            first = false;
-        }
-        out << body;
-    }
-    out << kFooter;
-    return bool(out);
+    });
+    if (writeBalanced(path, per_thread))
+        return true;
+    logWarn("obs.flight_write_failed", {{"path", path}});
+    return false;
 }
 
 void
 dumpSignalSafe(int fd)
 {
     writeAll(fd, kHeader, sizeof kHeader - 1);
-    const uint32_t rings = std::min<uint32_t>(
-        g_ring_count.load(std::memory_order_relaxed), kMaxRings);
     bool first = true;
-    for (uint32_t r = 0; r < rings; ++r) {
-        const Ring *ring =
-            g_rings[r].load(std::memory_order_relaxed);
-        if (!ring)
-            continue;
-        for (const Slot &slot : ring->slots) {
+    forEachRing([&](const Ring &ring) {
+        for (const Slot &slot : ring.slots) {
             const uint64_t seq =
                 slot.seq.load(std::memory_order_acquire);
             const char *name =
@@ -402,7 +490,7 @@ dumpSignalSafe(int fd)
             if (phase == 'L')
                 pos = append(buf, pos, ",\"s\":\"t\"");
             pos = append(buf, pos, ",\"pid\":1,\"tid\":");
-            pos += fmtU64(buf + pos, ring->tid);
+            pos += fmtU64(buf + pos, ring.tid);
             pos = append(buf, pos, ",\"ts\":");
             pos += fmtU64(
                 buf + pos,
@@ -417,25 +505,92 @@ dumpSignalSafe(int fd)
             pos = append(buf, pos, "}");
             writeAll(fd, buf, pos);
         }
-    }
+    });
     writeAll(fd, kFooter, sizeof kFooter - 1);
+}
+
+} // namespace qpad::obs::flight
+
+namespace qpad::obs
+{
+
+bool
+tracingEnabled()
+{
+    return flight::g_tracing.load(std::memory_order_relaxed);
+}
+
+bool
+startTracing(const std::string &path)
+{
+    flight::Session &s = flight::session();
+    std::lock_guard<std::mutex> lock(s.mutex);
+    if (s.active)
+        return false;
+    s.active = true;
+    s.path = path;
+    // Raise the flag before reading the heads (see flight::record).
+    flight::g_tracing.store(true, std::memory_order_seq_cst);
+    flight::forEachRing([](flight::Ring &ring) {
+        ring.drained = ring.head.load(std::memory_order_seq_cst);
+    });
+    return true;
+}
+
+void
+stopTracing()
+{
+    std::vector<std::vector<flight::EventCopy>> per_thread;
+    std::string path;
+    {
+        flight::Session &s = flight::session();
+        std::lock_guard<std::mutex> lock(s.mutex);
+        if (!s.active)
+            return;
+        s.active = false;
+        path.swap(s.path);
+        // Each ring's spill, then its undrained tail [drained, head):
+        // the flag is still up, so an owner about to overwrite the
+        // tail blocks on this mutex first.
+        flight::forEachRing([&](flight::Ring &ring) {
+            std::vector<flight::EventCopy> events;
+            events.swap(ring.spill);
+            const uint64_t head =
+                ring.head.load(std::memory_order_seq_cst);
+            flight::appendRing(
+                ring, events, [&](const flight::EventCopy &e) {
+                    return e.seq > ring.drained && e.seq <= head &&
+                           flight::isSpanEdge(e);
+                });
+            if (!events.empty())
+                per_thread.push_back(std::move(events));
+        });
+        flight::g_tracing.store(false, std::memory_order_seq_cst);
+    }
+    if (!flight::writeBalanced(path, per_thread))
+        logWarn("obs.trace_write_failed", {{"path", path}});
 }
 
 namespace
 {
 
-/** Reads QPAD_FLIGHT once at static init (env is set before main)
- * and arms the recorder. */
-struct FlightEnvInit
+/** Reads QPAD_FLIGHT and QPAD_TRACE once at static init (env is set
+ * before main). The trace file is written at exit; rings outlive
+ * their threads, so it holds the spans of pool workers joined
+ * before then too. */
+struct EnvInit
 {
-    FlightEnvInit()
+    EnvInit()
     {
-        const char *path = std::getenv("QPAD_FLIGHT");
-        if (path && *path)
-            arm(path);
+        const char *dump = std::getenv("QPAD_FLIGHT");
+        if (dump && *dump)
+            flight::arm(dump);
+        const char *trace = std::getenv("QPAD_TRACE");
+        if (trace && *trace && startTracing(trace))
+            std::atexit([] { stopTracing(); });
     }
-} g_flight_env_init;
+} g_env_init;
 
 } // namespace
 
-} // namespace qpad::obs::flight
+} // namespace qpad::obs

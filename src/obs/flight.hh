@@ -2,17 +2,25 @@
  * @file
  * Always-on flight recorder: a fixed-size per-thread ring of recent
  * span edges and log events, dumpable as Chrome trace-event JSON
- * when something goes wrong.
+ * when something goes wrong. It is the one place a span edge is
+ * recorded.
  *
- * Unlike the opt-in tracer (obs/trace.hh), the recorder never turns
- * off: every QPAD_SPAN begin/end and every emitted log event lands
- * in the calling thread's ring, overwriting the oldest entry once
- * the ring is full. The hot path is relaxed atomic stores plus one
- * release publish into preallocated slots — no locks, no allocation
- * (the 32 KiB ring itself is allocated once per thread on first use
- * and leaked so a crash handler can still read it after thread
- * exit). Recording never feeds back into any computation: results
- * are byte-identical with the recorder armed or not.
+ * The recorder never turns off: every QPAD_SPAN begin/end and every
+ * emitted log event lands in the calling thread's ring, overwriting
+ * the oldest entry once the ring is full. The hot path is relaxed
+ * atomic stores plus one release publish into preallocated slots —
+ * no locks, no allocation (the ring itself is allocated once per
+ * thread on first use and leaked so a crash handler can still read
+ * it after thread exit). Recording never feeds back into any
+ * computation: results are byte-identical with the recorder armed
+ * or not.
+ *
+ * A trace session (obs/trace.hh) drains the rings: while one is
+ * active, a thread about to overwrite its oldest ring-full first
+ * copies the span edges in it into a per-ring spill under the
+ * session mutex, so a session keeps every edge however long it
+ * runs. That copy, once per kRingEvents records and only during a
+ * session, is the only lock or allocation a warm thread takes.
  *
  * Dump triggers:
  *   - QPAD_FLIGHT=<path> arms the recorder: the rings are dumped to
@@ -45,14 +53,15 @@ namespace qpad::obs::flight
 /** Events retained per thread (power of two; 32 KiB of slots). */
 constexpr std::size_t kRingEvents = 1024;
 
-/** Monotonic nanoseconds (steady clock); shared by log timestamps. */
+/** Monotonic nanoseconds (exec::now()); shared by log timestamps. */
 uint64_t nowNs();
 
 /**
  * Record one event into the calling thread's ring. `phase` is 'B' /
  * 'E' for span edges, 'L' for a log event (with `level` carrying its
  * obs::LogLevel). `name` must be a string literal. Zero-alloc and
- * lock-free after the thread's first call.
+ * lock-free after the thread's first call while no trace session
+ * is active.
  */
 void record(const char *name, char phase, uint8_t level = 0);
 

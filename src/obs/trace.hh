@@ -1,34 +1,40 @@
 /**
  * @file
- * RAII span tracer with Chrome trace-event JSON output.
+ * RAII spans and trace sessions with Chrome trace-event JSON output.
  *
  * Usage: `QPAD_SPAN("yield.estimate");` opens a span that closes at
  * scope exit. Spans nest naturally (they are stack objects) and
- * carry the recording thread's id, so the flushed file renders as a
+ * carry the recording thread's id, so a trace file renders as a
  * per-thread flame graph in chrome://tracing or Perfetto
  * (https://ui.perfetto.dev, "Open trace file").
  *
- * Cost contract: every span edge lands in the always-on flight
- * recorder ring (obs/flight.hh: one clock read plus relaxed stores
- * into a preallocated per-thread slot — no locks, no allocation);
- * with tracing disabled — the default — that is ALL a span costs
- * beyond one relaxed load and a branch. Enabled spans additionally
- * push an event into a per-thread trace buffer (one uncontended
- * mutex each). Inside an exec::RequestScope both records carry the
- * request id. Tracing never feeds back into any computation: results
- * are bit-identical with tracing on or off, and the test suite pins
- * that invariant.
+ * Cost contract: a span edge is one write into the calling thread's
+ * flight recorder ring (obs/flight.hh: one clock read plus relaxed
+ * stores into a preallocated slot — no locks, no allocation once the
+ * thread is warm), with or without a trace session. Inside an
+ * exec::RequestScope the edge carries the request id. Spans never
+ * feed back into any computation: results are bit-identical with
+ * tracing on or off, and the test suite pins that invariant.
  *
- * Enable with QPAD_TRACE=<path> (flushed at process exit) or
+ * A trace session is a drain of the rings. While one is active, a
+ * thread about to overwrite its oldest ring-full first copies the
+ * span edges in it out (under the session mutex, once per
+ * flight::kRingEvents edges); stopTracing() writes those copies plus
+ * each ring's unspilled tail. Files hold span edges only, per thread
+ * id, and always nest: an edge whose partner lies outside the
+ * session gets a synthetic partner at the thread's first or last
+ * timestamp. Threads past the recorder's ring limit stay out of
+ * trace files as they stay out of flight dumps.
+ *
+ * Enable with QPAD_TRACE=<path> (written at process exit) or
  * programmatically with startTracing()/stopTracing(). Span names
- * must be string literals (or otherwise outlive the trace session):
- * the tracer stores the pointer, never a copy.
+ * must be string literals: the ring stores the pointer, never a
+ * copy.
  */
 
 #ifndef QPAD_OBS_TRACE_HH
 #define QPAD_OBS_TRACE_HH
 
-#include <atomic>
 #include <string>
 
 #include "obs/flight.hh"
@@ -36,23 +42,8 @@
 namespace qpad::obs
 {
 
-namespace detail
-{
-
-/** The one hot-path flag: set only by start/stopTracing. */
-inline std::atomic<bool> g_tracing{false};
-
-/** Append a begin ('B') or end ('E') event for the calling thread.
- * `name` must outlive the trace session (string literal). */
-void recordEvent(const char *name, char phase);
-
-} // namespace detail
-
-inline bool
-tracingEnabled()
-{
-    return detail::g_tracing.load(std::memory_order_relaxed);
-}
+/** Is a trace session active? */
+bool tracingEnabled();
 
 /** RAII scope; prefer the QPAD_SPAN macro. */
 class Span
@@ -61,41 +52,28 @@ class Span
     explicit Span(const char *name) : name_(name)
     {
         flight::record(name, 'B');
-        if (tracingEnabled()) {
-            traced_ = true;
-            detail::recordEvent(name, 'B');
-        }
     }
 
-    ~Span()
-    {
-        flight::record(name_, 'E');
-        // A span that began traced is always closed, even if tracing
-        // was toggled meanwhile, so flushed streams stay balanced.
-        if (traced_)
-            detail::recordEvent(name_, 'E');
-    }
+    ~Span() { flight::record(name_, 'E'); }
 
     Span(const Span &) = delete;
     Span &operator=(const Span &) = delete;
 
   private:
     const char *name_;
-    bool traced_ = false;
 };
 
 /**
- * Begin a trace session writing to `path` on stopTracing(). Clears
- * any events buffered from a previous session. Returns false (and
+ * Begin a trace session writing to `path` on stopTracing(). Only
+ * span edges recorded from now on belong to it. Returns false (and
  * changes nothing) if a session is already active.
  */
 bool startTracing(const std::string &path);
 
 /**
- * End the session: disable recording, gather every thread's buffer,
- * and write the Chrome trace-event JSON file. No-op when no session
- * is active. Close all spans before calling (an open span's end
- * event would be dropped, unbalancing the next session's file).
+ * End the session and write its span edges as Chrome trace-event
+ * JSON, balanced per thread. No-op when no session is active. Safe
+ * while other threads still record.
  */
 void stopTracing();
 

@@ -16,14 +16,11 @@ namespace qpad::runtime::detail
 namespace
 {
 
-using clock = std::chrono::steady_clock;
-
+/** Idle and duration accounting; feeds metrics only. */
 double
-secondsSince(clock::time_point t0)
+secondsSince(exec::TimePoint t0)
 {
-    // qpad-lint: allow(no-wallclock) "idle/duration accounting only;
-    // feeds metrics and never steers scheduling or results"
-    return std::chrono::duration<double>(clock::now() - t0).count();
+    return std::chrono::duration<double>(exec::now() - t0).count();
 }
 
 /** Fold one completed region into the process metrics registry. */
@@ -92,9 +89,7 @@ RegionState::runAs(std::size_t id)
     for (;;) {
         std::size_t c = deques_[id]->take();
         if (c == ChunkDeque::kEmpty) {
-            // qpad-lint: allow(no-wallclock) "idle-time accounting
-            // for runtime.region_idle_seconds; observability only"
-            const auto idle_begin = clock::now();
+            const exec::TimePoint idle_begin = exec::now();
             c = stealLoop(id, rng_state);
             idle_ns += uint64_t(secondsSince(idle_begin) * 1e9);
             if (c == ChunkDeque::kEmpty)
@@ -291,9 +286,7 @@ runRegion(std::size_t chunks, std::size_t threads, bool guided,
                 "runRegion caller must pre-clamp the runner count");
     obs::ScopedRequestId rid_scope(request_id);
     QPAD_SPAN("runtime.region");
-    // qpad-lint: allow(no-wallclock) "region duration metric only;
-    // never steers scheduling or results"
-    const auto region_begin = clock::now();
+    const exec::TimePoint region_begin = exec::now();
     auto region = std::make_shared<RegionState>(
         threads, chunks, std::move(run_chunk), cancel, request_id);
 
@@ -333,9 +326,7 @@ runRegion(std::size_t chunks, std::size_t threads, bool guided,
     // runAs/waitDone until the region completes.
     ThreadPool::global().dispatchRegion(region, threads - 1);
     region->runAs(0);
-    // qpad-lint: allow(no-wallclock) "caller wait time feeds the
-    // idle metric only"
-    const auto wait_begin = std::chrono::steady_clock::now();
+    const exec::TimePoint wait_begin = exec::now();
     region->waitDone();
     region->recordIdle(secondsSince(wait_begin));
 

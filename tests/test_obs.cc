@@ -388,6 +388,7 @@ TEST(Trace, DisabledSpanDoesNotAllocate)
 {
     if (obs::tracingEnabled())
         GTEST_SKIP() << "QPAD_TRACE is set; disabled path not active";
+    { QPAD_SPAN("obs.test_warmup"); } // allocates this thread's ring
     const uint64_t before = g_allocs.load(std::memory_order_relaxed);
     for (int i = 0; i < 1000; ++i) {
         QPAD_SPAN("obs.test_disabled");
@@ -538,6 +539,128 @@ TEST(Trace, SessionsDoNotLeakEventsIntoEachOther)
 
     for (const ParsedEvent &e : parseTrace(second))
         EXPECT_EQ(e.name, "obs.test_second");
+}
+
+/** Stack-replay each tid's stream: every E closes the innermost open
+ * B of the same name, and every stream ends empty. */
+void
+expectNestedPerThread(const std::vector<ParsedEvent> &events)
+{
+    std::map<int, std::vector<std::string>> stacks;
+    for (const ParsedEvent &e : events) {
+        ASSERT_TRUE(e.phase == 'B' || e.phase == 'E') << e.phase;
+        auto &stack = stacks[e.tid];
+        if (e.phase == 'B') {
+            stack.push_back(e.name);
+        } else {
+            ASSERT_FALSE(stack.empty()) << e.name;
+            ASSERT_EQ(stack.back(), e.name);
+            stack.pop_back();
+        }
+    }
+    for (const auto &[tid, stack] : stacks)
+        EXPECT_TRUE(stack.empty()) << "unclosed span on tid " << tid;
+}
+
+/** Number of `phase` edges named `name`. */
+std::size_t
+countEdges(const std::vector<ParsedEvent> &events, const std::string &name,
+           char phase)
+{
+    std::size_t n = 0;
+    for (const ParsedEvent &e : events)
+        n += e.name == name && e.phase == phase;
+    return n;
+}
+
+TEST(Trace, SessionLongerThanTheRingKeepsEveryEdge)
+{
+    if (obs::tracingEnabled())
+        GTEST_SKIP() << "QPAD_TRACE is set; session already active";
+    // Two ring entries per span: the worker's ring wraps six times
+    // inside the session.
+    const std::size_t spans = 3 * obs::flight::kRingEvents + 7;
+    const std::string path = tracePath("long_session");
+    ASSERT_TRUE(obs::startTracing(path));
+    std::thread worker([spans] {
+        QPAD_SPAN("obs.test_long_outer");
+        for (std::size_t i = 0; i < spans; ++i) {
+            QPAD_SPAN("obs.test_long_span");
+        }
+    });
+    worker.join();
+    obs::stopTracing();
+
+    const std::vector<ParsedEvent> events = parseTrace(path);
+    expectNestedPerThread(events);
+    EXPECT_EQ(countEdges(events, "obs.test_long_outer", 'B'), 1u);
+    EXPECT_EQ(countEdges(events, "obs.test_long_outer", 'E'), 1u);
+    EXPECT_EQ(countEdges(events, "obs.test_long_span", 'B'), spans);
+    EXPECT_EQ(countEdges(events, "obs.test_long_span", 'E'), spans);
+    EXPECT_EQ(events.size(), 2 * (spans + 1));
+}
+
+TEST(Trace, SpansStraddlingTheSessionStillBalance)
+{
+    if (obs::tracingEnabled())
+        GTEST_SKIP() << "QPAD_TRACE is set; session already active";
+    const std::string path = tracePath("straddle");
+    {
+        QPAD_SPAN("obs.test_straddle_before"); // closes in the session
+        ASSERT_TRUE(obs::startTracing(path));
+        QPAD_SPAN("obs.test_straddle_inside");
+    }
+    {
+        QPAD_SPAN("obs.test_straddle_after"); // still open at the stop
+        obs::stopTracing();
+    }
+
+    const std::vector<ParsedEvent> events = parseTrace(path);
+    expectNestedPerThread(events);
+    for (const char *name :
+         {"obs.test_straddle_inside", "obs.test_straddle_after"}) {
+        EXPECT_EQ(countEdges(events, name, 'B'), 1u) << name;
+        EXPECT_EQ(countEdges(events, name, 'E'), 1u) << name;
+    }
+}
+
+TEST(Trace, StopWhileAnotherThreadRecords)
+{
+    if (obs::tracingEnabled())
+        GTEST_SKIP() << "QPAD_TRACE is set; session already active";
+    const std::string path = tracePath("stop_while_recording");
+    std::atomic<bool> done{false};
+    std::atomic<std::size_t> iterations{0};
+    auto waitFor = [&](std::size_t n) {
+        while (iterations.load(std::memory_order_acquire) < n)
+            std::this_thread::yield();
+    };
+    ASSERT_TRUE(obs::startTracing(path));
+    std::thread worker([&] {
+        while (!done.load(std::memory_order_acquire)) {
+            QPAD_SPAN("obs.test_busy_outer");
+            QPAD_SPAN("obs.test_busy_inner");
+            iterations.fetch_add(1, std::memory_order_release);
+        }
+    });
+    // Four edges per iteration: the ring wraps inside the session,
+    // and again after it.
+    waitFor(obs::flight::kRingEvents);
+    obs::stopTracing();
+    waitFor(iterations.load(std::memory_order_acquire) +
+            obs::flight::kRingEvents);
+    done.store(true, std::memory_order_release);
+    worker.join();
+
+    const std::vector<ParsedEvent> events = parseTrace(path);
+    std::size_t begins = 0, ends = 0;
+    for (const ParsedEvent &e : events) {
+        begins += e.phase == 'B';
+        ends += e.phase == 'E';
+    }
+    EXPECT_GT(begins, 0u);
+    EXPECT_EQ(begins, ends);
+    expectNestedPerThread(events);
 }
 
 // --------------------------------------------------------------------

@@ -52,8 +52,8 @@ struct Config
     /** "file-basename:function" pairs allowed to draw from Rng. */
     std::vector<std::string> sanctioned;
     /** "file-basename:function" pairs allowed to read the clock
-     * (the exec::now() deadline helper; everything else must go
-     * through it or src/obs/). */
+     * (the exec::now() helper; everything else must go through
+     * it). */
     std::vector<std::string> wallclock_sanctioned;
 
     bool ok = false;

@@ -450,8 +450,8 @@ RuleRunner::ruleNoWallclock()
                 continue;
             add("no-wallclock", tk.line,
                 "'" + tk.text +
-                    "::now()' outside src/obs/ and bench/: wall-clock "
-                    "time must never feed computation");
+                    "::now()' outside exec::now() and bench/: "
+                    "wall-clock time must never feed computation");
             continue;
         }
         const bool member = pv && (isP(*pv, ".") || isP(*pv, "->"));
@@ -459,8 +459,8 @@ RuleRunner::ruleNoWallclock()
             !sanctioned(i))
             add("no-wallclock", tk.line,
                 "'" + tk.text +
-                    "()' outside src/obs/ and bench/: wall-clock time "
-                    "must never feed computation");
+                    "()' outside exec::now() and bench/: wall-clock "
+                    "time must never feed computation");
     }
 }
 

@@ -8,8 +8,8 @@
  *   no-rand               ambient entropy (std::rand, srand,
  *                         random_device, drand48, rand_r)
  *   no-wallclock          wall-clock reads (time(), clock::now(),
- *                         gettimeofday, ...) outside the
- *                         observability layer and benches
+ *                         gettimeofday, ...) outside the sanctioned
+ *                         exec::now() helper and benches
  *   no-uninit             uninitialized-read idioms in compute paths
  *                         (malloc/realloc/alloca, raw new T[n] of
  *                         arithmetic type)
