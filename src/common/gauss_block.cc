@@ -1,13 +1,7 @@
 #include "common/gauss_block.hh"
 
 #include "common/rng.hh"
-
-#ifdef __AVX2__
-#include <immintrin.h>
-#else
-#include <bit>
-#include <cmath>
-#endif
+#include "common/vec8.hh"
 
 namespace qpad
 {
@@ -15,464 +9,9 @@ namespace qpad
 namespace
 {
 
-constexpr std::size_t kL = GaussianBlockSampler::kLanes;
+using namespace vec8;
 
-// --------------------------------------------------------------------
-// 8-wide vector backend. Exactly one implementation of every
-// arithmetic op per build: AVX2 intrinsics with -mavx2, a portable
-// lane loop otherwise. Every op is an IEEE-754 correctly-rounded
-// primitive (or an exact bit/integer operation), and the shared
-// transform bodies below apply them in one fixed order, so the two
-// backends produce bit-identical streams. This file is compiled
-// with -ffp-contract=off (see CMakeLists.txt): a fused
-// multiply-add would round differently and break the cross-build
-// contract.
-// --------------------------------------------------------------------
-
-#ifdef __AVX2__
-
-struct VecD
-{
-    __m256d lo, hi;
-};
-
-struct VecU
-{
-    __m256i lo, hi;
-};
-
-inline VecD
-splat(double x)
-{
-    return {_mm256_set1_pd(x), _mm256_set1_pd(x)};
-}
-
-inline VecU
-splatU(uint64_t x)
-{
-    const __m256i v = _mm256_set1_epi64x(int64_t(x));
-    return {v, v};
-}
-
-inline VecD
-vadd(VecD a, VecD b)
-{
-    return {_mm256_add_pd(a.lo, b.lo), _mm256_add_pd(a.hi, b.hi)};
-}
-
-inline VecD
-vsub(VecD a, VecD b)
-{
-    return {_mm256_sub_pd(a.lo, b.lo), _mm256_sub_pd(a.hi, b.hi)};
-}
-
-inline VecD
-vmul(VecD a, VecD b)
-{
-    return {_mm256_mul_pd(a.lo, b.lo), _mm256_mul_pd(a.hi, b.hi)};
-}
-
-inline VecD
-vdiv(VecD a, VecD b)
-{
-    return {_mm256_div_pd(a.lo, b.lo), _mm256_div_pd(a.hi, b.hi)};
-}
-
-inline VecD
-vsqrt(VecD a)
-{
-    return {_mm256_sqrt_pd(a.lo), _mm256_sqrt_pd(a.hi)};
-}
-
-inline VecD
-vfloor(VecD a)
-{
-    return {_mm256_floor_pd(a.lo), _mm256_floor_pd(a.hi)};
-}
-
-/** Lane mask, all-ones where a < b (ordered quiet compare). */
-inline VecD
-vlt(VecD a, VecD b)
-{
-    return {_mm256_cmp_pd(a.lo, b.lo, _CMP_LT_OQ),
-            _mm256_cmp_pd(a.hi, b.hi, _CMP_LT_OQ)};
-}
-
-/** mask-sign-bit ? a : b (masks here are all-ones or all-zero). */
-inline VecD
-vblend(VecD mask, VecD a, VecD b)
-{
-    return {_mm256_blendv_pd(b.lo, a.lo, mask.lo),
-            _mm256_blendv_pd(b.hi, a.hi, mask.hi)};
-}
-
-inline VecD
-vand(VecD a, VecD b)
-{
-    return {_mm256_and_pd(a.lo, b.lo), _mm256_and_pd(a.hi, b.hi)};
-}
-
-inline VecD
-vxor(VecD a, VecD b)
-{
-    return {_mm256_xor_pd(a.lo, b.lo), _mm256_xor_pd(a.hi, b.hi)};
-}
-
-inline VecU
-toBits(VecD a)
-{
-    return {_mm256_castpd_si256(a.lo), _mm256_castpd_si256(a.hi)};
-}
-
-inline VecD
-fromBits(VecU a)
-{
-    return {_mm256_castsi256_pd(a.lo), _mm256_castsi256_pd(a.hi)};
-}
-
-inline VecU
-uxor(VecU a, VecU b)
-{
-    return {_mm256_xor_si256(a.lo, b.lo), _mm256_xor_si256(a.hi, b.hi)};
-}
-
-inline VecU
-uor(VecU a, VecU b)
-{
-    return {_mm256_or_si256(a.lo, b.lo), _mm256_or_si256(a.hi, b.hi)};
-}
-
-inline VecU
-uand(VecU a, VecU b)
-{
-    return {_mm256_and_si256(a.lo, b.lo), _mm256_and_si256(a.hi, b.hi)};
-}
-
-inline VecU
-uadd(VecU a, VecU b)
-{
-    return {_mm256_add_epi64(a.lo, b.lo), _mm256_add_epi64(a.hi, b.hi)};
-}
-
-template <int K>
-inline VecU
-ushl(VecU a)
-{
-    return {_mm256_slli_epi64(a.lo, K), _mm256_slli_epi64(a.hi, K)};
-}
-
-template <int K>
-inline VecU
-ushr(VecU a)
-{
-    return {_mm256_srli_epi64(a.lo, K), _mm256_srli_epi64(a.hi, K)};
-}
-
-/** Exact double(x) for unsigned lanes x < 2^52 (magic-number add). */
-inline VecD
-smallU64ToDouble(VecU x)
-{
-    const VecU magic = splatU(0x4330000000000000ull); // bits of 2^52
-    return vsub(fromBits(uor(x, magic)), splat(4503599627370496.0));
-}
-
-/**
- * (raw >> 11) * 2^-53 in [0, 1) — the Rng::uniform conversion. The
- * 53-bit integer is split into exactly-convertible halves; the
- * recombination hi * 2^32 + lo is exact, so the value matches the
- * scalar backend's direct double() conversion bit for bit.
- */
-inline VecD
-unitFromBits(VecU raw)
-{
-    const VecU m = ushr<11>(raw);
-    const VecD hi = smallU64ToDouble(ushr<32>(m));
-    const VecD lo = smallU64ToDouble(uand(m, splatU(0xFFFFFFFFull)));
-    const VecD d = vadd(vmul(hi, splat(4294967296.0)), lo);
-    return vmul(d, splat(0x1.0p-53));
-}
-
-inline VecU
-loadU(const uint64_t *p)
-{
-    return {_mm256_loadu_si256(reinterpret_cast<const __m256i *>(p)),
-            _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(p + 4))};
-}
-
-inline void
-storeU(uint64_t *p, VecU a)
-{
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(p), a.lo);
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(p + 4), a.hi);
-}
-
-inline VecD
-loadD(const double *p)
-{
-    return {_mm256_loadu_pd(p), _mm256_loadu_pd(p + 4)};
-}
-
-inline void
-storeD(double *p, VecD a)
-{
-    _mm256_storeu_pd(p, a.lo);
-    _mm256_storeu_pd(p + 4, a.hi);
-}
-
-#else // portable fallback: same ops, one double per lane
-
-struct VecD
-{
-    double v[kL];
-};
-
-struct VecU
-{
-    uint64_t v[kL];
-};
-
-inline VecD
-splat(double x)
-{
-    VecD r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = x;
-    return r;
-}
-
-inline VecU
-splatU(uint64_t x)
-{
-    VecU r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = x;
-    return r;
-}
-
-inline VecD
-vadd(VecD a, VecD b)
-{
-    VecD r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = a.v[l] + b.v[l];
-    return r;
-}
-
-inline VecD
-vsub(VecD a, VecD b)
-{
-    VecD r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = a.v[l] - b.v[l];
-    return r;
-}
-
-inline VecD
-vmul(VecD a, VecD b)
-{
-    VecD r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = a.v[l] * b.v[l];
-    return r;
-}
-
-inline VecD
-vdiv(VecD a, VecD b)
-{
-    VecD r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = a.v[l] / b.v[l];
-    return r;
-}
-
-inline VecD
-vsqrt(VecD a)
-{
-    VecD r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = std::sqrt(a.v[l]);
-    return r;
-}
-
-inline VecD
-vfloor(VecD a)
-{
-    VecD r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = std::floor(a.v[l]);
-    return r;
-}
-
-inline VecD
-vlt(VecD a, VecD b)
-{
-    VecD r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = a.v[l] < b.v[l]
-                     ? std::bit_cast<double>(~uint64_t{0})
-                     : 0.0;
-    return r;
-}
-
-inline VecD
-vblend(VecD mask, VecD a, VecD b)
-{
-    VecD r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = (std::bit_cast<uint64_t>(mask.v[l]) >> 63) ? a.v[l]
-                                                            : b.v[l];
-    return r;
-}
-
-inline VecD
-vand(VecD a, VecD b)
-{
-    VecD r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = std::bit_cast<double>(std::bit_cast<uint64_t>(a.v[l]) &
-                                       std::bit_cast<uint64_t>(b.v[l]));
-    return r;
-}
-
-inline VecD
-vxor(VecD a, VecD b)
-{
-    VecD r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = std::bit_cast<double>(std::bit_cast<uint64_t>(a.v[l]) ^
-                                       std::bit_cast<uint64_t>(b.v[l]));
-    return r;
-}
-
-inline VecU
-toBits(VecD a)
-{
-    VecU r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = std::bit_cast<uint64_t>(a.v[l]);
-    return r;
-}
-
-inline VecD
-fromBits(VecU a)
-{
-    VecD r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = std::bit_cast<double>(a.v[l]);
-    return r;
-}
-
-inline VecU
-uxor(VecU a, VecU b)
-{
-    VecU r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = a.v[l] ^ b.v[l];
-    return r;
-}
-
-inline VecU
-uor(VecU a, VecU b)
-{
-    VecU r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = a.v[l] | b.v[l];
-    return r;
-}
-
-inline VecU
-uand(VecU a, VecU b)
-{
-    VecU r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = a.v[l] & b.v[l];
-    return r;
-}
-
-inline VecU
-uadd(VecU a, VecU b)
-{
-    VecU r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = a.v[l] + b.v[l];
-    return r;
-}
-
-template <int K>
-inline VecU
-ushl(VecU a)
-{
-    VecU r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = a.v[l] << K;
-    return r;
-}
-
-template <int K>
-inline VecU
-ushr(VecU a)
-{
-    VecU r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = a.v[l] >> K;
-    return r;
-}
-
-inline VecD
-smallU64ToDouble(VecU x)
-{
-    // double() is exact below 2^53, a fortiori below 2^52.
-    VecD r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = double(x.v[l]);
-    return r;
-}
-
-inline VecD
-unitFromBits(VecU raw)
-{
-    // double(m) is exact for the 53-bit m, which equals the AVX2
-    // backend's hi * 2^32 + lo recombination bit for bit.
-    VecD r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = double(raw.v[l] >> 11) * 0x1.0p-53;
-    return r;
-}
-
-inline VecU
-loadU(const uint64_t *p)
-{
-    VecU r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = p[l];
-    return r;
-}
-
-inline void
-storeU(uint64_t *p, VecU a)
-{
-    for (std::size_t l = 0; l < kL; ++l)
-        p[l] = a.v[l];
-}
-
-inline VecD
-loadD(const double *p)
-{
-    VecD r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = p[l];
-    return r;
-}
-
-inline void
-storeD(double *p, VecD a)
-{
-    for (std::size_t l = 0; l < kL; ++l)
-        p[l] = a.v[l];
-}
-
-#endif
+static_assert(GaussianBlockSampler::kLanes == kL);
 
 // --------------------------------------------------------------------
 // Shared transform bodies (backend-independent op sequences)
@@ -671,6 +210,34 @@ GaussianBlockSampler::fillStandard(double *out, std::size_t rows)
              [&](std::size_t r, VecD z) {
                  storeD(out + r * kLanes, z);
              });
+}
+
+void
+GaussianBlockSampler::discard(std::size_t rows)
+{
+    // fillRows without the stores: a whole pair of rows is two raw
+    // xoshiro256** steps per lane, and only an odd last row needs its
+    // Box-Muller pair, for the partner it leaves in the carry.
+    if (rows == 0)
+        return;
+    if (has_carry_) {
+        has_carry_ = false;
+        --rows;
+    }
+    VecU s[4] = {loadU(state_[0]), loadU(state_[1]), loadU(state_[2]),
+                 loadU(state_[3])};
+    for (; rows >= 2; rows -= 2) {
+        xoshiroNext(s);
+        xoshiroNext(s);
+    }
+    if (rows == 1) {
+        VecD z0, z1;
+        gaussPair(s, z0, z1);
+        storeD(carry_, z1);
+        has_carry_ = true;
+    }
+    for (std::size_t w = 0; w < 4; ++w)
+        storeU(state_[w], s[w]);
 }
 
 void

@@ -8,17 +8,18 @@
  * sampler seed, see Rng::childSeed) and converts their output to
  * standard normal deviates with a batched Box-Muller transform. The
  * log/sin/cos evaluations use fixed polynomial kernels (Cephes
- * minimax coefficients) written against a small 8-wide vector
- * abstraction with exactly one implementation of each arithmetic op
- * per backend: AVX2 intrinsics when the translation unit is built
- * with -mavx2 (the same run-on-host CMake probe as the batched
- * collision kernel), a portable scalar loop otherwise. Every op in
- * the pipeline is an IEEE-754 correctly-rounded primitive (add, sub,
- * mul, div, sqrt, floor, integer bit ops) applied in an identical
- * order by both backends, and the file is compiled with
- * -ffp-contract=off, so the sampled bits are identical on AVX2 and
- * non-AVX2 builds. tests/test_gauss_block.cc pins golden bit
- * patterns to keep both backends honest.
+ * minimax coefficients) written against the 8-wide vector
+ * abstraction of common/vec8.hh, with exactly one implementation of
+ * each arithmetic op per backend: AVX2 intrinsics when the
+ * translation unit is built with -mavx2 (the same run-on-host CMake
+ * probe as the batched collision kernel), a portable scalar loop
+ * otherwise. Every op in the pipeline is an IEEE-754
+ * correctly-rounded primitive (add, sub, mul, div, sqrt, floor,
+ * integer bit ops) applied in an identical order by both backends,
+ * and the file is compiled with -ffp-contract=off, so the sampled
+ * bits are identical on AVX2 and non-AVX2 builds.
+ * tests/test_gauss_block.cc pins golden bit patterns to keep both
+ * backends honest.
  *
  * Draw-order contract (the "lane order", see also common/rng.hh):
  * lane l produces an autonomous stream of deviates; a fill of n rows
@@ -29,7 +30,11 @@
  * which is what makes Monte Carlo results independent of batch
  * remainders. The yield simulation and the frequency allocator
  * group trials in blocks of kLanes: trial t of a block consumes
- * lane t % kLanes, qubits in row order.
+ * lane t % kLanes, qubits in row order. The frequency sweep starts
+ * each fixed chunk of blocks from a copy of the visit's sampler
+ * advanced with discard(rows), which leaves the lanes exactly where
+ * fillStandard(rows) would, so a chunk draws the very deviates one
+ * sequential fill gives it.
  */
 
 #ifndef QPAD_COMMON_GAUSS_BLOCK_HH
@@ -61,6 +66,14 @@ class GaussianBlockSampler
      * deviates as one fill(a + b).
      */
     void fillStandard(double *out, std::size_t rows);
+
+    /**
+     * Skip `rows` rows: leave the lane states (and the odd-row carry)
+     * exactly as fillStandard(rows) would, without computing the
+     * deviates. With no carry pending, an even row count costs one
+     * raw xoshiro256** step per lane per row.
+     */
+    void discard(std::size_t rows);
 
     /**
      * Same draws as fillStandard, stored as

@@ -95,46 +95,24 @@ allocateFrequencies(const Architecture &arch,
             return {mid, 0.0};
         const sweep::LocalTerms terms =
             sweep::localTerms(arch, q, assigned);
-        const std::size_t n_inv = terms.involved.size();
 
-        // Common random numbers: one post-fabrication frequency table
-        // shared by all candidates (only q's own entry varies), so the
-        // argmax is not washed out by sampling variance. The table is
-        // generated ahead of the sweep from the allocator's single RNG
-        // stream; the sweep only reads it, which is what makes its
-        // trial chunks safely parallel.
+        // Common random numbers: one stream of post-fabrication
+        // frequencies shared by all candidates (only q's own entry
+        // varies), so the argmax is not washed out by sampling
+        // variance. One rng.next() seeds the lane sampler the sweep
+        // draws its trials from (lane order: trial t of each 8-trial
+        // block is lane t % 8, reading its involved-qubit deviates
+        // and then its candidate noise; the trailing block's unused
+        // lanes are drawn and dropped — they are independent
+        // streams, so the kept draws are the same for every `trials`
+        // remainder).
         const std::size_t trials = options.local_trials;
-        std::vector<double> post(trials * n_inv);
-        std::vector<double> q_noise(trials);
-        {
-            // Lane order: one rng.next() seeds a lane sampler; trial
-            // t of each 8-trial block is lane t % 8, reading its
-            // involved-qubit deviates and then its candidate noise.
-            // The trailing block discards the unused lanes — they
-            // are independent streams, so the kept draws are the
-            // same for every `trials` remainder.
-            constexpr std::size_t B = GaussianBlockSampler::kLanes;
-            GaussianBlockSampler sampler(rng.next());
-            std::vector<double> means(n_inv + 1);
-            for (std::size_t idx = 0; idx < n_inv; ++idx)
-                means[idx] = result.freqs[terms.involved[idx]];
-            means[n_inv] = 0.0; // the q_noise row is pure noise
-            std::vector<double> z((n_inv + 1) * B);
-            for (std::size_t t0 = 0; t0 < trials; t0 += B) {
-                const std::size_t active = std::min(B, trials - t0);
-                sampler.fillAffine(z.data(), means.data(),
-                                   options.sigma_ghz, n_inv + 1);
-                for (std::size_t l = 0; l < active; ++l) {
-                    double *row = &post[(t0 + l) * n_inv];
-                    for (std::size_t idx = 0; idx < n_inv; ++idx)
-                        row[idx] = z[idx * B + l];
-                    q_noise[t0 + l] = z[n_inv * B + l];
-                }
-            }
-        }
-
+        std::vector<double> means(terms.involved.size());
+        for (std::size_t idx = 0; idx < means.size(); ++idx)
+            means[idx] = result.freqs[terms.involved[idx]];
         const std::vector<std::size_t> survivors = sweep::survivorCounts(
-            terms, grid, post, q_noise, options.model, run_exec);
+            terms, grid, GaussianBlockSampler(rng.next()), means,
+            options.sigma_ghz, trials, options.model, run_exec);
 
         // First strict maximum, matching the sequential scan order.
         double best_score = -1.0;

@@ -10,9 +10,10 @@
  * by a Monte Carlo estimate of the yield of the qubit's local
  * region (the collision terms its frequency participates in, among
  * already-assigned qubits), and the argmax is committed. All
- * candidates share one common-random-numbers table per visit, and
- * an exact interval sweep over the grid (design/freq_sweep.hh)
- * counts each candidate's surviving trials.
+ * candidates share one stream of common-random-numbers trials per
+ * visit, and an exact interval sweep over the grid
+ * (design/freq_sweep.hh) draws those trials chunk by chunk and counts
+ * each candidate's surviving trials.
  */
 
 #ifndef QPAD_DESIGN_FREQ_ALLOC_HH
@@ -55,8 +56,9 @@ struct FreqAllocOptions
     unsigned refine_sweeps = 2;
     /**
      * Parallel execution of the per-qubit candidate sweep (the hot
-     * path of Algorithm 3), in fixed 1024-trial chunks. The
-     * common-random-numbers table is generated ahead of the sweep and
+     * path of Algorithm 3), in fixed 1024-trial chunks. Each chunk
+     * draws its own common-random-numbers trials from a sampler
+     * started at the chunk's place in the visit's one stream, and
      * survivor counts are integers, so the chosen frequencies are
      * identical for every thread count.
      */

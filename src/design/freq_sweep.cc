@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 
 #include "common/logging.hh"
+#include "common/vec8.hh"
+#include "obs/metrics.hh"
 
 namespace qpad::design::sweep
 {
@@ -83,16 +86,24 @@ localTerms(const Architecture &arch, PhysQubit q,
     return terms;
 }
 
+
 namespace
 {
+
+using namespace vec8;
+
+constexpr std::size_t kLanes = GaussianBlockSampler::kLanes;
+static_assert(kLanes == kL);
 
 /**
  * Trials per chunk of the parallel sweep. Fixed, so chunk identity
  * never depends on the thread count, and a small budget (300 local
  * trials under QPAD_FAST) stays a single chunk instead of being split
- * into pieces too small to pay for their dispatch.
+ * into pieces too small to pay for their dispatch. A whole number of
+ * 8-trial blocks, so every chunk starts on a block.
  */
 constexpr std::size_t kChunkTrials = 1024;
+static_assert(kChunkTrials % kLanes == 0);
 
 /**
  * Half-width, in grid-index units, of the zone around a solved range
@@ -117,6 +128,10 @@ constexpr std::size_t kChunkTrials = 1024;
  * 2^-47 (C + 256) A / step, is at least 32 times wider; settling
  * costs only when an end falls inside it, which for continuous noise
  * is almost never (the zone is ~1e-9 wide at the paper's grid).
+ *
+ * The bound holds for any A that bounds the inputs it covers, and
+ * any zone at or above it gives the same exact counts, so A may be
+ * taken per 8-trial block from that block's own values.
  */
 double
 settleZone(const CandidateGrid &grid, double magnitude)
@@ -126,49 +141,40 @@ settleZone(const CandidateGrid &grid, double magnitude)
                       -47);
 }
 
-/**
- * Bit-sliced survivor counters for one chunk: bit b of slice s of
- * word w is bit s of the count of candidate 64 w + b. Adding a
- * trial's 64 survivor bits is a ripple-carry across the slices, two
- * steps on average.
- */
-class SlicedCounts
+/** The grid and the model of one visit, in grid-index units. */
+struct Frame
 {
-  public:
-    static constexpr std::size_t kSlices = 11;
-    static_assert(kChunkTrials < (std::size_t{1} << kSlices));
-
-    explicit SlicedCounts(std::size_t words) : slices_(words * kSlices)
+    Frame(const CandidateGrid &grid, const CollisionModel &model)
+        : model(model), freqs(grid.freqs.data()), n(grid.freqs.size()),
+          words((n + 63) / 64),
+          pad(n % 64 == 0 ? 0 : ~uint64_t{0} << (n % 64)),
+          last(double(n) - 1.0), inv_step(1.0 / grid.step),
+          d(model.delta * inv_step), dh(model.delta / 2 * inv_step),
+          t1(model.thr1 * inv_step), t2(model.thr2 * inv_step),
+          t3(model.thr3 * inv_step), t5(model.thr5 * inv_step),
+          t6(model.thr6 * inv_step), t7(model.thr7 * inv_step)
     {
     }
 
-    void add(std::size_t word, uint64_t bits)
-    {
-        uint64_t *slice = &slices_[word * kSlices];
-        for (std::size_t s = 0; bits != 0; ++s) {
-            const uint64_t carry = slice[s] & bits;
-            slice[s] ^= bits;
-            bits = carry;
-        }
-    }
-
-    std::size_t count(std::size_t c) const
-    {
-        const uint64_t *slice = &slices_[c / 64 * kSlices];
-        std::size_t n = 0;
-        for (std::size_t s = 0; s < kSlices; ++s)
-            n |= std::size_t((slice[s] >> (c % 64)) & 1u) << s;
-        return n;
-    }
-
-  private:
-    std::vector<uint64_t> slices_;
+    const CollisionModel &model;
+    const double *freqs;
+    std::size_t n;
+    /** Words of a dead set, and the bits of its last word past the
+     * last candidate, which are kept dead. */
+    std::size_t words;
+    uint64_t pad;
+    double last;
+    double inv_step;
+    // delta, delta / 2 and the thresholds in index units.
+    double d, dh, t1, t2, t3, t5, t6, t7;
 };
 
 /**
  * The dead set of one trial over the grid: candidate c is dead when
  * some condition fires with q at x_c = grid[c] + noise. Positions are
  * in grid-index units, where candidate c sits at c up to rounding.
+ * The scalar sweep: it runs grids wider than one word, and the lanes
+ * whose range ends LaneSweep cannot place.
  *
  * Each `fires(x)` predicate below repeats its pairConditionMask /
  * tripleConditionMask expression verbatim, operand order included: it
@@ -178,30 +184,18 @@ class SlicedCounts
 class TrialSweep
 {
   public:
-    TrialSweep(const CandidateGrid &grid, const CollisionModel &model,
-               double eps)
-        : model_(model), freqs_(grid.freqs.data()),
-          n_(grid.freqs.size()), last_(double(n_) - 1.0),
-          inv_step_(1.0 / grid.step), eps_(eps),
-          d_(model.delta * inv_step_),
-          dh_(model.delta / 2 * inv_step_),
-          t1_(model.thr1 * inv_step_), t2_(model.thr2 * inv_step_),
-          t3_(model.thr3 * inv_step_), t5_(model.thr5 * inv_step_),
-          t6_(model.thr6 * inv_step_), t7_(model.thr7 * inv_step_),
-          dead_((n_ + 63) / 64),
-          pad_(n_ % 64 == 0 ? 0 : ~uint64_t{0} << (n_ % 64))
-    {
-    }
+    explicit TrialSweep(const Frame &f) : f_(f), dead_(f.words) {}
 
     const std::vector<uint64_t> &dead() const { return dead_; }
 
-    /** Start a trial with q's noise: nothing dead yet. */
-    void reset(double noise)
+    /** Start a trial with q's noise and settle zone: nothing dead. */
+    void reset(double noise, double eps)
     {
         noise_ = noise;
-        base_ = freqs_[0] + noise;
+        base_ = f_.freqs[0] + noise;
+        eps_ = eps;
         std::fill(dead_.begin(), dead_.end(), 0);
-        dead_.back() |= pad_;
+        dead_.back() |= f_.pad;
     }
 
     bool allDead() const
@@ -215,25 +209,25 @@ class TrialSweep
     /** Conditions 1-4 on the edge (q, b); q is `fa`. */
     void pair(double b)
     {
-        const CollisionModel &m = model_;
+        const CollisionModel &m = f_.model;
         const double d = m.delta;
         const double pb = pos(b);
-        window(pb, t1_,
+        window(pb, f_.t1,
                [&](double x) { return std::fabs(x - b) < m.thr1; });
-        window(pb - dh_, t2_, [&](double x) {
+        window(pb - f_.dh, f_.t2, [&](double x) {
             return std::fabs(x - (b - d / 2)) < m.thr2;
         });
-        window(pb + dh_, t2_, [&](double x) {
+        window(pb + f_.dh, f_.t2, [&](double x) {
             return std::fabs(b - (x - d / 2)) < m.thr2;
         });
-        window(pb - d_, t3_, [&](double x) {
+        window(pb - f_.d, f_.t3, [&](double x) {
             return std::fabs(x - (b - d)) < m.thr3;
         });
-        window(pb + d_, t3_, [&](double x) {
+        window(pb + f_.d, f_.t3, [&](double x) {
             return std::fabs(b - (x - d)) < m.thr3;
         });
-        suffix(pb - d_, [&](double x) { return x > b - d; });
-        prefix(pb + d_, [&](double x) { return b > x - d; });
+        suffix(pb - f_.d, [&](double x) { return x > b - d; });
+        prefix(pb + f_.d, [&](double x) { return b > x - d; });
     }
 
     /**
@@ -244,53 +238,57 @@ class TrialSweep
      */
     void outer(double j, double o)
     {
-        const CollisionModel &m = model_;
+        const CollisionModel &m = f_.model;
         const double d = m.delta;
         const double po = pos(o);
         const double jd = 2 * j + d;
-        window(po, t5_,
+        window(po, f_.t5,
                [&](double x) { return std::fabs(o - x) < m.thr5; });
-        window(po + d_, t6_, [&](double x) {
+        window(po + f_.d, f_.t6, [&](double x) {
             return std::fabs(o - (x - d)) < m.thr6;
         });
-        window(po - d_, t6_, [&](double x) {
+        window(po - f_.d, f_.t6, [&](double x) {
             return std::fabs(x - (o - d)) < m.thr6;
         });
-        window(pos(jd - o), t7_, [&](double x) {
+        window(pos(jd - o), f_.t7, [&](double x) {
             return std::fabs(jd - (x + o)) < m.thr7;
         });
     }
 
-    /** Conditions 5-6 of a triple centred on q: q is not involved. */
-    bool centreFires(double k, double i) const
+    /**
+     * Conditions 5-6 of a triple centred on q: q is not involved, so
+     * they kill every candidate or none.
+     */
+    void centreFires(double k, double i)
     {
-        const CollisionModel &m = model_;
+        const CollisionModel &m = f_.model;
         const double d = m.delta;
-        return std::fabs(i - k) < m.thr5 ||
-               std::fabs(i - (k - d)) < m.thr6 ||
-               std::fabs(k - (i - d)) < m.thr6;
+        if (std::fabs(i - k) < m.thr5 ||
+            std::fabs(i - (k - d)) < m.thr6 ||
+            std::fabs(k - (i - d)) < m.thr6)
+            mark(0, f_.n);
     }
 
     /** Condition 7 of a triple centred on q: slope 2 in x. */
     void centre(double k, double i)
     {
-        const CollisionModel &m = model_;
+        const CollisionModel &m = f_.model;
         const double d = m.delta;
         const double ki = k + i;
-        window(pos((ki - d) / 2), t7_ / 2, [&](double x) {
+        window(pos((ki - d) / 2), f_.t7 / 2, [&](double x) {
             return std::fabs(2 * x + d - ki) < m.thr7;
         });
     }
 
   private:
     /** Index position of q frequency v in this trial. */
-    double pos(double v) const { return (v - base_) * inv_step_; }
+    double pos(double v) const { return (v - base_) * f_.inv_step; }
 
     /** Grid indices c <= v: floor(v) + 1 clamped to [0, C]. */
     std::size_t upTo(double v) const
     {
         // std::max(-1.0, NaN) is -1, so NaN counts no index.
-        const double w = std::min(last_, std::max(-1.0, v));
+        const double w = std::min(f_.last, std::max(-1.0, v));
         const auto t = int64_t(w);
         return std::size_t(t - int64_t(double(t) > w) + 1);
     }
@@ -305,7 +303,7 @@ class TrialSweep
     {
         std::size_t c = upTo(u - eps_);
         const std::size_t end = upTo(u + eps_);
-        while (c < end && !fires(freqs_[c] + noise_))
+        while (c < end && !fires(f_.freqs[c] + noise_))
             ++c;
         return c;
     }
@@ -317,7 +315,7 @@ class TrialSweep
     {
         const std::size_t begin = upTo(u - eps_);
         std::size_t c = upTo(u + eps_);
-        while (c > begin && !fires(freqs_[c - 1] + noise_))
+        while (c > begin && !fires(f_.freqs[c - 1] + noise_))
             --c;
         return c;
     }
@@ -327,7 +325,7 @@ class TrialSweep
     void window(double mid, double half, const Fires &fires)
     {
         const double lo = mid - half, hi = mid + half;
-        if (hi < -eps_ || lo > last_ + eps_)
+        if (hi < -eps_ || lo > f_.last + eps_)
             return; // misses the grid
         mark(rise(lo, fires), fall(hi, fires));
     }
@@ -343,7 +341,7 @@ class TrialSweep
     template <typename Fires>
     void suffix(double u, const Fires &fires)
     {
-        mark(rise(u, fires), n_);
+        mark(rise(u, fires), f_.n);
     }
 
     void mark(std::size_t lo, std::size_t hi)
@@ -363,18 +361,376 @@ class TrialSweep
         dead_[wh] |= tail;
     }
 
-    const CollisionModel &model_;
-    const double *freqs_;
-    std::size_t n_;
-    double last_;
-    double inv_step_;
-    double eps_;
-    // delta, delta / 2 and the thresholds in index units.
-    double d_, dh_, t1_, t2_, t3_, t5_, t6_, t7_;
-    double noise_ = 0.0, base_ = 0.0;
+    const Frame &f_;
+    double noise_ = 0.0, base_ = 0.0, eps_ = 0.0;
     std::vector<uint64_t> dead_;
-    uint64_t pad_; // bits past the last candidate, kept dead
 };
+
+/**
+ * TrialSweep for the eight trials of one block at once, on grids of
+ * at most 64 candidates: lane l's dead set is one word, and a range
+ * [lo, hi) is ((1 << hi) - 1) & ~((1 << lo) - 1). Every range end is
+ * solved with TrialSweep's operations in TrialSweep's order, so it is
+ * the same double, and taken as TrialSweep takes an end with no grid
+ * point in its settle zone: upTo(u + eps). A lane with a grid point
+ * in some end's zone (u - eps, u + eps] is flagged instead, and its
+ * trial goes to TrialSweep, which settles the point; its word here is
+ * not used. A window that misses the grid needs no test, as its
+ * clamped ends give an empty range; one that misses it in every lane
+ * is skipped only to save the work.
+ */
+class LaneSweep
+{
+  public:
+    explicit LaneSweep(const Frame &f)
+        : inv_step_(splat(f.inv_step)), freq0_(splat(f.freqs[0])),
+          last_(splat(f.last)), d_(splat(f.d)), dh_(splat(f.dh)),
+          t1_(splat(f.t1)), t2_(splat(f.t2)), t3_(splat(f.t3)),
+          t5_(splat(f.t5)), t6_(splat(f.t6)), t7_(splat(f.t7)),
+          t7h_(splat(f.t7 / 2)), delta_(splat(f.model.delta)),
+          thr5_(splat(f.model.thr5)), thr6_(splat(f.model.thr6))
+    {
+    }
+
+    /**
+     * Start a block with q's noise per lane and the block's settle
+     * zone; `dead` holds each lane's initial dead set (the bits past
+     * the last candidate, and every bit of a lane without a trial).
+     */
+    void reset(VecD noise, double eps, VecU dead)
+    {
+        base_ = vadd(freq0_, noise);
+        eps_ = splat(eps);
+        below_grid_ = splat(-eps);
+        above_grid_ = vadd(last_, eps_);
+        dead_ = dead;
+        flags_ = splatU(0);
+    }
+
+    bool allDead() const { return allZero(alive()); }
+    VecU alive() const { return uandnot(dead_, splatU(~uint64_t{0})); }
+    /** Bit l set iff lane l needs TrialSweep. */
+    unsigned flagged() const { return laneMask(flags_); }
+
+    void pair(VecD b)
+    {
+        const VecD pb = pos(b);
+        const VecD below = vsub(pb, d_), above = vadd(pb, d_);
+        window(pb, t1_);
+        window(vsub(pb, dh_), t2_);
+        window(vadd(pb, dh_), t2_);
+        window(below, t3_);
+        window(above, t3_);
+        dead_ = uor(dead_, uandnot(bitsBelow(end(below)),
+                                   splatU(~uint64_t{0}))); // suffix
+        dead_ = uor(dead_, bitsBelow(end(above)));         // prefix
+    }
+
+    void outer(VecD j, VecD o)
+    {
+        const VecD po = pos(o);
+        const VecD jd = vadd(vadd(j, j), delta_); // 2 j + delta, exactly
+        window(po, t5_);
+        window(vadd(po, d_), t6_);
+        window(vsub(po, d_), t6_);
+        window(pos(vsub(jd, o)), t7_);
+    }
+
+    void centreFires(VecD k, VecD i)
+    {
+        const VecD abs_mask = fromBits(splatU(~uint64_t{0} >> 1));
+        const VecD c5 =
+            vlt(vand(vsub(i, k), abs_mask), thr5_);
+        const VecD c6a =
+            vlt(vand(vsub(i, vsub(k, delta_)), abs_mask), thr6_);
+        const VecD c6b =
+            vlt(vand(vsub(k, vsub(i, delta_)), abs_mask), thr6_);
+        dead_ = uor(dead_,
+                    uor(toBits(c5), uor(toBits(c6a), toBits(c6b))));
+    }
+
+    void centre(VecD k, VecD i)
+    {
+        // (k + i - delta) / 2: halving is exact either way.
+        window(pos(vmul(vsub(vadd(k, i), delta_), splat(0.5))), t7h_);
+    }
+
+  private:
+    VecD pos(VecD v) const { return vmul(vsub(v, base_), inv_step_); }
+
+    /**
+     * upTo(u + eps) as an integer per lane, flagging the lanes where
+     * the zone (u - eps, u + eps] holds a grid index: the largest
+     * index t <= u + eps is in it iff u - eps < t.
+     */
+    VecU end(VecD u)
+    {
+        const VecD t = vfloor(vadd(u, eps_));
+        flags_ = uor(flags_, toBits(vlt(vsub(u, eps_), t)));
+        // floor + 1 clamped to [0, C] (NaN to 0), read off the low
+        // mantissa bits of 2^52 + index.
+        const VecD idx = vmin(vmax(t, splat(-1.0)), last_);
+        return uxor(toBits(vadd(idx, splat(0x1p52 + 1.0))),
+                    splatU(0x4330000000000000ull));
+    }
+
+    /** (1 << n) - 1 per lane: all ones at n = 64. */
+    static VecU bitsBelow(VecU n)
+    {
+        return uadd(ushlv(splatU(1), n), splatU(~uint64_t{0}));
+    }
+
+    void window(VecD mid, VecD half)
+    {
+        const VecD lo = vsub(mid, half), hi = vadd(mid, half);
+        // TrialSweep's test for a window that misses the grid.
+        const VecU misses = uor(toBits(vlt(hi, below_grid_)),
+                                toBits(vlt(above_grid_, lo)));
+        if (laneMask(misses) == (1u << kLanes) - 1)
+            return;
+        dead_ = uor(dead_,
+                    uandnot(bitsBelow(end(lo)), bitsBelow(end(hi))));
+    }
+
+    VecD inv_step_, freq0_, last_;
+    VecD d_, dh_, t1_, t2_, t3_, t5_, t6_, t7_, t7h_;
+    VecD delta_, thr5_, thr6_;
+    VecD base_, eps_, below_grid_, above_grid_;
+    VecU dead_, flags_;
+};
+
+/**
+ * Per-lane bit-sliced survivor counters for one chunk: bit b of lane
+ * l of slice s of word w is bit s of lane l's count of candidate
+ * 64 w + b. Adding a block's survivor words is a ripple-carry across
+ * the slices, two steps on average.
+ */
+class LaneCounts
+{
+  public:
+    static constexpr std::size_t kSlices = 8;
+    static_assert(kChunkTrials / kLanes < (std::size_t{1} << kSlices));
+
+    explicit LaneCounts(std::size_t words)
+        : slices_(words * kSlices * kLanes)
+    {
+    }
+
+    void add(std::size_t word, VecU bits)
+    {
+        uint64_t *slice = &slices_[word * kSlices * kLanes];
+        for (; !allZero(bits); slice += kLanes) {
+            const VecU old = loadU(slice);
+            storeU(slice, uxor(old, bits));
+            bits = uand(old, bits);
+        }
+    }
+
+    std::size_t count(std::size_t c) const
+    {
+        const uint64_t *slice = &slices_[c / 64 * kSlices * kLanes];
+        std::size_t n = 0;
+        for (std::size_t s = 0; s < kSlices; ++s)
+            for (std::size_t l = 0; l < kLanes; ++l)
+                n += std::size_t((slice[s * kLanes + l] >> (c % 64)) & 1u)
+                     << s;
+        return n;
+    }
+
+  private:
+    std::vector<uint64_t> slices_;
+};
+
+/** Lanes at or past `active` are dead from the start: loaded at
+ * kInactive + kLanes - active. */
+constexpr uint64_t kInactive[2 * kLanes] = {
+    0, 0, 0, 0, 0, 0, 0, 0,
+    ~uint64_t{0}, ~uint64_t{0}, ~uint64_t{0}, ~uint64_t{0},
+    ~uint64_t{0}, ~uint64_t{0}, ~uint64_t{0}, ~uint64_t{0},
+};
+
+/**
+ * One qubit visit's sweep over blocks of 8 trials in the sampler's
+ * layout: z[row * 8 + lane], rows 0..n_inv - 1 the involved qubits'
+ * frequencies (row 0, q's own, is never read) and row n_inv q's
+ * noise.
+ */
+class VisitSweep
+{
+  public:
+    VisitSweep(const LocalTerms &terms, const CandidateGrid &grid,
+               const CollisionModel &model)
+        : grid_(grid), frame_(grid, model),
+          n_inv_(terms.involved.size()),
+          grid_mag_(std::max(std::fabs(grid.freqs.front()),
+                             std::fabs(grid.freqs.back())))
+    {
+        // Partner rows, grouped by q's role in the term.
+        for (const auto &p : terms.pairs) {
+            qpad_assert(p.a == 0, "pair term without q as `a`");
+            pair_b_.push_back(p.b);
+        }
+        for (const auto &t : terms.triples) {
+            if (t.j == 0) {
+                centre_ki_.push_back({t.k, t.i});
+                continue;
+            }
+            qpad_assert(t.k == 0 || t.i == 0, "triple term without q");
+            outer_jo_.push_back({t.j, t.k == 0 ? t.i : t.k});
+        }
+        model_mag_ = std::fabs(model.delta);
+        for (double thr : {model.thr1, model.thr2, model.thr3,
+                           model.thr5, model.thr6, model.thr7})
+            model_mag_ = std::max(model_mag_, std::fabs(thr));
+    }
+
+    std::size_t candidates() const { return frame_.n; }
+    /** Rows of one block: the involved qubits, then q's noise. */
+    std::size_t rows() const { return n_inv_ + 1; }
+
+    /**
+     * Survivor counts of one chunk of `trials` trials;
+     * `fill(z, t0, active)` writes the block of chunk trials
+     * t0 .. t0 + 7, of which the first `active` are trials.
+     */
+    template <typename FillBlock>
+    std::vector<std::size_t> chunk(std::size_t trials,
+                                   FillBlock &&fill) const
+    {
+        static obs::Counter &settled_lanes =
+            obs::counter("design.freq_settled_lanes");
+        std::vector<double> z(rows() * kLanes);
+        LaneCounts counts(frame_.words);
+        TrialSweep scalar(frame_);
+        LaneSweep lanes(frame_);
+        std::vector<uint64_t> alive(frame_.words * kLanes);
+        std::size_t settled = 0;
+        // Lane l's trial through TrialSweep, into alive[w * 8 + l].
+        auto sweepLane = [&](std::size_t l, double eps) {
+            scalar.reset(z[n_inv_ * kLanes + l], eps);
+            sweepTerms(scalar, [&](std::size_t row) {
+                return z[row * kLanes + l];
+            });
+            for (std::size_t w = 0; w < frame_.words; ++w)
+                alive[w * kLanes + l] = ~scalar.dead()[w];
+        };
+        for (std::size_t t0 = 0; t0 < trials; t0 += kLanes) {
+            const std::size_t active = std::min(kLanes, trials - t0);
+            fill(z.data(), t0, active);
+            const double eps = blockZone(z.data());
+            if (frame_.words > 1) {
+                for (std::size_t l = 0; l < kLanes; ++l) {
+                    if (l < active)
+                        sweepLane(l, eps);
+                    else
+                        for (std::size_t w = 0; w < frame_.words; ++w)
+                            alive[w * kLanes + l] = 0;
+                }
+                for (std::size_t w = 0; w < frame_.words; ++w)
+                    counts.add(w, loadU(&alive[w * kLanes]));
+                continue;
+            }
+            lanes.reset(loadD(&z[n_inv_ * kLanes]), eps,
+                        uor(loadU(&kInactive[kLanes - active]),
+                            splatU(frame_.pad)));
+            sweepTerms(lanes, [&](std::size_t row) {
+                return loadD(&z[row * kLanes]);
+            });
+            unsigned flagged = lanes.flagged() & ((1u << active) - 1);
+            if (flagged == 0) {
+                counts.add(0, lanes.alive());
+                continue;
+            }
+            storeU(alive.data(), lanes.alive());
+            for (; flagged != 0; flagged &= flagged - 1, ++settled)
+                sweepLane(std::size_t(std::countr_zero(flagged)), eps);
+            counts.add(0, loadU(alive.data()));
+        }
+        if (settled != 0)
+            settled_lanes.add(settled);
+        std::vector<std::size_t> chunk_counts(frame_.n);
+        for (std::size_t c = 0; c < frame_.n; ++c)
+            chunk_counts[c] = counts.count(c);
+        return chunk_counts;
+    }
+
+  private:
+    /**
+     * Runs every term through `sweep` (TrialSweep or LaneSweep), with
+     * `at(row)` the row's value, until everything is dead.
+     */
+    template <typename Sweep, typename At>
+    void sweepTerms(Sweep &sweep, const At &at) const
+    {
+        for (const auto &[k, i] : centre_ki_)
+            sweep.centreFires(at(k), at(i));
+        if (sweep.allDead())
+            return;
+        for (std::size_t b : pair_b_) {
+            sweep.pair(at(b));
+            if (sweep.allDead())
+                return;
+        }
+        for (const auto &[j, o] : outer_jo_) {
+            sweep.outer(at(j), at(o));
+            if (sweep.allDead())
+                return;
+        }
+        for (const auto &[k, i] : centre_ki_) {
+            sweep.centre(at(k), at(i));
+            if (sweep.allDead())
+                return;
+        }
+    }
+
+    /** settleZone of a block, from the magnitudes of its values. */
+    double blockZone(const double *z) const
+    {
+        const VecD abs_mask = fromBits(splatU(~uint64_t{0} >> 1));
+        // vmax keeps its second operand over a NaN: NaN is ignored.
+        VecD post = splat(0.0);
+        for (std::size_t row = 0; row < n_inv_; ++row)
+            post = vmax(vand(loadD(z + row * kLanes), abs_mask), post);
+        const VecD noise = vand(loadD(z + n_inv_ * kLanes), abs_mask);
+        double post_lanes[kLanes], noise_lanes[kLanes];
+        storeD(post_lanes, post);
+        storeD(noise_lanes, noise);
+        double mag = model_mag_, noise_mag = 0.0;
+        for (std::size_t l = 0; l < kLanes; ++l) {
+            mag = std::max(mag, post_lanes[l]);
+            noise_mag = std::max(noise_mag, noise_lanes[l]);
+        }
+        return settleZone(grid_, std::max(mag, grid_mag_ + noise_mag));
+    }
+
+    const CandidateGrid &grid_;
+    Frame frame_;
+    std::size_t n_inv_;
+    double grid_mag_, model_mag_ = 0.0;
+    std::vector<std::size_t> pair_b_;
+    std::vector<std::array<std::size_t, 2>> outer_jo_, centre_ki_;
+};
+
+/** Sum of the chunk counts of `visit`; `chunkFill(begin, chunk)`
+ * gives the block filler of the chunk starting at trial `begin`. */
+template <typename ChunkFill>
+std::vector<std::size_t>
+reduceChunks(const VisitSweep &visit, std::size_t trials,
+             const runtime::Options &exec, const ChunkFill &chunkFill)
+{
+    return runtime::parallel_reduce(
+        exec, trials, kChunkTrials,
+        std::vector<std::size_t>(visit.candidates(), 0),
+        [&](std::size_t begin, std::size_t end, std::size_t chunk) {
+            return visit.chunk(end - begin, chunkFill(begin, chunk));
+        },
+        [](std::vector<std::size_t> total,
+           const std::vector<std::size_t> &chunk_counts) {
+            for (std::size_t c = 0; c < total.size(); ++c)
+                total[c] += chunk_counts[c];
+            return total;
+        });
+}
 
 } // namespace
 
@@ -386,85 +742,58 @@ survivorCounts(const LocalTerms &terms, const CandidateGrid &grid,
 {
     const std::size_t trials = q_noise.size();
     const std::size_t n_inv = terms.involved.size();
-    const std::size_t n_cand = grid.freqs.size();
-    qpad_assert(n_cand > 0 && post.size() == trials * n_inv,
+    qpad_assert(!grid.freqs.empty() && post.size() == trials * n_inv,
                 "survivorCounts: empty grid or mis-shaped CRN table");
+    const VisitSweep visit(terms, grid, model);
+    // Packs the table into blocks; lanes past the last trial read 0.
+    return reduceChunks(
+        visit, trials, exec, [&](std::size_t begin, std::size_t) {
+            return [&, begin](double *z, std::size_t t0,
+                              std::size_t active) {
+                for (std::size_t l = 0; l < kLanes; ++l) {
+                    const std::size_t t = begin + t0 + l;
+                    for (std::size_t row = 0; row < n_inv; ++row)
+                        z[row * kLanes + l] =
+                            l < active ? post[t * n_inv + row] : 0.0;
+                    z[n_inv * kLanes + l] = l < active ? q_noise[t] : 0.0;
+                }
+            };
+        });
+}
 
-    // Partner columns, grouped by q's role in the term.
-    std::vector<std::size_t> pair_b;
-    std::vector<std::array<std::size_t, 2>> outer_jo, centre_ki;
-    for (const auto &p : terms.pairs) {
-        qpad_assert(p.a == 0, "pair term without q as `a`");
-        pair_b.push_back(p.b);
+std::vector<std::size_t>
+survivorCounts(const LocalTerms &terms, const CandidateGrid &grid,
+               const GaussianBlockSampler &sampler,
+               const std::vector<double> &means, double sigma,
+               std::size_t trials, const CollisionModel &model,
+               const runtime::Options &exec)
+{
+    const std::size_t n_inv = terms.involved.size();
+    qpad_assert(!grid.freqs.empty() && means.size() == n_inv,
+                "survivorCounts: empty grid or not one mean per "
+                "involved qubit");
+    const VisitSweep visit(terms, grid, model);
+    std::vector<double> row_means(means);
+    row_means.push_back(0.0); // q's noise row is pure noise
+
+    // Each chunk's start state, by skipping the rows of the chunks
+    // before it: 128 blocks of n_inv + 1 rows, an even count, so from
+    // a fresh sampler the skips are raw xoshiro256** steps and no
+    // Box-Muller partner is carried into a chunk.
+    const std::size_t chunk_rows = kChunkTrials / kLanes * visit.rows();
+    std::vector<GaussianBlockSampler> starts{sampler};
+    while (starts.size() * kChunkTrials < trials) {
+        GaussianBlockSampler next = starts.back();
+        next.discard(chunk_rows);
+        starts.push_back(next);
     }
-    for (const auto &t : terms.triples) {
-        if (t.j == 0) {
-            centre_ki.push_back({t.k, t.i});
-            continue;
-        }
-        qpad_assert(t.k == 0 || t.i == 0, "triple term without q");
-        outer_jo.push_back({t.j, t.k == 0 ? t.i : t.k});
-    }
-    double model_mag = std::fabs(model.delta);
-    for (double thr : {model.thr1, model.thr2, model.thr3, model.thr5,
-                       model.thr6, model.thr7})
-        model_mag = std::max(model_mag, std::fabs(thr));
-    const double grid_mag = std::max(std::fabs(grid.freqs.front()),
-                                     std::fabs(grid.freqs.back()));
-
-    // False when the trial kills every candidate.
-    auto sweepTrial = [&](TrialSweep &sweep, const double *row,
-                          double noise) {
-        for (const auto &[k, i] : centre_ki)
-            if (sweep.centreFires(row[k], row[i]))
-                return false;
-        sweep.reset(noise);
-        for (std::size_t b : pair_b) {
-            sweep.pair(row[b]);
-            if (sweep.allDead())
-                return false;
-        }
-        for (const auto &[j, o] : outer_jo) {
-            sweep.outer(row[j], row[o]);
-            if (sweep.allDead())
-                return false;
-        }
-        for (const auto &[k, i] : centre_ki) {
-            sweep.centre(row[k], row[i]);
-            if (sweep.allDead())
-                return false;
-        }
-        return true;
-    };
-
-    return runtime::parallel_reduce(
-        exec, trials, kChunkTrials, std::vector<std::size_t>(n_cand, 0),
-        [&](std::size_t begin, std::size_t end, std::size_t) {
-            double noise_mag = 0.0, mag = model_mag;
-            for (std::size_t t = begin; t < end; ++t)
-                noise_mag = std::max(noise_mag, std::fabs(q_noise[t]));
-            for (std::size_t idx = begin * n_inv; idx < end * n_inv; ++idx)
-                mag = std::max(mag, std::fabs(post[idx]));
-            mag = std::max(mag, grid_mag + noise_mag);
-
-            TrialSweep sweep(grid, model, settleZone(grid, mag));
-            SlicedCounts counts(sweep.dead().size());
-            for (std::size_t t = begin; t < end; ++t) {
-                if (!sweepTrial(sweep, &post[t * n_inv], q_noise[t]))
-                    continue;
-                for (std::size_t w = 0; w < sweep.dead().size(); ++w)
-                    counts.add(w, ~sweep.dead()[w]);
-            }
-            std::vector<std::size_t> chunk_counts(n_cand);
-            for (std::size_t c = 0; c < n_cand; ++c)
-                chunk_counts[c] = counts.count(c);
-            return chunk_counts;
-        },
-        [](std::vector<std::size_t> total,
-           const std::vector<std::size_t> &chunk_counts) {
-            for (std::size_t c = 0; c < total.size(); ++c)
-                total[c] += chunk_counts[c];
-            return total;
+    return reduceChunks(
+        visit, trials, exec, [&](std::size_t, std::size_t chunk) {
+            return [&, lane_sampler = starts[chunk]](
+                       double *z, std::size_t, std::size_t) mutable {
+                lane_sampler.fillAffine(z, row_means.data(), sigma,
+                                        row_means.size());
+            };
         });
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Candidate scoring for Algorithm 3: the exact interval sweep behind
- * allocateFrequencies. Internal; exposed so its property test can
+ * allocateFrequencies. Internal; exposed so its property tests can
  * compare it with a brute-force scan.
  *
  * A qubit visit scores every grid candidate c for qubit q by its
@@ -29,6 +29,16 @@
  *    ceil(C / 64) words, and survivors are counted per fixed
  *    1024-trial chunk.
  *
+ * Trials are swept eight at a time, in 8-trial blocks laid out as the
+ * Gaussian block sampler writes them (common/gauss_block.hh). On grids
+ * of at most 64 candidates (35 at the paper's 10 MHz step) one vector
+ * pass solves a window's range ends for all eight trials, ORs each
+ * range into that trial's one-word dead set, and feeds per-lane
+ * bit-sliced counters. A trial with a range end near a grid point,
+ * and every trial on a wider grid, runs the scalar sweep instead;
+ * the design.freq_settled_lanes counter counts the trials the vector
+ * pass hands over.
+ *
  * The counts are integers, so scores, the argmax, and every output
  * byte are those of the brute-force scan at every thread count.
  */
@@ -40,6 +50,7 @@
 #include <vector>
 
 #include "arch/architecture.hh"
+#include "common/gauss_block.hh"
 #include "runtime/parallel.hh"
 #include "yield/collision.hh"
 
@@ -93,6 +104,24 @@ survivorCounts(const LocalTerms &terms, const CandidateGrid &grid,
                const std::vector<double> &post,
                const std::vector<double> &q_noise,
                const yield::CollisionModel &model,
+               const runtime::Options &exec);
+
+/**
+ * The same counts over `trials` CRN trials drawn inside the sweep,
+ * with no table: trial t is lane t % 8 of block t / 8 of `sampler`'s
+ * fillAffine stream, each block n_inv + 1 rows: the involved qubits
+ * at `means` (one per terms.involved entry; q's own row is drawn and
+ * never read), then q's noise at mean 0. Equal to the table-fed
+ * survivorCounts over the table those fills give. Each 1024-trial
+ * chunk starts from its own copy of `sampler`, advanced past the
+ * chunks before it with GaussianBlockSampler::discard, and draws its
+ * own blocks.
+ */
+std::vector<std::size_t>
+survivorCounts(const LocalTerms &terms, const CandidateGrid &grid,
+               const GaussianBlockSampler &sampler,
+               const std::vector<double> &means, double sigma,
+               std::size_t trials, const yield::CollisionModel &model,
                const runtime::Options &exec);
 
 } // namespace qpad::design::sweep

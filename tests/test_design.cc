@@ -14,6 +14,7 @@
 #include "benchmarks/suite.hh"
 #include "design/design_flow.hh"
 #include "design/freq_sweep.hh"
+#include "obs/metrics.hh"
 #include "profile/coupling.hh"
 #include "yield/yield_sim.hh"
 
@@ -529,6 +530,137 @@ TEST(FreqSweep, SettlesRangeEndsOnGridPoints)
                     ASSERT_EQ(sweepSurvivors(v, grid, model, threads),
                               expect)
                         << "step " << step << " round " << round;
+            }
+        }
+    }
+}
+
+/** A grid-aligned model: thresholds and delta are differences of
+ * grid points, so range ends fall on grid points. */
+yield::CollisionModel
+gridAlignedModel(const sweep::CandidateGrid &grid)
+{
+    auto gap = [&](std::size_t n) {
+        return grid.freqs[n] - grid.freqs[0];
+    };
+    yield::CollisionModel model;
+    model.delta = -gap(8);
+    model.thr1 = gap(2);
+    model.thr2 = gap(1);
+    model.thr3 = gap(3);
+    model.thr5 = gap(2);
+    model.thr6 = gap(3);
+    model.thr7 = gap(2);
+    return model;
+}
+
+TEST(FreqSweep, GridAlignedEndsAreSettledByTheScalarSweep)
+{
+    // Zero noise on a grid-aligned model puts range ends on grid
+    // points, inside their settle zones: on grids of one word the
+    // lane sweep must hand those lanes to the scalar sweep, which
+    // design.freq_settled_lanes counts, and the counts must still be
+    // the brute-force ones.
+    obs::Counter &settled = obs::counter("design.freq_settled_lanes");
+    for (double step : {0.02, 0.01}) {
+        const auto grid = sweep::candidateGrid(step);
+        const yield::CollisionModel model = gridAlignedModel(grid);
+        Rng rng(5);
+        const uint64_t before = settled.value();
+        for (int round = 0; round < 10; ++round) {
+            const Visit v =
+                randomVisit(arch::ibm16Q(true), grid, 16, 0.0, rng);
+            ASSERT_EQ(sweepSurvivors(v, grid, model, 1),
+                      bruteForceSurvivors(v.terms, grid, v.post,
+                                          v.q_noise, model))
+                << "step " << step << " round " << round;
+        }
+        EXPECT_GT(settled.value(), before) << "step " << step;
+    }
+}
+
+/**
+ * The CRN table of one visit drawn as allocateFrequencies drew it
+ * ahead of the sweep: block after block of `sampler`'s fillAffine
+ * stream, the involved qubits at `means` and then q's noise at 0,
+ * trial t0 + l reading lane l of the block starting at t0.
+ */
+void
+tableFromSampler(GaussianBlockSampler sampler,
+                 const std::vector<double> &means, double sigma,
+                 std::size_t trials, std::vector<double> &post,
+                 std::vector<double> &q_noise)
+{
+    constexpr std::size_t B = GaussianBlockSampler::kLanes;
+    const std::size_t n_inv = means.size();
+    std::vector<double> row_means(means);
+    row_means.push_back(0.0);
+    post.assign(trials * n_inv, 0.0);
+    q_noise.assign(trials, 0.0);
+    std::vector<double> z((n_inv + 1) * B);
+    for (std::size_t t0 = 0; t0 < trials; t0 += B) {
+        const std::size_t active = std::min(B, trials - t0);
+        sampler.fillAffine(z.data(), row_means.data(), sigma, n_inv + 1);
+        for (std::size_t l = 0; l < active; ++l) {
+            for (std::size_t idx = 0; idx < n_inv; ++idx)
+                post[(t0 + l) * n_inv + idx] = z[idx * B + l];
+            q_noise[t0 + l] = z[n_inv * B + l];
+        }
+    }
+}
+
+TEST(FreqSweep, SampledMatchesTableAtChunkEdges)
+{
+    // The sampler-fed sweep starts each 1024-trial chunk from its own
+    // sampler copy, advanced by discard, and draws the chunk's blocks
+    // itself. It must see exactly the draws of one sequential fill:
+    // trial counts straddle block and chunk edges, and visits with an
+    // odd and an even number of rows per block (n_inv + 1) leave a
+    // Box-Muller partner pending between blocks or not.
+    const yield::CollisionModel model;
+    const double sigma = 0.03;
+    const Architecture chip = arch::ibm16Q(true);
+    Rng rng(19);
+    std::vector<sweep::LocalTerms> visits;
+    bool have_parity[2] = {false, false};
+    while (!have_parity[0] || !have_parity[1]) {
+        const auto q = arch::PhysQubit(rng.below(chip.numQubits()));
+        std::vector<bool> assigned(chip.numQubits());
+        for (std::size_t x = 0; x < assigned.size(); ++x)
+            assigned[x] = x != q && rng.chance(0.75);
+        sweep::LocalTerms terms = sweep::localTerms(chip, q, assigned);
+        const std::size_t parity = (terms.involved.size() + 1) % 2;
+        if (!terms.pairs.empty() && !have_parity[parity]) {
+            have_parity[parity] = true;
+            visits.push_back(std::move(terms));
+        }
+    }
+    for (const sweep::LocalTerms &terms : visits) {
+        for (double step : {0.01, 0.005}) {
+            const auto grid = sweep::candidateGrid(step);
+            for (std::size_t trials :
+                 {1u, 7u, 8u, 300u, 1023u, 1024u, 1025u, 2049u, 8000u}) {
+                std::vector<double> means(terms.involved.size());
+                for (double &m : means)
+                    m = grid.freqs[rng.below(grid.freqs.size())];
+                const GaussianBlockSampler sampler(rng.next());
+                std::vector<double> post, q_noise;
+                tableFromSampler(sampler, means, sigma, trials, post,
+                                 q_noise);
+                runtime::Options exec;
+                exec.num_threads = 1;
+                const auto expect = sweep::survivorCounts(
+                    terms, grid, post, q_noise, model, exec);
+                for (std::size_t threads : {1u, 2u, 3u, 4u}) {
+                    exec.num_threads = threads;
+                    ASSERT_EQ(sweep::survivorCounts(terms, grid, sampler,
+                                                    means, sigma, trials,
+                                                    model, exec),
+                              expect)
+                        << "rows " << terms.involved.size() + 1
+                        << " step " << step << " trials " << trials
+                        << " threads " << threads;
+                }
             }
         }
     }

@@ -117,6 +117,39 @@ TEST(GaussBlock, ChunkedFillsComposeBitExactly)
             << "index " << i;
 }
 
+TEST(GaussBlock, DiscardThenFillEqualsFill)
+{
+    // discard(a) must leave the lanes where fillStandard(a) would,
+    // carry included: the frequency sweep starts each trial chunk
+    // this way. A one-row lead-in leaves a partner pending, so both
+    // carry states are covered, and the odd trailing fill leaves one
+    // for the final row to read.
+    constexpr std::size_t tail = 9;
+    for (std::size_t lead : {std::size_t{0}, std::size_t{1}}) {
+        for (std::size_t skip :
+             {std::size_t{0}, std::size_t{1}, std::size_t{2},
+              std::size_t{7}, std::size_t{128}, std::size_t{1152}}) {
+            GaussianBlockSampler filled(4242), skipped(4242);
+            std::vector<double> lead_rows(B);
+            filled.fillStandard(lead_rows.data(), lead);
+            skipped.fillStandard(lead_rows.data(), lead);
+
+            std::vector<double> all((skip + tail + 1) * B);
+            filled.fillStandard(all.data(), skip + tail);
+            filled.fillStandard(all.data() + (skip + tail) * B, 1);
+            std::vector<double> rest((tail + 1) * B);
+            skipped.discard(skip);
+            skipped.fillStandard(rest.data(), tail);
+            skipped.fillStandard(rest.data() + tail * B, 1);
+            for (std::size_t i = 0; i < rest.size(); ++i)
+                ASSERT_EQ(std::bit_cast<uint64_t>(rest[i]),
+                          std::bit_cast<uint64_t>(all[skip * B + i]))
+                    << "lead " << lead << " skip " << skip << " index "
+                    << i;
+        }
+    }
+}
+
 TEST(GaussBlock, AffineAppliesMeanAndSigmaToTheSameDraws)
 {
     constexpr std::size_t rows = 33; // odd: exercises the carry
