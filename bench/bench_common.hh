@@ -51,14 +51,13 @@ namespace qpad::bench
  * Scheduler series moved by one timed call, read back as metrics-
  * registry deltas so benches print the very series QPAD_METRICS
  * exports. Valid when the call ran exactly one parallel region:
- * then the idle-histogram sum delta is that region's single
- * max-idle observation.
+ * then the idle-histogram sum delta is that region's caller's wait
+ * for the chunks still running on helpers.
  */
 struct RegionDelta
 {
     std::size_t chunks = 0;
-    std::size_t steals = 0;
-    double max_idle_seconds = 0.0;
+    double idle_seconds = 0.0;
 };
 
 inline RegionDelta
@@ -67,9 +66,7 @@ regionDelta(const obs::Snapshot &before)
     const obs::Snapshot d = obs::deltaSince(before);
     RegionDelta out;
     out.chunks = std::size_t(obs::valueOf(d, "runtime.chunks"));
-    out.steals = std::size_t(obs::valueOf(d, "runtime.steals"));
-    out.max_idle_seconds =
-        obs::valueOf(d, "runtime.region_idle_seconds");
+    out.idle_seconds = obs::valueOf(d, "runtime.region_idle_seconds");
     return out;
 }
 
@@ -132,6 +129,8 @@ execOptions()
  * unset/empty (no deadline). Same strictness as the other knobs:
  * digits only, and 0 itself is rejected — an always-expired deadline
  * is never what the user meant, and 0 is the "unset" sentinel here.
+ * Values whose nanosecond count overflows (above 9,223,372,036,854)
+ * are rejected too.
  */
 inline std::uint64_t
 deadlineMs()
@@ -146,7 +145,9 @@ deadlineMs()
     errno = 0;
     char *end = nullptr;
     const unsigned long long v = std::strtoull(ms, &end, 10);
-    if (errno == ERANGE || *end != '\0' || v == 0)
+    constexpr unsigned long long kMaxMs =
+        std::chrono::nanoseconds::max().count() / 1'000'000;
+    if (errno == ERANGE || *end != '\0' || v == 0 || v > kMaxMs)
         dieOnEnv("QPAD_DEADLINE_MS", ms,
                  "expected a positive integer of milliseconds");
     return std::uint64_t(v);

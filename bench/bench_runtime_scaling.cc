@@ -5,17 +5,17 @@
  * Default (uniform) mode: wall-clock speedup of the sharded Monte
  * Carlo yield estimator as the thread count grows, on the paper's
  * 10k-trial workload (ibm-16q with 4-qubit buses, sigma = 30 MHz),
- * with scheduler statistics (steals, max idle) read back from the
+ * with the caller's idle wait per region read back from the
  * qpad::obs metrics registry — the same series QPAD_METRICS exports.
  * Verifies on the fly that the tallies are bit-identical
  * at every thread count — the determinism contract of
  * runtime::SeedSequence.
  *
- * --skewed: the load-imbalance workload the work-stealing scheduler
- * exists for. A synthetic sweep whose per-index cost is 1x for the
- * first 7/8 of the range and 100x for the last eighth — the shape
- * adaptive yield escalation gives eval::runBenchmark, where a few
- * data points dwarf the rest. Compares static fixed-grain chunking
+ * --skewed: the load-imbalance workload guided sizing exists for.
+ * A synthetic sweep whose per-index cost is 1x for the first 7/8 of
+ * the range and 100x for the last eighth — the shape adaptive yield
+ * escalation gives eval::runBenchmark, where a few data points dwarf
+ * the rest. Compares static fixed-grain chunking
  * (one chunk per runner, the classic parallel-for deal) against
  * guided sizing (grain 0) on the same 8-way runner budget, and
  * checks that both produce the reference checksum bit-for-bit. The
@@ -108,10 +108,10 @@ runUniform(bench::BenchJson *json)
         t1 = std::min(t1, timedYield(arch, opts, r));
         reference = r;
     }
-    std::printf("%8s %12s %10s %12s %8s %10s\n", "threads", "seconds",
-                "speedup", "successes", "steals", "max-idle");
-    std::printf("%8zu %12.4f %10.2fx %12zu %8s %10s\n", std::size_t{1},
-                t1, 1.0, reference.successes, "-", "-");
+    std::printf("%8s %12s %10s %12s %10s\n", "threads", "seconds",
+                "speedup", "successes", "idle");
+    std::printf("%8zu %12.4f %10.2fx %12zu %10s\n", std::size_t{1}, t1,
+                1.0, reference.successes, "-");
     if (json) {
         json->metric("seconds_t1", t1);
         json->metric("successes", reference.successes);
@@ -132,9 +132,8 @@ runUniform(bench::BenchJson *json)
                 best_delta = bench::regionDelta(before);
             }
         }
-        std::printf("%8zu %12.4f %10.2fx %12zu %8zu %9.1fus%s\n",
-                    threads, t, t1 / t, r.successes, best_delta.steals,
-                    best_delta.max_idle_seconds * 1e6,
+        std::printf("%8zu %12.4f %10.2fx %12zu %9.1fus%s\n", threads,
+                    t, t1 / t, r.successes, best_delta.idle_seconds * 1e6,
                     r.successes == reference.successes
                         ? ""
                         : "  MISMATCH!");
@@ -143,7 +142,6 @@ runUniform(bench::BenchJson *json)
                 "_t" + std::to_string(threads);
             json->metric("seconds" + suffix, t);
             json->metric("speedup" + suffix, t1 / t);
-            json->metric("steals" + suffix, best_delta.steals);
         }
         if (r.successes != reference.successes)
             return 1;
@@ -258,10 +256,9 @@ runSkewed(bool assert_speedup, bench::BenchJson *json)
     // Reference: sequential, one chunk (no scheduler involved).
     const SkewedWorkload::Digest reference = w.checksum(w.n, 1);
 
-    // Static baseline: one fixed-grain chunk per runner — the deal
-    // the pre-work-stealing scheduler made. The chunk that owns the
-    // expensive tail costs ~93x a cheap chunk, so it pins one runner
-    // while the others go idle.
+    // Static baseline: one fixed-grain chunk per runner. The chunk
+    // that owns the expensive tail costs ~93x a cheap chunk, so it
+    // pins one runner while the others go idle.
     const std::size_t fixed_grain =
         (w.n + w.runners - 1) / w.runners;
 
@@ -272,8 +269,8 @@ runSkewed(bool assert_speedup, bench::BenchJson *json)
     };
     const Mode modes[] = {{"fixed", fixed_grain}, {"guided", 0}};
 
-    std::printf("%8s %12s %10s %8s %10s %8s\n", "mode", "seconds",
-                "speedup", "chunks", "steals", "max-idle");
+    std::printf("%8s %12s %10s %8s %8s\n", "mode", "seconds",
+                "speedup", "chunks", "idle");
     double times[2] = {0, 0};
     SkewedWorkload::Digest digests[2];
     bool ok = true;
@@ -297,10 +294,9 @@ runSkewed(bool assert_speedup, bench::BenchJson *json)
         digests[m] = digest;
         const bool match = digest == reference;
         ok = ok && match;
-        std::printf("%8s %12.4f %10.2fx %8zu %10zu %7.1fms%s\n",
+        std::printf("%8s %12.4f %10.2fx %8zu %6.1fms%s\n",
                     modes[m].name, best, times[0] / best,
-                    best_delta.chunks, best_delta.steals,
-                    best_delta.max_idle_seconds * 1e3,
+                    best_delta.chunks, best_delta.idle_seconds * 1e3,
                     match ? "" : "  MISMATCH!");
     }
 

@@ -265,8 +265,8 @@ annealLayout(const profile::CouplingProfile &profile,
     std::vector<ChainResult> chains(options.restarts);
     // Guided sizing (grain 0): cache hits make finished chains ~free
     // while cold chains cost the full iteration budget, so restart
-    // costs are heavily skewed on warm reruns; guided chunks plus
-    // stealing keep the runners busy either way. Chain i's seed
+    // costs are heavily skewed on warm reruns; guided chunks, claimed
+    // largest first, keep the runners busy either way. Chain i's seed
     // depends only on i, never on the chunk index, so chunk identity
     // is free to follow the guided sequence.
     const runtime::Options run_exec = ctx.apply(options.exec);

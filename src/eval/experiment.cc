@@ -463,9 +463,10 @@ runBenchmark(const benchmarks::BenchmarkInfo &info,
     // Guided sizing (grain 0): adaptive yield escalation makes some
     // data points ~100x dearer than others, so fixed chunks would
     // park a worker on whichever chunk drew the expensive points.
-    // Guided chunks shrink toward the tail and the work-stealing
-    // runners rebalance the rest; safe here because each job derives
-    // its seeds from the options alone, never from the chunk index.
+    // Guided chunks are claimed largest first and shrink toward the
+    // tail, so the last claims even out the runners; safe here
+    // because each job derives its seeds from the options alone,
+    // never from the chunk index.
     runtime::parallel_for(
         ctx.apply(options.exec), jobs.size(), 0,
         [&](std::size_t begin, std::size_t end, std::size_t) {

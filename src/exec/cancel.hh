@@ -114,8 +114,8 @@ class CancelToken
 /**
  * Thrown when cancelled work unwinds. Propagates through the
  * region's first-error-wins path like any other exception, so a
- * cancelled parallel region drains its deques and rethrows this at
- * the caller.
+ * cancelled parallel region skips its unclaimed chunks and rethrows
+ * this at the caller.
  */
 class CancelledError : public std::runtime_error
 {

@@ -92,10 +92,14 @@ class Context
         state_->setDeadline(deadline);
     }
 
-    /** Convenience: deadline = exec::now() + budget. */
+    /** Convenience: deadline = exec::now() + budget, saturating: a
+     * budget past the clock's range never fires. */
     void setDeadlineAfter(std::chrono::nanoseconds budget) const
     {
-        state_->setDeadline(now() + budget);
+        const TimePoint start = now();
+        state_->setDeadline(budget >= TimePoint::max() - start
+                                ? TimePoint::max()
+                                : start + budget);
     }
 
     StopReason stopReason() const { return state_->stopReason(); }

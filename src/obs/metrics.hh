@@ -9,8 +9,8 @@
  * mutex and allocates, so instrumentation sites cache the returned
  * reference in a function-local static:
  *
- *     static obs::Counter &steals = obs::counter("runtime.steals");
- *     steals.add(n);
+ *     static obs::Counter &chunks = obs::counter("runtime.chunks");
+ *     chunks.add(n);
  *
  * Handles are stable for the life of the process (the registry is
  * never destroyed), so references captured during static init or

@@ -1,7 +1,6 @@
 /**
  * @file
- * Deterministic chunked-range parallelism on a work-stealing
- * scheduler.
+ * Deterministic chunked-range parallelism.
  *
  * parallel_for / parallel_reduce split the index range [0, n) into
  * chunks whose *identity* — the boundaries — is a pure function of
@@ -29,23 +28,24 @@
  *                so stragglers end in fine-grained chunks that
  *                spread across workers instead of pinning one.
  *
- * Scheduling (see runtime/region.hh and runtime/chunk_deque.hh):
- * chunks are dealt into per-runner Chase–Lev deques; each runner
- * drains its own deque and then steals from randomly-ordered
- * victims, so a runner that finishes early takes load off whoever is
- * stuck with expensive chunks. The caller always participates as
- * runner 0, helpers are borrowed from ThreadPool::global() through
- * its one queue of region offers, and the caller's completion wait
- * is a condition-variable handshake — no sleep-polling anywhere.
- * Nested parallel regions cannot deadlock: a region's completion
- * never depends on a helper starting, because the caller can steal
- * every chunk itself; a saturated pool degrades toward sequential
- * execution, never toward a cycle of blocked workers.
+ * Scheduling (see runtime/region.hh): every runner claims the next
+ * chunk index from one shared counter, in ascending order, so a
+ * runner that finishes early simply claims more while another is
+ * busy with an expensive chunk. The caller always runs the claim
+ * loop itself, helpers are borrowed from ThreadPool::global()
+ * through its one queue of region offers, and the caller's
+ * completion wait is a condition-variable handshake — no
+ * sleep-polling anywhere. Nested parallel regions cannot deadlock: a
+ * region's completion never depends on a helper starting, because
+ * the caller can claim every chunk itself; a saturated pool degrades
+ * toward sequential execution, never toward a cycle of blocked
+ * workers.
  *
  * Scheduler statistics go to the metrics registry only: every region
  * counts into runtime.regions (parallel) or runtime.seq_regions
- * (sequential), plus runtime.chunks, runtime.steals and the
- * runtime.region_seconds / runtime.region_idle_seconds histograms.
+ * (sequential), plus runtime.chunks and the runtime.region_seconds /
+ * runtime.region_idle_seconds histograms (the latter is the caller's
+ * wait for chunks still running on helpers).
  */
 
 #ifndef QPAD_RUNTIME_PARALLEL_HH
@@ -100,8 +100,9 @@ struct Options
      * Observability only: the id of the request this work belongs to
      * (0 = none), stamped onto every runner thread for the duration
      * of the region so spans and log/flight events recorded inside
-     * chunks — stolen ones included — carry it. Usually attached via
-     * exec::Context::apply(); never affects scheduling or results.
+     * chunks — on helpers as well as the caller — carry it. Usually
+     * attached via exec::Context::apply(); never affects scheduling
+     * or results.
      */
     uint64_t request_id = 0;
 };
@@ -174,7 +175,7 @@ parallel_for(const Options &options, std::size_t n, std::size_t grain,
         }
         return;
     }
-    detail::runRegion(chunks, threads, plan.guided(),
+    detail::runRegion(chunks, threads,
                       [&plan, &body](std::size_t c) {
                           const auto [begin, end] = plan.bounds(c);
                           body(begin, end, c);
@@ -186,8 +187,9 @@ parallel_for(const Options &options, std::size_t n, std::size_t grain,
  * Map-reduce over [0, n): `map(begin, end, chunk_index)` produces one
  * partial result per chunk, folded left-to-right in chunk order with
  * `combine(accumulator, partial)`. The fold order is fixed, so the
- * result is independent of the thread count — and of who stole which
- * chunk — even for non-commutative or floating-point combines.
+ * result is independent of the thread count — and of which runner
+ * claimed which chunk — even for non-commutative or floating-point
+ * combines.
  */
 template <typename T, typename Map, typename Combine>
 T
@@ -212,7 +214,7 @@ parallel_reduce(const Options &options, std::size_t n, std::size_t grain,
             partials[c] = map(begin, end, c);
         }
     } else {
-        detail::runRegion(chunks, threads, plan.guided(),
+        detail::runRegion(chunks, threads,
                           [&plan, &map, &partials](std::size_t c) {
                               const auto [begin, end] = plan.bounds(c);
                               partials[c] = map(begin, end, c);

@@ -1,40 +1,41 @@
 /**
  * @file
- * Parallel-region execution state for the work-stealing scheduler.
+ * Parallel-region execution state.
  *
  * One RegionState is the shared heart of one parallel_for /
- * parallel_reduce call: the type-erased chunk body, one ChunkDeque
- * per runner, the outstanding-chunk counter the caller's completion
- * wait hangs off, first-error-wins exception capture, and the
- * scheduler counters runRegion publishes as the runtime.* metrics.
+ * parallel_reduce call: the type-erased chunk body, one claim
+ * counter that hands out chunk indices in ascending order, the
+ * outstanding-chunk counter the caller's completion wait hangs off,
+ * and first-error-wins exception capture. The caller and every pool
+ * helper run the same claim loop (runAs), so whoever is free takes
+ * the next chunk; runners share no other work queue.
  *
  * Lifetime: regions are heap-allocated and shared_ptr-owned by the
  * caller *and* by every helper offer queued on the ThreadPool. The
  * caller returns as soon as every chunk has finished executing
  * (pending == 0) — helpers that the pool only gets around to
- * starting later find the deques drained, touch nothing but the
+ * starting later find the counter exhausted, touch nothing but the
  * region's own atomics, and retire. That is what makes the engine
- * deadlock-free without the old sleep-polling "helping wait": the
- * caller always participates as runner 0 and can steal every chunk
- * itself, so completion never depends on a helper actually starting.
+ * deadlock-free without a sleep-polling "helping wait": the caller
+ * always runs the claim loop itself and can claim every chunk, so
+ * completion never depends on a helper actually starting.
  */
 
 #ifndef QPAD_RUNTIME_REGION_HH
 #define QPAD_RUNTIME_REGION_HH
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <utility>
 #include <vector>
 
 #include "exec/cancel.hh"
-#include "runtime/chunk_deque.hh"
 
 namespace qpad::runtime
 {
@@ -55,7 +56,9 @@ constexpr std::size_t kGuidedDivisor = 8;
  * Chunk identity for one region: boundaries as a pure function of
  * (n, grain). grain > 0 produces fixed grain-sized chunks; grain = 0
  * produces the guided decreasing-size sequence (large blocks first,
- * shrinking toward the tail) for skewed per-index costs.
+ * shrinking toward the tail) for skewed per-index costs. Chunks are
+ * claimed in ascending index order, so the largest guided chunks
+ * start first.
  */
 class ChunkPlan
 {
@@ -104,40 +107,32 @@ class RegionState
     /**
      * `cancel` (may be null = unlimited) is polled at every
      * chunk-claim boundary: once it reports a stop, the remaining
-     * chunks are claimed-but-skipped — the deques still drain and
-     * pending_ still reaches zero — and a CancelledError is captured
-     * through the same first-error-wins path a throwing chunk uses.
-     * The token only needs to outlive the caller's waitDone(): the
-     * poll happens strictly after a successful claim (which pins the
-     * caller), so a late helper that finds no work never reads it.
+     * chunks are claimed-but-skipped — the counter still runs out
+     * and pending_ still reaches zero — and a CancelledError is
+     * captured through the same first-error-wins path a throwing
+     * chunk uses. The token only needs to outlive the caller's
+     * waitDone(): the poll happens strictly after a successful claim
+     * (which pins the caller), so a late helper that finds no work
+     * never reads it.
      *
      * `request_id` (0 = none) tags every runner's thread while it
      * works the region, so spans/log/flight events recorded inside
-     * stolen chunks carry the owning request's id. Purely
-     * observational — it never affects scheduling or results.
+     * chunks carry the owning request's id whichever thread runs
+     * them. Purely observational — it never affects scheduling or
+     * results.
      */
-    RegionState(std::size_t runners, std::size_t chunks,
+    RegionState(std::size_t chunks,
                 std::function<void(std::size_t)> run_chunk,
                 const exec::CancelToken *cancel,
                 uint64_t request_id);
 
-    /** Runner count (deques); runner 0 is the caller. */
-    std::size_t runners() const { return runners_; }
-
-    /** Preload runner `id`'s deque (before dispatch only). */
-    void loadDeque(std::size_t id, std::vector<std::size_t> items);
-
     /**
-     * Pool-worker entry point: claim the next helper runner id and
-     * work the region. Ids beyond runners() mean every runner slot
-     * is claimed already (the pool queued more offers than the
-     * region has helper slots); such late arrivals retire at once.
+     * The claim loop, run by the caller and by every pool helper:
+     * claim the next chunk index from the shared counter and run it,
+     * until the counter passes the last chunk. A helper that arrives
+     * after that retires at once.
      */
-    void helperEntry();
-
-    /** Run as runner `id`: drain the own deque, then steal until the
-     * region is globally out of unclaimed chunks. */
-    void runAs(std::size_t id);
+    void runAs();
 
     /** Block (condition variable, no polling) until every chunk has
      * finished executing. Also disarms the finished signal: by the
@@ -155,29 +150,10 @@ class RegionState
      */
     void armFinishedSignal(std::atomic<std::size_t> &counter);
 
-    /** Fold `seconds` into the max-idle statistic. */
-    void recordIdle(double seconds);
-
-    /** Chunks claimed by a runner other than their deque's owner;
-     * exact after waitDone. */
-    std::size_t steals() const;
-
-    /**
-     * Worst per-runner time spent hunting for work or waiting for
-     * stragglers, in seconds. Best-effort: a helper still retiring
-     * after waitDone (the caller waits for chunks, not for helpers)
-     * may report its idle time too late to be read.
-     */
-    double maxIdleSeconds() const;
-
     /** Rethrow the first captured chunk exception, if any. */
     void rethrowIfFailed();
 
   private:
-    /** Randomized sweep over the other deques; kEmpty only when no
-     * unclaimed chunk exists anywhere. */
-    std::size_t stealLoop(std::size_t self, uint64_t &rng_state);
-
     /** Chunk done (or skipped after a failure): decrement pending
      * and wake the caller on the last one. */
     void finishChunk();
@@ -189,13 +165,13 @@ class RegionState
     void recordStop(exec::StopReason reason);
 
     std::function<void(std::size_t)> run_chunk_;
-    std::vector<std::unique_ptr<ChunkDeque>> deques_;
-    std::size_t runners_;
+    std::size_t chunks_;
     const exec::CancelToken *cancel_;
     uint64_t request_id_;
 
+    /** Next unclaimed chunk index; >= chunks_ once all are claimed. */
+    std::atomic<std::size_t> next_{0};
     std::atomic<std::size_t> pending_;
-    std::atomic<std::size_t> next_runner_{1};
     std::atomic<bool> failed_{false};
 
     std::mutex error_mutex_;
@@ -206,25 +182,20 @@ class RegionState
     /** Armed before dispatch, read/cleared under done_mutex_ in
      * waitDone (null = never dispatched or already disarmed). */
     std::atomic<std::size_t> *finished_signal_ = nullptr;
-
-    // Scheduler statistics (relaxed counters; read after waitDone).
-    std::atomic<std::size_t> steals_{0};
-    std::atomic<std::uint64_t> max_idle_ns_{0};
 };
 
 /**
  * Execute `run_chunk(c)` for every c in [0, chunks) on `threads`
- * work-stealing runners (calling thread included). `guided` selects
- * the initial chunk-to-runner deal (strided for guided sizing so
- * every runner starts with a mix of sizes, contiguous otherwise for
- * locality). The first exception thrown by any chunk is rethrown in
+ * runners (calling thread included) that claim chunks from one
+ * counter. The first exception thrown by any chunk is rethrown in
  * the caller after every chunk has finished or been skipped; a stop
  * signalled through `cancel` (null = unlimited) surfaces the same
  * way, as a CancelledError. Every region, failed ones included, is
- * counted in the runtime.regions / .chunks / .steals series and the
- * runtime.region_seconds / .region_idle_seconds histograms.
+ * counted in the runtime.regions / .chunks series and the
+ * runtime.region_seconds / .region_idle_seconds histograms (the
+ * latter is the caller's wait for chunks still running on helpers).
  */
-void runRegion(std::size_t chunks, std::size_t threads, bool guided,
+void runRegion(std::size_t chunks, std::size_t threads,
                std::function<void(std::size_t)> run_chunk,
                const exec::CancelToken *cancel, uint64_t request_id);
 

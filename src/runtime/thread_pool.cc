@@ -92,7 +92,7 @@ ThreadPool::workerLoop()
             region = std::move(offers_.front());
             offers_.pop_front();
         }
-        region->helperEntry();
+        region->runAs();
     }
 }
 

@@ -6,15 +6,14 @@
  *
  * The pool's only job is "wake k helpers for this region":
  * dispatchRegion (see runtime/region.hh) pushes one offer per helper
- * slot and wakes one sleeping worker per offer; a worker pops the
- * oldest offer and works that region until it is out of unclaimed
- * chunks. Load balancing happens one level down, at chunk
- * granularity, through the region's per-runner Chase–Lev deques
- * (runtime/chunk_deque.hh), so the queue itself never needs
- * stealing. Determinism is NOT the pool's job either — offers run in
- * any order on any worker — it is provided by parallel_for /
- * parallel_reduce, which fix chunk identity and merge order (see
- * runtime/parallel.hh).
+ * and wakes one sleeping worker per offer; a worker pops the oldest
+ * offer and runs that region's claim loop until every chunk is
+ * claimed. Load balancing happens one level down, at chunk
+ * granularity, through the region's one claim counter: whichever
+ * runner is free takes the next chunk. Determinism is NOT the pool's
+ * job either — offers run in any order on any worker — it is
+ * provided by parallel_for / parallel_reduce, which fix chunk
+ * identity and merge order (see runtime/parallel.hh).
  */
 
 #ifndef QPAD_RUNTIME_THREAD_POOL_HH
@@ -68,9 +67,8 @@ class ThreadPool
     /**
      * Queue min(helpers, size()) offers of a parallel region and
      * wake one sleeping worker per offer. Returns immediately. A
-     * worker that picks an offer up late — after the region's caller
-     * already finished the range, or after the region's helper slots
-     * are all claimed — retires harmlessly (see runtime/region.hh
+     * worker that picks an offer up late — after every chunk of the
+     * region is claimed — retires harmlessly (see runtime/region.hh
      * lifetime notes). A worker that opens a region stays inside it
      * until the region completes, so it never pops its own offer
      * early; such an offer retires the same way.
@@ -98,8 +96,8 @@ class ThreadPool
   private:
     void workerLoop();
 
-    /** Guards offers_ and stopping_; the deque contents of a region
-     * are published to its helpers through this mutex. */
+    /** Guards offers_ and stopping_; a region's constructed state
+     * is published to its helpers through this mutex. */
     std::mutex mutex_;
     std::condition_variable cv_;
     /** Region offers, oldest first. */

@@ -24,9 +24,10 @@ namespace
  * grain, never guided (grain 0): the chunk index is the RNG shard,
  * so guided sizing would re-chunk the range and change every draw.
  * Trials are uniform-cost anyway — load balance comes from the
- * work-stealing runners, not from chunk sizing — and the fixed
- * 1024-trial blocks keep the SoA lane kernels (batched collision
- * checker, GaussianBlockSampler) walking whole 8-lane blocks.
+ * runners claiming chunks as they free up, not from chunk sizing —
+ * and the fixed 1024-trial blocks keep the SoA lane kernels (batched
+ * collision checker, GaussianBlockSampler) walking whole 8-lane
+ * blocks.
  */
 constexpr std::size_t kShardTrials = 1024;
 

@@ -125,6 +125,15 @@ TEST(Context, SetDeadlineAfterZeroBudgetExpires)
     EXPECT_EQ(ctx.stopReason(), StopReason::kDeadlineExceeded);
 }
 
+TEST(Context, SetDeadlineAfterHugeBudgetNeverExpires)
+{
+    // now() + budget would overflow into the past; the deadline
+    // saturates at the end of the clock's range instead.
+    Context ctx;
+    ctx.setDeadlineAfter(std::chrono::nanoseconds::max());
+    EXPECT_EQ(ctx.stopReason(), StopReason::kNone);
+}
+
 TEST(Context, ApplyAttachesTokenOnlyWhenUnset)
 {
     Context ctx;

@@ -948,17 +948,15 @@ TEST(Flight, RunnerThreadsCarryTheRegionRequestId)
 {
     // Deterministic single-runner region on a fresh (untagged)
     // thread: runAs must tag the thread with the region's request id
-    // for the duration of the chunk. Helpers and stealers go through
-    // the same entry point, so this covers every runner kind.
+    // for the duration of the chunk. The caller and every helper run
+    // the same claim loop, so this covers every runner kind.
     uint64_t seen = 999;
     auto state = std::make_shared<runtime::detail::RegionState>(
-        1, 1,
-        [&](std::size_t) { seen = obs::currentRequestId(); },
+        1, [&](std::size_t) { seen = obs::currentRequestId(); },
         nullptr, 42);
-    state->loadDeque(0, {0});
     std::thread t([&] {
         EXPECT_EQ(obs::currentRequestId(), 0u);
-        state->runAs(0);
+        state->runAs();
         // The tag is scoped to the region: restored on exit.
         EXPECT_EQ(obs::currentRequestId(), 0u);
     });

@@ -58,12 +58,10 @@ TEST(ThreadPool, DestructionAfterRegionRetiresIsClean)
     ThreadPool pool(2);
     std::atomic<std::size_t> hits{0};
     auto state = std::make_shared<runtime::detail::RegionState>(
-        2, 4, [&](std::size_t) { ++hits; }, nullptr, 0);
-    state->loadDeque(0, {0, 2});
-    state->loadDeque(1, {1, 3});
+        4, [&](std::size_t) { ++hits; }, nullptr, 0);
     pool.dispatchRegion(state, 1);
     EXPECT_EQ(pool.activeRegions(), 1u);
-    state->runAs(0);
+    state->runAs();
     state->waitDone();
     state->rethrowIfFailed();
     EXPECT_EQ(hits.load(), 4u);
@@ -74,17 +72,16 @@ TEST(ThreadPool, DestructionAfterRegionRetiresIsClean)
 
 TEST(ThreadPool, OfferWakesASleepingWorker)
 {
-    // The caller never runs as runner 0 here and every chunk sits in
-    // runner 1's deque, so only a worker woken by the offer can
-    // finish the region: a lost wakeup hangs this test (and the
-    // ctest TIMEOUT turns the hang into a failure).
+    // The caller never runs the claim loop here, so only a worker
+    // woken by the offer can finish the region: a lost wakeup hangs
+    // this test (and the ctest TIMEOUT turns the hang into a
+    // failure).
     ThreadPool pool(2);
     // Let both workers reach their condition-variable wait first.
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     std::atomic<std::size_t> hits{0};
     auto state = std::make_shared<runtime::detail::RegionState>(
-        2, 3, [&](std::size_t) { ++hits; }, nullptr, 0);
-    state->loadDeque(1, {2, 1, 0});
+        3, [&](std::size_t) { ++hits; }, nullptr, 0);
     pool.dispatchRegion(state, 1);
     state->waitDone();
     state->rethrowIfFailed();
@@ -94,41 +91,28 @@ TEST(ThreadPool, OfferWakesASleepingWorker)
 
 TEST(ThreadPool, SurplusOffersRetireWithoutRunningChunks)
 {
-    // Four offers for one helper slot: the first worker to pop an
-    // offer becomes runner 1, the other three find every runner slot
-    // claimed and retire without touching a chunk — so at most two
-    // threads (caller + one helper) ever run a chunk.
+    // A two-thread region queues exactly one helper offer, so at
+    // most two threads (caller + one helper) ever run its chunks,
+    // however many workers the pool has. Offers an earlier region
+    // left queued belong to that region and retire without running
+    // any chunk of this one.
     constexpr std::size_t kChunks = 64;
-    std::vector<std::atomic<int>> runs(kChunks);
-    std::mutex runners_mutex;
-    std::set<std::thread::id> runners;
-    {
-        ThreadPool pool(4);
-        auto state = std::make_shared<runtime::detail::RegionState>(
-            2, kChunks,
-            [&](std::size_t c) {
-                ++runs[c];
+    for (int round = 0; round < 20; ++round) {
+        std::vector<std::atomic<int>> runs(kChunks);
+        std::mutex runners_mutex;
+        std::set<std::thread::id> runners;
+        runtime::parallel_for(
+            Options{2}, kChunks, 1,
+            [&](std::size_t begin, std::size_t, std::size_t) {
+                ++runs[begin];
                 std::lock_guard<std::mutex> lock(runners_mutex);
                 runners.insert(std::this_thread::get_id());
-            },
-            nullptr, 0);
-        std::vector<std::size_t> low, high;
-        for (std::size_t c = kChunks / 2; c-- > 0;) {
-            low.push_back(c);
-            high.push_back(c + kChunks / 2);
-        }
-        state->loadDeque(0, std::move(low));
-        state->loadDeque(1, std::move(high));
-        pool.dispatchRegion(state, 4);
-        state->runAs(0);
-        state->waitDone();
-        state->rethrowIfFailed();
-        EXPECT_EQ(pool.activeRegions(), 0u);
-    } // surplus offers still queued retire during the join
-    for (std::size_t c = 0; c < kChunks; ++c)
-        EXPECT_EQ(runs[c].load(), 1) << "chunk " << c;
-    EXPECT_GE(runners.size(), 1u);
-    EXPECT_LE(runners.size(), 2u);
+            });
+        for (std::size_t c = 0; c < kChunks; ++c)
+            EXPECT_EQ(runs[c].load(), 1) << "chunk " << c;
+        EXPECT_GE(runners.size(), 1u);
+        EXPECT_LE(runners.size(), 2u);
+    }
 }
 
 TEST(ThreadPoolDeathTest, DestructionDuringActiveRegionAborts)
@@ -145,7 +129,7 @@ TEST(ThreadPoolDeathTest, DestructionDuringActiveRegionAborts)
             std::atomic<bool> started{false};
             auto state =
                 std::make_shared<runtime::detail::RegionState>(
-                    2, 2,
+                    2,
                     [&](std::size_t) {
                         started.store(true);
                         for (;;)
@@ -153,7 +137,6 @@ TEST(ThreadPoolDeathTest, DestructionDuringActiveRegionAborts)
                                 std::chrono::hours(1));
                     },
                     nullptr, 0);
-            state->loadDeque(1, {0, 1});
             pool.dispatchRegion(state, 1);
             while (!started.load())
                 std::this_thread::yield();
@@ -336,10 +319,34 @@ TEST(GuidedScheduling, BoundariesAreAPureFunctionOfN)
         EXPECT_EQ(boundaries(threads), seq) << threads;
 }
 
+TEST(GuidedScheduling, OneRunnerClaimsLargestChunksFirst)
+{
+    // Claims come off one counter in ascending order, so a region
+    // run by one thread with no dispatch executes chunk 0 first and
+    // chunk n-1 last. Guided sizing relies on this: its largest
+    // chunks are its first ones.
+    const runtime::detail::ChunkPlan plan(1000, 0);
+    std::vector<std::size_t> order;
+    auto state = std::make_shared<runtime::detail::RegionState>(
+        plan.chunks(), [&](std::size_t c) { order.push_back(c); },
+        nullptr, 0);
+    state->runAs();
+    state->waitDone();
+    state->rethrowIfFailed();
+    ASSERT_EQ(order.size(), plan.chunks());
+    for (std::size_t c = 0; c < order.size(); ++c)
+        EXPECT_EQ(order[c], c);
+    for (std::size_t c = 1; c < order.size(); ++c) {
+        const auto [b0, e0] = plan.bounds(order[c - 1]);
+        const auto [b1, e1] = plan.bounds(order[c]);
+        EXPECT_GE(e0 - b0, e1 - b1) << c;
+    }
+}
+
 TEST(GuidedScheduling, ReduceCombinesInChunkOrder)
 {
     // Non-commutative combine under guided sizing: the decreasing
-    // chunk sizes and the stealing runners must not disturb the
+    // chunk sizes and the concurrent runners must not disturb the
     // ascending fold.
     auto run = [](std::size_t threads) {
         return runtime::parallel_reduce(
@@ -420,7 +427,7 @@ TEST(ThreadOptions, RejectsCountsAboveCeiling)
 }
 
 // --------------------------------------------------------------------
-// Exceptions under stealing
+// Exceptions across runners
 // --------------------------------------------------------------------
 
 TEST(StealingExceptions, NestedRegionExceptionReachesOuterCaller)
@@ -428,8 +435,8 @@ TEST(StealingExceptions, NestedRegionExceptionReachesOuterCaller)
     // A chunk of an outer multi-thread region opens an inner region
     // whose chunks throw: the inner region must rethrow in the outer
     // chunk, and the outer region must hand exactly that exception
-    // (message intact) to the outermost caller — under stealing and
-    // with oversubscribed runner counts.
+    // (message intact) to the outermost caller — with several
+    // runners and with oversubscribed runner counts.
     try {
         runtime::parallel_for(
             Options{8}, 8, 1,
@@ -527,8 +534,9 @@ TEST(Cancellation, CancelFromInsideARegionSkipsTheRemainder)
             EXPECT_EQ(e.reason(), exec::StopReason::kCancelled);
         }
         // A chunk per runner can already be in flight when the stop
-        // lands, but the bulk of the range must be skipped.
-        EXPECT_LT(executed.load(), 1000u) << threads;
+        // lands; each runner's next claim sees the stop its own
+        // chunk raised, so no runner executes a second chunk.
+        EXPECT_LE(executed.load(), threads) << threads;
     }
 }
 
@@ -654,7 +662,7 @@ TEST(WakeupLatency, SmallRegionsCompleteWithoutMillisecondStalls)
 // Region metrics (the runtime.* series, read as registry deltas)
 // --------------------------------------------------------------------
 
-TEST(RegionMetrics, CountsChunksAndSteals)
+TEST(RegionMetrics, CountsChunksAndCallerWait)
 {
     const obs::Snapshot before = obs::snapshot();
     runtime::parallel_for(
@@ -663,14 +671,13 @@ TEST(RegionMetrics, CountsChunksAndSteals)
     const obs::Snapshot d = obs::deltaSince(before);
     EXPECT_EQ(obs::valueOf(d, "runtime.regions"), 1.0);
     EXPECT_EQ(obs::valueOf(d, "runtime.chunks"), 100.0);
-    EXPECT_LE(obs::valueOf(d, "runtime.steals"), 100.0);
     const obs::Sample *idle = obs::find(d, "runtime.region_idle_seconds");
     ASSERT_NE(idle, nullptr);
     EXPECT_EQ(idle->count, 1u);
     EXPECT_GE(idle->sum, 0.0);
 }
 
-TEST(RegionMetrics, SequentialRegionCountsNoSteals)
+TEST(RegionMetrics, SequentialRegionCountsNoParallelRegion)
 {
     const obs::Snapshot before = obs::snapshot();
     uint64_t sum = runtime::parallel_reduce(
@@ -688,7 +695,6 @@ TEST(RegionMetrics, SequentialRegionCountsNoSteals)
     EXPECT_EQ(obs::valueOf(d, "runtime.regions"), 0.0);
     EXPECT_EQ(obs::valueOf(d, "runtime.chunks"),
               double(runtime::detail::ChunkPlan(100, 0).chunks()));
-    EXPECT_EQ(obs::valueOf(d, "runtime.steals"), 0.0);
 }
 
 // --------------------------------------------------------------------

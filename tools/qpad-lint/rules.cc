@@ -670,9 +670,8 @@ RuleRunner::ruleAtomicOrder()
         if (!has_order)
             add("atomic-implicit-order", tk.line,
                 "atomic '." + tk.text +
-                    "()' without an explicit memory_order: implicit "
-                    "seq_cst is reserved for the documented "
-                    "chunk-deque zone — spell the order");
+                    "()' without an explicit memory_order: spell "
+                    "the order, seq_cst included");
     }
 }
 
