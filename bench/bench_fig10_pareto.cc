@@ -14,7 +14,8 @@
  * or QPAD_FIG10_CSV=only for CSV alone (no report text — the CSV is
  * then byte-identical with the cache on or off, which the
  * qpad_golden test checks; the report would differ in its cache-
- * statistics line). QPAD_DEADLINE_MS=<millis> arms a deadline on the
+ * statistics line). Unset, empty or 0 prints the report alone; any
+ * other value exits 2. QPAD_DEADLINE_MS=<millis> arms a deadline on the
  * sweep's request context; if it expires the run stops within one
  * chunk of work and exits 4 (CI gates on both the exit code and the
  * stop latency). QPAD_FIG10_SUITE=<substring>[,<substring>...]
@@ -24,7 +25,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 
@@ -65,6 +65,15 @@ suiteSelected(const std::string &name)
 int
 main()
 {
+    const char *csv_env = std::getenv("QPAD_FIG10_CSV");
+    const std::string csv_mode = csv_env ? csv_env : "";
+    if (csv_mode != "" && csv_mode != "0" && csv_mode != "1" &&
+        csv_mode != "only")
+        bench::dieOnEnv("QPAD_FIG10_CSV", csv_env,
+                        "expected 0, 1 or only");
+    const bool csv = csv_mode == "1" || csv_mode == "only";
+    const bool csv_only = csv_mode == "only";
+
     auto options = bench::paperOptions();
     const exec::Context ctx = bench::requestContext();
     // Request-scoped telemetry for the sweep: every span, log event,
@@ -72,10 +81,6 @@ main()
     // first context of the process, so id 1 — CI greps the deadline
     // dump for it). Observability only; stdout is unchanged.
     exec::RequestScope scope(ctx, "fig10_pareto");
-    const char *csv_env = std::getenv("QPAD_FIG10_CSV");
-    const bool csv = csv_env != nullptr;
-    const bool csv_only = csv && std::strcmp(csv_env, "only") == 0;
-
     if (!csv_only) {
         eval::printHeader(std::cout,
                           "Figure 10: yield vs normalized "

@@ -146,69 +146,6 @@ Encoder::digest() const
     return hashBytes(bytes_.data(), bytes_.size());
 }
 
-bool
-Decoder::u8(uint8_t &out)
-{
-    if (pos_ + 1 > len_)
-        return false;
-    out = data_[pos_++];
-    return true;
-}
-
-bool
-Decoder::u32(uint32_t &out)
-{
-    if (pos_ + 4 > len_)
-        return false;
-    out = 0;
-    for (int i = 0; i < 4; ++i)
-        out |= uint32_t(data_[pos_ + i]) << (8 * i);
-    pos_ += 4;
-    return true;
-}
-
-bool
-Decoder::u64(uint64_t &out)
-{
-    if (pos_ + 8 > len_)
-        return false;
-    out = 0;
-    for (int i = 0; i < 8; ++i)
-        out |= uint64_t(data_[pos_ + i]) << (8 * i);
-    pos_ += 8;
-    return true;
-}
-
-bool
-Decoder::i32(int32_t &out)
-{
-    uint32_t v;
-    if (!u32(v))
-        return false;
-    out = int32_t(v);
-    return true;
-}
-
-bool
-Decoder::i64(int64_t &out)
-{
-    uint64_t v;
-    if (!u64(v))
-        return false;
-    out = int64_t(v);
-    return true;
-}
-
-bool
-Decoder::f64(double &out)
-{
-    uint64_t bits;
-    if (!u64(bits))
-        return false;
-    out = std::bit_cast<double>(bits);
-    return true;
-}
-
 void
 encodeTopology(Encoder &enc, const arch::Architecture &arch)
 {

@@ -17,8 +17,8 @@
  * astronomically more entries than any design sweep produces). Every
  * key starts with a domain tag string and a format version, so
  * distinct record kinds (yield results, frequency allocations,
- * annealing chains) can never alias and an encoding change
- * invalidates old records instead of corrupting them.
+ * annealing chains) key apart and an encoding change moves every key
+ * of its domain.
  */
 
 #ifndef QPAD_CACHE_FINGERPRINT_HH
@@ -72,50 +72,16 @@ class Encoder
     void u32(uint32_t v);
     void u64(uint64_t v);
     void i32(int32_t v) { u32(static_cast<uint32_t>(v)); }
-    void i64(int64_t v) { u64(static_cast<uint64_t>(v)); }
     /** IEEE-754 bit pattern; -0.0 and 0.0 intentionally differ. */
     void f64(double v);
     /** Length-prefixed byte string (for domain tags). */
     void str(std::string_view s);
-
-    const std::vector<uint8_t> &bytes() const { return bytes_; }
 
     /** Digest of everything appended so far. */
     Fingerprint digest() const;
 
   private:
     std::vector<uint8_t> bytes_;
-};
-
-/**
- * Bounds-checked reader for Encoder-produced byte sequences (cache
- * payloads). Every accessor returns false instead of
- * reading past the end, so truncated or corrupt blobs decode to a
- * clean failure rather than garbage.
- */
-class Decoder
-{
-  public:
-    Decoder(const uint8_t *data, std::size_t len)
-        : data_(data), len_(len)
-    {}
-    explicit Decoder(const std::vector<uint8_t> &bytes)
-        : Decoder(bytes.data(), bytes.size())
-    {}
-
-    bool u8(uint8_t &out);
-    bool u32(uint32_t &out);
-    bool u64(uint64_t &out);
-    bool i32(int32_t &out);
-    bool i64(int64_t &out);
-    bool f64(double &out);
-
-    bool atEnd() const { return pos_ == len_; }
-
-  private:
-    const uint8_t *data_;
-    std::size_t len_;
-    std::size_t pos_ = 0;
 };
 
 /**

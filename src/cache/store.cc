@@ -66,16 +66,10 @@ dedupMetric()
 }
 
 /**
- * Fixed per-entry accounting overhead (key, list/map nodes) added to
- * the payload size when charging the LRU budget.
+ * Fixed per-entry accounting overhead (key, LRU and map nodes) added
+ * to the value's own charge.
  */
-constexpr std::size_t kEntryOverhead = 96;
-
-std::size_t
-entryBytes(const std::vector<uint8_t> &value)
-{
-    return value.size() + kEntryOverhead;
-}
+constexpr std::size_t kEntryOverhead = 72;
 
 } // namespace
 
@@ -108,55 +102,54 @@ Store::shardFor(const Fingerprint &key)
     return shards_[key.hi % shards_.size()];
 }
 
-bool
-Store::get(const Fingerprint &key, std::vector<uint8_t> &value)
+std::shared_ptr<const void>
+Store::find(const Fingerprint &key, const std::type_info &type)
 {
     Shard &shard = shardFor(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
     auto it = shard.map.find(key);
-    if (it == shard.map.end()) {
+    // An entry of another type (a key collision across domains) is a
+    // miss; the caller's insert() then overwrites it.
+    if (it == shard.map.end() || *it->second->type != type) {
         missMetric().add();
-        return false;
+        return nullptr;
     }
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    value = it->second->value;
     hitMetric().add();
-    return true;
+    return it->second->value;
 }
 
 void
-Store::put(const Fingerprint &key, const std::vector<uint8_t> &value)
+Store::insert(Entry entry)
 {
-    Shard &shard = shardFor(key);
+    entry.bytes += kEntryOverhead;
+    Shard &shard = shardFor(entry.key);
     std::lock_guard<std::mutex> lock(shard.mutex);
     // Gauge movement is accumulated locally and applied once: fewer
     // atomic RMWs, and the gauges see one consistent step per call.
-    std::int64_t byte_delta = 0;
+    std::int64_t byte_delta = std::int64_t(entry.bytes);
     std::int64_t entry_delta = 0;
-    auto it = shard.map.find(key);
+    shard.bytes += entry.bytes;
+    auto it = shard.map.find(entry.key);
     if (it != shard.map.end()) {
-        byte_delta -= std::int64_t(entryBytes(it->second->value));
-        shard.bytes -= entryBytes(it->second->value);
-        it->second->value = value;
-        shard.bytes += entryBytes(value);
-        byte_delta += std::int64_t(entryBytes(value));
+        byte_delta -= std::int64_t(it->second->bytes);
+        shard.bytes -= it->second->bytes;
+        *it->second = std::move(entry);
         shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     } else {
-        shard.lru.push_front(Entry{key, value});
-        shard.map.emplace(key, shard.lru.begin());
-        shard.bytes += entryBytes(value);
-        byte_delta += std::int64_t(entryBytes(value));
-        entry_delta += 1;
+        shard.lru.push_front(std::move(entry));
+        shard.map.emplace(shard.lru.front().key, shard.lru.begin());
+        entry_delta = 1;
     }
     // Evict from the cold end while over budget; the entry just
-    // touched is never evicted, so even an over-budget payload is
+    // touched is never evicted, so even an over-budget value is
     // served back at least until the next insertion.
     uint64_t evicted = 0;
     while (shard.bytes > shard_budget_ && shard.lru.size() > 1) {
         const Entry &victim = shard.lru.back();
-        byte_delta -= std::int64_t(entryBytes(victim.value));
+        byte_delta -= std::int64_t(victim.bytes);
         entry_delta -= 1;
-        shard.bytes -= entryBytes(victim.value);
+        shard.bytes -= victim.bytes;
         shard.map.erase(victim.key);
         shard.lru.pop_back();
         ++evicted;
@@ -168,15 +161,13 @@ Store::put(const Fingerprint &key, const std::vector<uint8_t> &value)
     insertMetric().add();
 }
 
-std::vector<uint8_t>
-Store::getOrCompute(
-    const Fingerprint &key,
-    const std::function<std::vector<uint8_t>()> &compute,
-    const exec::CancelToken *cancel)
+std::shared_ptr<const void>
+Store::findOrCompute(const Fingerprint &key, const std::type_info &type,
+                     const std::function<Entry()> &compute,
+                     const exec::CancelToken *cancel)
 {
     for (;;) {
-        std::vector<uint8_t> value;
-        if (get(key, value))
+        if (std::shared_ptr<const void> value = find(key, type))
             return value;
 
         // Miss: claim ownership of the key's computation, or join an
@@ -197,19 +188,20 @@ Store::getOrCompute(
         }
 
         if (owner) {
-            // The owner's path is get() + compute + put(): exactly
-            // the counter trace of the classic read-through idiom,
-            // so uncontended callers see identical stats.
+            // The owner's path is find() + compute + insert():
+            // exactly the counter trace of the classic read-through
+            // idiom, so uncontended callers see identical stats.
+            std::shared_ptr<const void> value;
             std::exception_ptr error;
             try {
-                value = compute();
+                Entry entry = compute();
+                value = entry.value;
+                insert(std::move(entry));
             } catch (...) {
                 error = std::current_exception();
             }
-            if (!error)
-                put(key, value);
             // Erase BEFORE signalling done: on success a late
-            // arrival now hits in get(); on failure it starts a
+            // arrival now hits in find(); on failure it starts a
             // fresh computation instead of joining a dead one.
             {
                 std::lock_guard<std::mutex> lock(inflight_mutex_);
@@ -228,9 +220,9 @@ Store::getOrCompute(
         // Waiter: block until the owner finishes, polling the
         // caller's OWN token — a cancelled waiter leaves without
         // touching the owner or the other waiters. On wakeup the
-        // outer loop re-runs get(): a successful owner turns it into
-        // a hit, a failed (or evicted) one promotes some waiter to
-        // owner on the next claim.
+        // outer loop re-runs find(): a successful owner turns it
+        // into a hit, a failed (or evicted) one promotes some waiter
+        // to owner on the next claim.
         dedupMetric().add();
         {
             std::unique_lock<std::mutex> lock(flight->mutex);

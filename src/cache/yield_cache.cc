@@ -6,6 +6,8 @@
 #include <memory>
 #include <mutex>
 
+#include "common/logging.hh"
+
 namespace qpad::cache
 {
 
@@ -50,92 +52,6 @@ optionsFromEnv()
         options.max_bytes =
             std::size_t(parseEnvUint("QPAD_CACHE_BYTES", bytes));
     return options;
-}
-
-std::vector<uint8_t>
-encodeYieldResult(const yield::YieldResult &result)
-{
-    Encoder enc;
-    enc.u64(result.successes);
-    enc.u64(result.trials);
-    for (std::size_t c : result.condition_trials)
-        enc.u64(c);
-    return enc.bytes();
-}
-
-bool
-decodeYieldResult(const std::vector<uint8_t> &blob,
-                  const yield::YieldOptions &options,
-                  yield::YieldResult &result)
-{
-    Decoder in(blob);
-    uint64_t successes, trials;
-    if (!in.u64(successes) || !in.u64(trials))
-        return false;
-    for (std::size_t &c : result.condition_trials) {
-        uint64_t v;
-        if (!in.u64(v))
-            return false;
-        c = std::size_t(v);
-    }
-    // The trials field doubles as an integrity check against the
-    // requested key (a mismatch means corruption or a 128-bit
-    // collision; recompute rather than serve it).
-    if (!in.atEnd() || trials != options.trials || successes > trials)
-        return false;
-    result.successes = std::size_t(successes);
-    result.trials = std::size_t(trials);
-    result.yield = double(successes) / double(trials);
-    return true;
-}
-
-std::vector<uint8_t>
-encodeFreqAllocResult(const design::FreqAllocResult &result)
-{
-    Encoder enc;
-    enc.u64(result.freqs.size());
-    for (double f : result.freqs)
-        enc.f64(f);
-    enc.u64(result.order.size());
-    for (arch::PhysQubit q : result.order)
-        enc.u32(q);
-    enc.u64(result.local_scores.size());
-    for (double s : result.local_scores)
-        enc.f64(s);
-    return enc.bytes();
-}
-
-bool
-decodeFreqAllocResult(const std::vector<uint8_t> &blob,
-                      std::size_t num_qubits,
-                      design::FreqAllocResult &result)
-{
-    Decoder in(blob);
-    uint64_t n;
-    if (!in.u64(n) || n != num_qubits)
-        return false;
-    result.freqs.resize(n);
-    for (double &f : result.freqs)
-        if (!in.f64(f))
-            return false;
-    uint64_t m;
-    if (!in.u64(m) || m > num_qubits)
-        return false;
-    result.order.resize(m);
-    for (arch::PhysQubit &q : result.order) {
-        uint32_t v;
-        if (!in.u32(v) || v >= num_qubits)
-            return false;
-        q = v;
-    }
-    uint64_t k;
-    if (!in.u64(k) || k != m)
-        return false;
-    result.local_scores.resize(k);
-    for (double &s : result.local_scores)
-        if (!in.f64(s))
-            return false;
-    return in.atEnd();
 }
 
 } // namespace
@@ -200,16 +116,9 @@ cachedEstimateYield(const arch::Architecture &arch,
 {
     if (options.trials == 0)
         return yield::estimateYield(arch, options, ctx);
-    // The encode/decode round trip is lossless (exact integers; the
-    // yield ratio is recomputed from them), so the returned result
-    // is bit-identical to the uncached call.
     return memoized<yield::YieldResult>(
-        yieldKey(arch, options), "yield", ctx,
-        [&] { return yield::estimateYield(arch, options, ctx); },
-        encodeYieldResult,
-        [&](const std::vector<uint8_t> &blob, yield::YieldResult &r) {
-            return decodeYieldResult(blob, options, r);
-        });
+        yieldKey(arch, options), ctx,
+        [&] { return yield::estimateYield(arch, options, ctx); });
 }
 
 design::FreqAllocResult
@@ -218,12 +127,8 @@ cachedAllocateFrequencies(const arch::Architecture &arch,
                           const exec::Context &ctx)
 {
     return memoized<design::FreqAllocResult>(
-        freqAllocKey(arch, options), "freq-alloc", ctx,
-        [&] { return design::allocateFrequencies(arch, options, ctx); },
-        encodeFreqAllocResult,
-        [&](const std::vector<uint8_t> &blob,
-            design::FreqAllocResult &r) {
-            return decodeFreqAllocResult(blob, arch.numQubits(), r);
+        freqAllocKey(arch, options), ctx, [&] {
+            return design::allocateFrequencies(arch, options, ctx);
         });
 }
 

@@ -9,8 +9,7 @@
  * are bit-identical across thread counts by the qpad::runtime
  * contract, so runtime::Options is deliberately *excluded* from the
  * keys. Cache-on is therefore bit-identical to cache-off by
- * construction — a hit returns exactly the bytes a miss would have
- * computed.
+ * construction — a hit returns the value a miss computed.
  *
  * The global store is configured from the environment on first use:
  *   QPAD_CACHE=0       disable memoization entirely
@@ -24,7 +23,6 @@
 #define QPAD_CACHE_YIELD_CACHE_HH
 
 #include "cache/store.hh"
-#include "common/logging.hh"
 #include "design/freq_alloc.hh"
 #include "exec/context.hh"
 #include "yield/yield_sim.hh"
@@ -47,30 +45,19 @@ void configureGlobalCache(const CacheOptions &options);
 /**
  * `compute` through the global store under `key`: concurrent
  * identical requests compute once (Store::getOrCompute; `ctx` governs
- * only this caller's wait), and a record that does not decode — a
- * 128-bit key collision — is recomputed and overwritten, exactly as
- * a plain miss would have been. A disabled cache falls straight
- * through to `compute`. `what` names the record kind in the warning.
+ * only this caller's wait), and every caller gets a copy of the
+ * stored value. A disabled cache falls straight through to
+ * `compute`.
  */
-template <class T, class Compute, class Encode, class Decode>
+template <class T, class Compute>
 T
-memoized(const Fingerprint &key, const char *what,
-         const exec::Context &ctx, const Compute &compute,
-         const Encode &encode, const Decode &decode)
+memoized(const Fingerprint &key, const exec::Context &ctx,
+         const Compute &compute)
 {
     Store &store = globalStore();
     if (!store.options().enabled)
         return compute();
-    const std::vector<uint8_t> blob = store.getOrCompute(
-        key, [&] { return encode(compute()); }, ctx.token());
-    T value;
-    if (decode(blob, value))
-        return value;
-    qpad_warn("cache: dropping undecodable ", what, " record ",
-              key.hex());
-    value = compute();
-    store.put(key, encode(value));
-    return value;
+    return *store.getOrCompute<T>(key, compute, ctx.token());
 }
 
 /** Cache key of one estimateYield invocation (tagged, versioned). */

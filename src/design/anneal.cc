@@ -67,6 +67,14 @@ struct ChainResult
     std::size_t accepted_moves = 0;
 };
 
+/** Heap bytes the result cache charges for a chain (see
+ * cache::heapBytes). */
+std::size_t
+heapBytes(const ChainResult &chain)
+{
+    return cache::heapBytes(chain.best);
+}
+
 /** One classic annealing run, seeded explicitly. `cancel` (may be
  * null) is polled every 1024 iterations — often enough to honour a
  * deadline mid-chain, rare enough to stay invisible in the move
@@ -207,41 +215,6 @@ chainKey(const profile::CouplingProfile &profile,
     return enc.digest();
 }
 
-std::vector<uint8_t>
-encodeChain(const ChainResult &chain)
-{
-    cache::Encoder enc;
-    enc.u64(chain.best.size());
-    for (const Coord &c : chain.best) {
-        enc.i32(c.row);
-        enc.i32(c.col);
-    }
-    enc.i64(chain.best_cost);
-    enc.u64(chain.accepted_moves);
-    return enc.bytes();
-}
-
-bool
-decodeChain(const std::vector<uint8_t> &blob, std::size_t num_qubits,
-            ChainResult &chain)
-{
-    cache::Decoder in(blob);
-    uint64_t n;
-    if (!in.u64(n) || n != num_qubits)
-        return false;
-    chain.best.resize(num_qubits);
-    for (Coord &c : chain.best)
-        if (!in.i32(c.row) || !in.i32(c.col))
-            return false;
-    int64_t cost;
-    uint64_t accepted;
-    if (!in.i64(cost) || !in.u64(accepted) || !in.atEnd())
-        return false;
-    chain.best_cost = cost;
-    chain.accepted_moves = std::size_t(accepted);
-    return true;
-}
-
 } // namespace
 
 AnnealResult
@@ -283,20 +256,13 @@ annealLayout(const profile::CouplingProfile &profile,
                 // cache-served chains are already visible as
                 // cache.hits.
                 chains[i] = cache::memoized<ChainResult>(
-                    chainKey(profile, start, options, seed),
-                    "anneal-chain", ctx,
-                    [&] {
+                    chainKey(profile, start, options, seed), ctx, [&] {
                         QPAD_SPAN("design.anneal_chain");
                         static obs::Counter &chain_runs =
                             obs::counter("design.anneal_chains");
                         chain_runs.add();
                         return annealChain(profile, start, options,
                                            seed, run_exec.cancel);
-                    },
-                    encodeChain,
-                    [&](const std::vector<uint8_t> &blob,
-                        ChainResult &chain) {
-                        return decodeChain(blob, n, chain);
                     });
             }
         });

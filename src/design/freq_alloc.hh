@@ -76,6 +76,16 @@ struct FreqAllocResult
     std::vector<double> local_scores;
 };
 
+/** Heap bytes the result's vectors own (what the result cache
+ * charges beyond sizeof, see cache::heapBytes). */
+inline std::size_t
+heapBytes(const FreqAllocResult &result)
+{
+    return result.freqs.capacity() * sizeof(double) +
+           result.order.capacity() * sizeof(arch::PhysQubit) +
+           result.local_scores.capacity() * sizeof(double);
+}
+
 /**
  * Run Algorithm 3; does not mutate the architecture. A cancelled or
  * deadline-expired `ctx` raises exec::CancelledError between qubit

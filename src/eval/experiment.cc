@@ -108,67 +108,21 @@ flowPointKey(const benchmarks::BenchmarkInfo &info,
     return enc.digest();
 }
 
-/** Payload: the numeric fields only. config/arch_name are key
- * inputs the caller already holds, and norm_recip_gates is a
- * whole-run derived value recomputed by normalize(). Integers are
- * exact and the yield is stored as its IEEE-754 bit pattern, so a
- * decoded point is bit-identical to the computed one. */
-std::vector<uint8_t>
-encodeDataPoint(const DataPoint &point)
-{
-    cache::Encoder enc;
-    enc.u64(point.num_qubits);
-    enc.u64(point.num_edges);
-    enc.u64(point.num_buses);
-    enc.u64(point.gate_count);
-    enc.u64(point.swaps);
-    enc.f64(point.yield);
-    enc.u64(point.yield_trials);
-    return enc.bytes();
-}
-
-bool
-decodeDataPoint(const std::vector<uint8_t> &blob, std::string config,
-                std::string arch_name, DataPoint &point)
-{
-    cache::Decoder in(blob);
-    uint64_t nq, ne, nb, gates, swaps, ytrials;
-    double y;
-    if (!in.u64(nq) || !in.u64(ne) || !in.u64(nb) ||
-        !in.u64(gates) || !in.u64(swaps) || !in.f64(y) ||
-        !in.u64(ytrials) || !in.atEnd())
-        return false;
-    // A mapped circuit always has gates; 0 means corruption (and
-    // would trip normalize()'s divide-by-zero assert downstream).
-    if (gates == 0)
-        return false;
-    point.config = std::move(config);
-    point.arch_name = std::move(arch_name);
-    point.num_qubits = std::size_t(nq);
-    point.num_edges = std::size_t(ne);
-    point.num_buses = std::size_t(nb);
-    point.gate_count = std::size_t(gates);
-    point.swaps = std::size_t(swaps);
-    point.yield = y;
-    point.yield_trials = std::size_t(ytrials);
-    point.norm_recip_gates = 0.0; // filled by normalize()
-    return true;
-}
-
 /**
  * Run one data-point job through the global cache: a warm rerun
- * skips design, mapping, and yield entirely.
+ * skips design, mapping, and yield entirely. config and arch_name
+ * come from the caller, not the stored point: ibmPointKey leaves the
+ * baseline's name out, so identically shaped chips share a record.
  */
 DataPoint
 memoizedPoint(const cache::Fingerprint &key, const std::string &config,
               const std::string &arch_name, const exec::Context &ctx,
               const std::function<DataPoint()> &compute)
 {
-    return cache::memoized<DataPoint>(
-        key, "data-point", ctx, compute, encodeDataPoint,
-        [&](const std::vector<uint8_t> &blob, DataPoint &point) {
-            return decodeDataPoint(blob, config, arch_name, point);
-        });
+    DataPoint point = cache::memoized<DataPoint>(key, ctx, compute);
+    point.config = config;
+    point.arch_name = arch_name;
+    return point;
 }
 
 /** Routing counts of one measurement, as memoized under mappingKey. */
@@ -177,31 +131,6 @@ struct RoutingCounts
     std::size_t total_gates = 0;
     std::size_t swaps = 0;
 };
-
-std::vector<uint8_t>
-encodeRoutingCounts(const RoutingCounts &counts)
-{
-    cache::Encoder enc;
-    enc.u64(counts.total_gates);
-    enc.u64(counts.swaps);
-    return enc.bytes();
-}
-
-/** Every SWAP adds three CX to the circuit's own unitary gates, so a
- * record that breaks that identity is corrupt. */
-bool
-decodeRoutingCounts(const std::vector<uint8_t> &blob,
-                    const Circuit &circuit, RoutingCounts &counts)
-{
-    cache::Decoder in(blob);
-    uint64_t gates, swaps;
-    if (!in.u64(gates) || !in.u64(swaps) || !in.atEnd() ||
-        gates != circuit.unitaryGateCount() + 3 * swaps)
-        return false;
-    counts.total_gates = std::size_t(gates);
-    counts.swaps = std::size_t(swaps);
-    return true;
-}
 
 /**
  * mapCircuit's counts through the global cache. Designs that share a
@@ -214,15 +143,10 @@ routingCounts(const Architecture &arch, const Circuit &circuit,
               const exec::Context &ctx)
 {
     return cache::memoized<RoutingCounts>(
-        mappingKey(arch, circuit, options), "mapping", ctx,
-        [&] {
+        mappingKey(arch, circuit, options), ctx, [&] {
             const mapping::MappingResult mapped =
                 mapping::mapCircuit(circuit, arch, options, ctx);
             return RoutingCounts{mapped.total_gates, mapped.swaps};
-        },
-        encodeRoutingCounts,
-        [&](const std::vector<uint8_t> &blob, RoutingCounts &counts) {
-            return decodeRoutingCounts(blob, circuit, counts);
         });
 }
 

@@ -195,17 +195,20 @@ TEST(Fingerprint, KeysMatchEarlierBuilds)
 // Store
 // --------------------------------------------------------------------
 
+/** The value type the store tests cache. */
+using Bytes = std::vector<uint8_t>;
+
 TEST(Store, PutGetAndCounters)
 {
     const CacheDelta moved;
     cache::Store store;
-    std::vector<uint8_t> blob;
-    EXPECT_FALSE(store.get(keyOf(1), blob));
+    EXPECT_FALSE(store.get<Bytes>(keyOf(1)));
 
-    const std::vector<uint8_t> payload = {1, 2, 3, 4};
+    const Bytes payload = {1, 2, 3, 4};
     store.put(keyOf(1), payload);
-    ASSERT_TRUE(store.get(keyOf(1), blob));
-    EXPECT_EQ(blob, payload);
+    const auto blob = store.get<Bytes>(keyOf(1));
+    ASSERT_TRUE(blob);
+    EXPECT_EQ(*blob, payload);
 
     EXPECT_EQ(moved("cache.hits"), 1);
     EXPECT_EQ(moved("cache.misses"), 1);
@@ -214,15 +217,27 @@ TEST(Store, PutGetAndCounters)
     EXPECT_GE(moved("cache.bytes"), int64_t(payload.size()));
 }
 
+TEST(Store, HitSharesTheStoredValue)
+{
+    const CacheDelta moved;
+    cache::Store store;
+    store.put(keyOf(2), Bytes(64, 0x5a));
+    const auto first = store.get<Bytes>(keyOf(2));
+    const auto second = store.get<Bytes>(keyOf(2));
+    ASSERT_TRUE(first);
+    EXPECT_EQ(first.get(), second.get()) << "a hit copies no value";
+    EXPECT_EQ(moved("cache.hits"), 2);
+}
+
 TEST(Store, OverwriteKeepsOneEntry)
 {
     const CacheDelta moved;
     cache::Store store;
-    store.put(keyOf(9), std::vector<uint8_t>(10, 0xaa));
-    store.put(keyOf(9), std::vector<uint8_t>(20, 0xbb));
-    std::vector<uint8_t> blob;
-    ASSERT_TRUE(store.get(keyOf(9), blob));
-    EXPECT_EQ(blob, std::vector<uint8_t>(20, 0xbb));
+    store.put(keyOf(9), Bytes(10, 0xaa));
+    store.put(keyOf(9), Bytes(20, 0xbb));
+    const auto blob = store.get<Bytes>(keyOf(9));
+    ASSERT_TRUE(blob);
+    EXPECT_EQ(*blob, Bytes(20, 0xbb));
     EXPECT_EQ(moved("cache.entries"), 1);
 }
 
@@ -235,20 +250,19 @@ TEST(Store, LruEvictionRespectsBudgetAndRecency)
     const CacheDelta moved;
     cache::Store store(options);
 
-    const std::vector<uint8_t> payload(100, 0x11);
+    const Bytes payload(100, 0x11);
     for (uint64_t i = 0; i < 10; ++i)
         store.put(keyOf(i), payload);
     EXPECT_EQ(moved("cache.evictions"), 0);
 
     // Touch key 0 so key 1 is now the coldest, then overflow.
-    std::vector<uint8_t> blob;
-    ASSERT_TRUE(store.get(keyOf(0), blob));
+    ASSERT_TRUE(store.get<Bytes>(keyOf(0)));
     store.put(keyOf(10), payload);
 
     EXPECT_GE(moved("cache.evictions"), 1);
-    EXPECT_TRUE(store.get(keyOf(0), blob)) << "recently used survives";
-    EXPECT_FALSE(store.get(keyOf(1), blob)) << "coldest is evicted";
-    EXPECT_TRUE(store.get(keyOf(10), blob));
+    EXPECT_TRUE(store.get<Bytes>(keyOf(0))) << "recently used survives";
+    EXPECT_FALSE(store.get<Bytes>(keyOf(1))) << "coldest is evicted";
+    EXPECT_TRUE(store.get<Bytes>(keyOf(10)));
     EXPECT_LE(moved("cache.bytes"), int64_t(options.max_bytes));
 }
 
@@ -265,23 +279,21 @@ TEST(Store, ConcurrentAccessUnderThreadPool)
         exec, 2048, 1, [&](std::size_t b, std::size_t e, std::size_t) {
             for (std::size_t i = b; i < e; ++i) {
                 const uint64_t k = uint64_t(i) % kKeys;
-                std::vector<uint8_t> blob;
-                if (store.get(keyOf(k), blob)) {
+                if (const auto blob = store.get<Bytes>(keyOf(k))) {
                     // Payload is a pure function of the key.
-                    ASSERT_EQ(blob.size(), 8 + k);
-                    for (uint8_t byte : blob)
+                    ASSERT_EQ(blob->size(), 8 + k);
+                    for (uint8_t byte : *blob)
                         ASSERT_EQ(byte, uint8_t(k));
                 } else {
-                    store.put(keyOf(k),
-                              std::vector<uint8_t>(8 + k, uint8_t(k)));
+                    store.put(keyOf(k), Bytes(8 + k, uint8_t(k)));
                 }
             }
         });
 
-    std::vector<uint8_t> blob;
     for (uint64_t k = 0; k < kKeys; ++k) {
-        ASSERT_TRUE(store.get(keyOf(k), blob));
-        EXPECT_EQ(blob, std::vector<uint8_t>(8 + k, uint8_t(k)));
+        const auto blob = store.get<Bytes>(keyOf(k));
+        ASSERT_TRUE(blob);
+        EXPECT_EQ(*blob, Bytes(8 + k, uint8_t(k)));
     }
     EXPECT_EQ(moved("cache.entries"), int64_t(kKeys));
     EXPECT_GE(moved("cache.inserts"), int64_t(kKeys));
@@ -301,18 +313,18 @@ TEST(StoreDedup, UncontendedOwnerPathMatchesReadThrough)
     int computes = 0;
     const auto compute = [&] {
         ++computes;
-        return std::vector<uint8_t>{1, 2, 3};
+        return Bytes{1, 2, 3};
     };
-    EXPECT_EQ(store.getOrCompute(keyOf(1), compute),
-              (std::vector<uint8_t>{1, 2, 3}));
+    EXPECT_EQ(*store.getOrCompute<Bytes>(keyOf(1), compute),
+              (Bytes{1, 2, 3}));
     EXPECT_EQ(computes, 1);
     EXPECT_EQ(moved("cache.misses"), 1);
     EXPECT_EQ(moved("cache.inserts"), 1);
     EXPECT_EQ(moved("cache.hits"), 0);
     EXPECT_EQ(moved("cache.dedup_waits"), 0);
 
-    EXPECT_EQ(store.getOrCompute(keyOf(1), compute),
-              (std::vector<uint8_t>{1, 2, 3}));
+    EXPECT_EQ(*store.getOrCompute<Bytes>(keyOf(1), compute),
+              (Bytes{1, 2, 3}));
     EXPECT_EQ(computes, 1) << "warm call must not recompute";
     EXPECT_EQ(moved("cache.hits"), 1);
     EXPECT_EQ(moved("cache.misses"), 1);
@@ -338,18 +350,18 @@ TEST(StoreDedup, ConcurrentIdenticalRequestsComputeExactlyOnce)
              spin < 2000;
              ++spin)
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        return std::vector<uint8_t>{7, 7};
+        return Bytes{7, 7};
     };
 
-    std::vector<std::vector<uint8_t>> results(kWaiters + 1);
+    std::vector<Bytes> results(kWaiters + 1);
     std::thread owner(
-        [&] { results[0] = store.getOrCompute(key, compute); });
+        [&] { results[0] = *store.getOrCompute<Bytes>(key, compute); });
     while (computes.load() == 0)
         std::this_thread::yield();
     std::vector<std::thread> waiters;
     for (std::size_t i = 1; i <= kWaiters; ++i)
         waiters.emplace_back([&store, &results, &key, &compute, i] {
-            results[i] = store.getOrCompute(key, compute);
+            results[i] = *store.getOrCompute<Bytes>(key, compute);
         });
     for (std::thread &t : waiters)
         t.join();
@@ -358,7 +370,7 @@ TEST(StoreDedup, ConcurrentIdenticalRequestsComputeExactlyOnce)
     EXPECT_EQ(computes.load(), 1)
         << "identical concurrent requests must share one computation";
     for (const auto &r : results)
-        EXPECT_EQ(r, (std::vector<uint8_t>{7, 7}));
+        EXPECT_EQ(r, (Bytes{7, 7}));
     EXPECT_EQ(moved("cache.inserts"), 1);
     EXPECT_EQ(moved("cache.dedup_waits"), int64_t(kWaiters));
 }
@@ -373,7 +385,7 @@ TEST(StoreDedup, CancellingAWaiterNeverDisturbsTheOwner)
     const auto key = keyOf(9);
 
     std::thread owner([&] {
-        const auto r = store.getOrCompute(key, [&] {
+        const auto r = store.getOrCompute<Bytes>(key, [&] {
             ++computes;
             // Wait for the waiter to register, cancel it, and keep
             // computing until it has unwound (bounded, so a waiter
@@ -389,18 +401,18 @@ TEST(StoreDedup, CancellingAWaiterNeverDisturbsTheOwner)
                  ++spin)
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(1));
-            return std::vector<uint8_t>{5};
+            return Bytes{5};
         });
-        EXPECT_EQ(r, (std::vector<uint8_t>{5}));
+        EXPECT_EQ(*r, (Bytes{5}));
     });
 
     while (computes.load() == 0)
         std::this_thread::yield();
     bool waiter_cancelled = false;
     try {
-        store.getOrCompute(
+        store.getOrCompute<Bytes>(
             key,
-            [&]() -> std::vector<uint8_t> {
+            [&]() -> Bytes {
                 ADD_FAILURE() << "the waiter must never compute";
                 return {};
             },
@@ -413,10 +425,9 @@ TEST(StoreDedup, CancellingAWaiterNeverDisturbsTheOwner)
 
     EXPECT_TRUE(waiter_cancelled);
     EXPECT_EQ(computes.load(), 1);
-    std::vector<uint8_t> blob;
-    EXPECT_TRUE(store.get(key, blob))
-        << "the owner's result must land in the cache";
-    EXPECT_EQ(blob, (std::vector<uint8_t>{5}));
+    const auto blob = store.get<Bytes>(key);
+    EXPECT_TRUE(blob) << "the owner's result must land in the cache";
+    EXPECT_EQ(blob ? *blob : Bytes{}, (Bytes{5}));
 }
 
 TEST(StoreDedup, OwnerFailurePromotesAWaiter)
@@ -428,9 +439,9 @@ TEST(StoreDedup, OwnerFailurePromotesAWaiter)
 
     std::thread owner([&] {
         EXPECT_THROW(
-            store.getOrCompute(
+            store.getOrCompute<Bytes>(
                 key,
-                [&]() -> std::vector<uint8_t> {
+                [&]() -> Bytes {
                     ++attempts;
                     for (int spin = 0; moved("cache.dedup_waits") < 1 &&
                                        spin < 2000;
@@ -447,17 +458,17 @@ TEST(StoreDedup, OwnerFailurePromotesAWaiter)
         std::this_thread::yield();
     // The waiter outlives the owner's failure: it wakes, finds no
     // cached value, takes ownership, and computes.
-    const auto r = store.getOrCompute(key, [&] {
+    const auto r = store.getOrCompute<Bytes>(key, [&] {
         ++attempts;
-        return std::vector<uint8_t>{8, 8};
+        return Bytes{8, 8};
     });
     owner.join();
 
-    EXPECT_EQ(r, (std::vector<uint8_t>{8, 8}));
+    EXPECT_EQ(*r, (Bytes{8, 8}));
     EXPECT_EQ(attempts.load(), 2);
-    std::vector<uint8_t> blob;
-    EXPECT_TRUE(store.get(key, blob));
-    EXPECT_EQ(blob, (std::vector<uint8_t>{8, 8}));
+    const auto blob = store.get<Bytes>(key);
+    EXPECT_TRUE(blob);
+    EXPECT_EQ(blob ? *blob : Bytes{}, (Bytes{8, 8}));
 }
 
 // --------------------------------------------------------------------
@@ -572,6 +583,12 @@ TEST(CachedFreqAlloc, BitIdenticalAndCached)
 
     EXPECT_EQ(moved("cache.hits"), 1);
     EXPECT_EQ(moved("cache.misses"), 1);
+    // The entry is charged the allocation's vectors, not just its
+    // fixed-size part.
+    EXPECT_GE(moved("cache.bytes"),
+              int64_t(direct.freqs.size() * sizeof(double) +
+                      direct.order.size() * sizeof(arch::PhysQubit) +
+                      direct.local_scores.size() * sizeof(double)));
 
     // The allocator ignores pre-assigned frequencies, so a re-tuned
     // copy of the same topology must share the key.

@@ -17,6 +17,7 @@
 #include "design/design_flow.hh"
 #include "eval/experiment.hh"
 #include "eval/report.hh"
+#include "obs/metrics.hh"
 #include "profile/coupling.hh"
 
 namespace
@@ -237,7 +238,7 @@ TEST(MappingMemo, RoutesEachTopologyOnce)
             << on.points[i].arch_name;
 }
 
-TEST(MappingMemo, UndecodableRecordIsRecomputed)
+TEST(MappingMemo, RecordOfAnotherTypeIsRecomputed)
 {
     const auto arch = arch::ibm16Q(false);
     const auto circ =
@@ -248,22 +249,20 @@ TEST(MappingMemo, UndecodableRecordIsRecomputed)
     const cache::Fingerprint key =
         mappingKey(arch, circ, opts.mapping_options);
 
-    // Truncated bytes, and counts that break gates = circuit + 3 x
-    // swaps: both are dropped, routed again and overwritten.
-    cache::Encoder inconsistent;
-    inconsistent.u64(routed.total_gates);
-    inconsistent.u64(routed.swaps + 1);
-    for (const auto &blob : {std::vector<uint8_t>{1, 2, 3},
-                             inconsistent.bytes()}) {
-        ScopedGlobalCache cache(true);
-        cache::globalStore().put(key, blob);
-        const DataPoint p = measure("probe", arch, circ, opts);
-        EXPECT_EQ(p.gate_count, routed.total_gates);
-        EXPECT_EQ(p.swaps, routed.swaps);
-        std::vector<uint8_t> stored;
-        ASSERT_TRUE(cache::globalStore().get(key, stored));
-        EXPECT_NE(stored, blob);
-    }
+    // A record of another type under the mapping key (a key
+    // collision across domains) is a miss: measure() routes again
+    // and overwrites it.
+    using Planted = std::vector<uint8_t>;
+    ScopedGlobalCache cache(true);
+    cache::globalStore().put(key, Planted{1, 2, 3});
+    const obs::Snapshot before = obs::snapshot();
+    const DataPoint p = measure("probe", arch, circ, opts);
+    const obs::Snapshot moved = obs::deltaSince(before);
+    EXPECT_EQ(p.gate_count, routed.total_gates);
+    EXPECT_EQ(p.swaps, routed.swaps);
+    EXPECT_EQ(obs::valueOf(moved, "mapping.calls"), 1.0);
+    EXPECT_EQ(obs::valueOf(moved, "cache.hits"), 0.0);
+    EXPECT_FALSE(cache::globalStore().get<Planted>(key));
 }
 
 TEST(MappingMemo, KeyCoversRoutingInputsOnly)

@@ -361,11 +361,11 @@ TEST(Metrics, CacheStorePublishesAndGaugesReturnToBaseline)
         cache::Encoder enc;
         enc.str("obs.test.entry");
         const cache::Fingerprint key = enc.digest();
-        store.put(key, std::vector<uint8_t>{1, 2, 3});
-        std::vector<uint8_t> out;
-        EXPECT_TRUE(store.get(key, out));
+        using Bytes = std::vector<uint8_t>;
+        store.put(key, Bytes{1, 2, 3});
+        EXPECT_TRUE(store.get<Bytes>(key));
         enc.u64(99);
-        EXPECT_FALSE(store.get(enc.digest(), out));
+        EXPECT_FALSE(store.get<Bytes>(enc.digest()));
 
         const obs::Snapshot delta = obs::deltaSince(at_start);
         EXPECT_DOUBLE_EQ(obs::valueOf(delta, "cache.inserts"), 1.0);
