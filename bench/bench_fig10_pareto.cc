@@ -19,7 +19,8 @@
  * sweep's request context; if it expires the run stops within one
  * chunk of work and exits 4 (CI gates on both the exit code and the
  * stop latency). QPAD_FIG10_SUITE=<substring>[,<substring>...]
- * restricts the sweep to matching benchmark names.
+ * restricts the sweep to matching benchmark names; a filter that
+ * matches none exits 2 before any work.
  */
 
 #include <algorithm>
@@ -40,19 +41,17 @@ using namespace qpad;
 namespace
 {
 
-/** Does `name` match the QPAD_FIG10_SUITE filter (empty = all)? */
+/** Does `name` match the QPAD_FIG10_SUITE `filter` (empty = all)? */
 bool
-suiteSelected(const std::string &name)
+suiteSelected(const std::string &filter, const std::string &name)
 {
-    const char *filter = std::getenv("QPAD_FIG10_SUITE");
-    if (!filter || !*filter)
+    if (filter.empty())
         return true;
-    std::string list(filter);
-    for (std::size_t pos = 0; pos < list.size();) {
-        std::size_t comma = list.find(',', pos);
+    for (std::size_t pos = 0; pos < filter.size();) {
+        std::size_t comma = filter.find(',', pos);
         if (comma == std::string::npos)
-            comma = list.size();
-        const std::string item = list.substr(pos, comma - pos);
+            comma = filter.size();
+        const std::string item = filter.substr(pos, comma - pos);
         if (!item.empty() && name.find(item) != std::string::npos)
             return true;
         pos = comma + 1;
@@ -74,12 +73,21 @@ main()
     const bool csv = csv_mode == "1" || csv_mode == "only";
     const bool csv_only = csv_mode == "only";
 
+    // A filter that selects nothing would print nothing and exit 0,
+    // so a typo in it would pass any check that compares outputs.
+    const char *suite_env = std::getenv("QPAD_FIG10_SUITE");
+    const std::string suite = suite_env ? suite_env : "";
+    const auto &paper = benchmarks::paperSuite();
+    if (std::none_of(paper.begin(), paper.end(), [&](const auto &info) {
+            return suiteSelected(suite, info.name);
+        }))
+        bench::dieOnEnv("QPAD_FIG10_SUITE", suite_env,
+                        "matches no benchmark name");
+
     auto options = bench::paperOptions();
     const exec::Context ctx = bench::requestContext();
-    // Request-scoped telemetry for the sweep: every span, log event,
-    // and flight-recorder entry below carries this request's id (the
-    // first context of the process, so id 1 — CI greps the deadline
-    // dump for it). Observability only; stdout is unchanged.
+    // Request-scoped telemetry for the sweep (QPAD_REQUEST_REPORT).
+    // Observability only; stdout is unchanged.
     exec::RequestScope scope(ctx, "fig10_pareto");
     if (!csv_only) {
         eval::printHeader(std::cout,
@@ -93,8 +101,8 @@ main()
 
     bool csv_header = true;
     try {
-        for (const auto &info : benchmarks::paperSuite()) {
-            if (!suiteSelected(info.name))
+        for (const auto &info : paper) {
+            if (!suiteSelected(suite, info.name))
                 continue;
             auto experiment = eval::runBenchmark(info, options, ctx);
             if (!csv_only)
@@ -150,12 +158,8 @@ main()
     } catch (const exec::CancelledError &e) {
         // Distinct from the exit 2 of a malformed environment knob
         // so CI can gate on "the deadline, and nothing else, fired".
-        // Naming the request id ties the stderr line to the flight
-        // dump and request report for the same run.
-        std::fprintf(stderr,
-                     "qpad bench: fig10 sweep stopped (request %llu): "
-                     "%s\n",
-                     (unsigned long long)scope.id(), e.what());
+        std::fprintf(stderr, "qpad bench: fig10 sweep stopped: %s\n",
+                     e.what());
         return 4;
     }
     return 0;

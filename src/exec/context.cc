@@ -1,26 +1,10 @@
 #include "exec/context.hh"
 
-#include <atomic>
-
+#include "obs/log.hh"
 #include "obs/metrics.hh"
 
 namespace qpad::exec
 {
-
-namespace detail
-{
-
-uint64_t
-nextRequestId()
-{
-    // 1-based: id 0 is reserved for Context::none() ("no request").
-    static std::atomic<uint64_t> next{1};
-    // qpad-lint: allow(atomic-relaxed) "uniqueness needs only the
-    // RMW's atomicity; ids never order anything"
-    return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-} // namespace detail
 
 const Context &
 Context::none()
@@ -28,13 +12,13 @@ Context::none()
     // Leaked Meyers singleton (same pattern as the obs registry):
     // default arguments bind references to it from any thread at any
     // point of process teardown, so it must never be destroyed.
-    static const Context &ctx = *new Context(NoneTag{});
+    static const Context &ctx = *new Context;
     return ctx;
 }
 
 RequestScope::RequestScope(const Context &ctx, std::string name)
     : ctx_(ctx), name_(std::move(name)), start_(now()),
-      before_(obs::snapshot()), rid_scope_(ctx_.id())
+      before_(obs::snapshot())
 {
     static obs::Counter &requests = obs::counter("exec.requests");
     requests.add();
@@ -47,7 +31,6 @@ RequestScope::finish()
     static obs::Histogram &seconds =
         obs::histogram("exec.request_seconds");
     obs::RequestReport report;
-    report.id = ctx_.id();
     report.name = name_;
     report.wall_seconds =
         std::chrono::duration<double>(now() - start_).count();

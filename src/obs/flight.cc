@@ -36,7 +36,6 @@ struct Slot
 {
     std::atomic<uint64_t> seq{0};
     std::atomic<uint64_t> ts_ns{0};
-    std::atomic<uint64_t> rid{0};
     std::atomic<const char *> name{nullptr};
     std::atomic<uint8_t> phase{0};
     std::atomic<uint8_t> level{0};
@@ -48,7 +47,6 @@ struct EventCopy
 {
     uint64_t seq;
     uint64_t ts_ns;
-    uint64_t rid;
     const char *name;
     char phase;
     uint8_t level;
@@ -82,6 +80,16 @@ std::atomic<bool> g_armed{false};
 std::atomic<bool> g_dumped{false};
 
 thread_local Ring *t_ring = nullptr;
+
+/** Monotonic nanoseconds, from exec::now(). */
+uint64_t
+nowNs()
+{
+    return uint64_t(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            exec::now().time_since_epoch())
+            .count());
+}
 
 /**
  * The trace session (startTracing/stopTracing). Leaked, so the
@@ -144,7 +152,6 @@ readSlot(const Slot &slot, uint32_t tid, EventCopy &out)
         return false;
     out.seq = s1;
     out.ts_ns = slot.ts_ns.load(std::memory_order_relaxed);
-    out.rid = slot.rid.load(std::memory_order_relaxed);
     out.name = slot.name.load(std::memory_order_relaxed);
     out.phase = char(slot.phase.load(std::memory_order_relaxed));
     out.level = slot.level.load(std::memory_order_relaxed);
@@ -216,18 +223,9 @@ appendEventJson(std::string &out, const EventCopy &e, uint64_t t0,
             line, sizeof line,
             "%s{\"name\":\"%s\",\"cat\":\"flight\",\"ph\":\"i\","
             "\"s\":\"t\",\"pid\":1,\"tid\":%u,\"ts\":%.3f,"
-            "\"args\":{\"rid\":%llu,\"level\":\"%s\"}}",
+            "\"args\":{\"level\":\"%s\"}}",
             first ? "\n" : ",\n", e.name, e.tid, ts,
-            (unsigned long long)e.rid,
             logLevelName(LogLevel(e.level)));
-    } else if (e.rid != 0) {
-        n = std::snprintf(
-            line, sizeof line,
-            "%s{\"name\":\"%s\",\"cat\":\"flight\",\"ph\":\"%c\","
-            "\"pid\":1,\"tid\":%u,\"ts\":%.3f,"
-            "\"args\":{\"rid\":%llu}}",
-            first ? "\n" : ",\n", e.name, e.phase, e.tid, ts,
-            (unsigned long long)e.rid);
     } else {
         n = std::snprintf(
             line, sizeof line,
@@ -372,15 +370,6 @@ onFatalSignal(int sig)
 
 } // namespace
 
-uint64_t
-nowNs()
-{
-    return uint64_t(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            exec::now().time_since_epoch())
-            .count());
-}
-
 void
 record(const char *name, char phase, uint8_t level)
 {
@@ -399,7 +388,6 @@ record(const char *name, char phase, uint8_t level)
     Slot &slot = ring->slots[i & (kRingEvents - 1)];
     slot.seq.store(0, std::memory_order_relaxed);
     slot.ts_ns.store(nowNs(), std::memory_order_relaxed);
-    slot.rid.store(currentRequestId(), std::memory_order_relaxed);
     slot.name.store(name, std::memory_order_relaxed);
     slot.phase.store(uint8_t(phase), std::memory_order_relaxed);
     slot.level.store(level, std::memory_order_relaxed);
@@ -495,13 +483,6 @@ dumpSignalSafe(int fd)
             pos += fmtU64(
                 buf + pos,
                 slot.ts_ns.load(std::memory_order_relaxed) / 1000);
-            const uint64_t rid =
-                slot.rid.load(std::memory_order_relaxed);
-            if (rid != 0) {
-                pos = append(buf, pos, ",\"args\":{\"rid\":");
-                pos += fmtU64(buf + pos, rid);
-                pos = append(buf, pos, "}");
-            }
             pos = append(buf, pos, "}");
             writeAll(fd, buf, pos);
         }

@@ -1,12 +1,11 @@
 /**
  * @file
  * Always-on flight recorder: a fixed-size per-thread ring of recent
- * span edges and log events, dumpable as Chrome trace-event JSON
- * when something goes wrong. It is the one place a span edge is
- * recorded.
+ * span edges and warnings, dumpable as Chrome trace-event JSON when
+ * something goes wrong. It is the one place a span edge is recorded.
  *
  * The recorder never turns off: every QPAD_SPAN begin/end and every
- * emitted log event lands in the calling thread's ring, overwriting
+ * obs/log.hh event lands in the calling thread's ring, overwriting
  * the oldest entry once the ring is full. The hot path is relaxed
  * atomic stores plus one release publish into preallocated slots —
  * no locks, no allocation (the ring itself is allocated once per
@@ -30,9 +29,11 @@
  *     which also dumps explicitly before raising).
  *   - dumpTo() / dumpNow() for tests and embedders.
  *
- * The normal dump replays each thread's events into balanced B/E
- * pairs (synthesizing opens for entries whose begin was overwritten
- * and closes for spans still running), so the file loads in
+ * A dump holds span edges as B/E events and each log event as an
+ * instant ("ph":"i"), with its level in args. The normal dump
+ * replays each thread's events into balanced B/E pairs
+ * (synthesizing opens for entries whose begin was overwritten and
+ * closes for spans still running), so the file loads in
  * chrome://tracing / Perfetto. The signal-path dump writes the same
  * JSON shape with write(2) and hand-rolled formatting only — headers
  * are pre-serialized when the recorder is armed — and skips the
@@ -52,9 +53,6 @@ namespace qpad::obs::flight
 
 /** Events retained per thread (power of two; 32 KiB of slots). */
 constexpr std::size_t kRingEvents = 1024;
-
-/** Monotonic nanoseconds (exec::now()); shared by log timestamps. */
-uint64_t nowNs();
 
 /**
  * Record one event into the calling thread's ring. `phase` is 'B' /

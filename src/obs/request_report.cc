@@ -34,8 +34,8 @@ writeRequestReportJson(std::ostream &out, const RequestReport &report)
 {
     std::ostringstream num;
     num << std::setprecision(17) << report.wall_seconds;
-    out << "{\"request\":{\"id\":" << report.id << ",\"name\":\""
-        << report.name << "\",\"wall_seconds\":" << num.str()
+    out << "{\"request\":{\"name\":\"" << report.name
+        << "\",\"wall_seconds\":" << num.str()
         << ",\"stop\":\"" << stopName(report.stop)
         << "\",\"metrics\":[";
     bool first = true;

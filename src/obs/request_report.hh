@@ -3,12 +3,11 @@
  * Per-request telemetry summary.
  *
  * An `exec::RequestScope` produces one `RequestReport` when it
- * closes: the request's id and name, wall latency, how it stopped,
- * and the name-sorted metric deltas attributed to the request
+ * closes: the request's name, wall latency, how it stopped, and the
+ * name-sorted metric deltas attributed to the request
  * (Snapshot::deltaSince between scope entry and exit, filtered to
  * the series that actually moved). `requestReportJson` renders the
- * report as one JSON object — the payload a serving front end
- * (`qpadd`) logs per connection and streams back to clients.
+ * report as one JSON object.
  *
  * QPAD_REQUEST_REPORT=stderr|<path> exports every report as one JSON
  * line (appended, so a multi-request process accumulates a JSONL
@@ -19,7 +18,6 @@
 #ifndef QPAD_OBS_REQUEST_REPORT_HH
 #define QPAD_OBS_REQUEST_REPORT_HH
 
-#include <cstdint>
 #include <iosfwd>
 #include <string>
 
@@ -31,9 +29,6 @@ namespace qpad::obs
 
 struct RequestReport
 {
-    /** Stable per-process request id (1-based; 0 = the shared
-     * no-limit context). */
-    uint64_t id = 0;
     /** Caller-supplied scope name ("request" by default). */
     std::string name;
     /** Wall latency of the scope, via exec::now(). */

@@ -11,8 +11,7 @@
  * Cost contract: a span edge is one write into the calling thread's
  * flight recorder ring (obs/flight.hh: one clock read plus relaxed
  * stores into a preallocated slot — no locks, no allocation once the
- * thread is warm), with or without a trace session. Inside an
- * exec::RequestScope the edge carries the request id. Spans never
+ * thread is warm), with or without a trace session. Spans never
  * feed back into any computation: results are bit-identical with
  * tracing on or off, and the test suite pins that invariant.
  *

@@ -6,7 +6,8 @@
 #include <numeric>
 #include <sstream>
 
-#include "common/logging.hh"
+#include "obs/metrics.hh"
+#include "obs/trace.hh"
 
 namespace qpad::profile
 {
@@ -77,6 +78,9 @@ CouplingProfile::strengthTable() const
 CouplingProfile
 profileCircuit(const circuit::Circuit &circuit)
 {
+    QPAD_SPAN("profile.circuit");
+    static obs::Counter &circuits = obs::counter("profile.circuits");
+    circuits.add();
     CouplingProfile prof;
     prof.num_qubits = circuit.numQubits();
     prof.strength = SymMatrix<uint32_t>(prof.num_qubits, 0);

@@ -51,7 +51,8 @@ struct CouplingProfile
     std::string strengthTable() const;
 };
 
-/** Profile a circuit (Figure 4's procedure). */
+/** Profile a circuit (Figure 4's procedure). Each call is one
+ * `profile.circuit` span and one `profile.circuits` count. */
 CouplingProfile profileCircuit(const circuit::Circuit &circuit);
 
 } // namespace qpad::profile

@@ -57,7 +57,6 @@
 #include <vector>
 
 #include "exec/cancel.hh"
-#include "obs/log.hh"
 #include "obs/metrics.hh"
 #include "runtime/region.hh"
 #include "runtime/thread_pool.hh"
@@ -95,16 +94,6 @@ struct Options
      * exec::Context::apply() rather than set by hand.
      */
     const exec::CancelToken *cancel = nullptr;
-
-    /**
-     * Observability only: the id of the request this work belongs to
-     * (0 = none), stamped onto every runner thread for the duration
-     * of the region so spans and log/flight events recorded inside
-     * chunks — on helpers as well as the caller — carry it. Usually
-     * attached via exec::Context::apply(); never affects scheduling
-     * or results.
-     */
-    uint64_t request_id = 0;
 };
 
 /** Resolve Options::num_threads (0 -> hardware concurrency);
@@ -150,9 +139,6 @@ void
 parallel_for(const Options &options, std::size_t n, std::size_t grain,
              Body &&body)
 {
-    // Tag the caller's thread for the sequential path; the parallel
-    // path re-tags every runner inside runRegion.
-    obs::ScopedRequestId rid_scope(options.request_id);
     if (n == 0) {
         detail::publishSequential(0);
         return;
@@ -180,7 +166,7 @@ parallel_for(const Options &options, std::size_t n, std::size_t grain,
                           const auto [begin, end] = plan.bounds(c);
                           body(begin, end, c);
                       },
-                      options.cancel, options.request_id);
+                      options.cancel);
 }
 
 /**
@@ -196,7 +182,6 @@ T
 parallel_reduce(const Options &options, std::size_t n, std::size_t grain,
                 T identity, Map &&map, Combine &&combine)
 {
-    obs::ScopedRequestId rid_scope(options.request_id);
     if (n == 0) {
         detail::publishSequential(0);
         return identity;
@@ -219,7 +204,7 @@ parallel_reduce(const Options &options, std::size_t n, std::size_t grain,
                               const auto [begin, end] = plan.bounds(c);
                               partials[c] = map(begin, end, c);
                           },
-                          options.cancel, options.request_id);
+                          options.cancel);
     }
     T result = std::move(identity);
     for (std::size_t c = 0; c < chunks; ++c)

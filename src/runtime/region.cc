@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "common/logging.hh"
-#include "obs/log.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "runtime/thread_pool.hh"
@@ -43,21 +42,15 @@ publishRegion(std::size_t chunk_count, double seconds,
 
 RegionState::RegionState(std::size_t chunks,
                          std::function<void(std::size_t)> run_chunk,
-                         const exec::CancelToken *cancel,
-                         uint64_t request_id)
+                         const exec::CancelToken *cancel)
     : run_chunk_(std::move(run_chunk)), chunks_(chunks),
-      cancel_(cancel), request_id_(request_id), pending_(chunks)
+      cancel_(cancel), pending_(chunks)
 {
 }
 
 void
 RegionState::runAs()
 {
-    // Tag this runner with the owning request for the duration of
-    // the region, so spans and log/flight events recorded inside its
-    // chunks carry the request id — on helpers as well as on the
-    // caller.
-    obs::ScopedRequestId rid_scope(request_id_);
     for (;;) {
         const std::size_t c =
             next_.fetch_add(1, std::memory_order_seq_cst);
@@ -184,15 +177,14 @@ RegionState::rethrowIfFailed()
 void
 runRegion(std::size_t chunks, std::size_t threads,
           std::function<void(std::size_t)> run_chunk,
-          const exec::CancelToken *cancel, uint64_t request_id)
+          const exec::CancelToken *cancel)
 {
     qpad_assert(threads >= 2 && threads <= chunks,
                 "runRegion caller must pre-clamp the runner count");
-    obs::ScopedRequestId rid_scope(request_id);
     QPAD_SPAN("runtime.region");
     const exec::TimePoint region_begin = exec::now();
     auto region = std::make_shared<RegionState>(
-        chunks, std::move(run_chunk), cancel, request_id);
+        chunks, std::move(run_chunk), cancel);
 
     // Offer threads - 1 helpers to the pool (so at most `threads`
     // runners ever claim a chunk) and run the claim loop here too.

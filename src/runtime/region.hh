@@ -114,17 +114,10 @@ class RegionState
      * waitDone(): the poll happens strictly after a successful claim
      * (which pins the caller), so a late helper that finds no work
      * never reads it.
-     *
-     * `request_id` (0 = none) tags every runner's thread while it
-     * works the region, so spans/log/flight events recorded inside
-     * chunks carry the owning request's id whichever thread runs
-     * them. Purely observational — it never affects scheduling or
-     * results.
      */
     RegionState(std::size_t chunks,
                 std::function<void(std::size_t)> run_chunk,
-                const exec::CancelToken *cancel,
-                uint64_t request_id);
+                const exec::CancelToken *cancel);
 
     /**
      * The claim loop, run by the caller and by every pool helper:
@@ -167,7 +160,6 @@ class RegionState
     std::function<void(std::size_t)> run_chunk_;
     std::size_t chunks_;
     const exec::CancelToken *cancel_;
-    uint64_t request_id_;
 
     /** Next unclaimed chunk index; >= chunks_ once all are claimed. */
     std::atomic<std::size_t> next_{0};
@@ -197,7 +189,7 @@ class RegionState
  */
 void runRegion(std::size_t chunks, std::size_t threads,
                std::function<void(std::size_t)> run_chunk,
-               const exec::CancelToken *cancel, uint64_t request_id);
+               const exec::CancelToken *cancel);
 
 } // namespace detail
 

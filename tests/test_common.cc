@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "common/logging.hh"
 #include "common/sym_matrix.hh"
@@ -35,13 +36,14 @@ TEST(Logging, AssertThrowsOnFalse)
     EXPECT_THROW(qpad_assert(1 + 1 == 3, "math"), std::logic_error);
 }
 
-TEST(Logging, QuietSuppressesWarn)
+TEST(Logging, PanicPrintsOneErrorLine)
 {
-    qpad::detail::setQuiet(true);
-    EXPECT_TRUE(qpad::detail::isQuiet());
-    qpad_warn("should not appear");
-    qpad::detail::setQuiet(false);
-    EXPECT_FALSE(qpad::detail::isQuiet());
+    testing::internal::CaptureStderr();
+    EXPECT_THROW(qpad_panic("boom ", 42), std::logic_error);
+    const std::string text = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(text.rfind("[error] log.panic msg=\"boom 42\" at=\"", 0), 0u)
+        << text;
+    EXPECT_EQ(text.find('\n'), text.size() - 1) << text;
 }
 
 TEST(SymMatrix, StoresSymmetrically)

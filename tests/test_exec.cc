@@ -20,7 +20,6 @@
 #include "design/freq_alloc.hh"
 #include "exec/cancel.hh"
 #include "exec/context.hh"
-#include "obs/log.hh"
 #include "obs/metrics.hh"
 #include "obs/request_report.hh"
 #include "profile/coupling.hh"
@@ -159,53 +158,6 @@ TEST(Context, RequestScopeCountsRequests)
     EXPECT_EQ(obs::counter("exec.requests").value(), before + 1);
 }
 
-TEST(Context, RequestIdsAreUniqueAndStable)
-{
-    EXPECT_EQ(Context::none().id(), 0u);
-    Context a;
-    Context b;
-    EXPECT_NE(a.id(), 0u);
-    EXPECT_NE(b.id(), 0u);
-    EXPECT_NE(a.id(), b.id());
-    // Copies are the same request, not a new one.
-    const Context copy = a;
-    EXPECT_EQ(copy.id(), a.id());
-}
-
-TEST(Context, ApplyStampsRequestIdOnlyWhenUnset)
-{
-    Context ctx;
-    runtime::Options base;
-    EXPECT_EQ(ctx.apply(base).request_id, ctx.id());
-
-    // Innermost wins, same as the cancel token: a pre-stamped id is
-    // left alone.
-    runtime::Options preset;
-    preset.request_id = 7;
-    EXPECT_EQ(ctx.apply(preset).request_id, 7u);
-
-    // Context::none() never tags anything.
-    EXPECT_EQ(Context::none().apply(base).request_id, 0u);
-}
-
-TEST(Context, RequestScopeTagsThreadAndRestores)
-{
-    const uint64_t prev = obs::currentRequestId();
-    Context ctx;
-    {
-        exec::RequestScope scope(ctx, "tag_test");
-        EXPECT_EQ(obs::currentRequestId(), ctx.id());
-        EXPECT_EQ(scope.id(), ctx.id());
-        // A nested no-request scope must not erase the tag.
-        {
-            obs::ScopedRequestId nested(0);
-            EXPECT_EQ(obs::currentRequestId(), ctx.id());
-        }
-        EXPECT_EQ(obs::currentRequestId(), ctx.id());
-    }
-    EXPECT_EQ(obs::currentRequestId(), prev);
-}
-
 TEST(Context, FinishReportCarriesIdNameStopAndDeltas)
 {
     Context ctx;
@@ -214,7 +166,6 @@ TEST(Context, FinishReportCarriesIdNameStopAndDeltas)
     obs::counter("exec.test_report_series").add(3);
     const obs::RequestReport report = scope.finish();
 
-    EXPECT_EQ(report.id, ctx.id());
     EXPECT_EQ(report.name, "unit_report");
     EXPECT_EQ(report.stop, StopReason::kDeadlineExceeded);
     EXPECT_GE(report.wall_seconds, 0.0);
@@ -239,9 +190,6 @@ TEST(Context, RequestReportJsonIsWellFormed)
     const obs::RequestReport report = scope.finish();
     const std::string json = obs::requestReportJson(report);
 
-    EXPECT_NE(json.find("\"id\":" + std::to_string(ctx.id())),
-              std::string::npos)
-        << json;
     EXPECT_NE(json.find("\"name\":\"json_report\""), std::string::npos)
         << json;
     EXPECT_NE(json.find("\"stop\":\"cancelled\""), std::string::npos)

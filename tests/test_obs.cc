@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for qpad::obs: the metrics registry (counters, gauges,
- * histograms, deterministic snapshots, deltas, exporters) and the
- * span tracer (balanced Chrome trace-event output, the zero-cost
- * disabled path, and the bit-identity of traced vs untraced runs).
+ * histograms, deterministic snapshots, deltas, exporters), the span
+ * tracer (balanced Chrome trace-event output, the zero-cost disabled
+ * path, and the bit-identity of traced vs untraced runs), the
+ * warning line, and the flight recorder.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +18,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <new>
 #include <sstream>
 #include <stdexcept>
@@ -28,13 +28,11 @@
 #include "arch/ibm.hh"
 #include "cache/fingerprint.hh"
 #include "cache/store.hh"
-#include "exec/context.hh"
 #include "obs/flight.hh"
 #include "obs/log.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "runtime/parallel.hh"
-#include "runtime/region.hh"
 #include "yield/yield_sim.hh"
 
 // --------------------------------------------------------------------
@@ -691,19 +689,22 @@ TEST(Trace, YieldEstimateBitIdenticalTracedVsUntraced)
 }
 
 // --------------------------------------------------------------------
-// Structured logging
+// Warnings
 // --------------------------------------------------------------------
 
-/** Swap the log sink for a test; restores the previous one. */
-class LogConfigGuard
+TEST(Log, TextLineKeepsFieldOrderAndEscapesStrings)
 {
-  public:
-    LogConfigGuard() : saved_(obs::currentLogConfig()) {}
-    ~LogConfigGuard() { obs::configureLog(saved_); }
+    testing::internal::CaptureStderr();
+    obs::logWarn("obs.test_log_kept", {{"ratio", 3.5}, {"who", "q\"pad"}});
+    // Fields print in the order written, strings quoted and escaped,
+    // and no timestamp: the line is byte-stable across runs.
+    EXPECT_EQ(testing::internal::GetCapturedStderr(),
+              "[warn] obs.test_log_kept ratio=3.5 who=\"q\\\"pad\"\n");
+}
 
-  private:
-    obs::LogConfig saved_;
-};
+// --------------------------------------------------------------------
+// Flight recorder
+// --------------------------------------------------------------------
 
 std::string
 readFile(const std::string &path)
@@ -713,105 +714,6 @@ readFile(const std::string &path)
     buffer << in.rdbuf();
     return buffer.str();
 }
-
-std::string
-logPath(const std::string &name)
-{
-    const std::string path =
-        testing::TempDir() + "qpad_log_" + name + ".txt";
-    std::remove(path.c_str()); // the sink appends
-    return path;
-}
-
-TEST(Log, ThresholdFiltersAndTextFormatIsDeterministic)
-{
-    LogConfigGuard guard;
-    obs::LogConfig cfg;
-    cfg.path = logPath("filter");
-    cfg.min_level = obs::LogLevel::kWarn;
-    obs::configureLog(cfg);
-
-    EXPECT_FALSE(obs::logEnabled(obs::LogLevel::kDebug));
-    EXPECT_FALSE(obs::logEnabled(obs::LogLevel::kInfo));
-    EXPECT_TRUE(obs::logEnabled(obs::LogLevel::kWarn));
-    EXPECT_TRUE(obs::logEnabled(obs::LogLevel::kError));
-
-    obs::logInfo("obs.test_log_dropped");
-    obs::logWarn("obs.test_log_kept", {{"answer", 42},
-                                       {"ratio", 3.5},
-                                       {"ok", true},
-                                       {"who", "qpad"}});
-
-    const std::string text = readFile(cfg.path);
-    EXPECT_EQ(text.find("obs.test_log_dropped"), std::string::npos);
-    // Fields render in the order written, with no timestamp in the
-    // text format — the body is byte-stable across runs.
-    EXPECT_NE(text.find("[warn] obs.test_log_kept answer=42 "
-                        "ratio=3.5 ok=true who=\"qpad\""),
-              std::string::npos)
-        << text;
-}
-
-TEST(Log, OffDropsEverything)
-{
-    LogConfigGuard guard;
-    obs::LogConfig cfg;
-    cfg.enabled = false;
-    cfg.path = logPath("off");
-    obs::configureLog(cfg);
-
-    EXPECT_FALSE(obs::logEnabled(obs::LogLevel::kError));
-    obs::logError("obs.test_log_off");
-    EXPECT_EQ(readFile(cfg.path).find("obs.test_log_off"),
-              std::string::npos);
-}
-
-TEST(Log, JsonFormatCarriesRequestId)
-{
-    LogConfigGuard guard;
-    obs::LogConfig cfg;
-    cfg.path = logPath("json");
-    cfg.format = obs::LogFormat::kJson;
-    obs::configureLog(cfg);
-
-    exec::Context ctx;
-    {
-        exec::RequestScope scope(ctx, "log_json");
-        obs::logInfo("obs.test_log_json", {{"k", "v"}});
-    }
-    obs::logInfo("obs.test_log_untagged");
-
-    const std::string text = readFile(cfg.path);
-    EXPECT_EQ(text.rfind("{\"ts_ns\":", 0), 0u) << text;
-    EXPECT_NE(text.find("\"event\":\"obs.test_log_json\",\"rid\":" +
-                        std::to_string(ctx.id()) + ",\"k\":\"v\""),
-              std::string::npos)
-        << text;
-    // Outside the scope the thread is untagged again: no rid field.
-    const auto untagged = text.find("obs.test_log_untagged");
-    ASSERT_NE(untagged, std::string::npos);
-    EXPECT_EQ(text.find("\"rid\":", untagged), std::string::npos);
-}
-
-TEST(Log, ConfigRoundTripsThroughCurrentLogConfig)
-{
-    LogConfigGuard guard;
-    obs::LogConfig cfg;
-    cfg.path = logPath("roundtrip");
-    cfg.format = obs::LogFormat::kJson;
-    cfg.min_level = obs::LogLevel::kError;
-    obs::configureLog(cfg);
-
-    const obs::LogConfig got = obs::currentLogConfig();
-    EXPECT_TRUE(got.enabled);
-    EXPECT_EQ(got.path, cfg.path);
-    EXPECT_EQ(got.format, obs::LogFormat::kJson);
-    EXPECT_EQ(got.min_level, obs::LogLevel::kError);
-}
-
-// --------------------------------------------------------------------
-// Flight recorder
-// --------------------------------------------------------------------
 
 TEST(Flight, RecordIsZeroAllocOnceWarm)
 {
@@ -910,6 +812,30 @@ TEST(Flight, SignalSafeDumpIsStructurallyValidJson)
     EXPECT_EQ(brackets, 0);
 }
 
+TEST(Flight, LogEventsDumpAsInstantsWithLevel)
+{
+    testing::internal::CaptureStderr();
+    obs::logWarn("obs.test_flight_log");
+    testing::internal::GetCapturedStderr();
+    const std::string path = tracePath("flight_log");
+    ASSERT_TRUE(obs::flight::dumpTo(path));
+
+    std::ifstream in(path);
+    std::string line;
+    std::size_t found = 0;
+    while (std::getline(in, line)) {
+        if (line.find("\"name\":\"obs.test_flight_log\"") ==
+            std::string::npos)
+            continue;
+        ++found;
+        EXPECT_NE(line.find("\"ph\":\"i\""), std::string::npos) << line;
+        EXPECT_NE(line.find("\"args\":{\"level\":\"warn\"}"),
+                  std::string::npos)
+            << line;
+    }
+    EXPECT_EQ(found, 1u);
+}
+
 TEST(FlightDeathTest, FatalSignalDumpsTheArmedPath)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
@@ -940,65 +866,24 @@ TEST(FlightDeathTest, FatalSignalDumpsTheArmedPath)
     EXPECT_EQ(brackets, 0);
 }
 
-// --------------------------------------------------------------------
-// Request-id propagation into runner threads
-// --------------------------------------------------------------------
-
-TEST(Flight, RunnerThreadsCarryTheRegionRequestId)
-{
-    // Deterministic single-runner region on a fresh (untagged)
-    // thread: runAs must tag the thread with the region's request id
-    // for the duration of the chunk. The caller and every helper run
-    // the same claim loop, so this covers every runner kind.
-    uint64_t seen = 999;
-    auto state = std::make_shared<runtime::detail::RegionState>(
-        1, [&](std::size_t) { seen = obs::currentRequestId(); },
-        nullptr, 42);
-    std::thread t([&] {
-        EXPECT_EQ(obs::currentRequestId(), 0u);
-        state->runAs();
-        // The tag is scoped to the region: restored on exit.
-        EXPECT_EQ(obs::currentRequestId(), 0u);
-    });
-    t.join();
-    state->waitDone();
-    EXPECT_EQ(seen, 42u);
-}
-
-TEST(Trace, SpansInsideARequestCarryItsId)
+TEST(Trace, SpansFromEveryRunnerAreKept)
 {
     if (obs::tracingEnabled())
         GTEST_SKIP() << "QPAD_TRACE is set; session already active";
-    exec::Context ctx;
-    const std::string path = tracePath("rid_spans");
+    const std::string path = tracePath("runner_spans");
     ASSERT_TRUE(obs::startTracing(path));
-    {
-        exec::RequestScope scope(ctx, "rid_spans");
-        runtime::Options exec = ctx.apply(runtime::Options{});
-        exec.num_threads = 2;
-        runtime::parallel_for(
-            exec, 16, 1,
-            [](std::size_t, std::size_t, std::size_t) {
-                QPAD_SPAN("obs.test_rid_chunk");
-            });
-    }
+    runtime::Options exec;
+    exec.num_threads = 2;
+    runtime::parallel_for(exec, 16, 1,
+                          [](std::size_t, std::size_t, std::size_t) {
+                              QPAD_SPAN("obs.test_runner_chunk");
+                          });
     obs::stopTracing();
 
-    // Every chunk span — whichever runner executed it — carries the
-    // request's id in its args.
-    const std::string rid_arg =
-        "\"rid\":" + std::to_string(ctx.id());
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::string line;
+    // Every chunk span is in the file, whichever runner executed it.
     std::size_t chunk_spans = 0;
-    while (std::getline(in, line)) {
-        if (line.find("\"name\":\"obs.test_rid_chunk\"") ==
-            std::string::npos)
-            continue;
-        ++chunk_spans;
-        EXPECT_NE(line.find(rid_arg), std::string::npos) << line;
-    }
+    for (const ParsedEvent &e : parseTrace(path))
+        chunk_spans += e.name == "obs.test_runner_chunk";
     EXPECT_EQ(chunk_spans, 2u * 16u); // a B and an E per chunk
 }
 

@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <string>
+
 #include "benchmarks/generators.hh"
+#include "obs/metrics.hh"
+#include "obs/trace.hh"
 #include "profile/coupling.hh"
 
 namespace
@@ -150,6 +155,29 @@ TEST(Profile, StrengthTableRendersAllRows)
     std::string table = prof.strengthTable();
     EXPECT_NE(table.find("q0"), std::string::npos);
     EXPECT_NE(table.find("q2"), std::string::npos);
+}
+
+TEST(Profile, EachCallIsOneSpanAndOneCount)
+{
+    if (obs::tracingEnabled())
+        GTEST_SKIP() << "QPAD_TRACE is set; session already active";
+    const obs::Counter &circuits = obs::counter("profile.circuits");
+    const uint64_t before = circuits.value();
+    const std::string path =
+        testing::TempDir() + "qpad_trace_profile_circuit.json";
+    ASSERT_TRUE(obs::startTracing(path));
+    profileCircuit(benchmarks::ghz(3));
+    profileCircuit(benchmarks::qft(4));
+    obs::stopTracing();
+    EXPECT_EQ(circuits.value(), before + 2);
+
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good()) << path;
+    std::size_t edges = 0;
+    for (std::string line; std::getline(in, line);)
+        edges += line.find("\"name\":\"profile.circuit\"") !=
+                 std::string::npos;
+    EXPECT_EQ(edges, 2u * 2u); // a B and an E per call
 }
 
 } // namespace

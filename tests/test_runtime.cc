@@ -58,7 +58,7 @@ TEST(ThreadPool, DestructionAfterRegionRetiresIsClean)
     ThreadPool pool(2);
     std::atomic<std::size_t> hits{0};
     auto state = std::make_shared<runtime::detail::RegionState>(
-        4, [&](std::size_t) { ++hits; }, nullptr, 0);
+        4, [&](std::size_t) { ++hits; }, nullptr);
     pool.dispatchRegion(state, 1);
     EXPECT_EQ(pool.activeRegions(), 1u);
     state->runAs();
@@ -81,7 +81,7 @@ TEST(ThreadPool, OfferWakesASleepingWorker)
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     std::atomic<std::size_t> hits{0};
     auto state = std::make_shared<runtime::detail::RegionState>(
-        3, [&](std::size_t) { ++hits; }, nullptr, 0);
+        3, [&](std::size_t) { ++hits; }, nullptr);
     pool.dispatchRegion(state, 1);
     state->waitDone();
     state->rethrowIfFailed();
@@ -136,7 +136,7 @@ TEST(ThreadPoolDeathTest, DestructionDuringActiveRegionAborts)
                             std::this_thread::sleep_for(
                                 std::chrono::hours(1));
                     },
-                    nullptr, 0);
+                    nullptr);
             pool.dispatchRegion(state, 1);
             while (!started.load())
                 std::this_thread::yield();
@@ -329,7 +329,7 @@ TEST(GuidedScheduling, OneRunnerClaimsLargestChunksFirst)
     std::vector<std::size_t> order;
     auto state = std::make_shared<runtime::detail::RegionState>(
         plan.chunks(), [&](std::size_t c) { order.push_back(c); },
-        nullptr, 0);
+        nullptr);
     state->runAs();
     state->waitDone();
     state->rethrowIfFailed();

@@ -728,7 +728,7 @@ RuleRunner::ruleRawLog()
         if (tk.text == "cerr") {
             add("rawlog", tk.line,
                 "raw std::cerr write: route diagnostics through "
-                "obs::log (structured, leveled, request-id tagged) "
+                "obs::logWarn (one line, kept in the flight ring) "
                 "or justify the raw site");
             continue;
         }
@@ -753,8 +753,8 @@ RuleRunner::ruleRawLog()
             add("rawlog", tk.line,
                 "'" + tk.text +
                     "(stderr, ...)': route diagnostics through "
-                    "obs::log (structured, leveled, request-id "
-                    "tagged) or justify the raw site");
+                    "obs::logWarn (one line, kept in the flight "
+                    "ring) or justify the raw site");
     }
 }
 

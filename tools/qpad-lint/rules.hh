@@ -35,10 +35,10 @@
  *                         grammar so metric exports stay
  *                         deterministic and greppable
  *   rawlog                raw stderr writes (std::cerr, fprintf /
- *                         fputs to stderr) outside the structured
- *                         log sink: diagnostics go through obs::log
- *                         so they stay leveled, request-tagged, and
- *                         QPAD_LOG-routable; the sink itself,
+ *                         fputs to stderr) outside the log sink:
+ *                         diagnostics go through obs::logWarn so
+ *                         they share one line format and land in
+ *                         the flight recorder; the sink itself,
  *                         sanctioned stderr exporters, and abort
  *                         paths justify themselves inline
  *
