@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -27,29 +28,20 @@ namespace
 
 /**
  * One routing direction in flat form, built once per mapCircuit
- * call: the dependency DAG in CSR form, with every gate's successors
- * in circuit::DependencyDag order (the order the lookahead walks),
- * plus a two-qubit flag and the two logical operands per gate.
+ * call: pointers to the caller's gates in routing order, their
+ * dependency DAG (barriers spanning the chip), and a two-qubit flag
+ * and the two logical operands per gate.
  */
 struct RoutingView
 {
-    explicit RoutingView(const Circuit &circ)
-        : name(circ.name()), indegree(circ.size()),
-          two_qubit(circ.size()), operands(circ.size())
+    RoutingView(std::string label, std::vector<const Gate *> order,
+                std::size_t chip_qubits)
+        : name(std::move(label)), gates(std::move(order)),
+          dag(gates, chip_qubits), roots(dag.roots()),
+          two_qubit(gates.size()), operands(gates.size())
     {
-        qpad_assert(circ.size() < std::numeric_limits<uint32_t>::max(),
-                    "circuit too large to route");
-        const circuit::DependencyDag dag(circ);
-        succ_begin.reserve(circ.size() + 1);
-        succ_begin.push_back(0);
-        for (uint32_t id = 0; id < circ.size(); ++id) {
-            for (std::size_t s : dag.successors(id))
-                succ.push_back(uint32_t(s));
-            succ_begin.push_back(uint32_t(succ.size()));
-            indegree[id] = uint32_t(dag.indegree(id));
-            if (indegree[id] == 0)
-                roots.push_back(id);
-            const Gate &g = circ.gate(id);
+        for (std::size_t id = 0; id < gates.size(); ++id) {
+            const Gate &g = *gates[id];
             if (g.isTwoQubit()) {
                 two_qubit[id] = 1;
                 operands[id] = {g.qubits[0], g.qubits[1]};
@@ -57,13 +49,11 @@ struct RoutingView
         }
     }
 
-    std::size_t size() const { return two_qubit.size(); }
+    std::size_t size() const { return gates.size(); }
 
     std::string name;
-    /** Successors of gate g: succ[succ_begin[g] .. succ_begin[g+1]). */
-    std::vector<uint32_t> succ_begin;
-    std::vector<uint32_t> succ;
-    std::vector<uint32_t> indegree;
+    std::vector<const Gate *> gates;
+    circuit::DependencyDag dag;
     /** Gates without predecessors, ascending: the first front. */
     std::vector<uint32_t> roots;
     std::vector<uint8_t> two_qubit;
@@ -71,7 +61,11 @@ struct RoutingView
     std::vector<std::array<Qubit, 2>> operands;
 };
 
-/** The chip's all-pairs distances as a dense row-major n x n table. */
+/**
+ * The chip's all-pairs distances as a dense row-major n x n table.
+ * Lookups are unchecked: the router's operands are the chip's edges
+ * and the images of a permutation of the chip, checked once per pass.
+ */
 class DistanceTable
 {
   public:
@@ -89,8 +83,6 @@ class DistanceTable
     uint16_t
     operator()(PhysQubit a, PhysQubit b) const
     {
-        qpad_assert(a < n_ && b < n_, "distance (", a, ",", b,
-                    ") out of range ", n_);
         return d_[a * n_ + b];
     }
 
@@ -122,8 +114,15 @@ class Router
     Router(const arch::Architecture &arch, const MappingOptions &options,
            const exec::Context &ctx)
         : edges_(arch.edges()), options_(options), ctx_(ctx),
-          dist_(arch), hosts_front_(arch.numQubits(), 0)
+          dist_(arch), words_((edges_.size() + 63) / 64),
+          incident_(arch.numQubits() * words_, 0), mask_(words_),
+          pair_slot_(arch.numQubits() * arch.numQubits(), 0)
     {
+        for (std::size_t e = 0; e < edges_.size(); ++e) {
+            const uint64_t bit = uint64_t{1} << (e % 64);
+            incident_[edges_[e].first * words_ + e / 64] |= bit;
+            incident_[edges_[e].second * words_ + e / 64] |= bit;
+        }
     }
 
     /** Gate `gate` executed, or a SWAP of (pa, pb) if gate == kSwap. */
@@ -154,10 +153,17 @@ class Router
         const std::size_t n_phys = dist_.size();
         qpad_assert(l2p.size() == n_phys, "l2p must cover the chip");
 
-        p2l_.resize(n_phys);
-        for (Qubit l = 0; l < l2p.size(); ++l)
+        // The one check of the physical operands the distance table
+        // and p2l_ are indexed by: l2p must permute the chip.
+        constexpr Qubit unset = std::numeric_limits<Qubit>::max();
+        p2l_.assign(n_phys, unset);
+        for (Qubit l = 0; l < l2p.size(); ++l) {
+            qpad_assert(l2p[l] < n_phys && p2l_[l2p[l]] == unset,
+                        "l2p is not a permutation of the chip");
             p2l_[l2p[l]] = l;
-        indeg_ = view.indegree;
+        }
+        indeg_.assign(view.dag.indegrees().begin(),
+                      view.dag.indegrees().end());
         front_ = view.roots;
         decay_.assign(n_phys, 1.0);
 
@@ -189,10 +195,9 @@ class Router
                     }
                     if (record)
                         result.ops.push_back({id});
-                    for (uint32_t k = view.succ_begin[id];
-                         k < view.succ_begin[id + 1]; ++k)
-                        if (--indeg_[view.succ[k]] == 0)
-                            front_.push_back(view.succ[k]);
+                    for (uint32_t succ : view.dag.successors(id))
+                        if (--indeg_[succ] == 0)
+                            front_.push_back(succ);
                     ++executed;
                     progress = true;
                     front_changed = true;
@@ -228,25 +233,44 @@ class Router
   private:
     using Edge = std::pair<PhysQubit, PhysQubit>;
 
+    /** A distinct lookahead pair (logical ids, then their physical
+     * images) and how many window entries it stands for. */
+    struct Pair
+    {
+        Qubit a, b;
+        uint32_t count;
+    };
+
     /** Undirected coupling edges (a < b), sorted. */
     const std::vector<Edge> &edges_;
     const MappingOptions &options_;
     const exec::Context &ctx_;
     const DistanceTable dist_;
+    /** Bit rows over edges_: bit e of qubit p's row is set iff edge
+     * e touches p; words_ words a row. */
+    const std::size_t words_;
+    std::vector<uint64_t> incident_;
 
     // Per-pass state and per-step scratch.
     std::vector<Qubit> p2l_;
     std::vector<uint32_t> indeg_, front_, blocked_;
     std::vector<double> decay_;
     std::vector<uint32_t> frontier_, ext_ids_;
-    std::vector<Edge> front_ends_, ext_ends_, candidates_;
-    std::vector<uint8_t> hosts_front_;
+    std::vector<uint64_t> mask_;
+    std::vector<Edge> front_ends_, candidates_;
+    /** The window folded into distinct pairs. */
+    std::vector<Pair> pairs_, pair_ends_;
+    /** 1 + index into pairs_ of logical pair (lo, hi) at lo * n + hi;
+     * all zero between folds. */
+    std::vector<uint32_t> pair_slot_;
 
     /**
      * Two-qubit gates reachable from the front (lookahead window),
      * into ext_ids_. A breadth-first walk that re-pushes successors
      * reachable along several paths, so a gate can enter the window
-     * more than once.
+     * more than once. The window is then folded into pairs_: one
+     * entry per distinct unordered operand pair, counting its
+     * entries.
      */
     void
     extendedSet(const RoutingView &view)
@@ -257,10 +281,7 @@ class Router
         for (std::size_t cursor = 0;
              cursor < frontier_.size() && ext_ids_.size() < limit;
              ++cursor) {
-            const uint32_t id = frontier_[cursor];
-            for (uint32_t k = view.succ_begin[id];
-                 k < view.succ_begin[id + 1]; ++k) {
-                const uint32_t succ = view.succ[k];
+            for (uint32_t succ : view.dag.successors(frontier_[cursor])) {
                 if (view.two_qubit[succ]) {
                     ext_ids_.push_back(succ);
                     if (ext_ids_.size() >= limit)
@@ -269,62 +290,83 @@ class Router
                 frontier_.push_back(succ);
             }
         }
+
+        const std::size_t n = dist_.size();
+        pairs_.clear();
+        for (uint32_t id : ext_ids_) {
+            const auto [a, b] = view.operands[id];
+            const Qubit lo = std::min(a, b), hi = std::max(a, b);
+            uint32_t &slot = pair_slot_[lo * n + hi];
+            if (slot == 0) {
+                pairs_.push_back({lo, hi, 0});
+                slot = uint32_t(pairs_.size());
+            }
+            ++pairs_[slot - 1].count;
+        }
+        for (const Pair &p : pairs_)
+            pair_slot_[p.a * n + p.b] = 0;
     }
 
     /**
      * The SWAP minimizing max(decay) * (mean front distance +
      * extended_weight * mean lookahead distance), first in (pa, pb)
-     * order on ties. Distance sums are exact integers, so the double
-     * arithmetic on them does not depend on how they are summed.
+     * order on ties. The lookahead sum is taken over the distinct
+     * pairs, each distance times its count, and divided by the
+     * window's full entry count. Distance sums are exact integers, so
+     * the double arithmetic on them does not depend on how they are
+     * summed.
      */
     std::pair<PhysQubit, PhysQubit>
     bestSwap(const RoutingView &view, const std::vector<PhysQubit> &l2p)
     {
-        // Physical endpoints of the front and lookahead gates.
-        auto endpoints = [&](const std::vector<uint32_t> &ids,
-                             std::vector<Edge> &ends) {
-            ends.clear();
-            for (uint32_t id : ids) {
-                const auto &[a, b] = view.operands[id];
-                ends.emplace_back(l2p[a], l2p[b]);
-            }
-        };
-        endpoints(front_, front_ends_);
-        endpoints(ext_ids_, ext_ends_);
+        // Physical endpoints of the front gates and lookahead pairs.
+        front_ends_.clear();
+        for (uint32_t id : front_) {
+            const auto &[a, b] = view.operands[id];
+            front_ends_.emplace_back(l2p[a], l2p[b]);
+        }
+        pair_ends_.clear();
+        for (const Pair &p : pairs_)
+            pair_ends_.push_back({l2p[p.a], l2p[p.b], p.count});
 
         // Candidate swaps: edges touching any physical qubit that
         // hosts an operand of a blocked front gate, in the chip's
-        // sorted edge order.
-        for (auto [a, b] : front_ends_)
-            hosts_front_[a] = hosts_front_[b] = 1;
+        // sorted edge order (the set bits of the front's rows,
+        // lowest first).
+        std::fill(mask_.begin(), mask_.end(), 0);
+        for (auto [a, b] : front_ends_) {
+            for (std::size_t w = 0; w < words_; ++w)
+                mask_[w] |= incident_[a * words_ + w] |
+                            incident_[b * words_ + w];
+        }
         candidates_.clear();
-        for (Edge e : edges_)
-            if (hosts_front_[e.first] || hosts_front_[e.second])
-                candidates_.push_back(e);
-        for (auto [a, b] : front_ends_)
-            hosts_front_[a] = hosts_front_[b] = 0;
+        for (std::size_t w = 0; w < words_; ++w)
+            for (uint64_t bits = mask_[w]; bits != 0; bits &= bits - 1)
+                candidates_.push_back(
+                    edges_[w * 64 + std::countr_zero(bits)]);
         qpad_assert(!candidates_.empty(), "no candidate swaps");
 
         const double front_terms = double(front_ends_.size());
-        const double ext_terms = double(ext_ends_.size());
+        const double ext_terms = double(ext_ids_.size());
         double best_score = std::numeric_limits<double>::infinity();
         Edge best = candidates_.front();
         for (auto [pa, pb] : candidates_) {
             auto moved = [pa, pb](PhysQubit p) {
                 return p == pa ? pb : p == pb ? pa : p;
             };
-            auto sum = [&](const std::vector<Edge> &ends) {
-                std::size_t total = 0;
-                for (auto [a, b] : ends)
-                    total += dist_(moved(a), moved(b));
-                return double(total);
-            };
-            const double front_cost = sum(front_ends_) / front_terms;
-            const double ext_cost =
-                ext_ends_.empty()
-                    ? 0.0
-                    : options_.extended_weight * sum(ext_ends_) /
-                          ext_terms;
+            std::size_t front_sum = 0;
+            for (auto [a, b] : front_ends_)
+                front_sum += dist_(moved(a), moved(b));
+            const double front_cost = double(front_sum) / front_terms;
+            double ext_cost = 0.0;
+            if (!ext_ids_.empty()) {
+                std::size_t ext_sum = 0;
+                for (const Pair &p : pair_ends_)
+                    ext_sum += std::size_t(p.count) *
+                               dist_(moved(p.a), moved(p.b));
+                ext_cost =
+                    options_.extended_weight * double(ext_sum) / ext_terms;
+            }
             const double score = std::max(decay_[pa], decay_[pb]) *
                                  (front_cost + ext_cost);
             if (score < best_score) {
@@ -335,43 +377,6 @@ class Router
         return best;
     }
 };
-
-/** Unitary-only reversed copy of a circuit (for reverse traversal). */
-Circuit
-reversedUnitary(const Circuit &circ)
-{
-    Circuit out(circ.numQubits(), circ.numClbits(),
-                circ.name() + "_rev");
-    for (auto it = circ.gates().rbegin(); it != circ.gates().rend();
-         ++it) {
-        if (it->kind == GateKind::Measure ||
-            it->kind == GateKind::Reset ||
-            it->kind == GateKind::Barrier)
-            continue;
-        out.add(*it);
-    }
-    return out;
-}
-
-/**
- * Everything but the measurements, widened to the chip (a barrier
- * synchronizes every qubit of the widened circuit). Measurements are
- * re-appended after routing.
- */
-Circuit
-widenedUnitaryPart(const Circuit &circ, std::size_t chip_qubits,
-                   std::vector<std::pair<Qubit, circuit::Clbit>> &measures)
-{
-    Circuit out(chip_qubits, circ.numClbits(), circ.name());
-    for (const Gate &g : circ.gates()) {
-        if (g.kind == GateKind::Measure) {
-            measures.emplace_back(g.qubits[0], g.clbit);
-            continue;
-        }
-        out.add(g);
-    }
-    return out;
-}
 
 } // namespace
 
@@ -401,10 +406,20 @@ mapCircuit(const Circuit &circuit, const arch::Architecture &arch,
     static obs::Counter &calls = obs::counter("mapping.calls");
     calls.add();
 
+    // Forward order routes everything but the measurements, with
+    // barriers spanning the chip; the measurements are re-appended
+    // after routing.
     std::vector<std::pair<Qubit, circuit::Clbit>> measures;
-    const Circuit unitary =
-        widenedUnitaryPart(circuit, arch.numQubits(), measures);
-    const RoutingView forward(unitary);
+    std::vector<const Gate *> unitary;
+    unitary.reserve(circuit.size());
+    for (const Gate &g : circuit.gates()) {
+        if (g.kind == GateKind::Measure)
+            measures.emplace_back(g.qubits[0], g.clbit);
+        else
+            unitary.push_back(&g);
+    }
+    const RoutingView forward(circuit.name(), std::move(unitary),
+                              arch.numQubits());
     Router router(arch, options, ctx);
 
     // Candidate initial mappings: the identity (qpad layouts use an
@@ -423,7 +438,16 @@ mapCircuit(const Circuit &circuit, const arch::Architecture &arch,
         // reverse circuit and vice versa.
         for (std::size_t i = l2p.size(); i > 1; --i)
             std::swap(l2p[i - 1], l2p[rng.below(i)]);
-        const RoutingView backward(reversedUnitary(unitary));
+        // Backward order: the unitary gates only, reversed.
+        std::vector<const Gate *> reversed;
+        reversed.reserve(forward.size());
+        for (auto it = forward.gates.rbegin(); it != forward.gates.rend();
+             ++it)
+            if ((*it)->kind != GateKind::Reset &&
+                (*it)->kind != GateKind::Barrier)
+                reversed.push_back(*it);
+        const RoutingView backward(circuit.name() + "_rev",
+                                   std::move(reversed), arch.numQubits());
         for (unsigned round = 0; round < options.initial_mapping_rounds;
              ++round) {
             l2p = router.route(forward, std::move(l2p), false).final_l2p;
@@ -470,7 +494,7 @@ mapCircuit(const Circuit &circuit, const arch::Architecture &arch,
             mapped.cx(op.pa, op.pb);
             applySwap(op.pa, op.pb, l2p, p2l);
         } else {
-            Gate phys = unitary.gate(op.gate);
+            Gate phys = *forward.gates[op.gate];
             for (auto &q : phys.qubits)
                 q = l2p[q];
             mapped.add(std::move(phys));

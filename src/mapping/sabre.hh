@@ -21,10 +21,15 @@
  * set would change the routing of almost every circuit (and every
  * golden that pins it).
  *
- * Each call routes over a flat view of the circuit built once per
- * direction (the dependency DAG in CSR form, a two-qubit flag and two
- * operands per gate) and a dense distance table, and scores a
- * candidate SWAP from exact integer distance sums.
+ * Each call routes over a flat view built once per direction: pointers
+ * to the caller's gates in routing order (no circuit is copied), their
+ * circuit::DependencyDag with barriers spanning the chip, a two-qubit
+ * flag and two operands per gate; and over a dense distance table.
+ * Each SWAP choice scores the window as its distinct operand pairs,
+ * each with the count of entries it stands for, takes the candidate
+ * edges from per-qubit incident-edge bit rows, and scores a candidate
+ * from exact integer distance sums, so regrouping the sums changes no
+ * choice.
  */
 
 #ifndef QPAD_MAPPING_SABRE_HH

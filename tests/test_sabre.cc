@@ -347,6 +347,70 @@ TEST(Sabre, RoutingMatchesPinnedDigests)
     }
 }
 
+/** A random 12-qubit {1q, CX} circuit that also carries barriers,
+ * resets and mid-circuit measurements, which no suite program has. */
+Circuit
+randomCircuitWithNonUnitaries(uint64_t seed)
+{
+    qpad::Rng rng(seed);
+    Circuit c(12, 12, "offsuite_" + std::to_string(seed));
+    for (int g = 0; g < 160; ++g) {
+        const auto a = circuit::Qubit(rng.below(12));
+        const auto b = circuit::Qubit((a + 1 + rng.below(11)) % 12);
+        const uint64_t pick = rng.below(20);
+        if (pick < 9)
+            c.cx(a, b);
+        else if (pick < 13)
+            c.h(a);
+        else if (pick < 16)
+            c.rz(0.125 * double(pick), a);
+        else if (pick < 17)
+            c.barrier();
+        else if (pick < 18)
+            c.add({circuit::GateKind::Reset, {a}});
+        else
+            c.measure(a, b);
+    }
+    return c;
+}
+
+TEST(Sabre, RoutingMatchesPinnedDigestsOffTheSuite)
+{
+    // Inputs the paper suite never routes: barriers (whose span
+    // includes the chip's 4 idle qubits), resets and mid-circuit
+    // measurements, over lookahead windows from empty to wider than
+    // the default. Captured from the router that routed widened and
+    // reversed Circuit copies, once its DAG counted indegrees after
+    // dropping repeated links (before, a barrier followed by a CX on
+    // two of its qubits left one gate's indegree too high, and these
+    // inputs panicked with "router dropped gates"). One digest per
+    // circuit covers default options, extended_set_size 0, 1, 7 and
+    // 40, and extended_weight 0, in that order.
+    const std::pair<uint64_t, const char *> pinned[] = {
+        {11, "e478a3e6cdfb1a5d1c9e3812f12c13b5"},
+        {12, "8bd73e0e5f84f222ef9fc6ccc960294c"},
+        {13, "4255e441f0724e92b864d0670f1f0932"},
+    };
+    std::vector<MappingOptions> variants(1);
+    for (std::size_t size : {0, 1, 7, 40}) {
+        variants.emplace_back();
+        variants.back().extended_set_size = size;
+    }
+    variants.emplace_back();
+    variants.back().extended_weight = 0.0;
+    const arch::Architecture chip = arch::ibm16Q(true);
+    for (const auto &[seed, digest] : pinned) {
+        const Circuit circ = randomCircuitWithNonUnitaries(seed);
+        cache::Encoder enc;
+        for (const MappingOptions &opts : variants) {
+            const auto r = mapCircuit(circ, chip, opts);
+            ASSERT_TRUE(mapping::respectsCoupling(r.mapped, chip));
+            encodeRouting(enc, r);
+        }
+        EXPECT_EQ(enc.digest().hex(), digest) << circ.name();
+    }
+}
+
 TEST(Sabre, PerfectChainMappingForIsing)
 {
     // Section 5.3.1: the chain program on its own designed layout
