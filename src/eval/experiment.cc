@@ -125,28 +125,20 @@ memoizedPoint(const cache::Fingerprint &key, const std::string &config,
     return point;
 }
 
-/** Routing counts of one measurement, as memoized under mappingKey. */
-struct RoutingCounts
-{
-    std::size_t total_gates = 0;
-    std::size_t swaps = 0;
-};
-
 /**
- * mapCircuit's counts through the global cache. Designs that share a
+ * countMapping through the global cache. Designs that share a
  * coupling graph (eff-full and eff-5-freq at one K, eff-layout-only-2q
- * and K = 0) route the circuit identically, so only the first routes.
+ * and K = 0, and any two bus sets that couple the same qubits) route
+ * the circuit identically, so only the first routes.
  */
-RoutingCounts
+mapping::MappingCounts
 routingCounts(const Architecture &arch, const Circuit &circuit,
               const mapping::MappingOptions &options,
               const exec::Context &ctx)
 {
-    return cache::memoized<RoutingCounts>(
+    return cache::memoized<mapping::MappingCounts>(
         mappingKey(arch, circuit, options), ctx, [&] {
-            const mapping::MappingResult mapped =
-                mapping::mapCircuit(circuit, arch, options, ctx);
-            return RoutingCounts{mapped.total_gates, mapped.swaps};
+            return mapping::countMapping(circuit, arch, options, ctx);
         });
 }
 
@@ -185,8 +177,15 @@ mappingKey(const Architecture &arch, const Circuit &circuit,
            const mapping::MappingOptions &options)
 {
     cache::Encoder enc;
-    enc.str("qpad.mapping/v1");
-    cache::encodeTopology(enc, arch);
+    enc.str("qpad.mapping/v2");
+    // The router reads the chip's width and its sorted edges (and the
+    // distances they fix), not the coordinates or the bus order.
+    enc.u64(arch.numQubits());
+    enc.u64(arch.edges().size());
+    for (const auto &[a, b] : arch.edges()) {
+        enc.u32(a);
+        enc.u32(b);
+    }
     // Parameters, classical bits and the name never steer routing.
     enc.u64(circuit.numQubits());
     enc.u64(circuit.size());
@@ -226,7 +225,7 @@ measure(const std::string &config, const Architecture &arch,
     point.num_edges = arch.numEdges();
     point.num_buses = arch.fourQubitBuses().size();
 
-    const RoutingCounts routed =
+    const mapping::MappingCounts routed =
         routingCounts(arch, circuit, options.mapping_options, ctx);
     point.gate_count = routed.total_gates;
     point.swaps = routed.swaps;

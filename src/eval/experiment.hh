@@ -105,8 +105,9 @@ struct BenchmarkExperiment
 
 /**
  * Evaluate one architecture against one circuit. The routing counts
- * (gate_count, swaps) go through the global cache under mappingKey,
- * so chips that share a coupling graph are routed once. A cancelled
+ * (gate_count, swaps) come from mapping::countMapping, which builds
+ * no mapped circuit, through the global cache under mappingKey, so
+ * chips that share a coupling graph are routed once. A cancelled
  * or deadline-expired `ctx` raises exec::CancelledError before each
  * routing pass, between the adaptive yield-escalation steps and
  * inside the yield estimate's parallel region; a completed
@@ -119,11 +120,11 @@ DataPoint measure(const std::string &config,
                   const exec::Context &ctx = exec::Context::none());
 
 /**
- * Cache key of measure()'s routing counts: the chip's topology
- * (coordinates and 4-qubit buses, never its name or frequencies,
- * which routing does not read), the circuit's gate kinds and
- * operands, and every MappingOptions field. Tagged
- * "qpad.mapping/v1".
+ * Cache key of measure()'s routing counts: the chip's coupling graph
+ * as the router reads it (its width and sorted edge list; never its
+ * coordinates, bus order, name or frequencies), the circuit's gate
+ * kinds and operands, and every MappingOptions field. Tagged
+ * "qpad.mapping/v2".
  */
 cache::Fingerprint mappingKey(const arch::Architecture &arch,
                               const circuit::Circuit &circuit,

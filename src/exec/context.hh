@@ -8,10 +8,10 @@
  * `RequestScope` adds the request's telemetry: its latency, stop
  * reason and metric deltas. The compute entry points —
  * `estimateYield`, `allocateFrequencies`, `annealLayout`,
- * `designArchitecture`, `mapping::mapCircuit`, `eval::measure` /
- * `runBenchmark`, and the cached front ends — all take a trailing
- * `const Context&` defaulting to `Context::none()`, so existing
- * call sites keep compiling and pay nothing.
+ * `designArchitecture`, `mapping::mapCircuit` / `countMapping`,
+ * `eval::measure` / `runBenchmark`, and the cached front ends — all
+ * take a trailing `const Context&` defaulting to `Context::none()`,
+ * so existing call sites keep compiling and pay nothing.
  *
  * Determinism contract: a context decides only *whether* a result
  * exists, never its bytes. Any run that completes under a context is

@@ -27,7 +27,7 @@ namespace
 {
 
 /**
- * One routing direction in flat form, built once per mapCircuit
+ * One routing direction in flat form, built once per mapping
  * call: pointers to the caller's gates in routing order, their
  * dependency DAG (barriers spanning the chip), and a two-qubit flag
  * and the two logical operands per gate.
@@ -102,7 +102,7 @@ applySwap(PhysQubit pa, PhysQubit pb, std::vector<PhysQubit> &l2p,
 }
 
 /**
- * Routing passes over the views of one mapCircuit call. Works over
+ * Routing passes over the views of one mapping call. Works over
  * an "extended" logical space the size of the chip: logical ids >=
  * circuit width are dummies occupying the spare physical qubits so
  * SWAPs stay a permutation. The scratch buffers are reused from step
@@ -378,13 +378,31 @@ class Router
     }
 };
 
-} // namespace
-
-MappingResult
-mapCircuit(const Circuit &circuit, const arch::Architecture &arch,
-           const MappingOptions &options, const exec::Context &ctx)
+/** What both entry points take from one call's candidate search. */
+struct Search
 {
-    QPAD_SPAN("mapping.map");
+    /** The forward view's gates: the circuit's non-measurements. */
+    std::vector<const Gate *> gates;
+    /** The measurements, (logical qubit, clbit), in circuit order. */
+    std::vector<std::pair<Qubit, circuit::Clbit>> measures;
+    /** The winning candidate's logical -> physical start. */
+    std::vector<PhysQubit> initial;
+    /** Its forward pass; ops are filled only when recording. */
+    Router::PassResult pass;
+};
+
+/**
+ * The search both entry points run: check the inputs, build the
+ * views, refine the SABRE start, then route each candidate initial
+ * mapping forward and keep the first with the fewest SWAPs. Only
+ * mapCircuit, which replays the winner, asks the passes to `record`
+ * their ops.
+ */
+Search
+searchMapping(const Circuit &circuit, const arch::Architecture &arch,
+              const MappingOptions &options, const exec::Context &ctx,
+              bool record)
+{
     // Negative, infinite or NaN weights make the cost meaningless
     // and can keep the router swapping forever.
     if (!(std::isfinite(options.extended_weight) &&
@@ -409,17 +427,17 @@ mapCircuit(const Circuit &circuit, const arch::Architecture &arch,
     // Forward order routes everything but the measurements, with
     // barriers spanning the chip; the measurements are re-appended
     // after routing.
-    std::vector<std::pair<Qubit, circuit::Clbit>> measures;
+    Search search;
     std::vector<const Gate *> unitary;
     unitary.reserve(circuit.size());
     for (const Gate &g : circuit.gates()) {
         if (g.kind == GateKind::Measure)
-            measures.emplace_back(g.qubits[0], g.clbit);
+            search.measures.emplace_back(g.qubits[0], g.clbit);
         else
             unitary.push_back(&g);
     }
-    const RoutingView forward(circuit.name(), std::move(unitary),
-                              arch.numQubits());
+    RoutingView forward(circuit.name(), std::move(unitary),
+                        arch.numQubits());
     Router router(arch, options, ctx);
 
     // Candidate initial mappings: the identity (qpad layouts use an
@@ -459,20 +477,35 @@ mapCircuit(const Circuit &circuit, const arch::Architecture &arch,
 
     // Route every candidate and keep the cheapest mapping.
     std::size_t best = 0;
-    Router::PassResult pass;
     for (std::size_t i = 0; i < candidates.size(); ++i) {
         Router::PassResult attempt =
-            router.route(forward, candidates[i], true);
-        if (i == 0 || attempt.swaps < pass.swaps) {
-            pass = std::move(attempt);
+            router.route(forward, candidates[i], record);
+        if (i == 0 || attempt.swaps < search.pass.swaps) {
+            search.pass = std::move(attempt);
             best = i;
         }
     }
+    static obs::Counter &swaps = obs::counter("mapping.swaps");
+    swaps.add(search.pass.swaps);
+    search.gates = std::move(forward.gates);
+    search.initial = std::move(candidates[best]);
+    return search;
+}
+
+} // namespace
+
+MappingResult
+mapCircuit(const Circuit &circuit, const arch::Architecture &arch,
+           const MappingOptions &options, const exec::Context &ctx)
+{
+    QPAD_SPAN("mapping.map");
+    Search search = searchMapping(circuit, arch, options, ctx, true);
+    const Router::PassResult &pass = search.pass;
 
     MappingResult result;
     result.initial_mapping.assign(
-        candidates[best].begin(),
-        candidates[best].begin() + circuit.numQubits());
+        search.initial.begin(),
+        search.initial.begin() + circuit.numQubits());
     result.swaps = pass.swaps;
     result.final_mapping.assign(
         pass.final_l2p.begin(),
@@ -483,7 +516,7 @@ mapCircuit(const Circuit &circuit, const arch::Architecture &arch,
     // lowers to three CX.
     Circuit mapped(arch.numQubits(), circuit.numClbits(),
                    circuit.name() + "@" + arch.name());
-    std::vector<PhysQubit> l2p = std::move(candidates[best]);
+    std::vector<PhysQubit> l2p = std::move(search.initial);
     std::vector<Qubit> p2l(l2p.size());
     for (Qubit l = 0; l < l2p.size(); ++l)
         p2l[l2p[l]] = l;
@@ -494,22 +527,32 @@ mapCircuit(const Circuit &circuit, const arch::Architecture &arch,
             mapped.cx(op.pa, op.pb);
             applySwap(op.pa, op.pb, l2p, p2l);
         } else {
-            Gate phys = *forward.gates[op.gate];
+            Gate phys = *search.gates[op.gate];
             for (auto &q : phys.qubits)
                 q = l2p[q];
             mapped.add(std::move(phys));
         }
     }
     qpad_assert(l2p == pass.final_l2p, "replayed mapping diverged");
-    for (auto [lq, cb] : measures)
+    for (auto [lq, cb] : search.measures)
         mapped.measure(pass.final_l2p[lq], cb);
 
     result.total_gates = mapped.unitaryGateCount();
     result.two_qubit_gates = mapped.twoQubitGateCount();
     result.mapped = std::move(mapped);
-    static obs::Counter &swaps = obs::counter("mapping.swaps");
-    swaps.add(result.swaps);
     return result;
+}
+
+MappingCounts
+countMapping(const Circuit &circuit, const arch::Architecture &arch,
+             const MappingOptions &options, const exec::Context &ctx)
+{
+    QPAD_SPAN("mapping.map");
+    const std::size_t swaps =
+        searchMapping(circuit, arch, options, ctx, false).pass.swaps;
+    // The replay would emit every routed gate once and three CX per
+    // SWAP; measurements, resets and barriers are not unitary.
+    return {swaps, circuit.unitaryGateCount() + 3 * swaps};
 }
 
 bool

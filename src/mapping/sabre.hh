@@ -21,6 +21,14 @@
  * set would change the routing of almost every circuit (and every
  * golden that pins it).
  *
+ * Two entry points share one search: the checks, the views, the
+ * eight routing passes of the default options and the choice of the
+ * first candidate with the fewest SWAPs. mapCircuit records the
+ * candidates' passes and replays the winner into a mapped Circuit.
+ * countMapping returns only the SWAP and gate counts, which is all
+ * the Figure 10 sweep keeps, so none of its passes records a gate
+ * and no circuit is built.
+ *
  * Each call routes over a flat view built once per direction: pointers
  * to the caller's gates in routing order (no circuit is copied), their
  * circuit::DependencyDag with barriers spanning the chip, a two-qubit
@@ -79,6 +87,15 @@ struct MappingResult
     std::size_t two_qubit_gates = 0;
 };
 
+/** mapCircuit's counts, without the mapped circuit. */
+struct MappingCounts
+{
+    /** SWAPs inserted by routing. */
+    std::size_t swaps = 0;
+    /** Post-mapping gate count: unitary gates incl. 3 CX per SWAP. */
+    std::size_t total_gates = 0;
+};
+
 /**
  * Map a {1q, CX} circuit onto an architecture. A cancelled or
  * deadline-expired `ctx` raises exec::CancelledError before the next
@@ -94,6 +111,19 @@ MappingResult mapCircuit(const circuit::Circuit &circuit,
                          const arch::Architecture &arch,
                          const MappingOptions &options = {},
                          const exec::Context &ctx = exec::Context::none());
+
+/**
+ * mapCircuit's swaps and total_gates, from the same checks, passes
+ * and choice of initial mapping, without recording or replaying the
+ * winning pass: total_gates is circuit.unitaryGateCount() + 3 x
+ * swaps. Cancellation, invalid options and preconditions are as for
+ * mapCircuit, and both add to the mapping.calls and mapping.swaps
+ * counters.
+ */
+MappingCounts countMapping(const circuit::Circuit &circuit,
+                           const arch::Architecture &arch,
+                           const MappingOptions &options = {},
+                           const exec::Context &ctx = exec::Context::none());
 
 /**
  * Check that every CX of a mapped circuit respects the coupling

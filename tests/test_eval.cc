@@ -179,16 +179,18 @@ TEST(MappingMemo, RoutesEachTopologyOnce)
     ExperimentOptions opts = fastOptions();
     opts.run_eff_rd_bus = false;
 
-    // The chips runBenchmark measures, by topology: the IBM baselines
-    // and the designed layout at every bus count K, with none and
-    // with the maximum number of buses (frequencies are irrelevant).
+    // The chips runBenchmark measures, by coupling graph: the IBM
+    // baselines and the designed layout at every bus count K, with
+    // none and with the maximum number of buses (frequencies are
+    // irrelevant).
     const circuit::Circuit circ = info.generate();
     const profile::CouplingProfile prof = profile::profileCircuit(circ);
-    std::set<std::string> topologies;
+    std::set<std::pair<std::size_t,
+                       std::vector<std::pair<arch::PhysQubit,
+                                             arch::PhysQubit>>>>
+        topologies;
     auto add = [&](const arch::Architecture &a) {
-        cache::Encoder enc;
-        cache::encodeTopology(enc, a);
-        topologies.insert(enc.digest().hex());
+        topologies.emplace(a.numQubits(), a.edges());
     };
     for (const arch::Architecture &a : arch::ibmBaselines())
         if (a.numQubits() >= circ.numQubits())
@@ -308,17 +310,53 @@ TEST(MappingMemo, KeyCoversRoutingInputsOnly)
         EXPECT_NE(mappingKey(chip, circ, variants[i]), key) << i;
 }
 
+TEST(MappingMemo, ChipsWithOneCouplingGraphShareARecord)
+{
+    // ibm16Q(true)'s buses added in the opposite order: other bus
+    // bytes, the same coupling graph, so the same routing.
+    const arch::Architecture chip = arch::ibm16Q(true);
+    arch::Architecture reordered(chip.layout(), "reordered");
+    const auto &buses = chip.fourQubitBuses();
+    ASSERT_GT(buses.size(), 1u);
+    for (auto it = buses.rbegin(); it != buses.rend(); ++it)
+        reordered.addFourQubitBus(*it);
+    reordered.setAllFrequencies(chip.frequencies());
+    ASSERT_NE(reordered.fourQubitBuses(), buses);
+    ASSERT_EQ(reordered.edges(), chip.edges());
+
+    const auto circ =
+        benchmarks::getBenchmark("UCCSD_ansatz_8").generate();
+    ExperimentOptions opts = fastOptions();
+    opts.adaptive_yield_trials = false;
+    EXPECT_EQ(mappingKey(reordered, circ, opts.mapping_options),
+              mappingKey(chip, circ, opts.mapping_options));
+
+    // The second chip's routing is a hit. Its yield is keyed by the
+    // whole architecture, bus order included, so it is a miss.
+    ScopedGlobalCache cache(true);
+    const DataPoint first = measure("probe", chip, circ, opts);
+    const obs::Snapshot before = obs::snapshot();
+    const DataPoint second = measure("probe", reordered, circ, opts);
+    const obs::Snapshot moved = obs::deltaSince(before);
+    EXPECT_EQ(obs::valueOf(moved, "mapping.calls"), 0.0);
+    EXPECT_EQ(obs::valueOf(moved, "cache.hits"), 1.0);
+    EXPECT_EQ(second.gate_count, first.gate_count);
+    EXPECT_EQ(second.swaps, first.swaps);
+}
+
 TEST(MappingMemo, KeyMatchesEarlierBuilds)
 {
-    // Captured when the key was introduced: a key that moves is an
-    // encoding change, and must say so by bumping its domain tag.
+    // Captured when the key was introduced and again when it became
+    // the coupling graph's edge list ("qpad.mapping/v2"): a key that
+    // moves is an encoding change, and must say so by bumping its
+    // domain tag.
     circuit::Circuit circ(3, 3, "probe");
     circ.h(0);
     circ.cx(0, 2);
     circ.cx(2, 1);
     circ.measure(1, 0);
     EXPECT_EQ(mappingKey(arch::ibm16Q(false), circ, {}).hex(),
-              "1a6c17631b0134f4bcbdcdbda0ad5350");
+              "6faf9d927e872fdeb97d5c798c2a3363");
 }
 
 TEST(Report, FormatYieldScientific)

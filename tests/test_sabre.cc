@@ -2,8 +2,9 @@
  * @file
  * Tests for the SABRE mapper: coupling legality, gate-count
  * accounting, classical (permutation-level) semantic equivalence,
- * pinned routing decisions, option validation, cancellation, and
- * behaviour on the paper's special cases.
+ * pinned routing decisions, the counts-only entry point against the
+ * mapped circuit, option validation, cancellation, and behaviour on
+ * the paper's special cases.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include "common/rng.hh"
 #include "design/design_flow.hh"
 #include "mapping/sabre.hh"
+#include "obs/metrics.hh"
 #include "profile/coupling.hh"
 #include "revsynth/mct.hh"
 
@@ -44,6 +46,20 @@ TEST(Sabre, AdjacentGatesNeedNoSwaps)
     auto r = mapCircuit(c, path);
     EXPECT_EQ(r.swaps, 0u);
     EXPECT_EQ(r.total_gates, 3u);
+}
+
+TEST(Sabre, TiedStartsKeepTheIdentity)
+{
+    // Without a two-qubit gate the identity and the SABRE start (a
+    // random permutation no pass moves) both route with 0 SWAPs. The
+    // strict-< choice keeps the first candidate, the identity.
+    Circuit c(4);
+    for (circuit::Qubit q = 0; q < 4; ++q)
+        c.h(q);
+    const auto r = mapCircuit(c, arch::ibm16Q(false));
+    EXPECT_EQ(r.swaps, 0u);
+    EXPECT_EQ(r.initial_mapping,
+              (std::vector<arch::PhysQubit>{0, 1, 2, 3}));
 }
 
 TEST(Sabre, DistantGateForcesSwaps)
@@ -189,6 +205,26 @@ TEST(Sabre, UnfiredContextLeavesMappingUnchanged)
     EXPECT_EQ(polled.initial_mapping, plain.initial_mapping);
     EXPECT_EQ(polled.final_mapping, plain.final_mapping);
     EXPECT_EQ(polled.mapped, plain.mapped);
+}
+
+TEST(Sabre, CancelledContextStopsCounting)
+{
+    auto circ = benchmarks::qft(10);
+    auto arch = arch::ibm16Q(true);
+    exec::Context cancelled;
+    cancelled.cancel();
+    EXPECT_THROW(
+        mapping::countMapping(circ, arch, MappingOptions{}, cancelled),
+        exec::CancelledError);
+
+    // A deadline that never fires leaves the counts as they are.
+    exec::Context ctx;
+    ctx.setDeadlineAfter(std::chrono::hours(1));
+    const auto plain = mapping::countMapping(circ, arch);
+    const auto polled =
+        mapping::countMapping(circ, arch, MappingOptions{}, ctx);
+    EXPECT_EQ(polled.swaps, plain.swaps);
+    EXPECT_EQ(polled.total_gates, plain.total_gates);
 }
 
 /**
@@ -409,6 +445,58 @@ TEST(Sabre, RoutingMatchesPinnedDigestsOffTheSuite)
         }
         EXPECT_EQ(enc.digest().hex(), digest) << circ.name();
     }
+}
+
+TEST(Sabre, CountsMatchMapCircuit)
+{
+    // Every input of the two pinned-digest tests: countMapping's
+    // counts are those of mapCircuit's replayed circuit, and the two
+    // entry points move the mapping counters alike.
+    std::size_t inputs = 0;
+    auto check = [&inputs](const Circuit &circ, const Architecture &chip,
+                           const MappingOptions &opts) {
+        const obs::Snapshot before_map = obs::snapshot();
+        const mapping::MappingResult mapped = mapCircuit(circ, chip, opts);
+        const obs::Snapshot by_map = obs::deltaSince(before_map);
+        const obs::Snapshot before_count = obs::snapshot();
+        const mapping::MappingCounts counted =
+            mapping::countMapping(circ, chip, opts);
+        const obs::Snapshot by_count = obs::deltaSince(before_count);
+        EXPECT_EQ(counted.swaps, mapped.swaps) << circ.name();
+        EXPECT_EQ(counted.total_gates, mapped.total_gates) << circ.name();
+        EXPECT_EQ(obs::valueOf(by_count, "mapping.calls"), 1.0);
+        for (const char *name : {"mapping.calls", "mapping.swaps"})
+            EXPECT_EQ(obs::valueOf(by_count, name),
+                      obs::valueOf(by_map, name))
+                << circ.name() << ' ' << name;
+        ++inputs;
+    };
+
+    const Architecture chips[] = {arch::ibm16Q(false), arch::ibm20Q(true)};
+    for (const auto &info : benchmarks::paperSuite()) {
+        const Circuit circ = info.generate();
+        for (const Architecture &chip : chips) {
+            for (uint64_t seed : {7, 1}) {
+                MappingOptions opts;
+                opts.seed = seed;
+                check(circ, chip, opts);
+            }
+        }
+    }
+    std::vector<MappingOptions> variants(1);
+    for (std::size_t size : {0, 1, 7, 40}) {
+        variants.emplace_back();
+        variants.back().extended_set_size = size;
+    }
+    variants.emplace_back();
+    variants.back().extended_weight = 0.0;
+    const Architecture chip = arch::ibm16Q(true);
+    for (uint64_t seed : {11, 12, 13}) {
+        const Circuit circ = randomCircuitWithNonUnitaries(seed);
+        for (const MappingOptions &opts : variants)
+            check(circ, chip, opts);
+    }
+    EXPECT_EQ(inputs, benchmarks::paperSuite().size() * 4 + 3 * 6);
 }
 
 TEST(Sabre, PerfectChainMappingForIsing)
