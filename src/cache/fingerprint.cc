@@ -185,13 +185,4 @@ encodeCollisionModel(Encoder &enc, const yield::CollisionModel &model)
     enc.f64(model.thr7);
 }
 
-Fingerprint
-fingerprintArchitecture(const arch::Architecture &arch)
-{
-    Encoder enc;
-    enc.str("qpad.arch/v1");
-    encodeArchitecture(enc, arch);
-    return enc.digest();
-}
-
 } // namespace qpad::cache

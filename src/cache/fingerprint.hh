@@ -17,7 +17,7 @@
  * astronomically more entries than any design sweep produces). Every
  * key starts with a domain tag string and a format version, so
  * distinct record kinds (yield results, frequency allocations,
- * annealing chains) key apart and an encoding change moves every key
+ * routing counts) key apart and an encoding change moves every key
  * of its domain.
  */
 
@@ -101,9 +101,6 @@ void encodeTopology(Encoder &enc, const arch::Architecture &arch);
 /** All seven collision thresholds plus the anharmonicity delta. */
 void encodeCollisionModel(Encoder &enc,
                           const yield::CollisionModel &model);
-
-/** Digest of encodeArchitecture alone (tagged, versioned). */
-Fingerprint fingerprintArchitecture(const arch::Architecture &arch);
 
 } // namespace qpad::cache
 

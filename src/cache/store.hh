@@ -1,17 +1,20 @@
 /**
  * @file
- * Sharded in-memory result store with an LRU byte budget and
- * in-flight deduplication of identical computations.
+ * In-memory result store with an LRU byte budget and in-flight
+ * deduplication of identical computations.
  *
  * Each entry holds one value by type: a shared pointer to it, its
  * std::type_info, and the bytes it charges to the budget. A read
  * names the type it expects, and an entry of any other type is a
  * miss, so no value is ever read as the wrong type.
  *
- * Concurrency: keys are distributed over independently locked shards
- * (mutex per shard), so concurrent lookups from the qpad::runtime
- * thread pool contend only when they hash to the same shard. Stored
- * values are immutable and shared by every reader.
+ * Concurrency: one mutex guards the LRU list, the key map, the byte
+ * count and the set of keys being computed, and one condition
+ * variable wakes the callers waiting on those keys. A lookup and the
+ * claim that follows its miss happen under one lock, as do an
+ * owner's insert and its release of the key, so a key is computed at
+ * most once at a time. No lock is held while a value is computed.
+ * Stored values are immutable and shared by every reader.
  *
  * Statistics live in the obs registry only: the cache.{hits, misses,
  * inserts, evictions, dedup_waits} counters and the cache.{bytes,
@@ -30,6 +33,7 @@
 #include <mutex>
 #include <typeinfo>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "cache/fingerprint.hh"
@@ -43,10 +47,8 @@ struct CacheOptions
 {
     /** Master switch consulted by the cached front ends. */
     bool enabled = true;
-    /** In-memory LRU budget across all shards (bytes). */
+    /** In-memory LRU budget (bytes), charged by every entry. */
     std::size_t max_bytes = 64ull << 20;
-    /** Lock shards (rounded up to at least 1). */
-    std::size_t shards = 16;
 };
 
 /**
@@ -90,35 +92,36 @@ class Store
     std::shared_ptr<const T>
     get(const Fingerprint &key)
     {
+        std::lock_guard<std::mutex> lock(mutex_);
         return std::static_pointer_cast<const T>(find(key, typeid(T)));
     }
 
     /**
      * Insert (or overwrite) `key` with `value`, charged sizeof(T)
      * plus heapBytes(value), then evict least-recently-used entries
-     * of the same shard while over budget.
+     * while over budget.
      */
     template <class T>
     void
     put(const Fingerprint &key, T value)
     {
-        insert(makeEntry(key, std::move(value)));
+        Entry entry = makeEntry(key, std::move(value));
+        std::lock_guard<std::mutex> lock(mutex_);
+        insert(std::move(entry));
     }
 
     /**
      * get<T>(key); on a miss run `compute` and put its result.
-     * Concurrent callers with the same key deduplicate: exactly one
-     * (the owner) runs `compute` while the others block until it
-     * finishes, then read the inserted value — the owner's path is
-     * counter-identical (one miss, one insert) to get()+put(), so
-     * uncontended callers cannot tell the difference.
+     * Concurrent callers with the same key share one computation:
+     * the first (the owner) runs `compute` while the others wait for
+     * it and then hit. The owner's counter trace (one miss, one
+     * insert) is that of get() + put().
      *
-     * `cancel` applies to the CALLER only. A waiter whose token fires
-     * raises exec::CancelledError without disturbing the owner's
-     * computation (other waiters and the owner proceed normally);
-     * the owner runs `compute` under its own context, if any. If the
-     * owner's compute throws, the owner rethrows and one waiter is
-     * promoted to owner and retries.
+     * `cancel` applies to the caller only: a waiter polls it every
+     * 10 ms and raises exec::CancelledError without disturbing the
+     * owner, which runs `compute` under its own context, if any. If
+     * `compute` throws, the owner rethrows and one waiter claims the
+     * key and computes.
      */
     template <class T, class Compute>
     std::shared_ptr<const T>
@@ -151,6 +154,7 @@ class Store
                 &typeid(T), bytes};
     }
 
+    /** The lookup and the insertion; the caller holds mutex_. */
     std::shared_ptr<const void> find(const Fingerprint &key,
                                      const std::type_info &type);
     void insert(Entry entry);
@@ -159,35 +163,17 @@ class Store
                   const std::function<Entry()> &compute,
                   const exec::CancelToken *cancel);
 
-    struct Shard
-    {
-        std::mutex mutex;
-        Lru lru; ///< front = most recently used
-        std::unordered_map<Fingerprint, Lru::iterator, FingerprintHash>
-            map;
-        std::size_t bytes = 0;
-    };
-
-    /** One in-flight getOrCompute computation; waiters block on cv
-     * until the owner sets done (after insert() and map erase). */
-    struct InFlight
-    {
-        std::mutex mutex;
-        std::condition_variable cv;
-        bool done = false;
-    };
-
-    Shard &shardFor(const Fingerprint &key);
-
     CacheOptions options_;
-    std::vector<Shard> shards_;
-    std::size_t shard_budget_;
 
-    /** Guards inflight_ (never held while computing or waiting). */
-    std::mutex inflight_mutex_;
-    std::unordered_map<Fingerprint, std::shared_ptr<InFlight>,
-                       FingerprintHash>
-        inflight_;
+    /** Guards every member below; never held while computing. */
+    std::mutex mutex_;
+    /** Notified when a key leaves inflight_. */
+    std::condition_variable released_;
+    Lru lru_; ///< front = most recently used
+    std::unordered_map<Fingerprint, Lru::iterator, FingerprintHash> map_;
+    std::size_t bytes_ = 0;
+    /** Keys whose getOrCompute owner is computing. */
+    std::unordered_set<Fingerprint, FingerprintHash> inflight_;
 };
 
 } // namespace qpad::cache

@@ -30,9 +30,9 @@
 namespace qpad::cache
 {
 
-/** Written by every yield, freq-alloc and DataPoint key where earlier
- * builds wrote their draw-order version (2 = the lane order), so
- * their keys stay the same. */
+/** Written by every yield and freq-alloc key where earlier builds
+ * wrote their draw-order version (2 = the lane order), so their keys
+ * stay the same. */
 inline constexpr uint8_t kDrawOrderByte = 2;
 
 /** The process-wide store (created from the environment on first

@@ -1,12 +1,14 @@
 #include "circuit/qasm.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <numbers>
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <map>
 #include <memory>
+#include <numbers>
 #include <sstream>
 #include <unordered_map>
 
@@ -21,6 +23,17 @@ namespace
 // ---------------------------------------------------------------------
 // Lexer
 // ---------------------------------------------------------------------
+
+/** Parse all of `text` as one T: "1.2.3", "1e", "1e999" and "2.5"
+ * (as an integer) fail instead of reading a prefix or overflowing. */
+template <class T>
+bool
+parseWhole(const std::string &text, T &out)
+{
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+    return ec == std::errc() && ptr == end;
+}
 
 enum class TokKind
 {
@@ -139,7 +152,11 @@ class Lexer
                      (src_[pos_ - 1] == 'e' || src_[pos_ - 1] == 'E'))))
                 ++pos_;
             std::string text = src_.substr(start, pos_ - start);
-            tok_ = {TokKind::Number, text, std::stod(text), line_};
+            double value = 0.0;
+            if (!parseWhole(text, value))
+                qpad_fatal("qasm line ", line_, ": bad number '", text,
+                           "'");
+            tok_ = {TokKind::Number, text, value, line_};
             return;
         }
         if (c == '"') {
@@ -446,19 +463,36 @@ class Parser
     parseRegDecl(std::map<std::string, RegisterInfo> &regs,
                  std::size_t &total)
     {
-        lex_.take(); // qreg / creg
+        const int line = lex_.take().line; // qreg / creg
         std::string name = lex_.expectIdent();
         lex_.expect("[");
-        Token size_tok = lex_.take();
-        if (size_tok.kind != TokKind::Number)
-            qpad_fatal("qasm line ", size_tok.line, ": bad register size");
+        const std::size_t size = expectIndex("register size");
         lex_.expect("]");
         lex_.expect(";");
-        std::size_t size = static_cast<std::size_t>(size_tok.value);
         if (regs.count(name))
             qpad_fatal("qasm: duplicate register '", name, "'");
+        // Flat indices are Qubit (and Clbit) values.
+        if (size > std::numeric_limits<Qubit>::max() - total)
+            qpad_fatal("qasm line ", line, ": register '", name,
+                       "' takes the bit count past ",
+                       std::numeric_limits<Qubit>::max());
         regs[name] = {total, size};
         total += size;
+    }
+
+    /** Read a register size or index: an OpenQASM 2.0 nninteger
+     * ([1-9][0-9]* or 0) that fits in a Qubit. */
+    Qubit
+    expectIndex(const char *what)
+    {
+        const Token t = lex_.take();
+        Qubit value = 0;
+        if (t.kind != TokKind::Number || !parseWhole(t.text, value) ||
+            (t.text.size() > 1 && t.text[0] == '0'))
+            qpad_fatal("qasm line ", t.line, ": bad ", what, " '", t.text,
+                       "' (expected an integer from 0 to ",
+                       std::numeric_limits<Qubit>::max(), ")");
+        return value;
     }
 
     void
@@ -484,7 +518,7 @@ class Parser
                 qpad_fatal("qasm: unterminated gate body for '", name, "'");
             if (lex_.peek().text == "barrier") {
                 // Barriers inside macros are no-ops for our purposes.
-                while (!lex_.accept(";"))
+                while (lex_.peek().kind != TokKind::End && !lex_.accept(";"))
                     lex_.take();
                 continue;
             }
@@ -532,11 +566,11 @@ class Parser
                        name, "'");
         const RegisterInfo &reg = it->second;
         if (lex_.accept("[")) {
-            Token idx = lex_.take();
+            const int line = lex_.line();
+            const std::size_t k = expectIndex("index");
             lex_.expect("]");
-            std::size_t k = static_cast<std::size_t>(idx.value);
             if (k >= reg.size)
-                qpad_fatal("qasm line ", idx.line, ": index ", k,
+                qpad_fatal("qasm line ", line, ": index ", k,
                            " out of range for qreg '", name, "'");
             return {static_cast<Qubit>(reg.offset + k)};
         }
@@ -556,11 +590,14 @@ class Parser
                        name, "'");
         const RegisterInfo &reg = it->second;
         if (lex_.accept("[")) {
-            Token idx = lex_.take();
+            const int line = lex_.line();
+            const std::size_t k = expectIndex("index");
             lex_.expect("]");
+            if (k >= reg.size)
+                qpad_fatal("qasm line ", line, ": index ", k,
+                           " out of range for creg '", name, "'");
             size_out = 1;
-            return {reg.offset + static_cast<std::size_t>(idx.value),
-                    false};
+            return {reg.offset + k, false};
         }
         size_out = reg.size;
         return {reg.offset, true};
@@ -624,6 +661,9 @@ class Parser
         // Broadcast: whole registers expand element-wise.
         std::size_t reps = 1;
         for (const auto &a : args) {
+            if (a.empty())
+                qpad_fatal("qasm line ", name_tok.line, ": gate '", name,
+                           "' applied to an empty register");
             if (a.size() > 1) {
                 if (reps != 1 && reps != a.size())
                     qpad_fatal("qasm line ", name_tok.line,

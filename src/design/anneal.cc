@@ -4,7 +4,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "cache/yield_cache.hh"
 #include "common/logging.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -66,14 +65,6 @@ struct ChainResult
     int64_t best_cost = 0;
     std::size_t accepted_moves = 0;
 };
-
-/** Heap bytes the result cache charges for a chain (see
- * cache::heapBytes). */
-std::size_t
-heapBytes(const ChainResult &chain)
-{
-    return cache::heapBytes(chain.best);
-}
 
 /** One classic annealing run, seeded explicitly. `cancel` (may be
  * null) is polled every 1024 iterations — often enough to honour a
@@ -186,35 +177,6 @@ annealChain(const profile::CouplingProfile &profile,
     return result;
 }
 
-/**
- * Cache key of one annealing chain: everything annealChain reads —
- * the strength matrix (the only profile field the cost functional
- * uses), the start placement, the schedule, and the chain's own
- * seed. Keying per chain (not per annealLayout call) lets a rerun
- * with more restarts reuse every chain it already ran.
- */
-cache::Fingerprint
-chainKey(const profile::CouplingProfile &profile,
-         const LayoutResult &start, const AnnealOptions &options,
-         uint64_t seed)
-{
-    cache::Encoder enc;
-    enc.str("qpad.anneal.chain/v1");
-    enc.u64(profile.num_qubits);
-    for (std::size_t i = 0; i < profile.num_qubits; ++i)
-        for (std::size_t j = i; j < profile.num_qubits; ++j)
-            enc.u32(profile.strength(i, j));
-    for (const Coord &c : start.coord_of_logical) {
-        enc.i32(c.row);
-        enc.i32(c.col);
-    }
-    enc.u64(options.iterations);
-    enc.f64(options.t_start);
-    enc.f64(options.t_end);
-    enc.u64(seed);
-    return enc.digest();
-}
-
 } // namespace
 
 AnnealResult
@@ -236,34 +198,23 @@ annealLayout(const profile::CouplingProfile &profile,
     // the classic annealer regardless of options.exec.
     const runtime::SeedSequence seeds(options.seed);
     std::vector<ChainResult> chains(options.restarts);
-    // Guided sizing (grain 0): cache hits make finished chains ~free
-    // while cold chains cost the full iteration budget, so restart
-    // costs are heavily skewed on warm reruns; guided chunks, claimed
-    // largest first, keep the runners busy either way. Chain i's seed
-    // depends only on i, never on the chunk index, so chunk identity
-    // is free to follow the guided sequence.
+    // One chain per chunk (grain 1): every chain runs the same
+    // iteration budget, so chains cost about the same and whichever
+    // runner is free takes the next one. Chain i's seed depends only
+    // on i, never on the chunk index.
     const runtime::Options run_exec = ctx.apply(options.exec);
     runtime::parallel_for(
-        run_exec, options.restarts, 0,
+        run_exec, options.restarts, 1,
         [&](std::size_t begin, std::size_t end, std::size_t) {
+            static obs::Counter &chain_runs =
+                obs::counter("design.anneal_chains");
             for (std::size_t i = begin; i < end; ++i) {
+                QPAD_SPAN("design.anneal_chain");
+                chain_runs.add();
                 const uint64_t seed =
                     i == 0 ? options.seed : seeds.childSeed(i);
-                // Each restart chain is memoized on its own key, so
-                // a warm rerun — or one with a higher restart count
-                // — replays finished chains from the cache.
-                // Count (and span) only chains that actually anneal;
-                // cache-served chains are already visible as
-                // cache.hits.
-                chains[i] = cache::memoized<ChainResult>(
-                    chainKey(profile, start, options, seed), ctx, [&] {
-                        QPAD_SPAN("design.anneal_chain");
-                        static obs::Counter &chain_runs =
-                            obs::counter("design.anneal_chains");
-                        chain_runs.add();
-                        return annealChain(profile, start, options,
-                                           seed, run_exec.cancel);
-                    });
+                chains[i] = annealChain(profile, start, options, seed,
+                                        run_exec.cancel);
             }
         });
 

@@ -19,113 +19,6 @@ namespace
 {
 
 /**
- * Everything measure() reads besides the architecture: benchmark
- * identity (generate() is deterministic per name; the counts are an
- * integrity check), the mapper knobs, and the yield-measurement
- * policy including adaptive escalation (which changes yield_trials).
- * options.exec never affects the bytes of a DataPoint (runtime
- * contract) and is excluded.
- */
-void
-encodeMeasureInputs(cache::Encoder &enc,
-                    const benchmarks::BenchmarkInfo &info,
-                    const Circuit &circuit,
-                    const ExperimentOptions &options)
-{
-    enc.str(info.name);
-    enc.u64(circuit.numQubits());
-    enc.u64(circuit.unitaryGateCount());
-    const mapping::MappingOptions &mo = options.mapping_options;
-    enc.f64(mo.extended_weight);
-    enc.u64(mo.extended_set_size);
-    enc.f64(mo.decay_delta);
-    enc.u32(mo.initial_mapping_rounds);
-    enc.u8(mo.sabre_initial_mapping ? 1 : 0);
-    enc.u64(mo.seed);
-    const yield::YieldOptions &yo = options.yield_options;
-    enc.u64(yo.trials);
-    enc.f64(yo.sigma_ghz);
-    enc.u64(yo.seed);
-    enc.u8(yo.collect_condition_stats ? 1 : 0);
-    cache::encodeCollisionModel(enc, yo.model);
-    enc.u8(cache::kDrawOrderByte);
-    enc.u8(options.adaptive_yield_trials ? 1 : 0);
-    enc.u64(options.max_yield_trials);
-}
-
-/** Whole-point key of an ibm-baseline job: the fixed architecture
- * (coords, buses, frequencies) plus the measurement inputs. */
-cache::Fingerprint
-ibmPointKey(const benchmarks::BenchmarkInfo &info,
-            const Circuit &circuit, const Architecture &baseline,
-            const ExperimentOptions &options)
-{
-    cache::Encoder enc;
-    enc.str("qpad.datapoint/v1");
-    enc.str("ibm");
-    cache::encodeArchitecture(enc, baseline);
-    encodeMeasureInputs(enc, info, circuit, options);
-    return enc.digest();
-}
-
-/**
- * Whole-point key of a design-flow job: the coupling profile (the
- * flow's only circuit-derived input), the full flow configuration,
- * and the measurement inputs. config/arch_name are encoded too so
- * two jobs that happen to share parameters still key separately —
- * their DataPoints differ in those strings.
- */
-cache::Fingerprint
-flowPointKey(const benchmarks::BenchmarkInfo &info,
-             const Circuit &circuit,
-             const profile::CouplingProfile &prof,
-             const design::DesignFlowOptions &flow,
-             const std::string &config, const std::string &arch_name,
-             const ExperimentOptions &options)
-{
-    cache::Encoder enc;
-    enc.str("qpad.datapoint/v1");
-    enc.str("flow");
-    enc.str(config);
-    enc.str(arch_name);
-    enc.u64(prof.num_qubits);
-    for (std::size_t i = 0; i < prof.num_qubits; ++i)
-        for (std::size_t j = i; j < prof.num_qubits; ++j)
-            enc.u32(prof.strength(i, j));
-    enc.u8(uint8_t(flow.bus_scheme));
-    enc.u64(flow.max_buses);
-    enc.u8(uint8_t(flow.freq_scheme));
-    enc.u64(flow.bus_seed);
-    const design::FreqAllocOptions &fo = flow.freq_options;
-    enc.f64(fo.grid_step_ghz);
-    enc.u64(fo.local_trials);
-    enc.f64(fo.sigma_ghz);
-    cache::encodeCollisionModel(enc, fo.model);
-    enc.u64(fo.seed);
-    enc.u32(fo.refine_sweeps);
-    enc.u8(cache::kDrawOrderByte);
-    encodeMeasureInputs(enc, info, circuit, options);
-    return enc.digest();
-}
-
-/**
- * Run one data-point job through the global cache: a warm rerun
- * skips design, mapping, and yield entirely. config and arch_name
- * come from the caller, not the stored point: ibmPointKey leaves the
- * baseline's name out, so identically shaped chips share a record.
- */
-DataPoint
-memoizedPoint(const cache::Fingerprint &key, const std::string &config,
-              const std::string &arch_name, const exec::Context &ctx,
-              const std::function<DataPoint()> &compute)
-{
-    DataPoint point = cache::memoized<DataPoint>(key, ctx, compute);
-    point.config = config;
-    point.arch_name = arch_name;
-    return point;
-}
-
-/**
  * countMapping through the global cache. Designs that share a
  * coupling graph (eff-full and eff-5-freq at one K, eff-layout-only-2q
  * and K = 0, and any two bus sets that couple the same qubits) route
@@ -287,15 +180,8 @@ runBenchmark(const benchmarks::BenchmarkInfo &info,
         for (Architecture &baseline : arch::ibmBaselines()) {
             if (baseline.numQubits() < circuit.numQubits())
                 continue;
-            jobs.push_back([baseline, &circuit, &options, &info,
-                            ctx] {
-                const cache::Fingerprint key =
-                    ibmPointKey(info, circuit, baseline, options);
-                return memoizedPoint(
-                    key, "ibm", baseline.name(), ctx, [&] {
-                        return measure("ibm", baseline, circuit,
-                                       options, ctx);
-                    });
+            jobs.push_back([baseline, &circuit, &options, ctx] {
+                return measure("ibm", baseline, circuit, options, ctx);
             });
         }
     }
@@ -317,16 +203,11 @@ runBenchmark(const benchmarks::BenchmarkInfo &info,
                        std::string config, std::string arch_name) {
         jobs.push_back([job_flow, config = std::move(config),
                         arch_name = std::move(arch_name), &prof,
-                        &circuit, &options, &info, ctx] {
-            const cache::Fingerprint key =
-                flowPointKey(info, circuit, prof, job_flow, config,
-                             arch_name, options);
-            return memoizedPoint(key, config, arch_name, ctx, [&] {
-                auto outcome = design::designArchitecture(
-                    prof, job_flow, arch_name, ctx);
-                return measure(config, outcome.architecture, circuit,
-                               options, ctx);
-            });
+                        &circuit, &options, ctx] {
+            auto outcome = design::designArchitecture(prof, job_flow,
+                                                      arch_name, ctx);
+            return measure(config, outcome.architecture, circuit,
+                           options, ctx);
         });
     };
 

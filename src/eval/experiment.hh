@@ -132,13 +132,13 @@ cache::Fingerprint mappingKey(const arch::Architecture &arch,
 
 /**
  * Run the requested configurations for one benchmark. Each data
- * point (design + mapping + yield) is memoized whole under a
- * "qpad.datapoint/v1" key when the global cache is enabled, so a
- * warm rerun of a sweep skips the design flow and the mapper
- * entirely, not just the Monte Carlo. Cancellation via `ctx` stops
- * at job boundaries (plus the finer-grained polls inside design and
- * yield); a completed run is bit-identical at every thread count,
- * with or without a context or a warm cache.
+ * point runs its design flow (the eff-* configurations) and
+ * measure(); their frequency allocations, routing counts and yield
+ * estimates go through the global cache, so points that share one
+ * compute it once. Cancellation via `ctx` stops at job boundaries
+ * (plus the finer-grained polls inside design and yield); a
+ * completed run is bit-identical at every thread count, with or
+ * without a context, and with the cache cold, warm or off.
  */
 BenchmarkExperiment
 runBenchmark(const benchmarks::BenchmarkInfo &info,

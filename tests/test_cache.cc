@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for qpad::cache: fingerprint stability and sensitivity, the
- * sharded LRU store, and the cached front ends' bit-identity and
+ * LRU store, and the cached front ends' bit-identity and
  * zero-recompute contracts. Cache traffic is read from the obs
  * registry's cache.* series, the store's one source of statistics.
  */
@@ -22,10 +22,8 @@
 #include "cache/fingerprint.hh"
 #include "cache/store.hh"
 #include "cache/yield_cache.hh"
-#include "design/anneal.hh"
 #include "eval/experiment.hh"
 #include "obs/metrics.hh"
-#include "profile/coupling.hh"
 #include "runtime/parallel.hh"
 #include "yield/yield_sim.hh"
 
@@ -118,26 +116,28 @@ TEST(Fingerprint, EncoderIsPositionSensitive)
 
 TEST(Fingerprint, ArchitectureContentNotNameIsHashed)
 {
+    // Every architecture-keyed domain encodes the chip the same way;
+    // the yield key shows it.
+    const yield::YieldOptions options;
+    const auto key = [&](const arch::Architecture &chip) {
+        return cache::yieldKey(chip, options);
+    };
     arch::Architecture a(arch::Layout::grid(2, 3), "first");
     arch::Architecture b(arch::Layout::grid(2, 3), "second");
-    EXPECT_EQ(cache::fingerprintArchitecture(a),
-              cache::fingerprintArchitecture(b));
+    EXPECT_EQ(key(a), key(b));
 
     // Adding a bus, or assigning frequencies, changes the content.
     arch::Architecture bused(arch::Layout::grid(2, 3), "first");
     bused.addFourQubitBus({0, 0});
-    EXPECT_NE(cache::fingerprintArchitecture(a),
-              cache::fingerprintArchitecture(bused));
+    EXPECT_NE(key(a), key(bused));
 
     arch::Architecture tuned(arch::Layout::grid(2, 3), "first");
     tuned.setAllFrequencies({5.0, 5.1, 5.2, 5.3, 5.0, 5.1});
-    EXPECT_NE(cache::fingerprintArchitecture(a),
-              cache::fingerprintArchitecture(tuned));
+    EXPECT_NE(key(a), key(tuned));
 
     arch::Architecture retuned(arch::Layout::grid(2, 3), "first");
     retuned.setAllFrequencies({5.0, 5.1, 5.2, 5.3, 5.0, 5.11});
-    EXPECT_NE(cache::fingerprintArchitecture(tuned),
-              cache::fingerprintArchitecture(retuned));
+    EXPECT_NE(key(tuned), key(retuned));
 }
 
 TEST(Fingerprint, YieldKeyTracksOptionsButNotExec)
@@ -243,9 +243,8 @@ TEST(Store, OverwriteKeepsOneEntry)
 
 TEST(Store, LruEvictionRespectsBudgetAndRecency)
 {
-    // One shard, ~10-entry budget of 100-byte payloads.
+    // A ~10-entry budget of 100-byte payloads.
     cache::CacheOptions options;
-    options.shards = 1;
     options.max_bytes = 2048;
     const CacheDelta moved;
     cache::Store store(options);
@@ -268,10 +267,8 @@ TEST(Store, LruEvictionRespectsBudgetAndRecency)
 
 TEST(Store, ConcurrentAccessUnderThreadPool)
 {
-    cache::CacheOptions options;
-    options.shards = 8;
     const CacheDelta moved;
-    cache::Store store(options);
+    cache::Store store;
 
     constexpr uint64_t kKeys = 64;
     runtime::Options exec; // one worker per hardware thread
@@ -597,51 +594,6 @@ TEST(CachedFreqAlloc, BitIdenticalAndCached)
     retuned.setAllFrequencies(flat);
     EXPECT_EQ(cache::freqAllocKey(arch, options),
               cache::freqAllocKey(retuned, options));
-}
-
-TEST(CachedAnneal, RestartChainsReplayFromCache)
-{
-    freshGlobalCache();
-    const CacheDelta moved;
-    auto circuit = benchmarks::getBenchmark("sym6_145").generate();
-    profile::CouplingProfile prof = profile::profileCircuit(circuit);
-    design::LayoutResult start = design::designLayout(prof);
-
-    design::AnnealOptions options;
-    options.iterations = 2000;
-    options.restarts = 3;
-
-    const design::AnnealResult cold =
-        design::annealLayout(prof, start, options);
-    EXPECT_EQ(moved("cache.misses"), 3) << "one key per chain";
-    EXPECT_EQ(moved("cache.inserts"), 3);
-
-    const design::AnnealResult warm =
-        design::annealLayout(prof, start, options);
-    EXPECT_EQ(moved("cache.hits"), 3);
-    EXPECT_EQ(moved("cache.misses"), 3) << "warm rerun computes no chain";
-    EXPECT_EQ(warm.final_cost, cold.final_cost);
-    EXPECT_EQ(warm.winning_chain, cold.winning_chain);
-    EXPECT_EQ(warm.accepted_moves, cold.accepted_moves);
-    EXPECT_EQ(warm.layout.coord_of_logical,
-              cold.layout.coord_of_logical);
-
-    // More restarts reuse the finished chains and only run the new
-    // ones — and match a cold run of the same configuration.
-    design::AnnealOptions more = options;
-    more.restarts = 5;
-    const design::AnnealResult extended =
-        design::annealLayout(prof, start, more);
-    EXPECT_EQ(moved("cache.hits"), 6);
-    EXPECT_EQ(moved("cache.misses"), 5) << "only the two new chains computed";
-
-    freshGlobalCache();
-    const design::AnnealResult cold5 =
-        design::annealLayout(prof, start, more);
-    EXPECT_EQ(extended.final_cost, cold5.final_cost);
-    EXPECT_EQ(extended.winning_chain, cold5.winning_chain);
-    EXPECT_EQ(extended.layout.coord_of_logical,
-              cold5.layout.coord_of_logical);
 }
 
 // --------------------------------------------------------------------

@@ -247,10 +247,16 @@ TEST(ExecCancel, BenignContextLeavesAnnealBitIdentical)
     design::AnnealOptions opts;
     opts.iterations = 4000;
     opts.restarts = 2;
+    // Both calls anneal both chains, so the guarded run polls its
+    // deadline rather than reading the plain run's chains.
+    obs::Counter &chains = obs::counter("design.anneal_chains");
+    const uint64_t before = chains.value();
     auto plain = design::annealLayout(prof, start, opts);
+    EXPECT_EQ(chains.value() - before, 2u);
     Context ctx;
     ctx.setDeadline(exec::now() + 1h); // armed but never expires
     auto guarded = design::annealLayout(prof, start, opts, ctx);
+    EXPECT_EQ(chains.value() - before, 4u);
     EXPECT_EQ(plain.final_cost, guarded.final_cost);
     EXPECT_EQ(plain.winning_chain, guarded.winning_chain);
     EXPECT_EQ(plain.layout.coord_of_logical,

@@ -146,6 +146,13 @@ TEST(Qasm, RejectsOutOfRangeIndex)
 {
     EXPECT_THROW(parseQasm("qreg q[2];\nx q[5];\n"),
                  std::runtime_error);
+    EXPECT_THROW(
+        parseQasm("qreg q[1];\ncreg c[1];\nmeasure q[0] -> c[5];\n"),
+        std::runtime_error);
+    // An index past c's end must not land in the next register.
+    EXPECT_THROW(parseQasm("qreg q[1];\ncreg c[1];\ncreg d[2];\n"
+                           "measure q[0] -> c[1];\n"),
+                 std::runtime_error);
 }
 
 TEST(Qasm, RejectsUnknownRegister)
@@ -164,6 +171,51 @@ TEST(Qasm, RejectsClassicalControl)
 TEST(Qasm, RejectsDuplicateRegister)
 {
     EXPECT_THROW(parseQasm("qreg q[1];\nqreg q[2];\n"),
+                 std::runtime_error);
+}
+
+TEST(Qasm, RejectsUnterminatedGateBody)
+{
+    EXPECT_THROW(parseQasm("qreg q[1];\ngate g a { x a;"),
+                 std::runtime_error);
+    // A barrier cut off at the end of input must not spin forever.
+    EXPECT_THROW(parseQasm("qreg q[1];\ngate g a { barrier a"),
+                 std::runtime_error);
+}
+
+TEST(Qasm, RejectsGateOnEmptyRegister)
+{
+    EXPECT_THROW(parseQasm("qreg q[0];\nx q;\n"), std::runtime_error);
+}
+
+TEST(Qasm, RejectsNonIntegerSizesAndIndices)
+{
+    // Sizes and indices are OpenQASM 2.0 nnintegers; nothing else is
+    // truncated, rounded or read as 0.
+    EXPECT_THROW(parseQasm("qreg q[2.5];\n"), std::runtime_error);
+    EXPECT_THROW(parseQasm("qreg q[2];\nx q[1.9];\n"),
+                 std::runtime_error);
+    EXPECT_THROW(parseQasm("qreg q[2];\nx q[foo];\n"),
+                 std::runtime_error);
+    EXPECT_THROW(
+        parseQasm("qreg q[1];\ncreg c[1];\nmeasure q[0] -> c[x];\n"),
+        std::runtime_error);
+    EXPECT_THROW(parseQasm("qreg q[2];\nx q[1e300];\n"),
+                 std::runtime_error);
+    EXPECT_THROW(parseQasm("qreg q[2];\nx q[01];\n"), std::runtime_error);
+}
+
+TEST(Qasm, RejectsMalformedNumbers)
+{
+    // Every number token must parse whole, and a failure is an input
+    // error of the documented type.
+    EXPECT_THROW(parseQasm("qreg q[1];\nrz(.) q[0];\n"),
+                 std::runtime_error);
+    EXPECT_THROW(parseQasm("qreg q[1];\nrz(1e999) q[0];\n"),
+                 std::runtime_error);
+    EXPECT_THROW(parseQasm("qreg q[1];\nrz(1.2.3) q[0];\n"),
+                 std::runtime_error);
+    EXPECT_THROW(parseQasm("qreg q[1];\nrz(1e) q[0];\n"),
                  std::runtime_error);
 }
 

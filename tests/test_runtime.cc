@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <mutex>
 #include <set>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "arch/ibm.hh"
+#include "cache/yield_cache.hh"
 #include "design/anneal.hh"
 #include "design/freq_alloc.hh"
 #include "design/layout_design.hh"
@@ -778,18 +780,26 @@ TEST(Determinism, AnnealRestartsIdenticalAcrossThreadCounts)
     opts.iterations = 2000;
     opts.restarts = 4;
 
+    // Every call anneals each of its chains: no run is served from
+    // an earlier one.
+    obs::Counter &chains = obs::counter("design.anneal_chains");
+    const uint64_t before = chains.value();
     opts.exec.num_threads = 1;
     auto seq = design::annealLayout(prof, start, opts);
+    EXPECT_EQ(chains.value() - before, 4u);
     opts.exec.num_threads = 4;
     auto par = design::annealLayout(prof, start, opts);
+    EXPECT_EQ(chains.value() - before, 8u);
     EXPECT_EQ(seq.final_cost, par.final_cost);
     EXPECT_EQ(seq.winning_chain, par.winning_chain);
+    EXPECT_EQ(seq.accepted_moves, par.accepted_moves);
     EXPECT_EQ(seq.layout.coord_of_logical,
               par.layout.coord_of_logical);
     // More chains can only improve on the single-chain result.
     design::AnnealOptions single = opts;
     single.restarts = 1;
     auto one = design::annealLayout(prof, start, single);
+    EXPECT_EQ(chains.value() - before, 9u);
     EXPECT_LE(seq.final_cost, one.final_cost);
 }
 
@@ -811,6 +821,13 @@ TEST(Determinism, AnnealAcceptsStartWithUnsetCost)
     EXPECT_LE(annealed.final_cost, annealed.initial_cost);
 }
 
+/** A double's bit pattern, so two results compare exactly. */
+uint64_t
+bitsOf(double v)
+{
+    return std::bit_cast<uint64_t>(v);
+}
+
 TEST(Determinism, ExperimentIdenticalAcrossThreadCounts)
 {
     auto info = benchmarks::getBenchmark("sym6_145");
@@ -821,20 +838,47 @@ TEST(Determinism, ExperimentIdenticalAcrossThreadCounts)
     opts.freq_options.refine_sweeps = 0;
     opts.random_bus_samples = 2;
 
-    opts.exec.num_threads = 1;
-    auto seq = eval::runBenchmark(info, opts);
-    opts.exec.num_threads = 4;
-    auto par = eval::runBenchmark(info, opts);
+    // Each run starts from an empty store and runs every parallel
+    // region at its thread count, so both runs compute every point.
+    const auto run = [&](std::size_t threads) {
+        cache::configureGlobalCache({});
+        opts.exec.num_threads = threads;
+        opts.yield_options.exec.num_threads = threads;
+        opts.freq_options.exec.num_threads = threads;
+        return eval::runBenchmark(info, opts);
+    };
+    const eval::BenchmarkExperiment seq = run(1);
+    const eval::BenchmarkExperiment par = run(4);
+    cache::configureGlobalCache({});
 
     ASSERT_EQ(seq.points.size(), par.points.size());
     for (std::size_t i = 0; i < seq.points.size(); ++i) {
-        EXPECT_EQ(seq.points[i].config, par.points[i].config) << i;
-        EXPECT_EQ(seq.points[i].arch_name, par.points[i].arch_name)
+        const eval::DataPoint &p = seq.points[i];
+        const eval::DataPoint &q = par.points[i];
+        EXPECT_EQ(p.config, q.config) << i;
+        EXPECT_EQ(p.arch_name, q.arch_name) << i;
+        EXPECT_EQ(p.num_qubits, q.num_qubits) << i;
+        EXPECT_EQ(p.num_edges, q.num_edges) << i;
+        EXPECT_EQ(p.num_buses, q.num_buses) << i;
+        EXPECT_EQ(p.gate_count, q.gate_count) << i;
+        EXPECT_EQ(p.swaps, q.swaps) << i;
+        EXPECT_EQ(bitsOf(p.yield), bitsOf(q.yield)) << i;
+        EXPECT_EQ(p.yield_trials, q.yield_trials) << i;
+        EXPECT_EQ(bitsOf(p.norm_recip_gates), bitsOf(q.norm_recip_gates))
             << i;
-        EXPECT_EQ(seq.points[i].gate_count, par.points[i].gate_count)
-            << i;
-        EXPECT_DOUBLE_EQ(seq.points[i].yield, par.points[i].yield)
-            << i;
+    }
+
+    // The 4-thread run did the 1-thread run's work, not a lookup of
+    // its results: every point is measured, and the leaf memos route
+    // and estimate as often in both runs.
+    EXPECT_EQ(obs::valueOf(par.metrics, "eval.measurements"),
+              double(par.points.size()));
+    for (const char *work :
+         {"eval.measurements", "mapping.calls", "yield.estimates"}) {
+        EXPECT_GT(obs::valueOf(seq.metrics, work), 0.0) << work;
+        EXPECT_EQ(obs::valueOf(seq.metrics, work),
+                  obs::valueOf(par.metrics, work))
+            << work;
     }
 }
 
