@@ -12,12 +12,13 @@
  * QPAD_FAST flags other than 0/1) abort with a message instead of
  * being silently coerced into a surprising configuration.
  *
- * QPAD_DEADLINE_MS=<millis> arms an execution deadline on the bench's
- * request context: the run either completes in full or unwinds as a
- * deadline-exceeded cancellation (each bench documents its exit code
- * for that case). A deadline generous enough to finish changes
- * nothing — a context decides only WHETHER a result exists, never its
- * bytes.
+ * QPAD_DEADLINE_MS=<millis> arms an execution deadline on the request
+ * context of the benches that call requestContext() (fig9, fig10):
+ * the run either completes in full or unwinds as a deadline-exceeded
+ * cancellation, which the bench reports with requestStopped() (one
+ * stop line, exit 4). A deadline generous enough to finish changes
+ * nothing — a context decides only WHETHER a result exists, never
+ * its bytes.
  *
  * Observability (handled by qpad::obs, no bench code involved):
  * QPAD_TRACE=<path> writes a Chrome trace-event JSON profile of the
@@ -42,6 +43,7 @@
 
 #include "eval/experiment.hh"
 #include "exec/context.hh"
+#include "obs/log.hh"
 #include "obs/metrics.hh"
 
 namespace qpad::bench
@@ -165,6 +167,21 @@ requestContext()
     if (const std::uint64_t ms = deadlineMs())
         ctx.setDeadlineAfter(std::chrono::milliseconds(ms));
     return ctx;
+}
+
+/**
+ * Report a run that its request context stopped: one `[warn]
+ * exec.request_stopped reason="..."` line on stderr. Returns 4, the
+ * exit code of a stopped bench, distinct from the exit 2 of a
+ * malformed knob so CI can gate on "the deadline, and nothing else,
+ * fired".
+ */
+inline int
+requestStopped(const exec::CancelledError &e)
+{
+    obs::logWarn("exec.request_stopped",
+                 {{"reason", exec::stopReasonName(e.reason())}});
+    return 4;
 }
 
 /**

@@ -17,14 +17,14 @@
  * statistics line). Unset, empty or 0 prints the report alone; any
  * other value exits 2. QPAD_DEADLINE_MS=<millis> arms a deadline on the
  * sweep's request context; if it expires the run stops within one
- * chunk of work and exits 4 (CI gates on both the exit code and the
- * stop latency). QPAD_FIG10_SUITE=<substring>[,<substring>...]
+ * chunk of work, prints one `[warn] exec.request_stopped` line on
+ * stderr and exits 4 (CI gates on both the exit code and the stop
+ * latency). QPAD_FIG10_SUITE=<substring>[,<substring>...]
  * restricts the sweep to matching benchmark names; a filter that
  * matches none exits 2 before any work.
  */
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -86,9 +86,6 @@ main()
 
     auto options = bench::paperOptions();
     const exec::Context ctx = bench::requestContext();
-    // Request-scoped telemetry for the sweep (QPAD_REQUEST_REPORT).
-    // Observability only; stdout is unchanged.
-    exec::RequestScope scope(ctx, "fig10_pareto");
     if (!csv_only) {
         eval::printHeader(std::cout,
                           "Figure 10: yield vs normalized "
@@ -156,11 +153,7 @@ main()
             std::cout << "\n";
         }
     } catch (const exec::CancelledError &e) {
-        // Distinct from the exit 2 of a malformed environment knob
-        // so CI can gate on "the deadline, and nothing else, fired".
-        std::fprintf(stderr, "qpad bench: fig10 sweep stopped: %s\n",
-                     e.what());
-        return 4;
+        return bench::requestStopped(e);
     }
     return 0;
 }

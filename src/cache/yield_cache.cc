@@ -3,8 +3,8 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
-#include <memory>
 #include <mutex>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -15,7 +15,10 @@ namespace
 {
 
 std::mutex g_store_mutex;
-std::unique_ptr<Store> g_store;
+// Leaked, like the obs registry and Context::none(): the at-exit
+// metrics dump must still see its entries in the cache gauges,
+// whatever order the static destructors run in.
+Store *g_store = nullptr;
 
 /** Strict nonnegative-integer env parse (bench_common convention:
  * malformed values fail loudly instead of being coerced). */
@@ -61,7 +64,7 @@ globalStore()
 {
     std::lock_guard<std::mutex> lock(g_store_mutex);
     if (!g_store)
-        g_store = std::make_unique<Store>(optionsFromEnv());
+        g_store = new Store(optionsFromEnv());
     return *g_store;
 }
 
@@ -69,7 +72,7 @@ void
 configureGlobalCache(const CacheOptions &options)
 {
     std::lock_guard<std::mutex> lock(g_store_mutex);
-    g_store = std::make_unique<Store>(options);
+    delete std::exchange(g_store, new Store(options));
 }
 
 Fingerprint

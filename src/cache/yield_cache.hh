@@ -36,10 +36,11 @@ namespace qpad::cache
 inline constexpr uint8_t kDrawOrderByte = 2;
 
 /** The process-wide store (created from the environment on first
- * use; never null). */
+ * use; never null, and never destroyed, so the cache gauges still
+ * hold its final residency when the metrics are dumped at exit). */
 Store &globalStore();
 
-/** Replace the global store (tests/benches). */
+/** Replace the global store (tests/benches), freeing the old one. */
 void configureGlobalCache(const CacheOptions &options);
 
 /**

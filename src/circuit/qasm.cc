@@ -414,7 +414,14 @@ class Parser
         if (lex_.peek().kind == TokKind::Ident &&
             lex_.peek().text == "OPENQASM") {
             lex_.take();
-            lex_.take(); // version number
+            // 2.0 is what toQasm writes; any other version, or a
+            // token that is not a number, is a language this parser
+            // does not read.
+            const Token version = lex_.take();
+            if (version.kind != TokKind::Number || version.value != 2.0)
+                qpad_fatal("qasm line ", version.line,
+                           ": unsupported OPENQASM version '",
+                           version.text, "' (expected 2.0)");
             lex_.expect(";");
         }
     }
@@ -429,7 +436,11 @@ class Parser
         const std::string &kw = t.text;
         if (kw == "include") {
             lex_.take();
-            lex_.take(); // filename string
+            const Token file = lex_.take();
+            if (file.kind != TokKind::String)
+                qpad_fatal("qasm line ", file.line,
+                           ": expected a quoted file name, got '",
+                           file.text, "'");
             lex_.expect(";");
         } else if (kw == "qreg") {
             parseRegDecl(qregs_, num_qubits_);

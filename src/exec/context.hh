@@ -4,14 +4,13 @@
  *
  * A `Context` is what one request carries through every layer of
  * the system: a shared cancellation token (explicit cancel + an
- * absolute steady-clock deadline, see exec/cancel.hh). A
- * `RequestScope` adds the request's telemetry: its latency, stop
- * reason and metric deltas. The compute entry points —
- * `estimateYield`, `allocateFrequencies`, `annealLayout`,
- * `designArchitecture`, `mapping::mapCircuit` / `countMapping`,
- * `eval::measure` / `runBenchmark`, and the cached front ends — all
- * take a trailing `const Context&` defaulting to `Context::none()`,
- * so existing call sites keep compiling and pay nothing.
+ * absolute steady-clock deadline, see exec/cancel.hh). The compute
+ * entry points — `estimateYield`, `allocateFrequencies`,
+ * `annealLayout`, `designArchitecture`, `mapping::mapCircuit` /
+ * `countMapping`, `eval::measure` / `runBenchmark`, and the cached
+ * front ends — all take a trailing `const Context&` defaulting to
+ * `Context::none()`, so existing call sites keep compiling and pay
+ * nothing.
  *
  * Determinism contract: a context decides only *whether* a result
  * exists, never its bytes. Any run that completes under a context is
@@ -24,10 +23,8 @@
 
 #include <chrono>
 #include <memory>
-#include <string>
 
 #include "exec/cancel.hh"
-#include "obs/request_report.hh"
 #include "runtime/parallel.hh"
 
 namespace qpad::exec
@@ -94,47 +91,6 @@ class Context
 
   private:
     std::shared_ptr<CancelToken> state_;
-};
-
-/**
- * RAII observability scope for one request. On entry it counts
- * `exec.requests` and snapshots the metrics registry. On exit — or
- * an explicit finish() — it observes the wall time into the
- * `exec.request_seconds` histogram (via exec::now(), the sanctioned
- * clock) and produces an obs::RequestReport: name, latency,
- * StopReason, and the name-sorted metric deltas attributed to the
- * request; the report is appended to the QPAD_REQUEST_REPORT
- * destination when that is set, and a stopped request additionally
- * emits an `exec.request_stopped` warning. Purely observational —
- * it never feeds back.
- */
-class RequestScope
-{
-  public:
-    /** Legacy form: scope over the shared no-limit context. */
-    RequestScope() : RequestScope(Context::none()) {}
-
-    explicit RequestScope(const Context &ctx,
-                          std::string name = "request");
-    ~RequestScope();
-
-    /**
-     * Close the scope now and return its report (name, wall latency,
-     * stop reason, metric deltas). Callable once; the destructor
-     * finishes implicitly — exporting but discarding the report —
-     * when it was never called.
-     */
-    obs::RequestReport finish();
-
-    RequestScope(const RequestScope &) = delete;
-    RequestScope &operator=(const RequestScope &) = delete;
-
-  private:
-    Context ctx_;
-    std::string name_;
-    TimePoint start_;
-    obs::Snapshot before_;
-    bool finished_ = false;
 };
 
 } // namespace qpad::exec

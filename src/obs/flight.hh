@@ -35,9 +35,9 @@
  * (synthesizing opens for entries whose begin was overwritten and
  * closes for spans still running), so the file loads in
  * chrome://tracing / Perfetto. The signal-path dump writes the same
- * JSON shape with write(2) and hand-rolled formatting only — headers
- * are pre-serialized when the recorder is armed — and skips the
- * balancing pass; it is still valid JSON (json.tool-parseable).
+ * JSON shape with write(2) and hand-rolled formatting only — its
+ * header is a compile-time constant — and skips the balancing pass;
+ * it is still valid JSON (json.tool-parseable).
  *
  * Event names must be string literals: the ring stores pointers.
  */
@@ -64,10 +64,11 @@ constexpr std::size_t kRingEvents = 1024;
 void record(const char *name, char phase, uint8_t level = 0);
 
 /**
- * Arm crash dumping to `path`: pre-serializes the signal-path JSON
- * header, installs SIGSEGV/SIGABRT handlers, and registers the
- * at-exit dump. Called automatically when QPAD_FLIGHT is set; tests
- * call it directly (idempotent; the latest path wins).
+ * Arm crash dumping to `path`: copies the path into a fixed buffer
+ * the signal handler can read, installs SIGSEGV/SIGABRT handlers,
+ * and registers the at-exit dump. Called automatically when
+ * QPAD_FLIGHT is set; tests call it directly (idempotent; the latest
+ * path wins).
  */
 void arm(const std::string &path);
 

@@ -242,6 +242,42 @@ kindName(Sample::Kind kind)
     return "?";
 }
 
+/** One sample as a JSON object: the element writeJson emits. */
+void
+writeSampleJson(std::ostream &out, const Sample &s)
+{
+    // Metric names are code-controlled identifiers
+    // ([a-z0-9._-]), so no JSON string escaping is needed.
+    out << "{\"name\":\"" << s.name << "\",\"kind\":\""
+        << kindName(s.kind) << "\"";
+    std::ostringstream num;
+    num << std::setprecision(17);
+    switch (s.kind) {
+      case Sample::Kind::Counter:
+        out << ",\"value\":" << uint64_t(s.value);
+        break;
+      case Sample::Kind::Gauge:
+        out << ",\"value\":" << int64_t(s.value);
+        break;
+      case Sample::Kind::Histogram:
+        num << ",\"count\":" << s.count << ",\"sum\":" << s.sum
+            << ",\"max\":" << s.max
+            << ",\"p50\":" << samplePercentile(s, 0.50)
+            << ",\"p95\":" << samplePercentile(s, 0.95)
+            << ",\"p99\":" << samplePercentile(s, 0.99)
+            << ",\"bounds\":[";
+        for (std::size_t b = 0; b < s.bounds.size(); ++b)
+            num << (b ? "," : "") << s.bounds[b];
+        num << "],\"buckets\":[";
+        for (std::size_t b = 0; b < s.buckets.size(); ++b)
+            num << (b ? "," : "") << s.buckets[b];
+        num << "]";
+        out << num.str();
+        break;
+    }
+    out << "}";
+}
+
 /** QPAD_METRICS destination captured at startup ("" = disabled). */
 std::string &
 metricsDestination()
@@ -430,41 +466,6 @@ writeTable(std::ostream &out, const Snapshot &snap,
         }
         out << "\n";
     }
-}
-
-void
-writeSampleJson(std::ostream &out, const Sample &s)
-{
-    // Metric names are code-controlled identifiers
-    // ([a-z0-9._-]), so no JSON string escaping is needed.
-    out << "{\"name\":\"" << s.name << "\",\"kind\":\""
-        << kindName(s.kind) << "\"";
-    std::ostringstream num;
-    num << std::setprecision(17);
-    switch (s.kind) {
-      case Sample::Kind::Counter:
-        out << ",\"value\":" << uint64_t(s.value);
-        break;
-      case Sample::Kind::Gauge:
-        out << ",\"value\":" << int64_t(s.value);
-        break;
-      case Sample::Kind::Histogram:
-        num << ",\"count\":" << s.count << ",\"sum\":" << s.sum
-            << ",\"max\":" << s.max
-            << ",\"p50\":" << samplePercentile(s, 0.50)
-            << ",\"p95\":" << samplePercentile(s, 0.95)
-            << ",\"p99\":" << samplePercentile(s, 0.99)
-            << ",\"bounds\":[";
-        for (std::size_t b = 0; b < s.bounds.size(); ++b)
-            num << (b ? "," : "") << s.bounds[b];
-        num << "],\"buckets\":[";
-        for (std::size_t b = 0; b < s.buckets.size(); ++b)
-            num << (b ? "," : "") << s.buckets[b];
-        num << "]";
-        out << num.str();
-        break;
-    }
-    out << "}";
 }
 
 void

@@ -230,10 +230,6 @@ void writeTable(std::ostream &out, const Snapshot &snap,
 /** The whole snapshot as JSON: {"metrics":[...]}, one per line. */
 void writeJson(std::ostream &out, const Snapshot &snap);
 
-/** One sample as a JSON object (the element writeJson emits; also
- * used by request reports). */
-void writeSampleJson(std::ostream &out, const Sample &s);
-
 } // namespace qpad::obs
 
 #endif // QPAD_OBS_METRICS_HH

@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <string>
 #include <vector>
 
 #include "arch/architecture.hh"
@@ -21,7 +20,6 @@
 #include "exec/cancel.hh"
 #include "exec/context.hh"
 #include "obs/metrics.hh"
-#include "obs/request_report.hh"
 #include "profile/coupling.hh"
 #include "yield/yield_sim.hh"
 
@@ -147,64 +145,6 @@ TEST(Context, ApplyAttachesTokenOnlyWhenUnset)
     runtime::Options preset;
     preset.cancel = &inner;
     EXPECT_EQ(ctx.apply(preset).cancel, &inner);
-}
-
-TEST(Context, RequestScopeCountsRequests)
-{
-    const uint64_t before = obs::counter("exec.requests").value();
-    {
-        exec::RequestScope scope;
-    }
-    EXPECT_EQ(obs::counter("exec.requests").value(), before + 1);
-}
-
-TEST(Context, FinishReportCarriesIdNameStopAndDeltas)
-{
-    Context ctx;
-    ctx.setDeadlineAfter(0ns);
-    exec::RequestScope scope(ctx, "unit_report");
-    obs::counter("exec.test_report_series").add(3);
-    const obs::RequestReport report = scope.finish();
-
-    EXPECT_EQ(report.name, "unit_report");
-    EXPECT_EQ(report.stop, StopReason::kDeadlineExceeded);
-    EXPECT_GE(report.wall_seconds, 0.0);
-
-    // The deltas hold exactly what moved during the scope: the series
-    // above, and the scope's own exec.requests increment.
-    const obs::Sample *series =
-        obs::find(report.metrics, "exec.test_report_series");
-    ASSERT_NE(series, nullptr);
-    EXPECT_EQ(series->value, 3.0);
-    const obs::Sample *requests =
-        obs::find(report.metrics, "exec.requests");
-    ASSERT_NE(requests, nullptr);
-    EXPECT_EQ(requests->value, 1.0);
-}
-
-TEST(Context, RequestReportJsonIsWellFormed)
-{
-    Context ctx;
-    ctx.cancel();
-    exec::RequestScope scope(ctx, "json_report");
-    const obs::RequestReport report = scope.finish();
-    const std::string json = obs::requestReportJson(report);
-
-    EXPECT_NE(json.find("\"name\":\"json_report\""), std::string::npos)
-        << json;
-    EXPECT_NE(json.find("\"stop\":\"cancelled\""), std::string::npos)
-        << json;
-    EXPECT_NE(json.find("\"metrics\":["), std::string::npos) << json;
-    // Braces and brackets balance — the line is one JSON object.
-    int depth = 0;
-    for (char c : json) {
-        if (c == '{' || c == '[')
-            ++depth;
-        if (c == '}' || c == ']')
-            --depth;
-        EXPECT_GE(depth, 0);
-    }
-    EXPECT_EQ(depth, 0);
 }
 
 // --------------------------------------------------------------------

@@ -319,7 +319,7 @@ TEST(Metrics, WritersIncludePercentiles)
     const obs::Sample *s = obs::find(snap, "test.percentile_export");
     ASSERT_NE(s, nullptr);
     std::ostringstream json;
-    obs::writeSampleJson(json, *s);
+    obs::writeJson(json, {*s});
     EXPECT_NE(json.str().find("\"p50\":"), std::string::npos);
     EXPECT_NE(json.str().find("\"p95\":"), std::string::npos);
     EXPECT_NE(json.str().find("\"p99\":"), std::string::npos);

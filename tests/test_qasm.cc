@@ -219,6 +219,17 @@ TEST(Qasm, RejectsMalformedNumbers)
                  std::runtime_error);
 }
 
+TEST(Qasm, RejectsUnreadableHeader)
+{
+    // Only OpenQASM 2.0 is read, and include names a quoted file.
+    EXPECT_THROW(parseQasm("OPENQASM 3.0;\nqreg q[1];\n"),
+                 std::runtime_error);
+    EXPECT_THROW(parseQasm("OPENQASM foo;\nqreg q[1];\n"),
+                 std::runtime_error);
+    EXPECT_THROW(parseQasm("OPENQASM 2.0;\ninclude 5;\nqreg q[1];\n"),
+                 std::runtime_error);
+}
+
 TEST(Qasm, RoundTripPreservesCircuit)
 {
     Circuit original = qpad::benchmarks::qft(5);
