@@ -13,7 +13,8 @@
  * being silently coerced into a surprising configuration.
  *
  * QPAD_DEADLINE_MS=<millis> arms an execution deadline on the request
- * context of the benches that call requestContext() (fig9, fig10):
+ * context of the benches that call requestContext() (fig9, fig10,
+ * sec53):
  * the run either completes in full or unwinds as a deadline-exceeded
  * cancellation, which the bench reports with requestStopped() (one
  * stop line, exit 4). A deadline generous enough to finish changes

@@ -11,6 +11,12 @@
  *    a few percent performance loss;
  *  - controllability: varying K trades ~10-50x yield for 10-33%
  *    performance.
+ *
+ * QPAD_DEADLINE_MS=<millis> arms a deadline on the run's request
+ * context; if it expires the run stops within one chunk of work or
+ * between two yield-escalation steps, keeps the stdout printed so
+ * far, prints one `[warn] exec.request_stopped` line on stderr and
+ * exits 4.
  */
 
 #include <algorithm>
@@ -21,6 +27,7 @@
 #include "benchmarks/suite.hh"
 #include "eval/experiment.hh"
 #include "eval/report.hh"
+#include "exec/cancel.hh"
 
 using namespace qpad;
 using eval::formatFixed;
@@ -60,6 +67,7 @@ main()
     options.run_eff_rd_bus = false;
     options.run_eff_5_freq = false;
     options.run_eff_layout_only = false;
+    const exec::Context ctx = bench::requestContext();
 
     eval::printHeader(std::cout,
                       "Section 5.3: overall improvement vs IBM "
@@ -67,7 +75,12 @@ main()
 
     std::vector<Row> rows;
     for (const auto &info : benchmarks::paperSuite()) {
-        auto e = eval::runBenchmark(info, options);
+        eval::BenchmarkExperiment e;
+        try {
+            e = eval::runBenchmark(info, options, ctx);
+        } catch (const exec::CancelledError &stop) {
+            return bench::requestStopped(stop);
+        }
         auto eff = e.config("eff-full");
         if (eff.empty())
             continue;

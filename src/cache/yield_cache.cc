@@ -115,13 +115,15 @@ freqAllocKey(const arch::Architecture &arch,
 yield::YieldResult
 cachedEstimateYield(const arch::Architecture &arch,
                     const yield::YieldOptions &options,
-                    const exec::Context &ctx)
+                    const exec::Context &ctx,
+                    const yield::YieldResult &prior)
 {
     if (options.trials == 0)
-        return yield::estimateYield(arch, options, ctx);
+        return yield::estimateYield(arch, options, ctx, prior);
     return memoized<yield::YieldResult>(
-        yieldKey(arch, options), ctx,
-        [&] { return yield::estimateYield(arch, options, ctx); });
+        yieldKey(arch, options), ctx, [&] {
+            return yield::estimateYield(arch, options, ctx, prior);
+        });
 }
 
 design::FreqAllocResult

@@ -75,12 +75,15 @@ Fingerprint freqAllocKey(const arch::Architecture &arch,
  * pass straight through. Concurrent identical requests deduplicate
  * via Store::getOrCompute — exactly one computes, the rest wait
  * (each honouring its own `ctx`; a cancelled waiter never cancels
- * the computing owner).
+ * the computing owner). A miss resumes from `prior` (see
+ * estimateYield), and the key stays (arch, options): a resumed
+ * estimate is bit-identical to one computed in full.
  */
 yield::YieldResult
 cachedEstimateYield(const arch::Architecture &arch,
                     const yield::YieldOptions &options = {},
-                    const exec::Context &ctx = exec::Context::none());
+                    const exec::Context &ctx = exec::Context::none(),
+                    const yield::YieldResult &prior = {});
 
 /** allocateFrequencies through the global cache (same dedup and
  * cancellation semantics as cachedEstimateYield). */

@@ -34,7 +34,8 @@
  * each fixed chunk of blocks from a copy of the visit's sampler
  * advanced with discard(rows), which leaves the lanes exactly where
  * fillStandard(rows) would, so a chunk draws the very deviates one
- * sequential fill gives it.
+ * sequential fill gives it; a resumed yield estimate skips to its
+ * first block inside a shard the same way.
  */
 
 #ifndef QPAD_COMMON_GAUSS_BLOCK_HH

@@ -125,7 +125,9 @@ measure(const std::string &config, const Architecture &arch,
 
     // Every estimate goes through the result cache — including each
     // adaptive-escalation step, whose (arch, trials) pair is its own
-    // key, so a 2M-trial retry found once is never recomputed.
+    // key holding the full-budget value. A step resumes from the one
+    // before it: the first N trials of a 10N-trial estimate are the
+    // N-trial estimate, so a missed step draws only trials [N, 10N).
     yield::YieldOptions yopts = options.yield_options;
     yield::YieldResult yr =
         cache::cachedEstimateYield(arch, yopts, ctx);
@@ -140,7 +142,7 @@ measure(const std::string &config, const Architecture &arch,
         escalations.add();
         yopts.trials = std::min(options.max_yield_trials,
                                 yopts.trials * 10);
-        yr = cache::cachedEstimateYield(arch, yopts, ctx);
+        yr = cache::cachedEstimateYield(arch, yopts, ctx, yr);
     }
     point.yield = yr.yield;
     point.yield_trials = yr.trials;

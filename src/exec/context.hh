@@ -9,7 +9,8 @@
  * `annealLayout`, `designArchitecture`, `mapping::mapCircuit` /
  * `countMapping`, `eval::measure` / `runBenchmark`, and the cached
  * front ends — all take a trailing `const Context&` defaulting to
- * `Context::none()`, so existing call sites keep compiling and pay
+ * `Context::none()` (only the yield estimators' resume `prior`
+ * follows it), so existing call sites keep compiling and pay
  * nothing.
  *
  * Determinism contract: a context decides only *whether* a result

@@ -19,15 +19,15 @@ namespace
 
 /**
  * Trials per RNG stream. Fixed (never derived from the thread
- * count) so the shard layout — and therefore every random draw —
- * is a pure function of (seed, trials). This MUST stay a fixed
- * grain, never guided (grain 0): the chunk index is the RNG shard,
- * so guided sizing would re-chunk the range and change every draw.
- * Trials are uniform-cost anyway — load balance comes from the
- * runners claiming chunks as they free up, not from chunk sizing —
- * and the fixed 1024-trial blocks keep the SoA lane kernels (batched
- * collision checker, GaussianBlockSampler) walking whole 8-lane
- * blocks.
+ * count or the budget) so the shard layout — and therefore every
+ * random draw — is a pure function of (seed, trial index). The
+ * Monte Carlo loop reduces over shard indices with grain 1, never
+ * guided (grain 0): one chunk is one shard, whose index picks the
+ * RNG stream, so guided sizing would change every draw. Trials are
+ * uniform-cost anyway — load balance comes from the runners claiming
+ * chunks as they free up, not from chunk sizing — and the fixed
+ * 1024-trial blocks keep the SoA lane kernels (batched collision
+ * checker, GaussianBlockSampler) walking whole 8-lane blocks.
  */
 constexpr std::size_t kShardTrials = 1024;
 
@@ -65,17 +65,21 @@ YieldResult::stderrEstimate() const
 YieldResult
 estimateYield(const CollisionChecker &checker,
               const std::vector<double> &pre_fab_freqs,
-              const YieldOptions &options, const exec::Context &ctx)
+              const YieldOptions &options, const exec::Context &ctx,
+              const YieldResult &prior)
 {
     for (double f : pre_fab_freqs)
         qpad_assert(f > 0.0, "unassigned frequency in yield simulation");
+    qpad_assert(prior.trials <= options.trials, "cannot resume a ",
+                prior.trials, "-trial yield estimate at ",
+                options.trials, " trials");
 
-    YieldResult result;
-    result.trials = options.trials;
-    // Zero-trial runs have nothing to tally; returning here keeps
-    // yield at 0 instead of computing 0/0 below.
-    if (options.trials == 0)
-        return result;
+    // An empty range has nothing to tally; returning here also keeps
+    // a zero-trial run's yield at 0 instead of computing 0/0 below.
+    if (prior.trials == options.trials)
+        return prior;
+    // Count trials [first, options.trials) on top of the prior's.
+    const std::size_t first = prior.trials;
 
     // The per-condition statistics need the scalar count walk; plain
     // success tallies go through the batched SoA kernel, which is
@@ -94,7 +98,7 @@ estimateYield(const CollisionChecker &checker,
         static obs::Counter &scalar_runs =
             obs::counter("yield.scalar_estimates");
         estimates.add();
-        trials.add(options.trials);
+        trials.add(options.trials - first);
         (batched ? batched_runs : scalar_runs).add();
     }
     const BatchCollisionChecker batch =
@@ -122,17 +126,27 @@ estimateYield(const CollisionChecker &checker,
         }
     };
 
-    // Each kShardTrials-sized block draws from its own child stream
-    // of options.seed; partials merge in shard order. Thread count
-    // affects wall clock only, never the tallies.
+    // Trial t is trial t % kShardTrials of shard t / kShardTrials,
+    // and each shard draws from its own child stream of
+    // options.seed, so one chunk per shard of the range counts it;
+    // partials merge in shard order. Thread count affects wall clock
+    // only, never the tallies.
     const runtime::SeedSequence seeds(options.seed);
-    ShardCounts totals = runtime::parallel_reduce(
-        ctx.apply(options.exec), options.trials, kShardTrials,
+    const std::size_t first_shard = first / kShardTrials;
+    const std::size_t end_shard =
+        (options.trials + kShardTrials - 1) / kShardTrials;
+    const ShardCounts counted = runtime::parallel_reduce(
+        ctx.apply(options.exec), end_shard - first_shard, 1,
         ShardCounts{},
-        [&](std::size_t begin, std::size_t end, std::size_t shard) {
+        [&](std::size_t, std::size_t, std::size_t chunk) {
             ShardCounts local;
             const std::size_t nq = pre_fab_freqs.size();
             constexpr std::size_t B = BatchCollisionChecker::kLanes;
+            const std::size_t shard = first_shard + chunk;
+            const std::size_t begin =
+                std::max(first, shard * kShardTrials);
+            const std::size_t end =
+                std::min(options.trials, (shard + 1) * kShardTrials);
             // Lane order: the shard's sampler fills a whole SoA block
             // at once (trial t+l = lane l, qubits in row order). All
             // kLanes lanes advance even in a remainder block — lanes
@@ -140,20 +154,26 @@ estimateYield(const CollisionChecker &checker,
             // ones cannot disturb draws elsewhere, which is what
             // makes the tallies remainder-independent. The scalar
             // walk reads the very same block, so kernel choice never
-            // changes the stream.
+            // changes the stream. A range that starts inside the
+            // shard skips the blocks before its own and leaves out
+            // the `lo` lanes below `begin` in its first block.
             GaussianBlockSampler sampler(seeds.childSeed(shard));
+            std::size_t lo = begin % B;
+            std::size_t t = begin - lo;
+            sampler.discard((t - shard * kShardTrials) / B * nq);
             std::vector<double> block(nq * B);
             std::vector<double> post(nq);
-            for (std::size_t t = begin; t < end; t += B) {
+            for (; t < end; t += B, lo = 0) {
                 const std::size_t active = std::min(B, end - t);
                 sampler.fillAffine(block.data(), pre_fab_freqs.data(),
                                    options.sigma_ghz, nq);
                 if (batched) {
                     local.successes += std::size_t(std::popcount(
-                        batch.survivorMask(block.data(), active)));
+                        batch.survivorMask(block.data(), active) &
+                        ~((1u << lo) - 1)));
                     continue;
                 }
-                for (std::size_t l = 0; l < active; ++l) {
+                for (std::size_t l = lo; l < active; ++l) {
                     for (std::size_t q = 0; q < nq; ++q)
                         post[q] = block[q * B + l];
                     scalarTrial(post, local);
@@ -163,6 +183,10 @@ estimateYield(const CollisionChecker &checker,
         },
         mergeCounts);
 
+    const ShardCounts totals =
+        mergeCounts({prior.successes, prior.condition_trials}, counted);
+    YieldResult result;
+    result.trials = options.trials;
     result.successes = totals.successes;
     result.condition_trials = totals.condition_trials;
     result.yield = double(result.successes) / double(options.trials);
@@ -171,13 +195,14 @@ estimateYield(const CollisionChecker &checker,
 
 YieldResult
 estimateYield(const arch::Architecture &arch, const YieldOptions &options,
-              const exec::Context &ctx)
+              const exec::Context &ctx, const YieldResult &prior)
 {
     qpad_assert(arch.frequenciesAssigned(),
                 "architecture '", arch.name(),
                 "' has unassigned frequencies");
     CollisionChecker checker(arch, options.model);
-    return estimateYield(checker, arch.frequencies(), options, ctx);
+    return estimateYield(checker, arch.frequencies(), options, ctx,
+                         prior);
 }
 
 } // namespace qpad::yield

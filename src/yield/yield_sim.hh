@@ -6,6 +6,12 @@
  * pre-fabrication frequency; the attempt succeeds iff no collision
  * condition fires on the post-fabrication frequencies. Yield rate =
  * successes / trials.
+ *
+ * Trial t of an estimate always draws the same deviates (trial
+ * t % 1024 of shard t / 1024, see yield_sim.cc), whatever the budget.
+ * So the first N trials of a 10N-trial estimate are the N-trial
+ * estimate, and an estimate can be resumed: it counts only the trials
+ * its prior did not and adds the prior's tallies.
  */
 
 #ifndef QPAD_YIELD_YIELD_SIM_HH
@@ -57,26 +63,34 @@ struct YieldResult
 };
 
 /**
- * Estimate the yield rate of an architecture. All frequencies must
- * be assigned. Trials are evaluated through the batched SoA kernel
- * (BatchCollisionChecker) unless condition statistics are requested
- * or QPAD_SCALAR_KERNEL forces the scalar oracle; both paths read
- * the same GaussianBlockSampler blocks (the lane order of
- * common/gauss_block.hh) and return bit-identical results.
- * options.trials == 0 returns a zero-trial result (yield 0,
- * stderr 0) instead of dividing by zero.
+ * Estimate the yield rate of an architecture over options.trials
+ * trials. All frequencies must be assigned. Trials are evaluated
+ * through the batched SoA kernel (BatchCollisionChecker) unless
+ * condition statistics are requested or QPAD_SCALAR_KERNEL forces
+ * the scalar oracle; both paths read the same GaussianBlockSampler
+ * blocks (the lane order of common/gauss_block.hh) and return
+ * bit-identical results. options.trials == 0 returns a zero-trial
+ * result (yield 0, stderr 0) instead of dividing by zero.
+ *
+ * `prior` resumes an estimate: it must be this call's result at
+ * prior.trials <= options.trials (the default, zero trials, starts
+ * afresh). Only trials [prior.trials, options.trials) are drawn, and
+ * their tallies are added to the prior's, so the result equals the
+ * options.trials estimate bit for bit.
  */
 YieldResult
 estimateYield(const arch::Architecture &arch,
               const YieldOptions &options = {},
-              const exec::Context &ctx = exec::Context::none());
+              const exec::Context &ctx = exec::Context::none(),
+              const YieldResult &prior = {});
 
 /** Same, reusing a prebuilt checker. */
 YieldResult
 estimateYield(const CollisionChecker &checker,
               const std::vector<double> &pre_fab_freqs,
               const YieldOptions &options = {},
-              const exec::Context &ctx = exec::Context::none());
+              const exec::Context &ctx = exec::Context::none(),
+              const YieldResult &prior = {});
 
 } // namespace qpad::yield
 

@@ -690,4 +690,32 @@ TEST(CachedExperiment, AdaptiveEscalationStepsAreCached)
     freshGlobalCache();
 }
 
+TEST(CachedExperiment, EscalationDrawsEachTrialOnce)
+{
+    // 200 -> 2,000 -> 20,000 trials on a chip that yields 0 at each
+    // step: each step resumes where the one before it stopped, so the
+    // cold measurement draws 20,000 trials, not 22,200, whether the
+    // steps go through the store or straight to the estimator.
+    auto arch = arch::ibm20Q(true);
+    auto circuit =
+        benchmarks::getBenchmark("UCCSD_ansatz_8").generate();
+    eval::ExperimentOptions options = smallExperiment();
+    options.yield_options.trials = 200;
+    options.max_yield_trials = 20000;
+
+    for (bool enabled : {true, false}) {
+        SCOPED_TRACE(enabled ? "cache on" : "cache off");
+        cache::CacheOptions store;
+        store.enabled = enabled;
+        cache::configureGlobalCache(store);
+        const CacheDelta moved;
+        const eval::DataPoint point =
+            eval::measure("probe", arch, circuit, options);
+        EXPECT_EQ(point.yield_trials, 20000u);
+        EXPECT_EQ(moved("yield.escalations"), 2);
+        EXPECT_EQ(moved("yield.trials"), int64_t(point.yield_trials));
+    }
+    freshGlobalCache();
+}
+
 } // namespace

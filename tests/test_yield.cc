@@ -8,7 +8,9 @@
 
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <utility>
 
 #include "arch/ibm.hh"
 #include "common/rng.hh"
@@ -271,6 +273,84 @@ TEST(YieldSim, ScalarKernelEnvIsBitIdentical)
     }
     EXPECT_EQ(batched.successes, scalar.successes);
     EXPECT_DOUBLE_EQ(batched.yield, scalar.yield);
+}
+
+// --------------------------------------------------------------------
+// Resumed estimates: the first N trials of a 10N-trial estimate are
+// the N-trial estimate
+// --------------------------------------------------------------------
+
+/** (prior trials, trials): starts at a block edge inside a shard
+ * (the escalation steps 10,000 and 1,000), at lane 4 of a block
+ * (300), at lane 1 (1001), at a shard edge (2048), and an empty
+ * range. */
+constexpr std::pair<std::size_t, std::size_t> kResumes[] = {
+    {10000, 100000}, {1000, 10000}, {300, 3000},
+    {1001, 10010}, {2048, 20480}, {10000, 10000}};
+
+/** Resume `arch` at every kResumes point, with and without condition
+ * statistics, on 1 and 4 threads: each result must equal the
+ * estimate computed in full, down to the bits of the yield. */
+void
+expectResumesMatchFullEstimates(const Architecture &arch,
+                                YieldOptions opts)
+{
+    for (bool stats : {false, true}) {
+        opts.collect_condition_stats = stats;
+        for (const auto &[first, trials] : kResumes) {
+            opts.exec.num_threads = 1;
+            opts.trials = first;
+            const YieldResult prior = estimateYield(arch, opts);
+            opts.trials = trials;
+            const YieldResult full = estimateYield(arch, opts);
+            for (std::size_t threads : {1, 4}) {
+                SCOPED_TRACE(testing::Message()
+                             << first << " -> " << trials << " stats "
+                             << stats << " threads " << threads);
+                opts.exec.num_threads = threads;
+                const YieldResult resumed = estimateYield(
+                    arch, opts, exec::Context::none(), prior);
+                EXPECT_EQ(resumed.trials, full.trials);
+                EXPECT_EQ(resumed.successes, full.successes);
+                EXPECT_EQ(resumed.condition_trials, full.condition_trials);
+                EXPECT_EQ(std::bit_cast<uint64_t>(resumed.yield),
+                          std::bit_cast<uint64_t>(full.yield));
+            }
+        }
+    }
+}
+
+TEST(YieldResume, MatchesTheFullEstimateOnTheIbmBaselines)
+{
+    for (const Architecture &arch : arch::ibmBaselines()) {
+        SCOPED_TRACE(arch.name());
+        expectResumesMatchFullEstimates(arch, YieldOptions{});
+    }
+}
+
+TEST(YieldResume, CountsEachLaneOfTheRangeOnce)
+{
+    // Every trial survives tiny noise, so a lane below the resume
+    // point counted again (or one above it skipped) moves the
+    // successes, on the batched path as well as the scalar one.
+    Architecture arch(Layout::grid(1, 3));
+    arch.setAllFrequencies({5.05, 5.17, 5.29});
+    YieldOptions opts;
+    opts.sigma_ghz = 1e-6;
+    opts.trials = 3000;
+    ASSERT_EQ(estimateYield(arch, opts).successes, 3000u);
+    expectResumesMatchFullEstimates(arch, opts);
+}
+
+TEST(YieldResume, RejectsAPriorLargerThanTheBudget)
+{
+    auto arch = arch::ibm16Q(false);
+    YieldOptions opts;
+    opts.trials = 2000;
+    const YieldResult prior = estimateYield(arch, opts);
+    opts.trials = 1000;
+    EXPECT_THROW(estimateYield(arch, opts, exec::Context::none(), prior),
+                 std::logic_error);
 }
 
 // --------------------------------------------------------------------
