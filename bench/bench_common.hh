@@ -14,12 +14,12 @@
  *
  * QPAD_DEADLINE_MS=<millis> arms an execution deadline on the request
  * context of the benches that call requestContext() (fig9, fig10,
- * sec53):
- * the run either completes in full or unwinds as a deadline-exceeded
- * cancellation, which the bench reports with requestStopped() (one
- * stop line, exit 4). A deadline generous enough to finish changes
- * nothing — a context decides only WHETHER a result exists, never
- * its bytes.
+ * sec53, sec541, sec542 and sec543; the ablation, ext and fig3
+ * benches call no entry point that takes a context): the run either
+ * completes in full or unwinds as a deadline-exceeded cancellation,
+ * which the bench reports with requestStopped() (one stop line, exit
+ * 4). A deadline generous enough to finish changes nothing — a
+ * context decides only WHETHER a result exists, never its bytes.
  *
  * Observability (handled by qpad::obs, no bench code involved):
  * QPAD_TRACE=<path> writes a Chrome trace-event JSON profile of the

@@ -27,6 +27,7 @@ main()
     options.run_eff_full = false;
     options.run_eff_5_freq = false;
     options.run_eff_rd_bus = false;
+    const exec::Context ctx = bench::requestContext();
 
     eval::printHeader(std::cout,
                       "Section 5.4.1: layout design effect "
@@ -37,7 +38,12 @@ main()
     std::vector<double> yield_ratios;
     std::vector<double> perf_ratios;
     for (const auto &info : benchmarks::paperSuite()) {
-        auto e = eval::runBenchmark(info, options);
+        eval::BenchmarkExperiment e;
+        try {
+            e = eval::runBenchmark(info, options, ctx);
+        } catch (const exec::CancelledError &stop) {
+            return bench::requestStopped(stop);
+        }
         const eval::DataPoint *ibm2 = nullptr;
         for (const auto &p : e.points)
             if (p.arch_name == "ibm-16q-4qbus")

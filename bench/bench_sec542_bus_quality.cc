@@ -31,13 +31,19 @@ main()
     options.run_eff_layout_only = false;
     options.random_bus_samples =
         bench::fastMode() ? 3 : 8; // scatter like Figure 10
+    const exec::Context ctx = bench::requestContext();
 
     eval::printHeader(std::cout,
                       "Section 5.4.2: weighted vs random 4-qubit bus "
                       "selection");
 
     for (const auto &info : benchmarks::paperSuite()) {
-        auto e = eval::runBenchmark(info, options);
+        eval::BenchmarkExperiment e;
+        try {
+            e = eval::runBenchmark(info, options, ctx);
+        } catch (const exec::CancelledError &stop) {
+            return bench::requestStopped(stop);
+        }
         auto eff = e.config("eff-full");
         auto rd = e.config("eff-rd-bus");
         if (eff.size() <= 1) {

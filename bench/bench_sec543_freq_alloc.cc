@@ -26,6 +26,7 @@ main()
     options.run_ibm = false;
     options.run_eff_rd_bus = false;
     options.run_eff_layout_only = false;
+    const exec::Context ctx = bench::requestContext();
 
     eval::printHeader(std::cout,
                       "Section 5.4.3: optimized frequency allocation "
@@ -34,7 +35,12 @@ main()
 
     std::vector<double> gains;
     for (const auto &info : benchmarks::paperSuite()) {
-        auto e = eval::runBenchmark(info, options);
+        eval::BenchmarkExperiment e;
+        try {
+            e = eval::runBenchmark(info, options, ctx);
+        } catch (const exec::CancelledError &stop) {
+            return bench::requestStopped(stop);
+        }
         // Index the eff-5-freq points by bus count.
         std::map<std::size_t, const eval::DataPoint *> five;
         for (const auto *p : e.config("eff-5-freq"))

@@ -35,7 +35,12 @@
  * advanced with discard(rows), which leaves the lanes exactly where
  * fillStandard(rows) would, so a chunk draws the very deviates one
  * sequential fill gives it; a resumed yield estimate skips to its
- * first block inside a shard the same way.
+ * first block inside a shard the same way. The yield Monte Carlo's
+ * batched kernel fills each block on demand, one row at a time, and
+ * discards the rows after the one at which its last counted lane
+ * collided (BatchCollisionChecker::sampleSurvivorMask), so every
+ * block still starts where whole-block fills would have left the
+ * lanes.
  */
 
 #ifndef QPAD_COMMON_GAUSS_BLOCK_HH

@@ -17,6 +17,23 @@
  * ahead of the short-circuiting scalar walk even on zero-yield
  * inputs; bench/bench_collision_batch.cc measures both kernels.
  *
+ * Term order and the staged scan: the pair terms, and separately the
+ * triple terms, are stored stably sorted by their largest qubit index
+ * (their row in the block), with per-row bounds. Both entry points
+ * run one scan over the rows in order: row r scans the pairs, then
+ * the triples, that row r completes, and the scan stops after the
+ * first row at which every counted lane has collided (or after the
+ * last row that completes a term). survivorMask() scans a block that
+ * is already filled. sampleSurvivorMask() fills the block as it
+ * scans, one row per stage from the shard's GaussianBlockSampler,
+ * and then discards the rows it did not draw, so the sampler ends
+ * where a whole-block fill leaves it: the yield Monte Carlo draws
+ * only the rows its block reads (at the paper's sigma, all eight
+ * lanes have usually collided well before the last row). A survivor
+ * mask is an OR over the terms, whatever their order, and fills and
+ * discards compose bit-exactly (common/gauss_block.hh), so neither
+ * the masks nor any later draw depend on where a scan stops.
+ *
  * Without AVX2 a portable lane loop is compiled instead. It is the
  * reference implementation the property tests and the bench compare
  * against, but it measures SLOWER than the scalar oracle, so
@@ -27,7 +44,9 @@
  * tripleConditionMask expression-for-expression — same operand
  * order, no algebraic rearrangement — so the batch and scalar
  * kernels agree bit-for-bit on every trial (tests/test_yield.cc
- * asserts this trial-for-trial, including remainder batches).
+ * asserts this trial-for-trial, including remainder batches). Each
+ * backend holds one copy of the seven condition expressions, in the
+ * staged scan both entry points share.
  * Setting QPAD_SCALAR_KERNEL non-empty in the environment makes
  * estimateYield fall back to the scalar oracle. (Algorithm 3 scores
  * its candidates with neither kernel: see design/freq_sweep.hh.)
@@ -40,6 +59,11 @@
 #include <vector>
 
 #include "yield/collision.hh"
+
+namespace qpad
+{
+class GaussianBlockSampler;
+}
 
 namespace qpad::yield
 {
@@ -76,17 +100,59 @@ class BatchCollisionChecker
      * Evaluate `active` (1..kLanes) trials over a qubit-major block:
      * lane l of qubit q lives at post[q * kLanes + l]. Returns a
      * bitmask with bit l set iff trial l survives all seven
-     * conditions; bits >= active are zero. Lanes >= active must
-     * still hold readable doubles (they are evaluated branch-free,
-     * then masked off).
+     * conditions; bits >= active are zero. Lanes >= active start
+     * dead, but must still hold readable doubles (a half-block with
+     * a live lane is evaluated branch-free, all four lanes at once).
      */
     uint8_t survivorMask(const double *post,
                          std::size_t active = kLanes) const;
 
+    /** What sampleSurvivorMask() drew and found. */
+    struct SampledBlock
+    {
+        /** Bit l set iff counted lane l survives all conditions. */
+        uint8_t survivors = 0;
+        /** Rows filled from the sampler (the rest were discarded). */
+        std::size_t rows = 0;
+    };
+
+    /**
+     * Draw and check one block on demand: rows r = 0, 1, ... of
+     * `block` are filled one at a time with
+     * sampler.fillAffine(block + r * kLanes, means + r, sigma, 1),
+     * each followed by the terms it completes, until every counted
+     * lane [lo, active) has collided or no term is left; the block's
+     * remaining nq - rows rows are then discarded, so the sampler
+     * stands exactly where fillAffine(block, means, sigma, nq) leaves
+     * it. Lanes outside [lo, active) start dead: their bits are zero
+     * and they never keep the scan going. Rows at and after `rows`
+     * are left unwritten. Requires lo < active <= kLanes and nq
+     * covering every qubit of the checker's terms.
+     */
+    SampledBlock sampleSurvivorMask(GaussianBlockSampler &sampler,
+                                    const double *means, double sigma,
+                                    std::size_t nq, double *block,
+                                    std::size_t lo,
+                                    std::size_t active) const;
+
   private:
+    /**
+     * The staged scan of both entry points: before scanning row r it
+     * calls fill_row(r). `dead` holds the lanes that start dead (bit
+     * l = lane l). Returns the dead lanes at the stop and sets `rows`
+     * to the rows scanned.
+     */
+    template <typename FillRow>
+    unsigned scanRows(const double *post, unsigned dead,
+                      FillRow &&fill_row, std::size_t &rows) const;
+
     CollisionModel model_;
     std::vector<uint32_t> pair_a_, pair_b_;
     std::vector<uint32_t> tri_j_, tri_k_, tri_i_;
+    /** Row r's terms: pairs [pair_row_[r], pair_row_[r + 1]), and
+     * triples [tri_row_[r], tri_row_[r + 1]); one entry per row up to
+     * the last that completes a term, plus one. */
+    std::vector<uint32_t> pair_row_ = {0}, tri_row_ = {0};
 };
 
 /**

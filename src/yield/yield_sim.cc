@@ -126,6 +126,10 @@ estimateYield(const CollisionChecker &checker,
         }
     };
 
+    // The 8-lane rows the chunks compute (not the ones they discard),
+    // added once per chunk.
+    static obs::Counter &rows_drawn = obs::counter("yield.rows_drawn");
+
     // Trial t is trial t % kShardTrials of shard t / kShardTrials,
     // and each shard draws from its own child stream of
     // options.seed, so one chunk per shard of the range counts it;
@@ -147,38 +151,48 @@ estimateYield(const CollisionChecker &checker,
                 std::max(first, shard * kShardTrials);
             const std::size_t end =
                 std::min(options.trials, (shard + 1) * kShardTrials);
-            // Lane order: the shard's sampler fills a whole SoA block
-            // at once (trial t+l = lane l, qubits in row order). All
-            // kLanes lanes advance even in a remainder block — lanes
-            // are independent streams, so discarding the inactive
-            // ones cannot disturb draws elsewhere, which is what
-            // makes the tallies remainder-independent. The scalar
-            // walk reads the very same block, so kernel choice never
-            // changes the stream. A range that starts inside the
-            // shard skips the blocks before its own and leaves out
-            // the `lo` lanes below `begin` in its first block.
+            // Lane order: the shard's sampler fills one SoA block per
+            // kLanes trials (trial t+l = lane l, qubits in row order).
+            // All kLanes lanes advance even in a remainder block —
+            // lanes are independent streams, so discarding the
+            // inactive ones cannot disturb draws elsewhere, which is
+            // what makes the tallies remainder-independent. The
+            // batched kernel draws a block's rows on demand and
+            // discards those after its last collision; the scalar
+            // walk reads every row of the whole-block fill. Either
+            // way the sampler ends each block where a whole-block
+            // fill leaves it, so kernel choice never changes the
+            // stream. A range that starts inside the shard skips the
+            // blocks before its own and leaves out the `lo` lanes
+            // below `begin` in its first block.
             GaussianBlockSampler sampler(seeds.childSeed(shard));
             std::size_t lo = begin % B;
             std::size_t t = begin - lo;
             sampler.discard((t - shard * kShardTrials) / B * nq);
             std::vector<double> block(nq * B);
             std::vector<double> post(nq);
+            std::size_t rows = 0;
             for (; t < end; t += B, lo = 0) {
                 const std::size_t active = std::min(B, end - t);
-                sampler.fillAffine(block.data(), pre_fab_freqs.data(),
-                                   options.sigma_ghz, nq);
                 if (batched) {
-                    local.successes += std::size_t(std::popcount(
-                        batch.survivorMask(block.data(), active) &
-                        ~((1u << lo) - 1)));
+                    const auto sampled = batch.sampleSurvivorMask(
+                        sampler, pre_fab_freqs.data(), options.sigma_ghz,
+                        nq, block.data(), lo, active);
+                    local.successes +=
+                        std::size_t(std::popcount(sampled.survivors));
+                    rows += sampled.rows;
                     continue;
                 }
+                sampler.fillAffine(block.data(), pre_fab_freqs.data(),
+                                   options.sigma_ghz, nq);
+                rows += nq;
                 for (std::size_t l = lo; l < active; ++l) {
                     for (std::size_t q = 0; q < nq; ++q)
                         post[q] = block[q * B + l];
                     scalarTrial(post, local);
                 }
             }
+            rows_drawn.add(rows);
             return local;
         },
         mergeCounts);

@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "arch/ibm.hh"
+#include "common/gauss_block.hh"
 #include "common/rng.hh"
 #include "scoped_scalar_kernel.hh"
 #include "yield/collision_batch.hh"
@@ -477,6 +478,7 @@ TEST(Property, BatchMatchesScalarTrialForTrial)
 {
     constexpr std::size_t B = BatchCollisionChecker::kLanes;
     Rng rng(321);
+    std::size_t sampled_survivors = 0, sampled_dead = 0;
     for (int iter = 0; iter < 60; ++iter) {
         Architecture arch = randomArch(rng);
         CollisionChecker checker(arch);
@@ -508,7 +510,61 @@ TEST(Property, BatchMatchesScalarTrialForTrial)
                     << "iter " << iter << " trial " << bi * B + l;
             }
         }
+
+        // The on-demand kernel draws the same blocks from one sampler
+        // that a twin sampler fills whole for survivorMask. The masks
+        // must agree with each other and with the scalar oracle, the
+        // rows it drew must hold the twin's deviates, and it must
+        // leave its sampler where the twin stands. The first block
+        // counts only the lanes from a random `lo` on, as a resumed
+        // estimate does.
+        const std::vector<double> means = randomFreqs(rng, nq);
+        const double sigma = rng.chance(0.5) ? 0.002 : 0.03;
+        const uint64_t seed = rng.next();
+        GaussianBlockSampler on_demand(seed), twin(seed);
+        std::vector<double> drawn(nq * B), filled(nq * B);
+        std::vector<double> post(nq);
+        for (std::size_t bi = 0; bi < blocks; ++bi) {
+            SCOPED_TRACE(testing::Message()
+                         << "iter " << iter << " block " << bi);
+            const std::size_t active = std::min(B, trials - bi * B);
+            const std::size_t lo = bi == 0 ? rng.below(active) : 0;
+            const auto sampled = batch.sampleSurvivorMask(
+                on_demand, means.data(), sigma, nq, drawn.data(), lo,
+                active);
+            twin.fillAffine(filled.data(), means.data(), sigma, nq);
+            const unsigned counted =
+                ((1u << active) - 1) & ~((1u << lo) - 1);
+            EXPECT_EQ(sampled.survivors,
+                      batch.survivorMask(filled.data(), active) &
+                          counted);
+            ASSERT_LE(sampled.rows, nq);
+            for (std::size_t i = 0; i < sampled.rows * B; ++i)
+                ASSERT_EQ(std::bit_cast<uint64_t>(drawn[i]),
+                          std::bit_cast<uint64_t>(filled[i]))
+                    << "row " << i / B << " lane " << i % B;
+            for (std::size_t l = lo; l < active; ++l) {
+                for (std::size_t q = 0; q < nq; ++q)
+                    post[q] = filled[q * B + l];
+                const bool survives = (sampled.survivors >> l) & 1u;
+                EXPECT_EQ(survives, !checker.anyCollision(post))
+                    << "lane " << l;
+                ++(survives ? sampled_survivors : sampled_dead);
+            }
+        }
+        // Three rows: an odd count, so a pending Box-Muller partner
+        // left by either sampler shows up too.
+        std::vector<double> next_a(3 * B), next_b(3 * B);
+        on_demand.fillStandard(next_a.data(), 3);
+        twin.fillStandard(next_b.data(), 3);
+        for (std::size_t i = 0; i < next_a.size(); ++i)
+            EXPECT_EQ(std::bit_cast<uint64_t>(next_a[i]),
+                      std::bit_cast<uint64_t>(next_b[i]))
+                << "iter " << iter << " next deviate " << i;
     }
+    // The random chips must have exercised both outcomes.
+    EXPECT_GT(sampled_survivors, 0u);
+    EXPECT_GT(sampled_dead, 0u);
 }
 
 } // namespace
