@@ -54,7 +54,7 @@ namespace qpad::bench
  * Scheduler series moved by one timed call, read back as metrics-
  * registry deltas so benches print the very series QPAD_METRICS
  * exports. Valid when the call ran exactly one parallel region:
- * then the idle-histogram sum delta is that region's caller's wait
+ * then the idle timer's sum delta is that region's caller's wait
  * for the chunks still running on helpers.
  */
 struct RegionDelta

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iostream> // std::cerr is built before g_env_init may warn
 #include <mutex>
 #include <vector>
 
@@ -60,24 +61,22 @@ struct Ring
     Slot slots[kRingEvents];
     // Trace-session drain state, guarded by the session mutex: the
     // first index not yet drained (earlier ones are in `spill` or
-    // predate the session), and the session's span edges copied out
+    // predate the session), and the session's events copied out
     // before the ring overwrote them.
     uint64_t drained = 0;
     std::vector<EventCopy> spill;
 };
 
 /** Upper bound on recording threads; later threads still run, their
- * events just stay out of dumps and trace files. */
+ * events just stay out of trace files. */
 constexpr std::size_t kMaxRings = 512;
 
 std::atomic<Ring *> g_rings[kMaxRings];
 std::atomic<uint32_t> g_ring_count{0};
 
-/** Armed dump destination (fixed storage: read by the signal
- * handler, which cannot touch std::string). Empty = unarmed. */
-char g_armed_path[4096] = {0};
-std::atomic<bool> g_armed{false};
-std::atomic<bool> g_dumped{false};
+/** The session's path in fixed storage, for the fatal-signal
+ * handler, which cannot touch std::string. Empty = no crash write. */
+char g_crash_path[4096] = {0};
 
 thread_local Ring *t_ring = nullptr;
 
@@ -132,7 +131,7 @@ initRing()
 }
 
 /** Visit every published ring. Threads past kMaxRings have no slot
- * in g_rings, so dumps and trace files both leave them out. */
+ * in g_rings, so trace files leave them out. */
 template <class F>
 void
 forEachRing(F &&visit)
@@ -160,22 +159,16 @@ readSlot(const Slot &slot, uint32_t tid, EventCopy &out)
     return s1 == s2 && out.name != nullptr;
 }
 
-bool
-isSpanEdge(const EventCopy &e)
-{
-    return e.phase == 'B' || e.phase == 'E';
-}
-
-/** Append the ring's published events that `keep` accepts, in
- * recording order. */
-template <class Keep>
+/** Append the ring's published events with sequence numbers in
+ * (after, upto], in recording order. */
 void
-appendRing(const Ring &ring, std::vector<EventCopy> &out, Keep keep)
+appendRing(const Ring &ring, uint64_t after, uint64_t upto,
+           std::vector<EventCopy> &out)
 {
     const std::size_t from = out.size();
     for (const Slot &slot : ring.slots) {
         EventCopy e;
-        if (readSlot(slot, ring.tid, e) && keep(e))
+        if (readSlot(slot, ring.tid, e) && e.seq > after && e.seq <= upto)
             out.push_back(e);
     }
     std::sort(out.begin() + std::ptrdiff_t(from), out.end(),
@@ -186,8 +179,8 @@ appendRing(const Ring &ring, std::vector<EventCopy> &out, Keep keep)
 
 /**
  * The owner's half of a trace session: index `end` is about to
- * overwrite the ring-full [end - kRingEvents, end), so copy the span
- * edges of it that belong to the session into the spill. Only the
+ * overwrite the ring-full [end - kRingEvents, end), so copy the
+ * events of it that belong to the session into the spill. Only the
  * owner writes these slots, so every one reads back whole.
  */
 void
@@ -202,8 +195,7 @@ spill(Ring &ring, uint64_t end)
     for (uint64_t k = std::max(ring.drained, end - kRingEvents); k < end;
          ++k) {
         EventCopy e;
-        if (readSlot(ring.slots[k & (kRingEvents - 1)], ring.tid, e) &&
-            isSpanEdge(e))
+        if (readSlot(ring.slots[k & (kRingEvents - 1)], ring.tid, e))
             ring.spill.push_back(e);
     }
     ring.drained = end;
@@ -241,12 +233,12 @@ constexpr char kHeader[] =
 constexpr char kFooter[] = "\n]}\n";
 
 /**
- * The Chrome-trace writer of dumps and trace sessions: one event per
- * line, each thread's events in recording order, ts in microseconds
- * from the earliest event. Balanced replay: a stream may hold an 'E'
- * whose 'B' was overwritten or predates the session, or a 'B' whose
- * span is still open. The missing edges are synthesized (at the
- * thread's first and last timestamps) so every stream nests.
+ * The trace session's Chrome-trace writer: one event per line, each
+ * thread's events in recording order, ts in microseconds from the
+ * earliest event. Balanced replay: a stream may hold an 'E' whose 'B'
+ * predates the session, or a 'B' whose span is still open. The
+ * missing edges are synthesized (at the thread's first and last
+ * timestamps) so every stream nests.
  */
 bool
 writeBalanced(const std::string &path,
@@ -347,16 +339,14 @@ append(char *buf, std::size_t pos, const char *s)
     return pos + n;
 }
 
-/** Install-once guard for the atexit hook. */
-std::atomic<bool> g_exit_hook{false};
-
 void
 onFatalSignal(int sig)
 {
-    // At most one dump per process: an explicit tripwire dump (or a
-    // first fatal signal) wins over the SIGABRT that follows it.
-    if (!g_dumped.exchange(true, std::memory_order_seq_cst)) {
-        const int fd = ::open(g_armed_path,
+    // Only an open session's file is written: a session that
+    // stopTracing closed (the pool tripwire does so before it aborts)
+    // has already written its balanced file.
+    if (g_tracing.load(std::memory_order_seq_cst)) {
+        const int fd = ::open(g_crash_path,
                               O_WRONLY | O_CREAT | O_TRUNC, 0644);
         if (fd >= 0) {
             dumpSignalSafe(fd);
@@ -392,58 +382,6 @@ record(const char *name, char phase, uint8_t level)
     slot.phase.store(uint8_t(phase), std::memory_order_relaxed);
     slot.level.store(level, std::memory_order_relaxed);
     slot.seq.store(i + 1, std::memory_order_release);
-}
-
-void
-arm(const std::string &path)
-{
-    if (path.empty() || path.size() >= sizeof g_armed_path)
-        return;
-    std::memcpy(g_armed_path, path.c_str(), path.size() + 1);
-    g_armed.store(true, std::memory_order_release);
-    g_dumped.store(false, std::memory_order_relaxed);
-
-    struct sigaction action = {};
-    action.sa_handler = onFatalSignal;
-    action.sa_flags = SA_RESETHAND;
-    sigemptyset(&action.sa_mask);
-    ::sigaction(SIGSEGV, &action, nullptr);
-    ::sigaction(SIGABRT, &action, nullptr);
-
-    if (!g_exit_hook.exchange(true, std::memory_order_seq_cst))
-        std::atexit([] { dumpNow(); });
-}
-
-bool
-armed()
-{
-    return g_armed.load(std::memory_order_acquire);
-}
-
-bool
-dumpNow()
-{
-    if (!armed() || g_dumped.exchange(true, std::memory_order_seq_cst))
-        return false;
-    return dumpTo(g_armed_path);
-}
-
-bool
-dumpTo(const std::string &path)
-{
-    // A consistent copy of every ring, newest kRingEvents per thread,
-    // ordered by each thread's sequence numbers.
-    std::vector<std::vector<EventCopy>> per_thread;
-    forEachRing([&](const Ring &ring) {
-        std::vector<EventCopy> events;
-        appendRing(ring, events, [](const EventCopy &) { return true; });
-        if (!events.empty())
-            per_thread.push_back(std::move(events));
-    });
-    if (writeBalanced(path, per_thread))
-        return true;
-    logWarn("obs.flight_write_failed", {{"path", path}});
-    return false;
 }
 
 void
@@ -504,17 +442,35 @@ tracingEnabled()
 bool
 startTracing(const std::string &path)
 {
-    flight::Session &s = flight::session();
-    std::lock_guard<std::mutex> lock(s.mutex);
-    if (s.active)
-        return false;
-    s.active = true;
-    s.path = path;
-    // Raise the flag before reading the heads (see flight::record).
-    flight::g_tracing.store(true, std::memory_order_seq_cst);
-    flight::forEachRing([](flight::Ring &ring) {
-        ring.drained = ring.head.load(std::memory_order_seq_cst);
-    });
+    const bool crash_write = path.size() < sizeof flight::g_crash_path;
+    {
+        flight::Session &s = flight::session();
+        std::lock_guard<std::mutex> lock(s.mutex);
+        if (s.active)
+            return false;
+        s.active = true;
+        s.path = path;
+        // The flag is down, so the signal handler reads no path yet.
+        if (crash_write)
+            std::memcpy(flight::g_crash_path, path.c_str(),
+                        path.size() + 1);
+        else
+            flight::g_crash_path[0] = '\0';
+        struct sigaction action = {};
+        action.sa_handler = flight::onFatalSignal;
+        action.sa_flags = SA_RESETHAND;
+        sigemptyset(&action.sa_mask);
+        ::sigaction(SIGSEGV, &action, nullptr);
+        ::sigaction(SIGABRT, &action, nullptr);
+        // Raise the flag before reading the heads (see flight::record).
+        flight::g_tracing.store(true, std::memory_order_seq_cst);
+        flight::forEachRing([](flight::Ring &ring) {
+            ring.drained = ring.head.load(std::memory_order_seq_cst);
+        });
+    }
+    if (!crash_write)
+        logWarn("obs.trace_crash_path_too_long",
+                {{"bytes", double(path.size())}});
     return true;
 }
 
@@ -536,13 +492,9 @@ stopTracing()
         flight::forEachRing([&](flight::Ring &ring) {
             std::vector<flight::EventCopy> events;
             events.swap(ring.spill);
-            const uint64_t head =
-                ring.head.load(std::memory_order_seq_cst);
-            flight::appendRing(
-                ring, events, [&](const flight::EventCopy &e) {
-                    return e.seq > ring.drained && e.seq <= head &&
-                           flight::isSpanEdge(e);
-                });
+            flight::appendRing(ring, ring.drained,
+                               ring.head.load(std::memory_order_seq_cst),
+                               events);
             if (!events.empty())
                 per_thread.push_back(std::move(events));
         });
@@ -555,17 +507,13 @@ stopTracing()
 namespace
 {
 
-/** Reads QPAD_FLIGHT and QPAD_TRACE once at static init (env is set
- * before main). The trace file is written at exit; rings outlive
- * their threads, so it holds the spans of pool workers joined
- * before then too. */
+/** Reads QPAD_TRACE once at static init (env is set before main).
+ * The trace file is written at exit; rings outlive their threads,
+ * so it holds the spans of pool workers joined before then too. */
 struct EnvInit
 {
     EnvInit()
     {
-        const char *dump = std::getenv("QPAD_FLIGHT");
-        if (dump && *dump)
-            flight::arm(dump);
         const char *trace = std::getenv("QPAD_TRACE");
         if (trace && *trace && startTracing(trace))
             std::atexit([] { stopTracing(); });

@@ -28,20 +28,10 @@ addDouble(std::atomic<double> &target, double v)
         ;
 }
 
-void
-maxDouble(std::atomic<double> &target, double v)
-{
-    double cur = target.load(std::memory_order_relaxed);
-    while (cur < v &&
-           !target.compare_exchange_weak(cur, v,
-                                         std::memory_order_relaxed))
-        ;
-}
-
 } // namespace detail
 
 // ---------------------------------------------------------------------
-// Counter / Histogram
+// Counter / Timer
 // ---------------------------------------------------------------------
 
 uint64_t
@@ -53,38 +43,8 @@ Counter::value() const
     return total;
 }
 
-std::vector<double>
-Histogram::defaultLatencyBounds()
-{
-    return {1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0};
-}
-
-Histogram::Histogram(std::vector<double> bounds)
-    : bounds_(std::move(bounds))
-{
-    qpad_assert(std::is_sorted(bounds_.begin(), bounds_.end()),
-                "histogram bounds must be ascending");
-    stripes_ = std::vector<Stripe>(detail::kStripes);
-    for (Stripe &s : stripes_)
-        s.buckets =
-            std::vector<std::atomic<uint64_t>>(bounds_.size() + 1);
-}
-
-void
-Histogram::observe(double v)
-{
-    Stripe &s = stripes_[detail::threadStripe()];
-    const std::size_t b =
-        std::lower_bound(bounds_.begin(), bounds_.end(), v) -
-        bounds_.begin();
-    s.buckets[b].fetch_add(1, std::memory_order_relaxed);
-    s.count.fetch_add(1, std::memory_order_relaxed);
-    detail::addDouble(s.sum, v);
-    detail::maxDouble(s.max, v);
-}
-
 uint64_t
-Histogram::count() const
+Timer::count() const
 {
     uint64_t total = 0;
     for (const Stripe &s : stripes_)
@@ -93,31 +53,12 @@ Histogram::count() const
 }
 
 double
-Histogram::sum() const
+Timer::sum() const
 {
     double total = 0.0;
     for (const Stripe &s : stripes_)
         total += s.sum.load(std::memory_order_relaxed);
     return total;
-}
-
-double
-Histogram::max() const
-{
-    double m = 0.0;
-    for (const Stripe &s : stripes_)
-        m = std::max(m, s.max.load(std::memory_order_relaxed));
-    return m;
-}
-
-std::vector<uint64_t>
-Histogram::bucketCounts() const
-{
-    std::vector<uint64_t> counts(bounds_.size() + 1, 0);
-    for (const Stripe &s : stripes_)
-        for (std::size_t b = 0; b < counts.size(); ++b)
-            counts[b] += s.buckets[b].load(std::memory_order_relaxed);
-    return counts;
 }
 
 // ---------------------------------------------------------------------
@@ -161,15 +102,14 @@ class Registry
         return *e.gauge;
     }
 
-    Histogram &
-    histogram(std::string_view name, std::vector<double> bounds)
+    Timer &
+    timer(std::string_view name)
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        Entry &e = entryFor(name, Sample::Kind::Histogram);
-        if (!e.histogram)
-            e.histogram =
-                std::make_unique<Histogram>(std::move(bounds));
-        return *e.histogram;
+        Entry &e = entryFor(name, Sample::Kind::Timer);
+        if (!e.timer)
+            e.timer = std::make_unique<Timer>();
+        return *e.timer;
     }
 
     Snapshot
@@ -192,12 +132,9 @@ class Registry
               case Sample::Kind::Gauge:
                 s.value = double(e.gauge->value());
                 break;
-              case Sample::Kind::Histogram:
-                s.count = e.histogram->count();
-                s.sum = e.histogram->sum();
-                s.max = e.histogram->max();
-                s.bounds = e.histogram->bounds();
-                s.buckets = e.histogram->bucketCounts();
+              case Sample::Kind::Timer:
+                s.count = e.timer->count();
+                s.sum = e.timer->sum();
                 break;
             }
             snap.push_back(std::move(s));
@@ -211,7 +148,7 @@ class Registry
         Sample::Kind kind = Sample::Kind::Counter;
         std::unique_ptr<Counter> counter;
         std::unique_ptr<Gauge> gauge;
-        std::unique_ptr<Histogram> histogram;
+        std::unique_ptr<Timer> timer;
     };
 
     Entry &
@@ -237,7 +174,7 @@ kindName(Sample::Kind kind)
     switch (kind) {
       case Sample::Kind::Counter: return "counter";
       case Sample::Kind::Gauge: return "gauge";
-      case Sample::Kind::Histogram: return "histogram";
+      case Sample::Kind::Timer: return "timer";
     }
     return "?";
 }
@@ -259,19 +196,8 @@ writeSampleJson(std::ostream &out, const Sample &s)
       case Sample::Kind::Gauge:
         out << ",\"value\":" << int64_t(s.value);
         break;
-      case Sample::Kind::Histogram:
-        num << ",\"count\":" << s.count << ",\"sum\":" << s.sum
-            << ",\"max\":" << s.max
-            << ",\"p50\":" << samplePercentile(s, 0.50)
-            << ",\"p95\":" << samplePercentile(s, 0.95)
-            << ",\"p99\":" << samplePercentile(s, 0.99)
-            << ",\"bounds\":[";
-        for (std::size_t b = 0; b < s.bounds.size(); ++b)
-            num << (b ? "," : "") << s.bounds[b];
-        num << "],\"buckets\":[";
-        for (std::size_t b = 0; b < s.buckets.size(); ++b)
-            num << (b ? "," : "") << s.buckets[b];
-        num << "]";
+      case Sample::Kind::Timer:
+        num << ",\"count\":" << s.count << ",\"sum\":" << s.sum;
         out << num.str();
         break;
     }
@@ -338,10 +264,10 @@ gauge(std::string_view name)
     return Registry::instance().gauge(name);
 }
 
-Histogram &
-histogram(std::string_view name, std::vector<double> bounds)
+Timer &
+timer(std::string_view name)
 {
-    return Registry::instance().histogram(name, std::move(bounds));
+    return Registry::instance().timer(name);
 }
 
 Snapshot
@@ -364,52 +290,13 @@ deltaSince(const Snapshot &before)
             break;
           case Sample::Kind::Gauge:
             break; // levels do not delta
-          case Sample::Kind::Histogram:
+          case Sample::Kind::Timer:
             s.count -= prev->count;
             s.sum -= prev->sum;
-            // max stays absolute (a delta of a maximum is undefined)
-            if (s.buckets.size() == prev->buckets.size())
-                for (std::size_t b = 0; b < s.buckets.size(); ++b)
-                    s.buckets[b] -= prev->buckets[b];
             break;
         }
     }
     return now;
-}
-
-double
-samplePercentile(const Sample &s, double q)
-{
-    if (s.kind != Sample::Kind::Histogram || s.count == 0 ||
-        s.buckets.empty())
-        return 0.0;
-    q = std::clamp(q, 0.0, 1.0);
-    uint64_t total = 0;
-    for (uint64_t c : s.buckets)
-        total += c;
-    if (total == 0)
-        return 0.0;
-    const double target = q * double(total);
-    double cumulative = 0.0;
-    for (std::size_t b = 0; b < s.buckets.size(); ++b) {
-        const double in_bucket = double(s.buckets[b]);
-        if (in_bucket == 0.0)
-            continue;
-        if (cumulative + in_bucket >= target) {
-            // Bucket b spans (lo, hi]: lo is the previous bound (0
-            // for the first), hi the bucket's own bound — the +inf
-            // bucket tops out at the observed max.
-            const double lo = b == 0 ? 0.0 : s.bounds[b - 1];
-            const double hi = b < s.bounds.size()
-                                  ? s.bounds[b]
-                                  : std::max(s.max, lo);
-            const double frac =
-                std::clamp((target - cumulative) / in_bucket, 0.0, 1.0);
-            return std::min(lo + frac * (hi - lo), s.max);
-        }
-        cumulative += in_bucket;
-    }
-    return s.max;
 }
 
 const Sample *
@@ -430,7 +317,7 @@ valueOf(const Snapshot &snap, std::string_view name)
     const Sample *s = find(snap, name);
     if (!s)
         return 0.0;
-    return s->kind == Sample::Kind::Histogram ? s->sum : s->value;
+    return s->kind == Sample::Kind::Timer ? s->sum : s->value;
 }
 
 void
@@ -453,14 +340,11 @@ writeTable(std::ostream &out, const Snapshot &snap,
           case Sample::Kind::Gauge:
             out << int64_t(s.value);
             break;
-          case Sample::Kind::Histogram: {
-            std::ostringstream hist;
-            hist << "count=" << s.count << " sum=" << std::scientific
-                 << std::setprecision(3) << s.sum << " max=" << s.max
-                 << " p50=" << samplePercentile(s, 0.50)
-                 << " p95=" << samplePercentile(s, 0.95)
-                 << " p99=" << samplePercentile(s, 0.99);
-            out << hist.str();
+          case Sample::Kind::Timer: {
+            std::ostringstream timer;
+            timer << "count=" << s.count << " sum=" << std::scientific
+                  << std::setprecision(3) << s.sum;
+            out << timer.str();
             break;
           }
         }

@@ -1,7 +1,7 @@
 /**
  * @file
- * Process-wide metrics registry: named counters, gauges, and
- * fixed-bucket histograms.
+ * Process-wide metrics registry: named counters, gauges, and timers
+ * (a count and a sum of durations).
  *
  * Hot-path contract: updating an existing metric is lock-free — a
  * relaxed atomic add on a per-thread-striped cache line — and never
@@ -70,9 +70,6 @@ struct alignas(64) Cell
  * libraries without P0020 floating-point fetch_add). */
 void addDouble(std::atomic<double> &target, double v);
 
-/** Relaxed monotonic max on an atomic double. */
-void maxDouble(std::atomic<double> &target, double v);
-
 } // namespace detail
 
 /** Monotonically increasing event count. */
@@ -119,43 +116,35 @@ class Gauge
 };
 
 /**
- * Fixed-bucket histogram for nonnegative values (latencies in
- * seconds by convention). Bucket i counts observations <= bounds[i];
- * an implicit +inf bucket catches the rest. Bounds are fixed at
- * registration; observe() is striped relaxed atomics, no locks.
+ * Count and sum of observations, in seconds by convention (region
+ * wall time, caller waits). observe() is striped relaxed atomics, no
+ * locks.
  */
-class Histogram
+class Timer
 {
   public:
-    explicit Histogram(
-        std::vector<double> bounds = defaultLatencyBounds());
-    Histogram(const Histogram &) = delete;
-    Histogram &operator=(const Histogram &) = delete;
+    Timer() = default;
+    Timer(const Timer &) = delete;
+    Timer &operator=(const Timer &) = delete;
 
-    void observe(double v);
+    void observe(double seconds)
+    {
+        Stripe &s = stripes_[detail::threadStripe()];
+        s.count.fetch_add(1, std::memory_order_relaxed);
+        detail::addDouble(s.sum, seconds);
+    }
 
-    const std::vector<double> &bounds() const { return bounds_; }
     uint64_t count() const;
     double sum() const;
-    /** Largest value ever observed (0 when empty). */
-    double max() const;
-    /** Per-bucket counts, bounds().size() + 1 entries (last = +inf). */
-    std::vector<uint64_t> bucketCounts() const;
-
-    /** 1 µs .. 10 s decades — covers chunk waits through sweeps. */
-    static std::vector<double> defaultLatencyBounds();
 
   private:
-    struct Stripe
+    struct alignas(64) Stripe
     {
-        std::vector<std::atomic<uint64_t>> buckets;
         std::atomic<uint64_t> count{0};
         std::atomic<double> sum{0.0};
-        std::atomic<double> max{0.0};
     };
 
-    std::vector<double> bounds_;
-    std::vector<Stripe> stripes_;
+    Stripe stripes_[detail::kStripes];
 };
 
 // ---------------------------------------------------------------------
@@ -165,30 +154,24 @@ class Histogram
 /**
  * Look up or create the named metric. Static-init-safe (the registry
  * is a function-local leaked singleton) and thread-safe; panics if
- * `name` is already registered as a different kind. For histograms,
- * the bounds of the first registration win.
+ * `name` is already registered as a different kind.
  */
 Counter &counter(std::string_view name);
 Gauge &gauge(std::string_view name);
-Histogram &histogram(
-    std::string_view name,
-    std::vector<double> bounds = Histogram::defaultLatencyBounds());
+Timer &timer(std::string_view name);
 
 /** One metric's state at snapshot time. */
 struct Sample
 {
-    enum class Kind { Counter, Gauge, Histogram };
+    enum class Kind { Counter, Gauge, Timer };
 
     std::string name;
     Kind kind = Kind::Counter;
     /** Counter total or gauge level. */
     double value = 0.0;
-    /** Histogram-only fields. */
+    /** Timer-only fields. */
     uint64_t count = 0;
     double sum = 0.0;
-    double max = 0.0;
-    std::vector<double> bounds;
-    std::vector<uint64_t> buckets;
 };
 
 /** Name-sorted snapshot of every registered metric. */
@@ -196,27 +179,18 @@ using Snapshot = std::vector<Sample>;
 Snapshot snapshot();
 
 /**
- * snapshot() minus `before`: counters and histogram counts/sums/
- * buckets subtract, gauges and histogram maxima keep their current
- * value (a delta of a level or a maximum is not meaningful). Metrics
- * registered since `before` appear with their full value.
+ * snapshot() minus `before`: counters and timer counts and sums
+ * subtract, gauges keep their current value (a delta of a level is
+ * not meaningful). Metrics registered since `before` appear with
+ * their full value.
  */
 Snapshot deltaSince(const Snapshot &before);
 
 /** Find a sample by exact name (nullptr when absent). */
 const Sample *find(const Snapshot &snap, std::string_view name);
 
-/**
- * Interpolated quantile of a histogram sample, q in [0, 1]: the
- * target rank's bucket is found from the cumulative counts and the
- * value interpolated linearly within the bucket's bounds (the +inf
- * bucket and the result are clamped to the observed max). 0 for an
- * empty histogram or a non-histogram sample.
- */
-double samplePercentile(const Sample &s, double q);
-
-/** Scalar view of a sample: counter/gauge value, histogram sum;
- * 0 when the name is absent. */
+/** Scalar view of a sample: counter/gauge value, timer sum; 0 when
+ * the name is absent. */
 double valueOf(const Snapshot &snap, std::string_view name);
 
 /**

@@ -17,13 +17,20 @@
  *
  * A trace session is a drain of the rings. While one is active, a
  * thread about to overwrite its oldest ring-full first copies the
- * span edges in it out (under the session mutex, once per
- * flight::kRingEvents edges); stopTracing() writes those copies plus
- * each ring's unspilled tail. Files hold span edges only, per thread
- * id, and always nest: an edge whose partner lies outside the
- * session gets a synthetic partner at the thread's first or last
- * timestamp. Threads past the recorder's ring limit stay out of
- * trace files as they stay out of flight dumps.
+ * events in it out (under the session mutex, once per
+ * flight::kRingEvents records); stopTracing() writes those copies
+ * plus each ring's unspilled tail. Files hold span edges and each
+ * warning as an instant with its level, per thread id, and always
+ * nest: an edge whose partner lies outside the session gets a
+ * synthetic partner at the thread's first or last timestamp.
+ * Threads past the recorder's ring limit stay out of trace files.
+ *
+ * While a session is open, a fatal SIGSEGV or SIGABRT writes the
+ * rings' tails to the session's path instead (flight::dumpSignalSafe:
+ * valid JSON, not balanced); a path too long for the handler's fixed
+ * buffer logs one warning and leaves the session without that write.
+ * The ThreadPool tripwire calls stopTracing() before it aborts, so
+ * its file is the balanced one.
  *
  * Enable with QPAD_TRACE=<path> (written at process exit) or
  * programmatically with startTracing()/stopTracing(). Span names
@@ -63,16 +70,17 @@ class Span
 };
 
 /**
- * Begin a trace session writing to `path` on stopTracing(). Only
- * span edges recorded from now on belong to it. Returns false (and
- * changes nothing) if a session is already active.
+ * Begin a trace session writing to `path` on stopTracing(), or from
+ * the fatal-signal handler it installs. Only events recorded from
+ * now on belong to it. Returns false (and changes nothing) if a
+ * session is already active.
  */
 bool startTracing(const std::string &path);
 
 /**
- * End the session and write its span edges as Chrome trace-event
- * JSON, balanced per thread. No-op when no session is active. Safe
- * while other threads still record.
+ * End the session and write its events as Chrome trace-event JSON,
+ * balanced per thread. No-op when no session is active. Safe while
+ * other threads still record.
  */
 void stopTracing();
 

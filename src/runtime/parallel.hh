@@ -44,7 +44,7 @@
  * Scheduler statistics go to the metrics registry only: every region
  * counts into runtime.regions (parallel) or runtime.seq_regions
  * (sequential), plus runtime.chunks and the runtime.region_seconds /
- * runtime.region_idle_seconds histograms (the latter is the caller's
+ * runtime.region_idle_seconds timers (the latter is the caller's
  * wait for chunks still running on helpers).
  */
 

@@ -28,10 +28,8 @@ publishRegion(std::size_t chunk_count, double seconds,
 {
     static obs::Counter &regions = obs::counter("runtime.regions");
     static obs::Counter &chunks = obs::counter("runtime.chunks");
-    static obs::Histogram &duration =
-        obs::histogram("runtime.region_seconds");
-    static obs::Histogram &idle =
-        obs::histogram("runtime.region_idle_seconds");
+    static obs::Timer &duration = obs::timer("runtime.region_seconds");
+    static obs::Timer &idle = obs::timer("runtime.region_idle_seconds");
     regions.add();
     chunks.add(chunk_count);
     duration.observe(seconds);

@@ -184,7 +184,7 @@ class RegionState
  * signalled through `cancel` (null = unlimited) surfaces the same
  * way, as a CancelledError. Every region, failed ones included, is
  * counted in the runtime.regions / .chunks series and the
- * runtime.region_seconds / .region_idle_seconds histograms (the
+ * runtime.region_seconds / .region_idle_seconds timers (the
  * latter is the caller's wait for chunks still running on helpers).
  */
 void runRegion(std::size_t chunks, std::size_t threads,

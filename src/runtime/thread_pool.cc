@@ -5,7 +5,7 @@
 #include <cstdlib>
 
 #include "common/logging.hh"
-#include "obs/flight.hh"
+#include "obs/trace.hh"
 #include "runtime/region.hh"
 
 namespace qpad::runtime
@@ -27,11 +27,10 @@ ThreadPool::~ThreadPool()
     // noexcept destructor turns into a bare std::terminate. Fail
     // loudly and unambiguously instead (see the ~ThreadPool doc).
     if (active_regions_.load(std::memory_order_seq_cst) != 0) {
-        // Preserve the evidence before dying: a clean balanced dump
-        // of the flight rings when QPAD_FLIGHT is armed (the SIGABRT
-        // handler would otherwise produce the rawer signal-path
-        // dump; dumpNow's once-flag makes the two not race).
-        obs::flight::dumpNow();
+        // Preserve the evidence before dying: write the open trace
+        // session, balanced. The SIGABRT handler then finds it closed
+        // and leaves the file alone.
+        obs::stopTracing();
         // qpad-lint: allow(rawlog) "abort path: the structured
         // logger may allocate or lock during teardown; raw stderr is
         // the only safe reporter here"

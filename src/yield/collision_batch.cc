@@ -339,21 +339,28 @@ BatchCollisionChecker::sampleSurvivorMask(GaussianBlockSampler &sampler,
 bool
 scalarKernelForced()
 {
-    const char *env = std::getenv("QPAD_SCALAR_KERNEL");
-    return env && *env;
+    const char *flag = std::getenv("QPAD_SCALAR_KERNEL");
+    if (!flag || !*flag || (flag[0] == '0' && flag[1] == '\0'))
+        return false;
+    if (!(flag[0] == '1' && flag[1] == '\0'))
+        qpad_fatal("invalid QPAD_SCALAR_KERNEL value '", flag,
+                   "' (expected 0 or 1)");
+    return true;
 }
 
 bool
 useBatchedKernel()
 {
 #ifdef __AVX2__
-    return !scalarKernelForced();
+    constexpr bool kVectorLanes = true;
 #else
     // The portable lane loop measures ~2-3x slower than the scalar
     // oracle (see the file comment); it stays available for the
     // agreement tests but never as the default execution path.
-    return false;
+    constexpr bool kVectorLanes = false;
 #endif
+    // Parsed on every build, so a malformed value fails alike.
+    return !scalarKernelForced() && kVectorLanes;
 }
 
 } // namespace qpad::yield

@@ -81,9 +81,6 @@ class BatchCollisionChecker
      * the post block). */
     explicit BatchCollisionChecker(const CollisionChecker &checker);
 
-    std::size_t numPairs() const { return pair_a_.size(); }
-    std::size_t numTriples() const { return tri_j_.size(); }
-
     /**
      * Flat index of trial t, qubit q in a sequence of kLanes-trial
      * qubit-major blocks over nq qubits — the layout survivorMask
@@ -156,9 +153,10 @@ class BatchCollisionChecker
 };
 
 /**
- * True when QPAD_SCALAR_KERNEL is set non-empty: the yield paths
- * then use the scalar oracle instead of the batched kernel. Queried
- * per simulation call, so tests can flip it at runtime.
+ * True when QPAD_SCALAR_KERNEL is `1`: the yield paths then use the
+ * scalar oracle instead of the batched kernel (`0`, empty or unset:
+ * false; any other value is qpad_fatal). Queried per simulation
+ * call, so tests can flip it at runtime.
  */
 bool scalarKernelForced();
 

@@ -480,6 +480,13 @@ TEST(LintMetricName, FiresOnBadRegistrations)
         countRule(analyze("obs::counter(\"design.anneals\");\n"),
                   "metric-name"),
         0u);
+    EXPECT_EQ(countRule(analyze("obs::timer(dynamic_name);\n"),
+                        "metric-name"),
+              1u);
+    EXPECT_EQ(countRule(analyze(
+                            "obs::timer(\"runtime.region_seconds\");\n"),
+                        "metric-name"),
+              0u);
     // Unqualified counter() is someone else's function.
     EXPECT_EQ(countRule(analyze("counter(\"whatever\");\n"),
                         "metric-name"),

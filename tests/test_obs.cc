@@ -1,10 +1,11 @@
 /**
  * @file
  * Tests for qpad::obs: the metrics registry (counters, gauges,
- * histograms, deterministic snapshots, deltas, exporters), the span
+ * timers, deterministic snapshots, deltas, exporters), the span
  * tracer (balanced Chrome trace-event output, the zero-cost disabled
  * path, and the bit-identity of traced vs untraced runs), the
- * warning line, and the flight recorder.
+ * warning line, the flight recorder, and the trace session's crash
+ * and tripwire writes.
  */
 
 #include <gtest/gtest.h>
@@ -13,11 +14,13 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <new>
 #include <sstream>
 #include <stdexcept>
@@ -33,6 +36,8 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "runtime/parallel.hh"
+#include "runtime/region.hh"
+#include "runtime/thread_pool.hh"
 #include "yield/yield_sim.hh"
 
 // --------------------------------------------------------------------
@@ -84,6 +89,24 @@ tracePath(const std::string &name)
     return testing::TempDir() + "qpad_trace_" + name + ".json";
 }
 
+/** Braces and brackets balance and never go negative (names and
+ * kinds are code-controlled, so no string literal holds either). */
+void
+expectBalancedJson(const std::string &text)
+{
+    int braces = 0, brackets = 0;
+    for (char ch : text) {
+        braces += ch == '{';
+        braces -= ch == '}';
+        brackets += ch == '[';
+        brackets -= ch == ']';
+        ASSERT_GE(braces, 0);
+        ASSERT_GE(brackets, 0);
+    }
+    EXPECT_EQ(braces, 0);
+    EXPECT_EQ(brackets, 0);
+}
+
 // --------------------------------------------------------------------
 // Metric primitives
 // --------------------------------------------------------------------
@@ -124,23 +147,27 @@ TEST(Metrics, GaugeMovesBothWays)
     EXPECT_EQ(g.value(), 0);
 }
 
-TEST(Metrics, HistogramBucketsAndMoments)
+TEST(Metrics, TimerCountsAndSums)
 {
-    obs::Histogram &h =
-        obs::histogram("test.histogram", {1.0, 10.0, 100.0});
-    h.observe(0.5);   // bucket 0 (<= 1)
-    h.observe(10.0);  // bucket 1 (<= 10, inclusive upper bound)
-    h.observe(99.0);  // bucket 2
-    h.observe(1000.0); // +inf bucket
-    EXPECT_EQ(h.count(), 4u);
-    EXPECT_DOUBLE_EQ(h.sum(), 0.5 + 10.0 + 99.0 + 1000.0);
-    EXPECT_DOUBLE_EQ(h.max(), 1000.0);
-    const std::vector<uint64_t> buckets = h.bucketCounts();
-    ASSERT_EQ(buckets.size(), 4u);
-    EXPECT_EQ(buckets[0], 1u);
-    EXPECT_EQ(buckets[1], 1u);
-    EXPECT_EQ(buckets[2], 1u);
-    EXPECT_EQ(buckets[3], 1u);
+    obs::Timer &t = obs::timer("test.timer");
+    t.observe(0.5);
+    t.observe(2.0);
+    EXPECT_EQ(t.count(), 2u);
+    EXPECT_DOUBLE_EQ(t.sum(), 2.5);
+
+    // valueOf reads the sum, and both writers print the count and
+    // the sum under the timer kind.
+    const obs::Snapshot snap = obs::snapshot();
+    EXPECT_DOUBLE_EQ(obs::valueOf(snap, "test.timer"), 2.5);
+    std::ostringstream table;
+    obs::writeTable(table, snap, "test.timer");
+    EXPECT_EQ(table.str(), "test.timer  count=2 sum=2.500e+00\n");
+    const obs::Sample *s = obs::find(snap, "test.timer");
+    ASSERT_NE(s, nullptr);
+    std::ostringstream json;
+    obs::writeJson(json, {*s});
+    EXPECT_EQ(json.str(), "{\"metrics\":[\n{\"name\":\"test.timer\","
+                          "\"kind\":\"timer\",\"count\":2,\"sum\":2.5}\n]}\n");
 }
 
 TEST(Metrics, RegistryReturnsSameInstance)
@@ -154,8 +181,7 @@ TEST(Metrics, KindMismatchPanics)
 {
     obs::counter("test.kind_mismatch");
     EXPECT_THROW(obs::gauge("test.kind_mismatch"), std::logic_error);
-    EXPECT_THROW(obs::histogram("test.kind_mismatch"),
-                 std::logic_error);
+    EXPECT_THROW(obs::timer("test.kind_mismatch"), std::logic_error);
 }
 
 // --------------------------------------------------------------------
@@ -199,22 +225,22 @@ TEST(Metrics, DeltaSinceSubtractsCountersKeepsGauges)
 {
     obs::Counter &c = obs::counter("test.delta_counter");
     obs::Gauge &g = obs::gauge("test.delta_gauge");
-    obs::Histogram &h = obs::histogram("test.delta_hist");
+    obs::Timer &t = obs::timer("test.delta_timer");
     c.add(5);
     g.set(100);
-    h.observe(1.0);
+    t.observe(1.0);
     const obs::Snapshot before = obs::snapshot();
     c.add(7);
     g.set(42);
-    h.observe(2.0);
+    t.observe(2.0);
     const obs::Snapshot delta = obs::deltaSince(before);
     EXPECT_DOUBLE_EQ(obs::valueOf(delta, "test.delta_counter"), 7.0);
     // Gauges are levels: the delta keeps the current value.
     EXPECT_DOUBLE_EQ(obs::valueOf(delta, "test.delta_gauge"), 42.0);
-    const obs::Sample *hist = obs::find(delta, "test.delta_hist");
-    ASSERT_NE(hist, nullptr);
-    EXPECT_EQ(hist->count, 1u);
-    EXPECT_DOUBLE_EQ(hist->sum, 2.0);
+    const obs::Sample *timer = obs::find(delta, "test.delta_timer");
+    ASSERT_NE(timer, nullptr);
+    EXPECT_EQ(timer->count, 1u);
+    EXPECT_DOUBLE_EQ(timer->sum, 2.0);
 }
 
 TEST(Metrics, FindAndValueOf)
@@ -240,89 +266,7 @@ TEST(Metrics, WritersProduceOutput)
     obs::writeJson(json, snap);
     const std::string text = json.str();
     EXPECT_EQ(text.rfind("{\"metrics\":[", 0), 0u);
-    // Structurally balanced braces/brackets (names and kinds are
-    // code-controlled, so no string literal ever contains either).
-    int braces = 0, brackets = 0;
-    for (char ch : text) {
-        braces += ch == '{';
-        braces -= ch == '}';
-        brackets += ch == '[';
-        brackets -= ch == ']';
-        EXPECT_GE(braces, 0);
-        EXPECT_GE(brackets, 0);
-    }
-    EXPECT_EQ(braces, 0);
-    EXPECT_EQ(brackets, 0);
-}
-
-// --------------------------------------------------------------------
-// Percentiles
-// --------------------------------------------------------------------
-
-TEST(Metrics, SamplePercentilesInterpolateAndClampToMax)
-{
-    obs::Histogram &h =
-        obs::histogram("test.percentile_hist", {1.0, 2.0, 4.0, 8.0});
-    for (int i = 0; i < 50; ++i)
-        h.observe(0.5); // bucket 0: (0, 1]
-    for (int i = 0; i < 30; ++i)
-        h.observe(1.5); // bucket 1: (1, 2]
-    for (int i = 0; i < 15; ++i)
-        h.observe(3.0); // bucket 2: (2, 4]
-    for (int i = 0; i < 4; ++i)
-        h.observe(6.0); // bucket 3: (4, 8]
-    h.observe(100.0);   // +inf bucket, max = 100
-
-    const obs::Snapshot snap = obs::snapshot();
-    const obs::Sample *s = obs::find(snap, "test.percentile_hist");
-    ASSERT_NE(s, nullptr);
-    // Rank 25 of 100 lands halfway into bucket 0: 0 + 0.5 * (1 - 0).
-    EXPECT_DOUBLE_EQ(obs::samplePercentile(*s, 0.25), 0.5);
-    // Ranks 50 / 95 / 99 exhaust buckets 0 / 2 / 3 exactly, so the
-    // interpolation returns each bucket's upper bound.
-    EXPECT_DOUBLE_EQ(obs::samplePercentile(*s, 0.50), 1.0);
-    EXPECT_DOUBLE_EQ(obs::samplePercentile(*s, 0.95), 4.0);
-    EXPECT_DOUBLE_EQ(obs::samplePercentile(*s, 0.99), 8.0);
-    // The +inf bucket (and the result) top out at the observed max.
-    EXPECT_DOUBLE_EQ(obs::samplePercentile(*s, 1.0), 100.0);
-}
-
-TEST(Metrics, SamplePercentileEdgeCases)
-{
-    obs::histogram("test.percentile_empty");
-    obs::counter("test.percentile_counter").add(5);
-    const obs::Snapshot snap = obs::snapshot();
-
-    const obs::Sample *empty =
-        obs::find(snap, "test.percentile_empty");
-    ASSERT_NE(empty, nullptr);
-    EXPECT_DOUBLE_EQ(obs::samplePercentile(*empty, 0.5), 0.0);
-
-    // Non-histogram samples report 0 rather than inventing a value.
-    const obs::Sample *counter =
-        obs::find(snap, "test.percentile_counter");
-    ASSERT_NE(counter, nullptr);
-    EXPECT_DOUBLE_EQ(obs::samplePercentile(*counter, 0.5), 0.0);
-}
-
-TEST(Metrics, WritersIncludePercentiles)
-{
-    obs::histogram("test.percentile_export").observe(0.5);
-    const obs::Snapshot snap = obs::snapshot();
-
-    std::ostringstream table;
-    obs::writeTable(table, snap, "test.percentile_export");
-    EXPECT_NE(table.str().find("p50="), std::string::npos);
-    EXPECT_NE(table.str().find("p95="), std::string::npos);
-    EXPECT_NE(table.str().find("p99="), std::string::npos);
-
-    const obs::Sample *s = obs::find(snap, "test.percentile_export");
-    ASSERT_NE(s, nullptr);
-    std::ostringstream json;
-    obs::writeJson(json, {*s});
-    EXPECT_NE(json.str().find("\"p50\":"), std::string::npos);
-    EXPECT_NE(json.str().find("\"p95\":"), std::string::npos);
-    EXPECT_NE(json.str().find("\"p99\":"), std::string::npos);
+    expectBalancedJson(text);
 }
 
 // --------------------------------------------------------------------
@@ -504,17 +448,7 @@ TEST(Trace, FileIsStructurallyValidJson)
                          "\"traceEvents\":[",
                          0),
               0u);
-    int braces = 0, brackets = 0;
-    for (char ch : text) {
-        braces += ch == '{';
-        braces -= ch == '}';
-        brackets += ch == '[';
-        brackets -= ch == ']';
-        EXPECT_GE(braces, 0);
-        EXPECT_GE(brackets, 0);
-    }
-    EXPECT_EQ(braces, 0);
-    EXPECT_EQ(brackets, 0);
+    expectBalancedJson(text);
 }
 
 TEST(Trace, SessionsDoNotLeakEventsIntoEachOther)
@@ -703,7 +637,7 @@ TEST(Log, TextLineKeepsFieldOrderAndEscapesStrings)
 }
 
 // --------------------------------------------------------------------
-// Flight recorder
+// Flight recorder, and the trace session's crash and tripwire writes
 // --------------------------------------------------------------------
 
 std::string
@@ -732,55 +666,6 @@ TEST(Flight, RecordIsZeroAllocOnceWarm)
     EXPECT_EQ(g_allocs.load(std::memory_order_relaxed), before);
 }
 
-TEST(Flight, WrappedRingDumpsBalancedNewestEvents)
-{
-    // A dedicated thread overfills its ring (2x capacity) and exits;
-    // the leaked ring must still be dumpable, retaining the newest
-    // events as a properly nested stream.
-    std::thread recorder([] {
-        obs::flight::record("obs.test_wrap_outer", 'B');
-        for (std::size_t i = 0; i < obs::flight::kRingEvents; ++i) {
-            obs::flight::record("obs.test_wrap_span", 'B');
-            obs::flight::record("obs.test_wrap_span", 'E');
-        }
-        // obs.test_wrap_outer's 'B' has been overwritten by now and
-        // its 'E' never recorded — the dump must stay balanced anyway.
-    });
-    recorder.join();
-
-    const std::string path = tracePath("flight_wrap");
-    ASSERT_TRUE(obs::flight::dumpTo(path));
-
-    // Stack-replay every thread's stream (the dump covers all rings,
-    // including other tests' residue — balanced replay must hold for
-    // each). Log events render as instant events; skip them.
-    std::map<int, std::vector<std::string>> stacks;
-    std::size_t wrap_events = 0;
-    for (const ParsedEvent &e : parseTrace(path)) {
-        if (e.phase == 'i')
-            continue;
-        ASSERT_TRUE(e.phase == 'B' || e.phase == 'E') << e.phase;
-        auto &stack = stacks[e.tid];
-        if (e.phase == 'B') {
-            stack.push_back(e.name);
-        } else {
-            ASSERT_FALSE(stack.empty()) << e.name;
-            EXPECT_EQ(stack.back(), e.name);
-            stack.pop_back();
-        }
-        if (e.name.rfind("obs.test_wrap", 0) == 0)
-            ++wrap_events;
-    }
-    for (const auto &[tid, stack] : stacks)
-        EXPECT_TRUE(stack.empty()) << "unclosed span on tid " << tid;
-
-    // The ring holds kRingEvents slots; the recorder wrote twice
-    // that, so the newest ring-full survives (+2 for any synthetic
-    // balancing edges).
-    EXPECT_GE(wrap_events, obs::flight::kRingEvents / 2);
-    EXPECT_LE(wrap_events, obs::flight::kRingEvents + 2);
-}
-
 TEST(Flight, SignalSafeDumpIsStructurallyValidJson)
 {
     obs::flight::record("obs.test_sigsafe", 'B');
@@ -799,32 +684,25 @@ TEST(Flight, SignalSafeDumpIsStructurallyValidJson)
               0u);
     EXPECT_NE(text.find("\"name\":\"obs.test_sigsafe\""),
               std::string::npos);
-    int braces = 0, brackets = 0;
-    for (char ch : text) {
-        braces += ch == '{';
-        braces -= ch == '}';
-        brackets += ch == '[';
-        brackets -= ch == ']';
-        EXPECT_GE(braces, 0);
-        EXPECT_GE(brackets, 0);
-    }
-    EXPECT_EQ(braces, 0);
-    EXPECT_EQ(brackets, 0);
+    expectBalancedJson(text);
 }
 
-TEST(Flight, LogEventsDumpAsInstantsWithLevel)
+TEST(Trace, LogEventsAreInstantsWithLevel)
 {
+    if (obs::tracingEnabled())
+        GTEST_SKIP() << "QPAD_TRACE is set; session already active";
+    const std::string path = tracePath("log_instants");
+    ASSERT_TRUE(obs::startTracing(path));
     testing::internal::CaptureStderr();
-    obs::logWarn("obs.test_flight_log");
+    obs::logWarn("obs.test_trace_log");
     testing::internal::GetCapturedStderr();
-    const std::string path = tracePath("flight_log");
-    ASSERT_TRUE(obs::flight::dumpTo(path));
+    obs::stopTracing();
 
     std::ifstream in(path);
     std::string line;
     std::size_t found = 0;
     while (std::getline(in, line)) {
-        if (line.find("\"name\":\"obs.test_flight_log\"") ==
+        if (line.find("\"name\":\"obs.test_trace_log\"") ==
             std::string::npos)
             continue;
         ++found;
@@ -836,34 +714,67 @@ TEST(Flight, LogEventsDumpAsInstantsWithLevel)
     EXPECT_EQ(found, 1u);
 }
 
-TEST(FlightDeathTest, FatalSignalDumpsTheArmedPath)
+TEST(TraceDeathTest, FatalSignalWritesTheSessionPath)
 {
+    if (obs::tracingEnabled())
+        GTEST_SKIP() << "QPAD_TRACE is set; session already active";
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    const std::string path = tracePath("flight_crash");
+    const std::string path = tracePath("crash");
     std::remove(path.c_str());
     EXPECT_EXIT(
         {
-            obs::flight::record("obs.test_crash", 'B');
-            obs::flight::arm(path);
+            obs::startTracing(path);
+            QPAD_SPAN("obs.test_crash");
             std::raise(SIGSEGV);
         },
         ::testing::KilledBySignal(SIGSEGV), "");
 
-    // The handler dumped before re-raising the signal; the file must
-    // exist, parse, and contain the pre-crash event.
+    // The handler wrote the rings' tails before re-raising the
+    // signal; the file must parse and hold the pre-crash event.
     const std::string text = readFile(path);
-    ASSERT_FALSE(text.empty()) << "no crash dump at " << path;
+    ASSERT_FALSE(text.empty()) << "no crash write at " << path;
     EXPECT_NE(text.find("\"name\":\"obs.test_crash\""),
               std::string::npos);
-    int braces = 0, brackets = 0;
-    for (char ch : text) {
-        braces += ch == '{';
-        braces -= ch == '}';
-        brackets += ch == '[';
-        brackets -= ch == ']';
-    }
-    EXPECT_EQ(braces, 0);
-    EXPECT_EQ(brackets, 0);
+    expectBalancedJson(text);
+}
+
+TEST(TraceDeathTest, PoolTripwireWritesTheBalancedSession)
+{
+    if (obs::tracingEnabled())
+        GTEST_SKIP() << "QPAD_TRACE is set; session already active";
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const std::string path = tracePath("tripwire");
+    std::remove(path.c_str());
+    EXPECT_DEATH(
+        {
+            obs::startTracing(path);
+            QPAD_SPAN("obs.test_tripwire_open");
+            runtime::ThreadPool pool(2);
+            std::atomic<bool> started{false};
+            auto state = std::make_shared<runtime::detail::RegionState>(
+                2,
+                [&](std::size_t) {
+                    started.store(true, std::memory_order_seq_cst);
+                    for (;;)
+                        std::this_thread::sleep_for(
+                            std::chrono::hours(1));
+                },
+                nullptr);
+            pool.dispatchRegion(state, 1);
+            while (!started.load(std::memory_order_seq_cst))
+                std::this_thread::yield();
+            // The pool destructor runs here, mid-chunk.
+        },
+        "ThreadPool destroyed while a parallel region");
+
+    // The tripwire's stopTracing wrote the balanced session, which
+    // closes the span still open at the abort; the SIGABRT handler
+    // found the session closed and left the file alone (its write
+    // would hold the span's 'B' only).
+    const std::vector<ParsedEvent> events = parseTrace(path);
+    EXPECT_EQ(countEdges(events, "obs.test_tripwire_open", 'B'), 1u);
+    EXPECT_EQ(countEdges(events, "obs.test_tripwire_open", 'E'), 1u);
+    expectNestedPerThread(events);
 }
 
 TEST(Trace, SpansFromEveryRunnerAreKept)

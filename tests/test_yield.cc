@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <stdexcept>
 #include <utility>
 
 #include "arch/ibm.hh"
@@ -29,6 +30,7 @@ using arch::Layout;
 
 const CollisionModel kModel{};
 
+using qpad::test::ScopedEnv;
 using qpad::test::ScopedScalarKernel;
 
 // --------------------------------------------------------------------
@@ -274,6 +276,30 @@ TEST(YieldSim, ScalarKernelEnvIsBitIdentical)
     }
     EXPECT_EQ(batched.successes, scalar.successes);
     EXPECT_DOUBLE_EQ(batched.yield, scalar.yield);
+}
+
+TEST(YieldSim, ScalarKernelEnvIsStrict)
+{
+    {
+        ScopedEnv off("QPAD_SCALAR_KERNEL", "0");
+        EXPECT_FALSE(scalarKernelForced());
+    }
+    {
+        ScopedEnv empty("QPAD_SCALAR_KERNEL", "");
+        EXPECT_FALSE(scalarKernelForced());
+    }
+    {
+        ScopedEnv on("QPAD_SCALAR_KERNEL", "1");
+        EXPECT_TRUE(scalarKernelForced());
+        EXPECT_FALSE(useBatchedKernel());
+    }
+    for (const char *bogus : {"yes", "10", "01", "true"}) {
+        ScopedEnv flag("QPAD_SCALAR_KERNEL", bogus);
+        testing::internal::CaptureStderr();
+        EXPECT_THROW(scalarKernelForced(), std::runtime_error) << bogus;
+        EXPECT_THROW(useBatchedKernel(), std::runtime_error) << bogus;
+        testing::internal::GetCapturedStderr();
+    }
 }
 
 // --------------------------------------------------------------------

@@ -679,7 +679,7 @@ void
 RuleRunner::ruleMetricName()
 {
     static const std::set<std::string> regs = {"counter", "gauge",
-                                               "histogram"};
+                                               "timer"};
     for (std::size_t i = 0; i < toks_.size(); ++i) {
         const Token &tk = toks_[i];
         if (tk.kind != Tok::kIdent)

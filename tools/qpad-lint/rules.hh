@@ -30,7 +30,7 @@
  *                         suspicious for synchronization, so it
  *                         needs a per-site justification
  *   metric-name           QPAD_SPAN / obs::counter / obs::gauge /
- *                         obs::histogram names must be string
+ *                         obs::timer names must be string
  *                         literals matching the `family.name`
  *                         grammar so metric exports stay
  *                         deterministic and greppable
