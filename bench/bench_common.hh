@@ -12,14 +12,14 @@
  * QPAD_FAST flags other than 0/1) abort with a message instead of
  * being silently coerced into a surprising configuration.
  *
- * QPAD_DEADLINE_MS=<millis> arms an execution deadline on the request
- * context of the benches that call requestContext() (fig9, fig10,
- * sec53, sec541, sec542 and sec543; the ablation, ext and fig3
- * benches call no entry point that takes a context): the run either
- * completes in full or unwinds as a deadline-exceeded cancellation,
- * which the bench reports with requestStopped() (one stop line, exit
- * 4). A deadline generous enough to finish changes nothing — a
- * context decides only WHETHER a result exists, never its bytes.
+ * QPAD_DEADLINE_MS=<millis> sets the request deadline of the benches
+ * that call requestDeadline() (fig9, fig10, sec53, sec541, sec542
+ * and sec543; the ablation, ext and fig3 benches call no entry point
+ * that takes a deadline): the run either completes in full or
+ * unwinds as exec::CancelledError, which the bench reports with
+ * requestStopped() (one stop line, exit 4). A deadline generous
+ * enough to finish changes nothing — a deadline decides only WHETHER
+ * a result exists, never its bytes.
  *
  * Observability (handled by qpad::obs, no bench code involved):
  * QPAD_TRACE=<path> writes a Chrome trace-event JSON profile of the
@@ -43,7 +43,7 @@
 #include <vector>
 
 #include "eval/experiment.hh"
-#include "exec/context.hh"
+#include "exec/cancel.hh"
 #include "obs/log.hh"
 #include "obs/metrics.hh"
 
@@ -157,31 +157,30 @@ deadlineMs()
 }
 
 /**
- * The bench's request context: fresh, with a deadline armed when
- * QPAD_DEADLINE_MS is set. Pass it to the ctx-threaded entry points;
- * with the variable unset the context never stops anything.
+ * The bench's request deadline: QPAD_DEADLINE_MS from now, or
+ * exec::kNoDeadline when the variable is unset. Pass it to the entry
+ * points that take a deadline.
  */
-inline exec::Context
-requestContext()
+inline exec::TimePoint
+requestDeadline()
 {
-    exec::Context ctx;
-    if (const std::uint64_t ms = deadlineMs())
-        ctx.setDeadlineAfter(std::chrono::milliseconds(ms));
-    return ctx;
+    const std::uint64_t ms = deadlineMs();
+    return ms == 0 ? exec::kNoDeadline
+                   : exec::deadlineAfter(std::chrono::milliseconds(ms));
 }
 
 /**
- * Report a run that its request context stopped: one `[warn]
- * exec.request_stopped reason="..."` line on stderr. Returns 4, the
- * exit code of a stopped bench, distinct from the exit 2 of a
- * malformed knob so CI can gate on "the deadline, and nothing else,
- * fired".
+ * Report a run that its deadline stopped: one `[warn]
+ * exec.request_stopped reason="deadline exceeded"` line on stderr.
+ * Returns 4, the exit code of a stopped bench, distinct from the
+ * exit 2 of a malformed knob so CI can gate on "the deadline, and
+ * nothing else, fired".
  */
 inline int
-requestStopped(const exec::CancelledError &e)
+requestStopped()
 {
     obs::logWarn("exec.request_stopped",
-                 {{"reason", exec::stopReasonName(e.reason())}});
+                 {{"reason", "deadline exceeded"}});
     return 4;
 }
 

@@ -15,13 +15,13 @@
  * then byte-identical with the cache on or off, which the
  * qpad_golden test checks; the report would differ in its cache-
  * statistics line). Unset, empty or 0 prints the report alone; any
- * other value exits 2. QPAD_DEADLINE_MS=<millis> arms a deadline on the
- * sweep's request context; if it expires the run stops within one
- * chunk of work, prints one `[warn] exec.request_stopped` line on
- * stderr and exits 4 (CI gates on both the exit code and the stop
- * latency). QPAD_FIG10_SUITE=<substring>[,<substring>...]
- * restricts the sweep to matching benchmark names; a filter that
- * matches none exits 2 before any work.
+ * other value exits 2. QPAD_DEADLINE_MS=<millis> sets the sweep's
+ * deadline; if it passes the run stops within one chunk of work,
+ * prints one `[warn] exec.request_stopped` line on stderr and exits
+ * 4 (CI gates on both the exit code and the stop latency).
+ * QPAD_FIG10_SUITE=<substring>[,<substring>...] restricts the sweep
+ * to matching benchmark names; a filter that matches none exits 2
+ * before any work.
  */
 
 #include <algorithm>
@@ -34,7 +34,6 @@
 #include "eval/experiment.hh"
 #include "eval/report.hh"
 #include "exec/cancel.hh"
-#include "exec/context.hh"
 
 using namespace qpad;
 
@@ -85,7 +84,7 @@ main()
                         "matches no benchmark name");
 
     auto options = bench::paperOptions();
-    const exec::Context ctx = bench::requestContext();
+    const exec::TimePoint deadline = bench::requestDeadline();
     if (!csv_only) {
         eval::printHeader(std::cout,
                           "Figure 10: yield vs normalized "
@@ -101,7 +100,7 @@ main()
         for (const auto &info : paper) {
             if (!suiteSelected(suite, info.name))
                 continue;
-            auto experiment = eval::runBenchmark(info, options, ctx);
+            auto experiment = eval::runBenchmark(info, options, deadline);
             if (!csv_only)
                 eval::printExperiment(std::cout, experiment);
             if (csv) {
@@ -152,8 +151,8 @@ main()
             }
             std::cout << "\n";
         }
-    } catch (const exec::CancelledError &e) {
-        return bench::requestStopped(e);
+    } catch (const exec::CancelledError &) {
+        return bench::requestStopped();
     }
     return 0;
 }

@@ -6,10 +6,10 @@
  *
  * Yield estimates go through cache::cachedEstimateYield; stdout is
  * byte-identical with the cache on or off (QPAD_CACHE=0), which the
- * qpad_golden test checks. QPAD_DEADLINE_MS=<millis> arms a deadline
- * on the run's request context; if it expires the run stops within
- * one chunk of work, keeps the stdout printed so far, prints one
- * `[warn] exec.request_stopped` line on stderr and exits 4.
+ * qpad_golden test checks. QPAD_DEADLINE_MS=<millis> sets the run's
+ * deadline; if it passes the run stops within one chunk of work,
+ * keeps the stdout printed so far, prints one `[warn]
+ * exec.request_stopped` line on stderr and exits 4.
  */
 
 #include <iostream>
@@ -28,7 +28,7 @@ main()
 {
     eval::printHeader(std::cout, "Figure 9: IBM baseline designs");
     auto yopts = bench::paperOptions().yield_options;
-    const exec::Context ctx = bench::requestContext();
+    const exec::TimePoint deadline = bench::requestDeadline();
     try {
         int label = 1;
         for (const auto &arch : arch::ibmBaselines()) {
@@ -52,15 +52,15 @@ main()
                 }
                 std::cout << "\n";
             }
-            auto r = cache::cachedEstimateYield(arch, yopts, ctx);
+            auto r = cache::cachedEstimateYield(arch, yopts, deadline);
             std::cout << "simulated yield (sigma = "
                       << yopts.sigma_ghz * 1000 << " MHz, " << yopts.trials
                       << " trials): " << eval::formatYield(r.yield)
                       << " +- " << eval::formatYield(r.stderrEstimate())
                       << "\n\n";
         }
-    } catch (const exec::CancelledError &e) {
-        return bench::requestStopped(e);
+    } catch (const exec::CancelledError &) {
+        return bench::requestStopped();
     }
     std::cout << "Expected shape: yield drops monotonically with "
               << "connection count\n(16q-2qbus > 16q-4qbus, "

@@ -12,11 +12,10 @@
  *  - controllability: varying K trades ~10-50x yield for 10-33%
  *    performance.
  *
- * QPAD_DEADLINE_MS=<millis> arms a deadline on the run's request
- * context; if it expires the run stops within one chunk of work or
- * between two yield-escalation steps, keeps the stdout printed so
- * far, prints one `[warn] exec.request_stopped` line on stderr and
- * exits 4.
+ * QPAD_DEADLINE_MS=<millis> sets the run's deadline; if it passes
+ * the run stops within one chunk of work or between two
+ * yield-escalation steps, keeps the stdout printed so far, prints
+ * one `[warn] exec.request_stopped` line on stderr and exits 4.
  */
 
 #include <algorithm>
@@ -67,7 +66,7 @@ main()
     options.run_eff_rd_bus = false;
     options.run_eff_5_freq = false;
     options.run_eff_layout_only = false;
-    const exec::Context ctx = bench::requestContext();
+    const exec::TimePoint deadline = bench::requestDeadline();
 
     eval::printHeader(std::cout,
                       "Section 5.3: overall improvement vs IBM "
@@ -77,9 +76,9 @@ main()
     for (const auto &info : benchmarks::paperSuite()) {
         eval::BenchmarkExperiment e;
         try {
-            e = eval::runBenchmark(info, options, ctx);
-        } catch (const exec::CancelledError &stop) {
-            return bench::requestStopped(stop);
+            e = eval::runBenchmark(info, options, deadline);
+        } catch (const exec::CancelledError &) {
+            return bench::requestStopped();
         }
         auto eff = e.config("eff-full");
         if (eff.empty())

@@ -27,7 +27,7 @@ main()
     options.run_eff_full = false;
     options.run_eff_5_freq = false;
     options.run_eff_rd_bus = false;
-    const exec::Context ctx = bench::requestContext();
+    const exec::TimePoint deadline = bench::requestDeadline();
 
     eval::printHeader(std::cout,
                       "Section 5.4.1: layout design effect "
@@ -40,9 +40,9 @@ main()
     for (const auto &info : benchmarks::paperSuite()) {
         eval::BenchmarkExperiment e;
         try {
-            e = eval::runBenchmark(info, options, ctx);
-        } catch (const exec::CancelledError &stop) {
-            return bench::requestStopped(stop);
+            e = eval::runBenchmark(info, options, deadline);
+        } catch (const exec::CancelledError &) {
+            return bench::requestStopped();
         }
         const eval::DataPoint *ibm2 = nullptr;
         for (const auto &p : e.points)

@@ -31,7 +31,7 @@ main()
     options.run_eff_layout_only = false;
     options.random_bus_samples =
         bench::fastMode() ? 3 : 8; // scatter like Figure 10
-    const exec::Context ctx = bench::requestContext();
+    const exec::TimePoint deadline = bench::requestDeadline();
 
     eval::printHeader(std::cout,
                       "Section 5.4.2: weighted vs random 4-qubit bus "
@@ -40,9 +40,9 @@ main()
     for (const auto &info : benchmarks::paperSuite()) {
         eval::BenchmarkExperiment e;
         try {
-            e = eval::runBenchmark(info, options, ctx);
-        } catch (const exec::CancelledError &stop) {
-            return bench::requestStopped(stop);
+            e = eval::runBenchmark(info, options, deadline);
+        } catch (const exec::CancelledError &) {
+            return bench::requestStopped();
         }
         auto eff = e.config("eff-full");
         auto rd = e.config("eff-rd-bus");

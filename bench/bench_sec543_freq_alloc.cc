@@ -26,7 +26,7 @@ main()
     options.run_ibm = false;
     options.run_eff_rd_bus = false;
     options.run_eff_layout_only = false;
-    const exec::Context ctx = bench::requestContext();
+    const exec::TimePoint deadline = bench::requestDeadline();
 
     eval::printHeader(std::cout,
                       "Section 5.4.3: optimized frequency allocation "
@@ -37,9 +37,9 @@ main()
     for (const auto &info : benchmarks::paperSuite()) {
         eval::BenchmarkExperiment e;
         try {
-            e = eval::runBenchmark(info, options, ctx);
-        } catch (const exec::CancelledError &stop) {
-            return bench::requestStopped(stop);
+            e = eval::runBenchmark(info, options, deadline);
+        } catch (const exec::CancelledError &) {
+            return bench::requestStopped();
         }
         // Index the eff-5-freq points by bus count.
         std::map<std::size_t, const eval::DataPoint *> five;

@@ -1,6 +1,5 @@
 #include "cache/store.hh"
 
-#include <chrono>
 #include <cstdint>
 
 #include "obs/metrics.hh"
@@ -141,7 +140,7 @@ Store::insert(Entry entry)
 std::shared_ptr<const void>
 Store::findOrCompute(const Fingerprint &key, const std::type_info &type,
                      const std::function<Entry()> &compute,
-                     const exec::CancelToken *cancel)
+                     exec::TimePoint deadline)
 {
     std::unique_lock<std::mutex> lock(mutex_);
     // The lookup and the claim that follows a miss share one critical
@@ -154,15 +153,16 @@ Store::findOrCompute(const Fingerprint &key, const std::type_info &type,
         if (inflight_.insert(key).second)
             break;
 
-        // Waiter: wait for the owner to release the key, polling this
-        // caller's own token. The next lookup hits if the owner
-        // succeeded; if it failed (or the value was evicted), one
-        // waiter claims the key.
+        // Waiter: sleep until the owner releases the key or this
+        // caller's own deadline passes. The next lookup hits if the
+        // owner succeeded; if it failed (or the value was evicted),
+        // one waiter claims the key.
         dedupMetric().add();
-        while (inflight_.count(key) != 0) {
-            exec::throwIfStopped(cancel);
-            released_.wait_for(lock, std::chrono::milliseconds(10));
-        }
+        const auto released = [&] { return inflight_.count(key) == 0; };
+        if (deadline == exec::kNoDeadline)
+            released_.wait(lock, released);
+        else if (!released_.wait_until(lock, deadline, released))
+            exec::raiseStopped();
     }
 
     // Owner: find() + compute + insert(), the counter trace of the

@@ -117,20 +117,21 @@ class Store
      * it and then hit. The owner's counter trace (one miss, one
      * insert) is that of get() + put().
      *
-     * `cancel` applies to the caller only: a waiter polls it every
-     * 10 ms and raises exec::CancelledError without disturbing the
-     * owner, which runs `compute` under its own context, if any. If
-     * `compute` throws, the owner rethrows and one waiter claims the
-     * key and computes.
+     * `deadline` applies to the caller only: a waiter sleeps until
+     * the owner releases the key or the deadline passes, and then
+     * raises exec::CancelledError without disturbing the owner, which
+     * runs `compute` under its own deadline, if any. If `compute`
+     * throws, the owner rethrows and one waiter claims the key and
+     * computes.
      */
     template <class T, class Compute>
     std::shared_ptr<const T>
     getOrCompute(const Fingerprint &key, const Compute &compute,
-                 const exec::CancelToken *cancel = nullptr)
+                 exec::TimePoint deadline = exec::kNoDeadline)
     {
         return std::static_pointer_cast<const T>(findOrCompute(
             key, typeid(T), [&] { return makeEntry<T>(key, compute()); },
-            cancel));
+            deadline));
     }
 
   private:
@@ -161,7 +162,7 @@ class Store
     std::shared_ptr<const void>
     findOrCompute(const Fingerprint &key, const std::type_info &type,
                   const std::function<Entry()> &compute,
-                  const exec::CancelToken *cancel);
+                  exec::TimePoint deadline);
 
     CacheOptions options_;
 

@@ -3,7 +3,9 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
+#include <iostream> // std::cerr is built before g_env_checked may fail
 #include <mutex>
+#include <stdexcept>
 #include <utility>
 
 #include "common/logging.hh"
@@ -15,9 +17,9 @@ namespace
 {
 
 std::mutex g_store_mutex;
-// Leaked, like the obs registry and Context::none(): the at-exit
-// metrics dump must still see its entries in the cache gauges,
-// whatever order the static destructors run in.
+// Leaked, like the obs registry: the at-exit metrics dump must still
+// see its entries in the cache gauges, whatever order the static
+// destructors run in.
 Store *g_store = nullptr;
 
 /** Strict nonnegative-integer env parse (bench_common convention:
@@ -56,6 +58,18 @@ optionsFromEnv()
             std::size_t(parseEnvUint("QPAD_CACHE_BYTES", bytes));
     return options;
 }
+
+/** QPAD_CACHE and QPAD_CACHE_BYTES, checked once at static init
+ * (env is set before main): a malformed value prints its one
+ * `log.fatal` line and exits 2, like the bench knobs, instead of
+ * escaping the first cached call as an uncaught exception. */
+[[maybe_unused]] const bool g_env_checked = [] {
+    try {
+        return optionsFromEnv().enabled;
+    } catch (const std::runtime_error &) {
+        std::exit(2);
+    }
+}();
 
 } // namespace
 
@@ -115,25 +129,25 @@ freqAllocKey(const arch::Architecture &arch,
 yield::YieldResult
 cachedEstimateYield(const arch::Architecture &arch,
                     const yield::YieldOptions &options,
-                    const exec::Context &ctx,
+                    exec::TimePoint deadline,
                     const yield::YieldResult &prior)
 {
     if (options.trials == 0)
-        return yield::estimateYield(arch, options, ctx, prior);
+        return yield::estimateYield(arch, options, deadline, prior);
     return memoized<yield::YieldResult>(
-        yieldKey(arch, options), ctx, [&] {
-            return yield::estimateYield(arch, options, ctx, prior);
+        yieldKey(arch, options), deadline, [&] {
+            return yield::estimateYield(arch, options, deadline, prior);
         });
 }
 
 design::FreqAllocResult
 cachedAllocateFrequencies(const arch::Architecture &arch,
                           const design::FreqAllocOptions &options,
-                          const exec::Context &ctx)
+                          exec::TimePoint deadline)
 {
     return memoized<design::FreqAllocResult>(
-        freqAllocKey(arch, options), ctx, [&] {
-            return design::allocateFrequencies(arch, options, ctx);
+        freqAllocKey(arch, options), deadline, [&] {
+            return design::allocateFrequencies(arch, options, deadline);
         });
 }
 

@@ -14,6 +14,8 @@
  * The global store is configured from the environment on first use:
  *   QPAD_CACHE=0       disable memoization entirely
  *   QPAD_CACHE_BYTES   in-memory LRU budget (default 64 MiB)
+ * A malformed value of either is checked once before main: one
+ * `log.fatal` line, then exit 2.
  * configureGlobalCache() overrides this programmatically (tests,
  * benches). Reconfiguration is not thread-safe against concurrent
  * cached calls; do it before spawning parallel work.
@@ -24,7 +26,7 @@
 
 #include "cache/store.hh"
 #include "design/freq_alloc.hh"
-#include "exec/context.hh"
+#include "exec/cancel.hh"
 #include "yield/yield_sim.hh"
 
 namespace qpad::cache
@@ -45,20 +47,20 @@ void configureGlobalCache(const CacheOptions &options);
 
 /**
  * `compute` through the global store under `key`: concurrent
- * identical requests compute once (Store::getOrCompute; `ctx` governs
- * only this caller's wait), and every caller gets a copy of the
- * stored value. A disabled cache falls straight through to
+ * identical requests compute once (Store::getOrCompute; `deadline`
+ * governs only this caller's wait), and every caller gets a copy of
+ * the stored value. A disabled cache falls straight through to
  * `compute`.
  */
 template <class T, class Compute>
 T
-memoized(const Fingerprint &key, const exec::Context &ctx,
+memoized(const Fingerprint &key, exec::TimePoint deadline,
          const Compute &compute)
 {
     Store &store = globalStore();
     if (!store.options().enabled)
         return compute();
-    return *store.getOrCompute<T>(key, compute, ctx.token());
+    return *store.getOrCompute<T>(key, compute, deadline);
 }
 
 /** Cache key of one estimateYield invocation (tagged, versioned). */
@@ -74,24 +76,24 @@ Fingerprint freqAllocKey(const arch::Architecture &arch,
  * the deterministic result. Zero-trial calls and a disabled cache
  * pass straight through. Concurrent identical requests deduplicate
  * via Store::getOrCompute — exactly one computes, the rest wait
- * (each honouring its own `ctx`; a cancelled waiter never cancels
- * the computing owner). A miss resumes from `prior` (see
+ * (each until its own `deadline`; a waiter whose deadline passes
+ * never stops the computing owner). A miss resumes from `prior` (see
  * estimateYield), and the key stays (arch, options): a resumed
  * estimate is bit-identical to one computed in full.
  */
 yield::YieldResult
 cachedEstimateYield(const arch::Architecture &arch,
                     const yield::YieldOptions &options = {},
-                    const exec::Context &ctx = exec::Context::none(),
+                    exec::TimePoint deadline = exec::kNoDeadline,
                     const yield::YieldResult &prior = {});
 
 /** allocateFrequencies through the global cache (same dedup and
- * cancellation semantics as cachedEstimateYield). */
+ * deadline semantics as cachedEstimateYield). */
 design::FreqAllocResult
 cachedAllocateFrequencies(
     const arch::Architecture &arch,
     const design::FreqAllocOptions &options = {},
-    const exec::Context &ctx = exec::Context::none());
+    exec::TimePoint deadline = exec::kNoDeadline);
 
 } // namespace qpad::cache
 

@@ -66,14 +66,14 @@ struct ChainResult
     std::size_t accepted_moves = 0;
 };
 
-/** One classic annealing run, seeded explicitly. `cancel` (may be
- * null) is polled every 1024 iterations — often enough to honour a
- * deadline mid-chain, rare enough to stay invisible in the move
- * loop's profile. The poll never perturbs the RNG stream. */
+/** One classic annealing run, seeded explicitly. `deadline` is
+ * polled every 1024 iterations — often enough to honour it
+ * mid-chain, rare enough to stay invisible in the move loop's
+ * profile. The poll never perturbs the RNG stream. */
 ChainResult
 annealChain(const profile::CouplingProfile &profile,
             const LayoutResult &start, const AnnealOptions &options,
-            uint64_t seed, const exec::CancelToken *cancel)
+            uint64_t seed, exec::TimePoint deadline)
 {
     const std::size_t n = profile.num_qubits;
 
@@ -100,7 +100,7 @@ annealChain(const profile::CouplingProfile &profile,
 
     for (std::size_t it = 0; it < options.iterations && n > 1; ++it) {
         if ((it & 1023u) == 0)
-            exec::throwIfStopped(cancel);
+            exec::throwIfPassed(deadline);
         temperature *= cooling;
         Qubit q = Qubit(rng.below(n));
 
@@ -182,7 +182,7 @@ annealChain(const profile::CouplingProfile &profile,
 AnnealResult
 annealLayout(const profile::CouplingProfile &profile,
              const LayoutResult &start, const AnnealOptions &options,
-             const exec::Context &ctx)
+             exec::TimePoint deadline)
 {
     const std::size_t n = profile.num_qubits;
     qpad_assert(start.coord_of_logical.size() == n,
@@ -202,9 +202,8 @@ annealLayout(const profile::CouplingProfile &profile,
     // iteration budget, so chains cost about the same and whichever
     // runner is free takes the next one. Chain i's seed depends only
     // on i, never on the chunk index.
-    const runtime::Options run_exec = ctx.apply(options.exec);
     runtime::parallel_for(
-        run_exec, options.restarts, 1,
+        options.exec, options.restarts, 1,
         [&](std::size_t begin, std::size_t end, std::size_t) {
             static obs::Counter &chain_runs =
                 obs::counter("design.anneal_chains");
@@ -213,10 +212,11 @@ annealLayout(const profile::CouplingProfile &profile,
                 chain_runs.add();
                 const uint64_t seed =
                     i == 0 ? options.seed : seeds.childSeed(i);
-                chains[i] = annealChain(profile, start, options, seed,
-                                        run_exec.cancel);
+                chains[i] =
+                    annealChain(profile, start, options, seed, deadline);
             }
-        });
+        },
+        deadline);
 
     // Lowest best cost wins; ties resolve to the lowest chain index
     // so the outcome is independent of scheduling.

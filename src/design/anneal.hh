@@ -16,7 +16,7 @@
 
 #include "common/rng.hh"
 #include "design/layout_design.hh"
-#include "exec/context.hh"
+#include "exec/cancel.hh"
 #include "runtime/parallel.hh"
 
 namespace qpad::design
@@ -62,16 +62,15 @@ struct AnnealResult
  * and pairwise qubit swaps; the cost is placementCost(). The result
  * is never worse than the start (best-seen is returned).
  *
- * A cancelled or deadline-expired `ctx` raises exec::CancelledError;
- * chains poll every 1024 iterations, so even a single long chain
- * stops promptly. Completed runs are bit-identical to runs without
- * a context.
+ * A passed `deadline` raises exec::CancelledError; chains poll it
+ * every 1024 iterations, so even a single long chain stops promptly.
+ * Completed runs are bit-identical to runs without a deadline.
  */
 AnnealResult
 annealLayout(const profile::CouplingProfile &profile,
              const LayoutResult &start,
              const AnnealOptions &options = {},
-             const exec::Context &ctx = exec::Context::none());
+             exec::TimePoint deadline = exec::kNoDeadline);
 
 } // namespace qpad::design
 

@@ -14,15 +14,15 @@ using arch::Architecture;
 DesignOutcome
 designArchitecture(const profile::CouplingProfile &profile,
                    const DesignFlowOptions &options,
-                   const std::string &name, const exec::Context &ctx)
+                   const std::string &name, exec::TimePoint deadline)
 {
     QPAD_SPAN("design.flow");
     static obs::Counter &flows = obs::counter("design.flows");
     flows.add();
 
-    // A request that is already cancelled or expired should not even
-    // start the layout stage.
-    ctx.throwIfStopped();
+    // A request past its deadline should not even start the layout
+    // stage.
+    exec::throwIfPassed(deadline);
 
     DesignOutcome outcome;
 
@@ -85,7 +85,7 @@ designArchitecture(const profile::CouplingProfile &profile,
         outcome.freq =
             cache::cachedAllocateFrequencies(outcome.architecture,
                                              options.freq_options,
-                                             ctx);
+                                             deadline);
         outcome.architecture.setAllFrequencies(outcome.freq.freqs);
         break;
       case FreqScheme::FiveFrequency:

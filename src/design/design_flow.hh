@@ -20,7 +20,7 @@
 #include "design/bus_selection.hh"
 #include "design/freq_alloc.hh"
 #include "design/layout_design.hh"
-#include "exec/context.hh"
+#include "exec/cancel.hh"
 #include "profile/coupling.hh"
 
 namespace qpad::design
@@ -65,16 +65,16 @@ struct DesignOutcome
 
 /**
  * Run the flow on a profiled program and return a complete
- * architecture (layout + buses + frequencies). A cancelled or
- * deadline-expired `ctx` raises exec::CancelledError from the
+ * architecture (layout + buses + frequencies). A passed `deadline`
+ * raises exec::CancelledError before the layout stage or from the
  * frequency-allocation stage (the flow's dominant cost); a completed
- * flow is bit-identical to one run without a context.
+ * flow is bit-identical to one run without a deadline.
  */
 DesignOutcome
 designArchitecture(const profile::CouplingProfile &profile,
                    const DesignFlowOptions &options = {},
                    const std::string &name = "eff",
-                   const exec::Context &ctx = exec::Context::none());
+                   exec::TimePoint deadline = exec::kNoDeadline);
 
 } // namespace qpad::design
 

@@ -47,15 +47,10 @@ centerQubit(const Layout &layout)
 FreqAllocResult
 allocateFrequencies(const Architecture &arch,
                     const FreqAllocOptions &options,
-                    const exec::Context &ctx)
+                    exec::TimePoint deadline)
 {
     const std::size_t n = arch.numQubits();
     qpad_assert(n > 0, "cannot allocate frequencies on an empty chip");
-
-    // Effective execution options: the context's token rides along
-    // into the trial-chunk regions of the sweep, and the BFS/refine
-    // loops poll it between qubit visits below.
-    const runtime::Options run_exec = ctx.apply(options.exec);
 
     // Candidate grid 5.00, 5.01, ..., 5.34 GHz.
     const sweep::CandidateGrid grid =
@@ -112,7 +107,8 @@ allocateFrequencies(const Architecture &arch,
             means[idx] = result.freqs[terms.involved[idx]];
         const std::vector<std::size_t> survivors = sweep::survivorCounts(
             terms, grid, GaussianBlockSampler(rng.next()), means,
-            options.sigma_ghz, trials, options.model, run_exec);
+            options.sigma_ghz, trials, options.model, options.exec,
+            deadline);
 
         // First strict maximum, matching the sequential scan order.
         double best_score = -1.0;
@@ -131,7 +127,7 @@ allocateFrequencies(const Architecture &arch,
         // Stop between qubit visits, never mid-scan: an aborted
         // allocation leaves no partial result behind, and a completed
         // one never saw the poll affect its draws.
-        exec::throwIfStopped(run_exec.cancel);
+        exec::throwIfPassed(deadline);
         auto [freq, score] = optimize(q);
         result.freqs[q] = freq;
         assigned[q] = true;
@@ -168,7 +164,7 @@ allocateFrequencies(const Architecture &arch,
     // neighbourhood assigned and keep the per-qubit argmax.
     for (unsigned sweep = 0; sweep < options.refine_sweeps; ++sweep) {
         for (std::size_t idx = 0; idx < result.order.size(); ++idx) {
-            exec::throwIfStopped(run_exec.cancel);
+            exec::throwIfPassed(deadline);
             PhysQubit q = result.order[idx];
             auto [freq, score] = optimize(q);
             result.freqs[q] = freq;
@@ -182,9 +178,9 @@ allocateFrequencies(const Architecture &arch,
 void
 applyOptimizedFrequencies(Architecture &arch,
                           const FreqAllocOptions &options,
-                          const exec::Context &ctx)
+                          exec::TimePoint deadline)
 {
-    FreqAllocResult result = allocateFrequencies(arch, options, ctx);
+    FreqAllocResult result = allocateFrequencies(arch, options, deadline);
     arch.setAllFrequencies(result.freqs);
 }
 

@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "arch/architecture.hh"
-#include "exec/context.hh"
+#include "exec/cancel.hh"
 #include "runtime/parallel.hh"
 #include "yield/collision.hh"
 
@@ -87,20 +87,21 @@ heapBytes(const FreqAllocResult &result)
 }
 
 /**
- * Run Algorithm 3; does not mutate the architecture. A cancelled or
- * deadline-expired `ctx` raises exec::CancelledError between qubit
- * visits and between refine steps (never mid-scan); a completed run
- * is bit-identical to one without a context.
+ * Run Algorithm 3; does not mutate the architecture. A passed
+ * `deadline` raises exec::CancelledError between qubit visits,
+ * between refine steps and at the sweep's chunk claims (never
+ * mid-chunk); a completed run is bit-identical to one without a
+ * deadline.
  */
 FreqAllocResult
 allocateFrequencies(const arch::Architecture &arch,
                     const FreqAllocOptions &options = {},
-                    const exec::Context &ctx = exec::Context::none());
+                    exec::TimePoint deadline = exec::kNoDeadline);
 
 /** Convenience: allocate and store into the architecture. */
 void applyOptimizedFrequencies(
     arch::Architecture &arch, const FreqAllocOptions &options = {},
-    const exec::Context &ctx = exec::Context::none());
+    exec::TimePoint deadline = exec::kNoDeadline);
 
 /** The centre-most qubit (Euclidean distance to the centroid). */
 arch::PhysQubit centerQubit(const arch::Layout &layout);

@@ -716,7 +716,8 @@ class VisitSweep
 template <typename ChunkFill>
 std::vector<std::size_t>
 reduceChunks(const VisitSweep &visit, std::size_t trials,
-             const runtime::Options &exec, const ChunkFill &chunkFill)
+             const runtime::Options &exec, exec::TimePoint deadline,
+             const ChunkFill &chunkFill)
 {
     return runtime::parallel_reduce(
         exec, trials, kChunkTrials,
@@ -729,7 +730,8 @@ reduceChunks(const VisitSweep &visit, std::size_t trials,
             for (std::size_t c = 0; c < total.size(); ++c)
                 total[c] += chunk_counts[c];
             return total;
-        });
+        },
+        deadline);
 }
 
 } // namespace
@@ -738,7 +740,8 @@ std::vector<std::size_t>
 survivorCounts(const LocalTerms &terms, const CandidateGrid &grid,
                const std::vector<double> &post,
                const std::vector<double> &q_noise,
-               const CollisionModel &model, const runtime::Options &exec)
+               const CollisionModel &model, const runtime::Options &exec,
+               exec::TimePoint deadline)
 {
     const std::size_t trials = q_noise.size();
     const std::size_t n_inv = terms.involved.size();
@@ -747,7 +750,7 @@ survivorCounts(const LocalTerms &terms, const CandidateGrid &grid,
     const VisitSweep visit(terms, grid, model);
     // Packs the table into blocks; lanes past the last trial read 0.
     return reduceChunks(
-        visit, trials, exec, [&](std::size_t begin, std::size_t) {
+        visit, trials, exec, deadline, [&](std::size_t begin, std::size_t) {
             return [&, begin](double *z, std::size_t t0,
                               std::size_t active) {
                 for (std::size_t l = 0; l < kLanes; ++l) {
@@ -766,7 +769,7 @@ survivorCounts(const LocalTerms &terms, const CandidateGrid &grid,
                const GaussianBlockSampler &sampler,
                const std::vector<double> &means, double sigma,
                std::size_t trials, const CollisionModel &model,
-               const runtime::Options &exec)
+               const runtime::Options &exec, exec::TimePoint deadline)
 {
     const std::size_t n_inv = terms.involved.size();
     qpad_assert(!grid.freqs.empty() && means.size() == n_inv,
@@ -788,7 +791,7 @@ survivorCounts(const LocalTerms &terms, const CandidateGrid &grid,
         starts.push_back(next);
     }
     return reduceChunks(
-        visit, trials, exec, [&](std::size_t, std::size_t chunk) {
+        visit, trials, exec, deadline, [&](std::size_t, std::size_t chunk) {
             return [&, lane_sampler = starts[chunk]](
                        double *z, std::size_t, std::size_t) mutable {
                 lane_sampler.fillAffine(z, row_means.data(), sigma,

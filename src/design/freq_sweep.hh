@@ -97,14 +97,16 @@ LocalTerms localTerms(const arch::Architecture &arch, arch::PhysQubit q,
  * `q_noise.size()` trials: trial t survives candidate c iff no
  * condition of any term fires with q at grid.freqs[c] + q_noise[t] and
  * every partner x at post[t * terms.involved.size() + x] (column 0 is
- * never read).
+ * never read). A passed `deadline` raises exec::CancelledError at the
+ * next chunk claim.
  */
 std::vector<std::size_t>
 survivorCounts(const LocalTerms &terms, const CandidateGrid &grid,
                const std::vector<double> &post,
                const std::vector<double> &q_noise,
                const yield::CollisionModel &model,
-               const runtime::Options &exec);
+               const runtime::Options &exec,
+               exec::TimePoint deadline = exec::kNoDeadline);
 
 /**
  * The same counts over `trials` CRN trials drawn inside the sweep,
@@ -115,14 +117,15 @@ survivorCounts(const LocalTerms &terms, const CandidateGrid &grid,
  * survivorCounts over the table those fills give. Each 1024-trial
  * chunk starts from its own copy of `sampler`, advanced past the
  * chunks before it with GaussianBlockSampler::discard, and draws its
- * own blocks.
+ * own blocks. The deadline is polled as above.
  */
 std::vector<std::size_t>
 survivorCounts(const LocalTerms &terms, const CandidateGrid &grid,
                const GaussianBlockSampler &sampler,
                const std::vector<double> &means, double sigma,
                std::size_t trials, const yield::CollisionModel &model,
-               const runtime::Options &exec);
+               const runtime::Options &exec,
+               exec::TimePoint deadline = exec::kNoDeadline);
 
 } // namespace qpad::design::sweep
 

@@ -27,11 +27,11 @@ namespace
 mapping::MappingCounts
 routingCounts(const Architecture &arch, const Circuit &circuit,
               const mapping::MappingOptions &options,
-              const exec::Context &ctx)
+              exec::TimePoint deadline)
 {
     return cache::memoized<mapping::MappingCounts>(
-        mappingKey(arch, circuit, options), ctx, [&] {
-            return mapping::countMapping(circuit, arch, options, ctx);
+        mappingKey(arch, circuit, options), deadline, [&] {
+            return mapping::countMapping(circuit, arch, options, deadline);
         });
 }
 
@@ -100,13 +100,13 @@ mappingKey(const Architecture &arch, const Circuit &circuit,
 DataPoint
 measure(const std::string &config, const Architecture &arch,
         const Circuit &circuit, const ExperimentOptions &options,
-        const exec::Context &ctx)
+        exec::TimePoint deadline)
 {
     QPAD_SPAN("eval.measure");
-    // An already-stopped request does no work: warm mapping and
-    // yield caches would otherwise let a cancelled measurement run
-    // to completion without reaching a poll.
-    ctx.throwIfStopped();
+    // A request past its deadline does no work: warm mapping and
+    // yield caches would otherwise let it run to completion without
+    // reaching a poll.
+    exec::throwIfPassed(deadline);
     static obs::Counter &measurements =
         obs::counter("eval.measurements");
     measurements.add();
@@ -119,7 +119,7 @@ measure(const std::string &config, const Architecture &arch,
     point.num_buses = arch.fourQubitBuses().size();
 
     const mapping::MappingCounts routed =
-        routingCounts(arch, circuit, options.mapping_options, ctx);
+        routingCounts(arch, circuit, options.mapping_options, deadline);
     point.gate_count = routed.total_gates;
     point.swaps = routed.swaps;
 
@@ -130,19 +130,19 @@ measure(const std::string &config, const Architecture &arch,
     // N-trial estimate, so a missed step draws only trials [N, 10N).
     yield::YieldOptions yopts = options.yield_options;
     yield::YieldResult yr =
-        cache::cachedEstimateYield(arch, yopts, ctx);
+        cache::cachedEstimateYield(arch, yopts, deadline);
     while (options.adaptive_yield_trials && yr.successes == 0 &&
            yopts.trials < options.max_yield_trials) {
         // Stop between escalation steps: each step multiplies the
         // trial budget tenfold, so this is the last cheap exit
         // before a much longer estimate.
-        ctx.throwIfStopped();
+        exec::throwIfPassed(deadline);
         static obs::Counter &escalations =
             obs::counter("yield.escalations");
         escalations.add();
         yopts.trials = std::min(options.max_yield_trials,
                                 yopts.trials * 10);
-        yr = cache::cachedEstimateYield(arch, yopts, ctx, yr);
+        yr = cache::cachedEstimateYield(arch, yopts, deadline, yr);
     }
     point.yield = yr.yield;
     point.yield_trials = yr.trials;
@@ -152,14 +152,14 @@ measure(const std::string &config, const Architecture &arch,
 BenchmarkExperiment
 runBenchmark(const benchmarks::BenchmarkInfo &info,
              const ExperimentOptions &options,
-             const exec::Context &ctx)
+             exec::TimePoint deadline)
 {
     QPAD_SPAN("eval.run_benchmark");
     static obs::Counter &benchmarks = obs::counter("eval.benchmarks");
     benchmarks.add();
 
-    // An already-cancelled or expired request does no work at all.
-    ctx.throwIfStopped();
+    // A request past its deadline does no work at all.
+    exec::throwIfPassed(deadline);
 
     BenchmarkExperiment experiment;
     experiment.benchmark = info.name;
@@ -182,8 +182,8 @@ runBenchmark(const benchmarks::BenchmarkInfo &info,
         for (Architecture &baseline : arch::ibmBaselines()) {
             if (baseline.numQubits() < circuit.numQubits())
                 continue;
-            jobs.push_back([baseline, &circuit, &options, ctx] {
-                return measure("ibm", baseline, circuit, options, ctx);
+            jobs.push_back([baseline, &circuit, &options, deadline] {
+                return measure("ibm", baseline, circuit, options, deadline);
             });
         }
     }
@@ -205,11 +205,11 @@ runBenchmark(const benchmarks::BenchmarkInfo &info,
                        std::string config, std::string arch_name) {
         jobs.push_back([job_flow, config = std::move(config),
                         arch_name = std::move(arch_name), &prof,
-                        &circuit, &options, ctx] {
+                        &circuit, &options, deadline] {
             auto outcome = design::designArchitecture(prof, job_flow,
-                                                      arch_name, ctx);
+                                                      arch_name, deadline);
             return measure(config, outcome.architecture, circuit,
-                           options, ctx);
+                           options, deadline);
         });
     };
 
@@ -274,7 +274,7 @@ runBenchmark(const benchmarks::BenchmarkInfo &info,
     // because each job derives its seeds from the options alone,
     // never from the chunk index.
     runtime::parallel_for(
-        ctx.apply(options.exec), jobs.size(), 0,
+        options.exec, jobs.size(), 0,
         [&](std::size_t begin, std::size_t end, std::size_t) {
             static obs::Counter &data_points =
                 obs::counter("eval.data_points");
@@ -283,7 +283,8 @@ runBenchmark(const benchmarks::BenchmarkInfo &info,
                 data_points.add();
                 experiment.points[i] = jobs[i]();
             }
-        });
+        },
+        deadline);
 
     // Surface this run's activity in the report: the metrics delta
     // carries every series the run moved.

@@ -15,7 +15,7 @@
 #include "benchmarks/suite.hh"
 #include "cache/fingerprint.hh"
 #include "design/design_flow.hh"
-#include "exec/context.hh"
+#include "exec/cancel.hh"
 #include "mapping/sabre.hh"
 #include "obs/metrics.hh"
 #include "runtime/parallel.hh"
@@ -107,17 +107,17 @@ struct BenchmarkExperiment
  * Evaluate one architecture against one circuit. The routing counts
  * (gate_count, swaps) come from mapping::countMapping, which builds
  * no mapped circuit, through the global cache under mappingKey, so
- * chips that share a coupling graph are routed once. A cancelled
- * or deadline-expired `ctx` raises exec::CancelledError before each
- * routing pass, between the adaptive yield-escalation steps and
- * inside the yield estimate's parallel region; a completed
- * measurement is bit-identical to one without a context or cache.
+ * chips that share a coupling graph are routed once. A passed
+ * `deadline` raises exec::CancelledError before each routing pass,
+ * between the adaptive yield-escalation steps and inside the yield
+ * estimate's parallel region; a completed measurement is
+ * bit-identical to one without a deadline or cache.
  */
 DataPoint measure(const std::string &config,
                   const arch::Architecture &arch,
                   const circuit::Circuit &circuit,
                   const ExperimentOptions &options,
-                  const exec::Context &ctx = exec::Context::none());
+                  exec::TimePoint deadline = exec::kNoDeadline);
 
 /**
  * Cache key of measure()'s routing counts: the chip's coupling graph
@@ -135,15 +135,16 @@ cache::Fingerprint mappingKey(const arch::Architecture &arch,
  * point runs its design flow (the eff-* configurations) and
  * measure(); their frequency allocations, routing counts and yield
  * estimates go through the global cache, so points that share one
- * compute it once. Cancellation via `ctx` stops at job boundaries
- * (plus the finer-grained polls inside design and yield); a
- * completed run is bit-identical at every thread count, with or
- * without a context, and with the cache cold, warm or off.
+ * compute it once. A passed `deadline` stops the run at job
+ * boundaries (plus the finer-grained polls inside design, mapping
+ * and yield); a completed run is bit-identical at every thread
+ * count, with or without a deadline, and with the cache cold, warm
+ * or off.
  */
 BenchmarkExperiment
 runBenchmark(const benchmarks::BenchmarkInfo &info,
              const ExperimentOptions &options,
-             const exec::Context &ctx = exec::Context::none());
+             exec::TimePoint deadline = exec::kNoDeadline);
 
 /** Fill norm_recip_gates = max gate count / gate count. */
 void normalize(BenchmarkExperiment &experiment);

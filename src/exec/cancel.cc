@@ -1,25 +1,9 @@
 #include "exec/cancel.hh"
 
-#include <string>
-
 #include "obs/metrics.hh"
 
 namespace qpad::exec
 {
-
-namespace
-{
-
-/** Nanoseconds since the steady epoch for deadline arithmetic. */
-std::int64_t
-toNs(TimePoint t)
-{
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               t.time_since_epoch())
-        .count();
-}
-
-} // namespace
 
 TimePoint
 now()
@@ -31,63 +15,30 @@ now()
     return std::chrono::steady_clock::now();
 }
 
-const char *
-stopReasonName(StopReason reason)
+TimePoint
+deadlineAfter(std::chrono::nanoseconds budget)
 {
-    switch (reason) {
-    case StopReason::kCancelled:
-        return "cancelled";
-    case StopReason::kDeadlineExceeded:
-        return "deadline exceeded";
-    case StopReason::kNone:
-        break;
-    }
-    return "none";
+    const TimePoint start = now();
+    return budget >= kNoDeadline - start ? kNoDeadline : start + budget;
 }
 
-void
-CancelToken::setDeadline(TimePoint deadline)
-{
-    deadline_ns_.store(toNs(deadline), std::memory_order_seq_cst);
-}
-
-StopReason
-CancelToken::stopReason() const
-{
-    if (cancelled_.load(std::memory_order_seq_cst))
-        return StopReason::kCancelled;
-    const std::int64_t armed =
-        deadline_ns_.load(std::memory_order_seq_cst);
-    if (armed != kNoDeadline && toNs(now()) >= armed)
-        return StopReason::kDeadlineExceeded;
-    return StopReason::kNone;
-}
-
-CancelledError::CancelledError(StopReason reason)
-    : std::runtime_error(std::string("exec: request ") +
-                         stopReasonName(reason)),
-      reason_(reason)
+CancelledError::CancelledError()
+    : std::runtime_error("exec: request deadline exceeded")
 {
 }
 
 void
-noteStopped(StopReason reason)
+noteStopped()
 {
-    if (reason == StopReason::kCancelled) {
-        static obs::Counter &c = obs::counter("exec.cancelled");
-        c.add();
-    } else if (reason == StopReason::kDeadlineExceeded) {
-        static obs::Counter &c =
-            obs::counter("exec.deadline_exceeded");
-        c.add();
-    }
+    static obs::Counter &c = obs::counter("exec.deadline_exceeded");
+    c.add();
 }
 
 void
-raiseStopped(StopReason reason)
+raiseStopped()
 {
-    noteStopped(reason);
-    throw CancelledError(reason);
+    noteStopped();
+    throw CancelledError();
 }
 
 } // namespace qpad::exec

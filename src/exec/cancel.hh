@@ -1,13 +1,14 @@
 /**
  * @file
- * Cooperative cancellation for request-scoped execution.
+ * Request deadlines: the one stop signal of long-running work.
  *
- * A `CancelToken` carries two sticky stop signals — an explicit
- * cancel() and an absolute steady-clock deadline — that long-running
- * work polls at chunk boundaries. Cancellation is *cooperative*:
- * nothing is interrupted mid-chunk, so any run that completes is
- * bit-identical to an uncancelled run; a token only decides whether
- * a result exists, never its bytes.
+ * A request's stop signal is a plain value, a steady-clock
+ * `TimePoint` deadline, passed by value to every entry point that
+ * can run long (`kNoDeadline`, the default, never passes). The work
+ * polls it at chunk boundaries. Stopping is *cooperative*: nothing
+ * is interrupted mid-chunk, so any run that completes is
+ * bit-identical to a run without a deadline; a deadline only decides
+ * whether a result exists, never its bytes.
  *
  * Deadlines are read through `exec::now()`, the one sanctioned
  * steady-clock helper (see `[wallclock]` in
@@ -16,17 +17,14 @@
  * is still a finding.
  *
  * This header is dependency-free on purpose (only the standard
- * library) so `runtime/parallel.hh` can hold a token pointer without
- * an include cycle; `exec/context.hh` layers the request-facing
- * `Context` on top.
+ * library) so `runtime/parallel.hh` can take a deadline without an
+ * include cycle.
  */
 
 #ifndef QPAD_EXEC_CANCEL_HH
 #define QPAD_EXEC_CANCEL_HH
 
-#include <atomic>
 #include <chrono>
-#include <cstdint>
 #include <stdexcept>
 
 namespace qpad::exec
@@ -42,116 +40,47 @@ using TimePoint = std::chrono::steady_clock::time_point;
  */
 TimePoint now();
 
-/** Why a token asked the work to stop. */
-enum class StopReason : uint8_t
+/** The deadline that never passes: the default of every entry
+ * point, and what polls compare against before reading the clock. */
+inline constexpr TimePoint kNoDeadline = TimePoint::max();
+
+/** now() + budget, saturating: a budget past the clock's range
+ * gives kNoDeadline instead of overflowing into the past. */
+TimePoint deadlineAfter(std::chrono::nanoseconds budget);
+
+/** Whether `deadline` has passed (reads no clock for kNoDeadline). */
+inline bool
+passed(TimePoint deadline)
 {
-    kNone = 0,
-    kCancelled = 1,
-    kDeadlineExceeded = 2,
-};
+    return deadline != kNoDeadline && now() >= deadline;
+}
 
-/** Human-readable reason for error messages. */
-const char *stopReasonName(StopReason reason);
-
-/**
- * Sticky cancellation + deadline state, shared by one request.
- *
- * Thread-safe: any thread may cancel() or set a deadline while the
- * workers poll stopReason(). Signals are sticky — once a token has
- * stopped it stays stopped (clearing the deadline cannot un-expire
- * a request that already observed the expiry, because observers act
- * on the value they read).
- */
-class CancelToken
-{
-  public:
-    CancelToken() = default;
-    CancelToken(const CancelToken &) = delete;
-    CancelToken &operator=(const CancelToken &) = delete;
-
-    /** Request a stop; sticky. */
-    void cancel()
-    {
-        cancelled_.store(true, std::memory_order_seq_cst);
-    }
-
-    bool cancelRequested() const
-    {
-        return cancelled_.load(std::memory_order_seq_cst);
-    }
-
-    /** Arm an absolute deadline (replaces any earlier one). */
-    void setDeadline(TimePoint deadline);
-
-    /** Disarm the deadline (an explicit cancel stays sticky). */
-    void clearDeadline()
-    {
-        deadline_ns_.store(kNoDeadline, std::memory_order_seq_cst);
-    }
-
-    bool hasDeadline() const
-    {
-        return deadline_ns_.load(std::memory_order_seq_cst) !=
-               kNoDeadline;
-    }
-
-    /**
-     * The current stop state: kCancelled wins over
-     * kDeadlineExceeded, which is reported once `exec::now()` passes
-     * the armed deadline.
-     */
-    StopReason stopReason() const;
-
-  private:
-    /** Sentinel for "no deadline armed". */
-    static constexpr std::int64_t kNoDeadline = INT64_MAX;
-
-    std::atomic<bool> cancelled_{false};
-    /** Nanoseconds since the steady epoch, or kNoDeadline. */
-    std::atomic<std::int64_t> deadline_ns_{kNoDeadline};
-};
-
-/**
- * Thrown when cancelled work unwinds. Propagates through the
- * region's first-error-wins path like any other exception, so a
- * cancelled parallel region skips its unclaimed chunks and rethrows
- * this at the caller.
- */
+/** Thrown when work unwinds past its deadline; a stopped parallel
+ * region skips its unclaimed chunks and rethrows it at the caller. */
 class CancelledError : public std::runtime_error
 {
   public:
-    explicit CancelledError(StopReason reason);
-
-    StopReason reason() const { return reason_; }
-
-  private:
-    StopReason reason_;
+    CancelledError();
 };
 
 /**
- * Publish a stop to the `exec.cancelled` / `exec.deadline_exceeded`
- * counters. Called where a stop *wins* (first-error capture, or the
- * throw site), not on every poll, so the counters approximate
- * stopped requests rather than poll frequency.
+ * Count a stop in the `exec.deadline_exceeded` counter. Called where
+ * a stop *wins* (first-error capture, or the throw site), not on
+ * every poll, so the counter approximates stopped requests rather
+ * than poll frequency.
  */
-void noteStopped(StopReason reason);
+void noteStopped();
 
-/** noteStopped + throw CancelledError(reason). */
-[[noreturn]] void raiseStopped(StopReason reason);
+/** noteStopped + throw CancelledError. */
+[[noreturn]] void raiseStopped();
 
-/**
- * Poll `token` (null = unlimited; no-op) and raise if it stopped.
- * This is the one-liner that sequential loops and chunk bodies call
- * at their boundaries.
- */
+/** Raise CancelledError if `deadline` has passed: what sequential
+ * loops call at their boundaries. */
 inline void
-throwIfStopped(const CancelToken *token)
+throwIfPassed(TimePoint deadline)
 {
-    if (token == nullptr)
-        return;
-    const StopReason reason = token->stopReason();
-    if (reason != StopReason::kNone)
-        raiseStopped(reason);
+    if (passed(deadline))
+        raiseStopped();
 }
 
 } // namespace qpad::exec

@@ -112,8 +112,8 @@ class Router
 {
   public:
     Router(const arch::Architecture &arch, const MappingOptions &options,
-           const exec::Context &ctx)
-        : edges_(arch.edges()), options_(options), ctx_(ctx),
+           exec::TimePoint deadline)
+        : edges_(arch.edges()), options_(options), deadline_(deadline),
           dist_(arch), words_((edges_.size() + 63) / 64),
           incident_(arch.numQubits() * words_, 0), mask_(words_),
           pair_slot_(arch.numQubits() * arch.numQubits(), 0)
@@ -148,7 +148,7 @@ class Router
     route(const RoutingView &view, std::vector<PhysQubit> l2p,
           bool record)
     {
-        ctx_.throwIfStopped();
+        exec::throwIfPassed(deadline_);
         QPAD_SPAN("mapping.route");
         const std::size_t n_phys = dist_.size();
         qpad_assert(l2p.size() == n_phys, "l2p must cover the chip");
@@ -244,7 +244,7 @@ class Router
     /** Undirected coupling edges (a < b), sorted. */
     const std::vector<Edge> &edges_;
     const MappingOptions &options_;
-    const exec::Context &ctx_;
+    const exec::TimePoint deadline_;
     const DistanceTable dist_;
     /** Bit rows over edges_: bit e of qubit p's row is set iff edge
      * e touches p; words_ words a row. */
@@ -400,7 +400,7 @@ struct Search
  */
 Search
 searchMapping(const Circuit &circuit, const arch::Architecture &arch,
-              const MappingOptions &options, const exec::Context &ctx,
+              const MappingOptions &options, exec::TimePoint deadline,
               bool record)
 {
     // Negative, infinite or NaN weights make the cost meaningless
@@ -438,7 +438,7 @@ searchMapping(const Circuit &circuit, const arch::Architecture &arch,
     }
     RoutingView forward(circuit.name(), std::move(unitary),
                         arch.numQubits());
-    Router router(arch, options, ctx);
+    Router router(arch, options, deadline);
 
     // Candidate initial mappings: the identity (qpad layouts use an
     // identity pseudo-mapping, so this is often already perfect) and
@@ -496,10 +496,10 @@ searchMapping(const Circuit &circuit, const arch::Architecture &arch,
 
 MappingResult
 mapCircuit(const Circuit &circuit, const arch::Architecture &arch,
-           const MappingOptions &options, const exec::Context &ctx)
+           const MappingOptions &options, exec::TimePoint deadline)
 {
     QPAD_SPAN("mapping.map");
-    Search search = searchMapping(circuit, arch, options, ctx, true);
+    Search search = searchMapping(circuit, arch, options, deadline, true);
     const Router::PassResult &pass = search.pass;
 
     MappingResult result;
@@ -545,11 +545,11 @@ mapCircuit(const Circuit &circuit, const arch::Architecture &arch,
 
 MappingCounts
 countMapping(const Circuit &circuit, const arch::Architecture &arch,
-             const MappingOptions &options, const exec::Context &ctx)
+             const MappingOptions &options, exec::TimePoint deadline)
 {
     QPAD_SPAN("mapping.map");
     const std::size_t swaps =
-        searchMapping(circuit, arch, options, ctx, false).pass.swaps;
+        searchMapping(circuit, arch, options, deadline, false).pass.swaps;
     // The replay would emit every routed gate once and three CX per
     // SWAP; measurements, resets and barriers are not unitary.
     return {swaps, circuit.unitaryGateCount() + 3 * swaps};

@@ -48,7 +48,7 @@
 
 #include "arch/architecture.hh"
 #include "circuit/circuit.hh"
-#include "exec/context.hh"
+#include "exec/cancel.hh"
 
 namespace qpad::mapping
 {
@@ -97,12 +97,12 @@ struct MappingCounts
 };
 
 /**
- * Map a {1q, CX} circuit onto an architecture. A cancelled or
- * deadline-expired `ctx` raises exec::CancelledError before the next
- * routing pass (a call runs up to 2 + 2 x initial_mapping_rounds
- * passes); a completed call is bit-identical to one without a
- * context. Invalid options (a negative or non-finite extended_weight
- * or decay_delta) are a caller error: qpad_fatal.
+ * Map a {1q, CX} circuit onto an architecture. A passed `deadline`
+ * raises exec::CancelledError before the next routing pass (a call
+ * runs up to 2 + 2 x initial_mapping_rounds passes); a completed
+ * call is bit-identical to one without a deadline. Invalid options
+ * (a negative or non-finite extended_weight or decay_delta) are a
+ * caller error: qpad_fatal.
  *
  * @pre circuit.numQubits() <= arch.numQubits() and the architecture
  *      coupling graph is connected.
@@ -110,20 +110,20 @@ struct MappingCounts
 MappingResult mapCircuit(const circuit::Circuit &circuit,
                          const arch::Architecture &arch,
                          const MappingOptions &options = {},
-                         const exec::Context &ctx = exec::Context::none());
+                         exec::TimePoint deadline = exec::kNoDeadline);
 
 /**
  * mapCircuit's swaps and total_gates, from the same checks, passes
  * and choice of initial mapping, without recording or replaying the
  * winning pass: total_gates is circuit.unitaryGateCount() + 3 x
- * swaps. Cancellation, invalid options and preconditions are as for
+ * swaps. The deadline, invalid options and preconditions are as for
  * mapCircuit, and both add to the mapping.calls and mapping.swaps
  * counters.
  */
 MappingCounts countMapping(const circuit::Circuit &circuit,
                            const arch::Architecture &arch,
                            const MappingOptions &options = {},
-                           const exec::Context &ctx = exec::Context::none());
+                           exec::TimePoint deadline = exec::kNoDeadline);
 
 /**
  * Check that every CX of a mapped circuit respects the coupling

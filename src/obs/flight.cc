@@ -7,7 +7,6 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -201,31 +200,12 @@ spill(Ring &ring, uint64_t end)
     ring.drained = end;
 }
 
-void
-appendEventJson(std::string &out, const EventCopy &e, uint64_t t0,
-                bool first)
+/** formatEvent of a copied event, `t0` being the file's first ts. */
+std::size_t
+formatCopy(char *buf, bool first, const EventCopy &e, uint64_t t0)
 {
-    char line[320];
-    const double ts = double(e.ts_ns - t0) / 1000.0;
-    // Span/event names are code-controlled literals ([a-z0-9._-]),
-    // so no JSON escaping is needed.
-    int n;
-    if (e.phase == 'L') {
-        n = std::snprintf(
-            line, sizeof line,
-            "%s{\"name\":\"%s\",\"cat\":\"flight\",\"ph\":\"i\","
-            "\"s\":\"t\",\"pid\":1,\"tid\":%u,\"ts\":%.3f,"
-            "\"args\":{\"level\":\"%s\"}}",
-            first ? "\n" : ",\n", e.name, e.tid, ts,
-            logLevelName(LogLevel(e.level)));
-    } else {
-        n = std::snprintf(
-            line, sizeof line,
-            "%s{\"name\":\"%s\",\"cat\":\"flight\",\"ph\":\"%c\","
-            "\"pid\":1,\"tid\":%u,\"ts\":%.3f}",
-            first ? "\n" : ",\n", e.name, e.phase, e.tid, ts);
-    }
-    out.append(line, std::size_t(std::max(n, 0)));
+    return formatEvent(buf, first, e.name, e.phase, e.level, e.tid,
+                       e.ts_ns - std::min(t0, e.ts_ns));
 }
 
 constexpr char kHeader[] =
@@ -248,8 +228,6 @@ writeBalanced(const std::string &path,
     for (const auto &events : per_thread)
         for (const EventCopy &e : events)
             t0 = std::min(t0, e.ts_ns);
-    if (t0 == UINT64_MAX)
-        t0 = 0;
 
     std::ofstream out(path, std::ios::trunc);
     if (!out)
@@ -257,6 +235,11 @@ writeBalanced(const std::string &path,
     out << kHeader;
     bool first = true;
     std::string body;
+    auto emit = [&](const EventCopy &e) {
+        char line[kMaxEventLine];
+        body.append(line, formatCopy(line, first, e, t0));
+        first = false;
+    };
     for (const auto &events : per_thread) {
         body.clear();
         const uint64_t first_ts = events.front().ts_ns;
@@ -279,21 +262,16 @@ writeBalanced(const std::string &path,
         }
         // Outermost synthetic open first: the last orphan close seen
         // is the outermost span.
-        for (auto it = opens.rbegin(); it != opens.rend(); ++it) {
-            appendEventJson(body, *it, t0, first);
-            first = false;
-        }
-        for (const EventCopy &e : events) {
-            appendEventJson(body, e, t0, first);
-            first = false;
-        }
+        for (auto it = opens.rbegin(); it != opens.rend(); ++it)
+            emit(*it);
+        for (const EventCopy &e : events)
+            emit(e);
         // Innermost unclosed span closes first (stack order).
         for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
             EventCopy close = *it;
             close.phase = 'E';
             close.ts_ns = last_ts;
-            appendEventJson(body, close, t0, first);
-            first = false;
+            emit(close);
         }
         out << body;
     }
@@ -384,45 +362,62 @@ record(const char *name, char phase, uint8_t level)
     slot.seq.store(i + 1, std::memory_order_release);
 }
 
+std::size_t
+formatEvent(char *buf, bool first, const char *name, char phase,
+            uint8_t level, uint32_t tid, uint64_t ts_ns)
+{
+    std::size_t pos = append(buf, 0, first ? "\n" : ",\n");
+    pos = append(buf, pos, "{\"name\":\"");
+    // Names are code-controlled literals ([a-z0-9._-]), so no JSON
+    // escaping is needed; the copy is capped so a corrupted pointer
+    // read by the crash write cannot overrun the buffer.
+    for (const char *c = name; *c && pos < 200; ++c)
+        buf[pos++] = *c;
+    pos = append(buf, pos, "\",\"cat\":\"flight\",\"ph\":\"");
+    buf[pos++] = phase == 'L' ? 'i' : phase;
+    pos = append(buf, pos, phase == 'L' ? "\",\"s\":\"t\"" : "\"");
+    pos = append(buf, pos, ",\"pid\":1,\"tid\":");
+    pos += fmtU64(buf + pos, tid);
+    // Microseconds and three decimals in integers only: the bytes of
+    // "%.3f" of ts_ns / 1000.0 below 2^43 us (~100 days).
+    pos = append(buf, pos, ",\"ts\":");
+    pos += fmtU64(buf + pos, ts_ns / 1000);
+    buf[pos++] = '.';
+    buf[pos++] = char('0' + ts_ns % 1000 / 100);
+    buf[pos++] = char('0' + ts_ns % 100 / 10);
+    buf[pos++] = char('0' + ts_ns % 10);
+    if (phase == 'L') {
+        pos = append(buf, pos, ",\"args\":{\"level\":\"");
+        pos = append(buf, pos, logLevelName(LogLevel(level)));
+        pos = append(buf, pos, "\"}");
+    }
+    buf[pos++] = '}';
+    return pos;
+}
+
 void
 dumpSignalSafe(int fd)
 {
+    // Timestamps count from the earliest event written, as in a
+    // session's own file.
+    uint64_t t0 = UINT64_MAX;
+    forEachRing([&](const Ring &ring) {
+        for (const Slot &slot : ring.slots) {
+            EventCopy e;
+            if (readSlot(slot, ring.tid, e))
+                t0 = std::min(t0, e.ts_ns);
+        }
+    });
     writeAll(fd, kHeader, sizeof kHeader - 1);
     bool first = true;
     forEachRing([&](const Ring &ring) {
         for (const Slot &slot : ring.slots) {
-            const uint64_t seq =
-                slot.seq.load(std::memory_order_acquire);
-            const char *name =
-                slot.name.load(std::memory_order_relaxed);
-            if (seq == 0 || name == nullptr)
+            EventCopy e;
+            if (!readSlot(slot, ring.tid, e))
                 continue;
-            const char phase =
-                char(slot.phase.load(std::memory_order_relaxed));
-            char buf[384];
-            std::size_t pos = 0;
-            buf[pos++] = first ? '\n' : ',';
-            if (!first)
-                buf[pos++] = '\n';
+            char line[kMaxEventLine];
+            writeAll(fd, line, formatCopy(line, first, e, t0));
             first = false;
-            pos = append(buf, pos, "{\"name\":\"");
-            // Names are literals; cap the copy so a corrupted
-            // pointer cannot overrun the buffer.
-            for (const char *c = name; *c && pos < 200; ++c)
-                buf[pos++] = *c;
-            pos = append(buf, pos, "\",\"cat\":\"flight\",\"ph\":\"");
-            buf[pos++] = phase == 'L' ? 'i' : phase;
-            pos = append(buf, pos, "\"");
-            if (phase == 'L')
-                pos = append(buf, pos, ",\"s\":\"t\"");
-            pos = append(buf, pos, ",\"pid\":1,\"tid\":");
-            pos += fmtU64(buf + pos, ring.tid);
-            pos = append(buf, pos, ",\"ts\":");
-            pos += fmtU64(
-                buf + pos,
-                slot.ts_ns.load(std::memory_order_relaxed) / 1000);
-            pos = append(buf, pos, "}");
-            writeAll(fd, buf, pos);
         }
     });
     writeAll(fd, kFooter, sizeof kFooter - 1);

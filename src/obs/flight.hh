@@ -23,9 +23,11 @@
  *
  * While a session is open, an async-signal-safe SIGSEGV/SIGABRT
  * handler writes the rings' tails to the session's path with
- * dumpSignalSafe(). That write holds span edges as B/E events and
- * each log event as an instant ("ph":"i"); it skips the balancing
- * pass of the session's own writer, and is still valid JSON.
+ * dumpSignalSafe(). Both writes format each event with formatEvent(),
+ * so the crash write has the session file's lines (span edges as B/E
+ * events, each log event as an instant with its level, ts from the
+ * earliest event written); it only skips the session writer's
+ * balancing pass, and is still valid JSON.
  *
  * Event names must be string literals: the ring stores pointers.
  */
@@ -50,6 +52,19 @@ constexpr std::size_t kRingEvents = 1024;
  * is active.
  */
 void record(const char *name, char phase, uint8_t level = 0);
+
+/** Bytes formatEvent may write. */
+constexpr std::size_t kMaxEventLine = 384;
+
+/**
+ * Write one event as a trace-file line (`\n` before a file's first
+ * event, `,\n` before the others) into `buf`; returns its length.
+ * `ts_ns` prints as microseconds with three decimals. Integer
+ * formatting and memcpy only, so async-signal-safe.
+ */
+std::size_t formatEvent(char *buf, bool first, const char *name,
+                        char phase, uint8_t level, uint32_t tid,
+                        uint64_t ts_ns);
 
 /**
  * Async-signal-safe write of every ring's tail to an open file

@@ -84,16 +84,6 @@ struct Options
      * Values above kMaxThreads are rejected.
      */
     std::size_t num_threads = 0;
-
-    /**
-     * Optional cooperative stop signal (null = unlimited), polled at
-     * chunk-claim boundaries. A stop surfaces as exec::CancelledError
-     * through the region's first-error-wins path; it never interrupts
-     * a chunk mid-flight, so a region that completes is bit-identical
-     * to an uncancelled one. Usually attached via
-     * exec::Context::apply() rather than set by hand.
-     */
-    const exec::CancelToken *cancel = nullptr;
 };
 
 /** Resolve Options::num_threads (0 -> hardware concurrency);
@@ -133,11 +123,16 @@ publishSequential(std::size_t chunks)
  * Chunk boundaries depend only on (n, grain) — grain = 0 selects
  * guided sizing; see the file comment for the determinism contract
  * and for when each grain mode is appropriate.
+ *
+ * `deadline` is polled at every chunk claim. Once it has passed, the
+ * unclaimed chunks are skipped and the call raises
+ * exec::CancelledError; a chunk that started always finishes, so a
+ * region that completes is bit-identical to one without a deadline.
  */
 template <typename Body>
 void
 parallel_for(const Options &options, std::size_t n, std::size_t grain,
-             Body &&body)
+             Body &&body, exec::TimePoint deadline = exec::kNoDeadline)
 {
     if (n == 0) {
         detail::publishSequential(0);
@@ -155,7 +150,7 @@ parallel_for(const Options &options, std::size_t n, std::size_t grain,
         // either way).
         detail::publishSequential(chunks);
         for (std::size_t c = 0; c < chunks; ++c) {
-            exec::throwIfStopped(options.cancel);
+            exec::throwIfPassed(deadline);
             const auto [begin, end] = plan.bounds(c);
             body(begin, end, c);
         }
@@ -166,7 +161,7 @@ parallel_for(const Options &options, std::size_t n, std::size_t grain,
                           const auto [begin, end] = plan.bounds(c);
                           body(begin, end, c);
                       },
-                      options.cancel);
+                      deadline);
 }
 
 /**
@@ -175,12 +170,13 @@ parallel_for(const Options &options, std::size_t n, std::size_t grain,
  * `combine(accumulator, partial)`. The fold order is fixed, so the
  * result is independent of the thread count — and of which runner
  * claimed which chunk — even for non-commutative or floating-point
- * combines.
+ * combines. `deadline` is polled as in parallel_for.
  */
 template <typename T, typename Map, typename Combine>
 T
 parallel_reduce(const Options &options, std::size_t n, std::size_t grain,
-                T identity, Map &&map, Combine &&combine)
+                T identity, Map &&map, Combine &&combine,
+                exec::TimePoint deadline = exec::kNoDeadline)
 {
     if (n == 0) {
         detail::publishSequential(0);
@@ -194,7 +190,7 @@ parallel_reduce(const Options &options, std::size_t n, std::size_t grain,
     if (threads <= 1) {
         detail::publishSequential(chunks);
         for (std::size_t c = 0; c < chunks; ++c) {
-            exec::throwIfStopped(options.cancel);
+            exec::throwIfPassed(deadline);
             const auto [begin, end] = plan.bounds(c);
             partials[c] = map(begin, end, c);
         }
@@ -204,7 +200,7 @@ parallel_reduce(const Options &options, std::size_t n, std::size_t grain,
                               const auto [begin, end] = plan.bounds(c);
                               partials[c] = map(begin, end, c);
                           },
-                          options.cancel);
+                          deadline);
     }
     T result = std::move(identity);
     for (std::size_t c = 0; c < chunks; ++c)

@@ -40,9 +40,9 @@ publishRegion(std::size_t chunk_count, double seconds,
 
 RegionState::RegionState(std::size_t chunks,
                          std::function<void(std::size_t)> run_chunk,
-                         const exec::CancelToken *cancel)
+                         exec::TimePoint deadline)
     : run_chunk_(std::move(run_chunk)), chunks_(chunks),
-      cancel_(cancel), pending_(chunks)
+      deadline_(deadline), pending_(chunks)
 {
 }
 
@@ -54,26 +54,19 @@ RegionState::runAs()
             next_.fetch_add(1, std::memory_order_seq_cst);
         if (c >= chunks_)
             break; // every chunk is claimed
-        // Cancellation poll at the chunk-claim boundary — strictly
-        // AFTER the claim: the claimed chunk keeps pending_ > 0,
-        // which pins the region's caller in waitDone and thereby
-        // keeps the (caller-owned, often stack-resident) token
-        // alive. A late helper that finds every chunk claimed breaks
-        // out above without ever touching cancel_. A stop is
+        // Deadline poll at the chunk-claim boundary. A stop is
         // recorded through the first-error-wins path, so from here
         // on the remaining chunks are claimed-but-skipped: the
         // counter runs out, pending_ reaches zero, and the caller
         // wakes holding a CancelledError. Never mid-chunk — a chunk
         // that started always finishes, which is what keeps
-        // completed results bit-identical to uncancelled runs.
+        // completed results bit-identical to runs without a
+        // deadline.
         // qpad-lint: allow(atomic-relaxed) "best-effort skip flag;
         // the error itself is published under error_mutex_"
-        if (cancel_ != nullptr &&
-            !failed_.load(std::memory_order_relaxed)) {
-            const exec::StopReason reason = cancel_->stopReason();
-            if (reason != exec::StopReason::kNone)
-                recordStop(reason);
-        }
+        if (!failed_.load(std::memory_order_relaxed) &&
+            exec::passed(deadline_))
+            recordStop();
         // After a failure the remaining chunks are claimed but
         // skipped, so pending_ still drains and waiters wake.
         // qpad-lint: allow(atomic-relaxed) "best-effort skip flag;
@@ -137,17 +130,16 @@ RegionState::recordError()
 }
 
 void
-RegionState::recordStop(exec::StopReason reason)
+RegionState::recordStop()
 {
     {
         std::lock_guard<std::mutex> lock(error_mutex_);
         // First error wins: a stop that loses to an earlier chunk
         // exception (or an earlier stop) bumps no counter, so
-        // exec.cancelled counts stopped regions, not polls.
+        // exec.deadline_exceeded counts stopped regions, not polls.
         if (!error_) {
-            error_ = std::make_exception_ptr(
-                exec::CancelledError(reason));
-            exec::noteStopped(reason);
+            error_ = std::make_exception_ptr(exec::CancelledError());
+            exec::noteStopped();
         }
     }
     // qpad-lint: allow(atomic-relaxed) "best-effort skip hint; the
@@ -175,14 +167,14 @@ RegionState::rethrowIfFailed()
 void
 runRegion(std::size_t chunks, std::size_t threads,
           std::function<void(std::size_t)> run_chunk,
-          const exec::CancelToken *cancel)
+          exec::TimePoint deadline)
 {
     qpad_assert(threads >= 2 && threads <= chunks,
                 "runRegion caller must pre-clamp the runner count");
     QPAD_SPAN("runtime.region");
     const exec::TimePoint region_begin = exec::now();
     auto region = std::make_shared<RegionState>(
-        chunks, std::move(run_chunk), cancel);
+        chunks, std::move(run_chunk), deadline);
 
     // Offer threads - 1 helpers to the pool (so at most `threads`
     // runners ever claim a chunk) and run the claim loop here too.

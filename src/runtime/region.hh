@@ -105,19 +105,15 @@ class RegionState
 {
   public:
     /**
-     * `cancel` (may be null = unlimited) is polled at every
-     * chunk-claim boundary: once it reports a stop, the remaining
-     * chunks are claimed-but-skipped — the counter still runs out
-     * and pending_ still reaches zero — and a CancelledError is
-     * captured through the same first-error-wins path a throwing
-     * chunk uses. The token only needs to outlive the caller's
-     * waitDone(): the poll happens strictly after a successful claim
-     * (which pins the caller), so a late helper that finds no work
-     * never reads it.
+     * `deadline` (kNoDeadline = none) is polled at every chunk-claim
+     * boundary: once it has passed, the remaining chunks are
+     * claimed-but-skipped — the counter still runs out and pending_
+     * still reaches zero — and a CancelledError is captured through
+     * the same first-error-wins path a throwing chunk uses.
      */
     RegionState(std::size_t chunks,
                 std::function<void(std::size_t)> run_chunk,
-                const exec::CancelToken *cancel);
+                exec::TimePoint deadline);
 
     /**
      * The claim loop, run by the caller and by every pool helper:
@@ -153,13 +149,13 @@ class RegionState
 
     void recordError();
 
-    /** Capture a CancelledError(reason) as the region's first error
-     * (no-op if a chunk already failed) and set the skip flag. */
-    void recordStop(exec::StopReason reason);
+    /** Capture a CancelledError as the region's first error (no-op
+     * if a chunk already failed) and set the skip flag. */
+    void recordStop();
 
     std::function<void(std::size_t)> run_chunk_;
     std::size_t chunks_;
-    const exec::CancelToken *cancel_;
+    exec::TimePoint deadline_;
 
     /** Next unclaimed chunk index; >= chunks_ once all are claimed. */
     std::atomic<std::size_t> next_{0};
@@ -180,16 +176,16 @@ class RegionState
  * Execute `run_chunk(c)` for every c in [0, chunks) on `threads`
  * runners (calling thread included) that claim chunks from one
  * counter. The first exception thrown by any chunk is rethrown in
- * the caller after every chunk has finished or been skipped; a stop
- * signalled through `cancel` (null = unlimited) surfaces the same
- * way, as a CancelledError. Every region, failed ones included, is
+ * the caller after every chunk has finished or been skipped; a
+ * passed `deadline` surfaces the same way, as a CancelledError.
+ * Every region, failed ones included, is
  * counted in the runtime.regions / .chunks series and the
  * runtime.region_seconds / .region_idle_seconds timers (the
  * latter is the caller's wait for chunks still running on helpers).
  */
 void runRegion(std::size_t chunks, std::size_t threads,
                std::function<void(std::size_t)> run_chunk,
-               const exec::CancelToken *cancel);
+               exec::TimePoint deadline);
 
 } // namespace detail
 

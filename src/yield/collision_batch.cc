@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <iostream> // std::cerr is built before g_env_checked may fail
+#include <stdexcept>
 
 #include "common/gauss_block.hh"
 #include "common/logging.hh"
@@ -362,5 +364,17 @@ useBatchedKernel()
     // Parsed on every build, so a malformed value fails alike.
     return !scalarKernelForced() && kVectorLanes;
 }
+
+/** QPAD_SCALAR_KERNEL, checked once at static init (env is set
+ * before main): a malformed value prints its one `log.fatal` line and
+ * exits 2, like the bench knobs, instead of escaping the first
+ * estimate of every concurrent job as an uncaught exception. */
+[[maybe_unused]] static const bool g_env_checked = [] {
+    try {
+        return scalarKernelForced();
+    } catch (const std::runtime_error &) {
+        std::exit(2);
+    }
+}();
 
 } // namespace qpad::yield

@@ -155,8 +155,9 @@ class BatchCollisionChecker
 /**
  * True when QPAD_SCALAR_KERNEL is `1`: the yield paths then use the
  * scalar oracle instead of the batched kernel (`0`, empty or unset:
- * false; any other value is qpad_fatal). Queried per simulation
- * call, so tests can flip it at runtime.
+ * false; any other value is qpad_fatal, and exits 2 when the process
+ * starts with it). Queried per simulation call, so tests can flip it
+ * at runtime.
  */
 bool scalarKernelForced();
 

@@ -65,7 +65,7 @@ YieldResult::stderrEstimate() const
 YieldResult
 estimateYield(const CollisionChecker &checker,
               const std::vector<double> &pre_fab_freqs,
-              const YieldOptions &options, const exec::Context &ctx,
+              const YieldOptions &options, exec::TimePoint deadline,
               const YieldResult &prior)
 {
     for (double f : pre_fab_freqs)
@@ -140,7 +140,7 @@ estimateYield(const CollisionChecker &checker,
     const std::size_t end_shard =
         (options.trials + kShardTrials - 1) / kShardTrials;
     const ShardCounts counted = runtime::parallel_reduce(
-        ctx.apply(options.exec), end_shard - first_shard, 1,
+        options.exec, end_shard - first_shard, 1,
         ShardCounts{},
         [&](std::size_t, std::size_t, std::size_t chunk) {
             ShardCounts local;
@@ -195,7 +195,7 @@ estimateYield(const CollisionChecker &checker,
             rows_drawn.add(rows);
             return local;
         },
-        mergeCounts);
+        mergeCounts, deadline);
 
     const ShardCounts totals =
         mergeCounts({prior.successes, prior.condition_trials}, counted);
@@ -209,13 +209,13 @@ estimateYield(const CollisionChecker &checker,
 
 YieldResult
 estimateYield(const arch::Architecture &arch, const YieldOptions &options,
-              const exec::Context &ctx, const YieldResult &prior)
+              exec::TimePoint deadline, const YieldResult &prior)
 {
     qpad_assert(arch.frequenciesAssigned(),
                 "architecture '", arch.name(),
                 "' has unassigned frequencies");
     CollisionChecker checker(arch, options.model);
-    return estimateYield(checker, arch.frequencies(), options, ctx,
+    return estimateYield(checker, arch.frequencies(), options, deadline,
                          prior);
 }
 

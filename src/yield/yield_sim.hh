@@ -20,7 +20,7 @@
 #include <cstdint>
 
 #include "arch/architecture.hh"
-#include "exec/context.hh"
+#include "exec/cancel.hh"
 #include "runtime/parallel.hh"
 #include "yield/collision.hh"
 
@@ -72,6 +72,10 @@ struct YieldResult
  * bit-identical results. options.trials == 0 returns a zero-trial
  * result (yield 0, stderr 0) instead of dividing by zero.
  *
+ * A passed `deadline` raises exec::CancelledError at the next shard
+ * claim; a completed estimate is bit-identical to one without a
+ * deadline.
+ *
  * `prior` resumes an estimate: it must be this call's result at
  * prior.trials <= options.trials (the default, zero trials, starts
  * afresh). Only trials [prior.trials, options.trials) are drawn, and
@@ -81,7 +85,7 @@ struct YieldResult
 YieldResult
 estimateYield(const arch::Architecture &arch,
               const YieldOptions &options = {},
-              const exec::Context &ctx = exec::Context::none(),
+              exec::TimePoint deadline = exec::kNoDeadline,
               const YieldResult &prior = {});
 
 /** Same, reusing a prebuilt checker. */
@@ -89,7 +93,7 @@ YieldResult
 estimateYield(const CollisionChecker &checker,
               const std::vector<double> &pre_fab_freqs,
               const YieldOptions &options = {},
-              const exec::Context &ctx = exec::Context::none(),
+              exec::TimePoint deadline = exec::kNoDeadline,
               const YieldResult &prior = {});
 
 } // namespace qpad::yield

@@ -372,11 +372,10 @@ TEST(StoreDedup, ConcurrentIdenticalRequestsComputeExactlyOnce)
     EXPECT_EQ(moved("cache.dedup_waits"), int64_t(kWaiters));
 }
 
-TEST(StoreDedup, CancellingAWaiterNeverDisturbsTheOwner)
+TEST(StoreDedup, AWaiterPastItsDeadlineNeverDisturbsTheOwner)
 {
     const CacheDelta moved;
     cache::Store store;
-    exec::CancelToken waiter_token;
     std::atomic<int> computes{0};
     std::atomic<bool> waiter_unwound{false};
     const auto key = keyOf(9);
@@ -384,16 +383,10 @@ TEST(StoreDedup, CancellingAWaiterNeverDisturbsTheOwner)
     std::thread owner([&] {
         const auto r = store.getOrCompute<Bytes>(key, [&] {
             ++computes;
-            // Wait for the waiter to register, cancel it, and keep
-            // computing until it has unwound (bounded, so a waiter
-            // that ignores its token still fails the test below
-            // rather than hanging it): the waiter's stop is its own
-            // business.
-            for (int spin = 0;
-                 moved("cache.dedup_waits") < 1 && spin < 2000; ++spin)
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(1));
-            waiter_token.cancel();
+            // Keep computing until the waiter has unwound (bounded,
+            // so a waiter that ignores its deadline still fails the
+            // test below rather than hanging it): the waiter's stop
+            // is its own business.
             for (int spin = 0; !waiter_unwound.load() && spin < 2000;
                  ++spin)
                 std::this_thread::sleep_for(
@@ -405,7 +398,7 @@ TEST(StoreDedup, CancellingAWaiterNeverDisturbsTheOwner)
 
     while (computes.load() == 0)
         std::this_thread::yield();
-    bool waiter_cancelled = false;
+    bool waiter_stopped = false;
     try {
         store.getOrCompute<Bytes>(
             key,
@@ -413,14 +406,15 @@ TEST(StoreDedup, CancellingAWaiterNeverDisturbsTheOwner)
                 ADD_FAILURE() << "the waiter must never compute";
                 return {};
             },
-            &waiter_token);
+            exec::deadlineAfter(std::chrono::milliseconds(20)));
     } catch (const exec::CancelledError &) {
-        waiter_cancelled = true;
+        waiter_stopped = true;
     }
     waiter_unwound = true;
     owner.join();
 
-    EXPECT_TRUE(waiter_cancelled);
+    EXPECT_TRUE(waiter_stopped);
+    EXPECT_EQ(moved("cache.dedup_waits"), 1);
     EXPECT_EQ(computes.load(), 1);
     const auto blob = store.get<Bytes>(key);
     EXPECT_TRUE(blob) << "the owner's result must land in the cache";
@@ -446,8 +440,7 @@ TEST(StoreDedup, OwnerFailurePromotesAWaiter)
                         std::this_thread::sleep_for(
                             std::chrono::milliseconds(1));
                     throw std::runtime_error("owner boom");
-                },
-                nullptr),
+                }),
             std::runtime_error);
     });
 

@@ -1,10 +1,9 @@
 /**
  * @file
- * Tests for qpad::exec — cancellation tokens, deadlines, and request
- * contexts — plus the contract that matters most: a context decides
- * only WHETHER a result exists, never its bytes, and a stopped
- * context unwinds promptly as exec::CancelledError from every
- * ctx-threaded entry point.
+ * Tests for qpad::exec — request deadlines — plus the contract that
+ * matters most: a deadline decides only WHETHER a result exists,
+ * never its bytes, and a passed deadline unwinds promptly as
+ * exec::CancelledError from every entry point that takes one.
  */
 
 #include <gtest/gtest.h>
@@ -14,11 +13,14 @@
 
 #include "arch/architecture.hh"
 #include "arch/ibm.hh"
+#include "benchmarks/generators.hh"
+#include "benchmarks/suite.hh"
 #include "circuit/circuit.hh"
 #include "design/anneal.hh"
 #include "design/freq_alloc.hh"
+#include "eval/experiment.hh"
 #include "exec/cancel.hh"
-#include "exec/context.hh"
+#include "mapping/sabre.hh"
 #include "obs/metrics.hh"
 #include "profile/coupling.hh"
 #include "yield/yield_sim.hh"
@@ -31,124 +33,51 @@ using namespace std::chrono_literals;
 using arch::Architecture;
 using arch::Layout;
 using exec::CancelledError;
-using exec::CancelToken;
-using exec::Context;
-using exec::StopReason;
 
 // --------------------------------------------------------------------
-// CancelToken
+// Deadlines
 // --------------------------------------------------------------------
 
-TEST(CancelToken, FreshTokenIsClean)
+TEST(Deadline, NoDeadlineNeverPasses)
 {
-    CancelToken tok;
-    EXPECT_FALSE(tok.cancelRequested());
-    EXPECT_FALSE(tok.hasDeadline());
-    EXPECT_EQ(tok.stopReason(), StopReason::kNone);
-    // Polling a clean token (or none at all) is a no-op.
-    EXPECT_NO_THROW(exec::throwIfStopped(&tok));
-    EXPECT_NO_THROW(exec::throwIfStopped(nullptr));
+    EXPECT_FALSE(exec::passed(exec::kNoDeadline));
+    EXPECT_NO_THROW(exec::throwIfPassed(exec::kNoDeadline));
 }
 
-TEST(CancelToken, CancelIsSticky)
+TEST(Deadline, PassedDeadlineThrows)
 {
-    CancelToken tok;
-    tok.cancel();
-    EXPECT_TRUE(tok.cancelRequested());
-    EXPECT_EQ(tok.stopReason(), StopReason::kCancelled);
-    // Still cancelled after deadline churn: cancel is sticky.
-    tok.setDeadline(exec::now() + 1h);
-    tok.clearDeadline();
-    EXPECT_EQ(tok.stopReason(), StopReason::kCancelled);
-}
-
-TEST(CancelToken, DeadlineExpiryReportsAndThrows)
-{
-    CancelToken tok;
-    tok.setDeadline(exec::now() - 1ns);
-    EXPECT_TRUE(tok.hasDeadline());
-    EXPECT_EQ(tok.stopReason(), StopReason::kDeadlineExceeded);
+    const exec::TimePoint deadline = exec::now() - 1ns;
+    EXPECT_TRUE(exec::passed(deadline));
     try {
-        exec::throwIfStopped(&tok);
+        exec::throwIfPassed(deadline);
         FAIL() << "expected CancelledError";
     } catch (const CancelledError &e) {
-        EXPECT_EQ(e.reason(), StopReason::kDeadlineExceeded);
+        EXPECT_STREQ(e.what(), "exec: request deadline exceeded");
     }
 }
 
-TEST(CancelToken, FutureDeadlineDoesNotStop)
+TEST(Deadline, FutureDeadlineDoesNotStop)
 {
-    CancelToken tok;
-    tok.setDeadline(exec::now() + 1h);
-    EXPECT_TRUE(tok.hasDeadline());
-    EXPECT_EQ(tok.stopReason(), StopReason::kNone);
-    tok.clearDeadline();
-    EXPECT_FALSE(tok.hasDeadline());
+    const exec::TimePoint deadline = exec::now() + 1h;
+    EXPECT_FALSE(exec::passed(deadline));
+    EXPECT_NO_THROW(exec::throwIfPassed(deadline));
 }
 
-TEST(CancelToken, CancelWinsOverDeadline)
+TEST(Deadline, ZeroBudgetHasPassed)
 {
-    CancelToken tok;
-    tok.setDeadline(exec::now() - 1ns);
-    tok.cancel();
-    EXPECT_EQ(tok.stopReason(), StopReason::kCancelled);
+    EXPECT_TRUE(exec::passed(exec::deadlineAfter(0ns)));
 }
 
-// --------------------------------------------------------------------
-// Context
-// --------------------------------------------------------------------
-
-TEST(Context, NoneIsNeverStopped)
-{
-    const Context &none = Context::none();
-    EXPECT_FALSE(none.cancelRequested());
-    EXPECT_EQ(none.stopReason(), StopReason::kNone);
-    EXPECT_NO_THROW(none.throwIfStopped());
-}
-
-TEST(Context, CopiesShareCancelState)
-{
-    Context ctx;
-    Context copy = ctx;
-    copy.cancel();
-    EXPECT_TRUE(ctx.cancelRequested());
-    EXPECT_THROW(ctx.throwIfStopped(), CancelledError);
-}
-
-TEST(Context, SetDeadlineAfterZeroBudgetExpires)
-{
-    Context ctx;
-    ctx.setDeadlineAfter(0ns);
-    EXPECT_EQ(ctx.stopReason(), StopReason::kDeadlineExceeded);
-}
-
-TEST(Context, SetDeadlineAfterHugeBudgetNeverExpires)
+TEST(Deadline, HugeBudgetSaturatesToNoDeadline)
 {
     // now() + budget would overflow into the past; the deadline
     // saturates at the end of the clock's range instead.
-    Context ctx;
-    ctx.setDeadlineAfter(std::chrono::nanoseconds::max());
-    EXPECT_EQ(ctx.stopReason(), StopReason::kNone);
-}
-
-TEST(Context, ApplyAttachesTokenOnlyWhenUnset)
-{
-    Context ctx;
-    runtime::Options base;
-    base.num_threads = 3;
-    const runtime::Options applied = ctx.apply(base);
-    EXPECT_EQ(applied.cancel, ctx.token());
-    EXPECT_EQ(applied.num_threads, 3u); // other fields pass through
-
-    // Innermost wins: an already-attached token is left alone.
-    CancelToken inner;
-    runtime::Options preset;
-    preset.cancel = &inner;
-    EXPECT_EQ(ctx.apply(preset).cancel, &inner);
+    EXPECT_EQ(exec::deadlineAfter(std::chrono::nanoseconds::max()),
+              exec::kNoDeadline);
 }
 
 // --------------------------------------------------------------------
-// Cancellation through the compute entry points
+// Deadlines through the compute entry points
 // --------------------------------------------------------------------
 
 profile::CouplingProfile
@@ -168,20 +97,15 @@ TEST(ExecCancel, ExpiredDeadlineStopsAnneal)
     auto start = design::designLayout(prof);
     design::AnnealOptions opts;
     opts.iterations = 200000; // would take a while if not stopped
-    Context ctx;
-    ctx.setDeadlineAfter(0ns);
-    try {
-        design::annealLayout(prof, start, opts, ctx);
-        FAIL() << "expected CancelledError";
-    } catch (const CancelledError &e) {
-        EXPECT_EQ(e.reason(), StopReason::kDeadlineExceeded);
-    }
+    EXPECT_THROW(design::annealLayout(prof, start, opts,
+                                      exec::deadlineAfter(0ns)),
+                 CancelledError);
 }
 
-TEST(ExecCancel, BenignContextLeavesAnnealBitIdentical)
+TEST(ExecCancel, FutureDeadlineLeavesAnnealBitIdentical)
 {
-    // The determinism contract: attaching a context that never stops
-    // must not change a single byte of the result.
+    // The determinism contract: a deadline that never passes must
+    // not change a single byte of the result.
     auto prof = smallProfile();
     auto start = design::designLayout(prof);
     design::AnnealOptions opts;
@@ -193,9 +117,8 @@ TEST(ExecCancel, BenignContextLeavesAnnealBitIdentical)
     const uint64_t before = chains.value();
     auto plain = design::annealLayout(prof, start, opts);
     EXPECT_EQ(chains.value() - before, 2u);
-    Context ctx;
-    ctx.setDeadline(exec::now() + 1h); // armed but never expires
-    auto guarded = design::annealLayout(prof, start, opts, ctx);
+    auto guarded =
+        design::annealLayout(prof, start, opts, exec::now() + 1h);
     EXPECT_EQ(chains.value() - before, 4u);
     EXPECT_EQ(plain.final_cost, guarded.final_cost);
     EXPECT_EQ(plain.winning_chain, guarded.winning_chain);
@@ -203,15 +126,14 @@ TEST(ExecCancel, BenignContextLeavesAnnealBitIdentical)
               guarded.layout.coord_of_logical);
 }
 
-TEST(ExecCancel, CancelledContextStopsEstimateYield)
+TEST(ExecCancel, PassedDeadlineStopsEstimateYield)
 {
     auto arch = arch::ibm16Q(false);
     yield::YieldOptions opts;
     opts.trials = 4000;
-    Context ctx;
-    ctx.cancel();
-    EXPECT_THROW(yield::estimateYield(arch, opts, ctx),
-                 CancelledError);
+    EXPECT_THROW(
+        yield::estimateYield(arch, opts, exec::deadlineAfter(0ns)),
+        CancelledError);
 }
 
 TEST(ExecCancel, ExpiredDeadlineStopsFreqAlloc)
@@ -219,19 +141,115 @@ TEST(ExecCancel, ExpiredDeadlineStopsFreqAlloc)
     Architecture arch(Layout::grid(3, 3));
     design::FreqAllocOptions opts;
     opts.local_trials = 200;
-    Context ctx;
-    ctx.setDeadlineAfter(0ns);
-    EXPECT_THROW(design::allocateFrequencies(arch, opts, ctx),
+    EXPECT_THROW(design::allocateFrequencies(arch, opts,
+                                             exec::deadlineAfter(0ns)),
                  CancelledError);
 }
 
 TEST(ExecCancel, StoppedRunsCountInMetrics)
 {
-    const uint64_t before = obs::counter("exec.cancelled").value();
-    Context ctx;
-    ctx.cancel();
-    EXPECT_THROW(ctx.throwIfStopped(), CancelledError);
-    EXPECT_GE(obs::counter("exec.cancelled").value(), before + 1);
+    obs::Counter &stops = obs::counter("exec.deadline_exceeded");
+    const uint64_t before = stops.value();
+    EXPECT_THROW(exec::throwIfPassed(exec::deadlineAfter(0ns)),
+                 CancelledError);
+    EXPECT_EQ(stops.value(), before + 1);
+}
+
+// --------------------------------------------------------------------
+// Stop latency: a deadline that passes mid-run stops every entry
+// point within a bound. Each call below would run for 25-50 s
+// uninterrupted (measured in a Release build on 4 cores), through
+// many chunks, iterations or routing passes rather than one long
+// one, so a stop inside 1 s shows a poll that fired mid-run; an
+// entry point that lost its polls runs to completion and fails its
+// case.
+// --------------------------------------------------------------------
+
+/** Run `call` under a deadline 20 ms away; require it to stop, and
+ * to stop less than 1 s after the deadline. */
+template <class Call>
+void
+expectStopsWithinBound(const Call &call)
+{
+    const exec::TimePoint deadline = exec::deadlineAfter(20ms);
+    try {
+        call(deadline);
+        ADD_FAILURE() << "expected CancelledError";
+    } catch (const CancelledError &) {
+    }
+    const auto late = exec::now() - deadline;
+    EXPECT_LT(late, 1s)
+        << "stopped "
+        << std::chrono::duration_cast<std::chrono::milliseconds>(late)
+               .count()
+        << " ms after the deadline";
+}
+
+TEST(StopLatency, EstimateYield)
+{
+    // Tiny noise on a collision-free 60-qubit chain: every trial
+    // survives and draws every row, 2^28 trials in 2^18 shards.
+    Architecture arch(Layout::grid(1, 60));
+    std::vector<double> freqs(60);
+    for (std::size_t q = 0; q < freqs.size(); ++q)
+        freqs[q] = 5.05 + 0.12 * double(q % 3);
+    arch.setAllFrequencies(freqs);
+    yield::YieldOptions opts;
+    opts.sigma_ghz = 1e-6;
+    opts.trials = std::size_t(1) << 28;
+    expectStopsWithinBound([&](exec::TimePoint deadline) {
+        yield::estimateYield(arch, opts, deadline);
+    });
+}
+
+TEST(StopLatency, AllocateFrequencies)
+{
+    // 11 passes of 100 qubit visits, each a region of 1024 chunks.
+    Architecture arch(Layout::grid(10, 10));
+    design::FreqAllocOptions opts;
+    opts.local_trials = 1 << 20;
+    opts.refine_sweeps = 10;
+    expectStopsWithinBound([&](exec::TimePoint deadline) {
+        design::allocateFrequencies(arch, opts, deadline);
+    });
+}
+
+TEST(StopLatency, AnnealLayout)
+{
+    // One chain of 2^26 moves, polled every 1024.
+    auto prof = smallProfile();
+    auto start = design::designLayout(prof);
+    design::AnnealOptions opts;
+    opts.iterations = std::size_t(1) << 26;
+    expectStopsWithinBound([&](exec::TimePoint deadline) {
+        design::annealLayout(prof, start, opts, deadline);
+    });
+}
+
+TEST(StopLatency, CountMapping)
+{
+    // 6e5 routing passes of a 16-qubit QFT, each polled.
+    const circuit::Circuit circ = benchmarks::qft(16);
+    const Architecture arch = arch::ibm16Q(true);
+    mapping::MappingOptions opts;
+    opts.initial_mapping_rounds = 300000;
+    expectStopsWithinBound([&](exec::TimePoint deadline) {
+        mapping::countMapping(circ, arch, opts, deadline);
+    });
+}
+
+TEST(StopLatency, RunBenchmark)
+{
+    // Large budgets: every data point allocates frequencies over
+    // 1024-chunk regions and estimates its yield over 2^17 shards.
+    eval::ExperimentOptions opts;
+    opts.freq_options.local_trials = 1 << 20;
+    opts.yield_options.trials = std::size_t(1) << 27;
+    opts.adaptive_yield_trials = false;
+    expectStopsWithinBound([&](exec::TimePoint deadline) {
+        eval::runBenchmark(benchmarks::getBenchmark("sym6_145"), opts,
+                           deadline);
+    });
 }
 
 } // namespace

@@ -291,7 +291,7 @@ resumedEstimate(const Architecture &arch, yield::YieldOptions opts,
     opts.trials = first;
     const yield::YieldResult prior = estimateYield(arch, opts);
     opts.trials = trials;
-    return estimateYield(arch, opts, exec::Context::none(), prior);
+    return estimateYield(arch, opts, exec::kNoDeadline, prior);
 }
 
 TEST(YieldScheme, V2KernelChoiceNeverChangesTallies)

@@ -687,6 +687,39 @@ TEST(Flight, SignalSafeDumpIsStructurallyValidJson)
     expectBalancedJson(text);
 }
 
+TEST(Flight, FormatEventPrintsTheSnprintfBytes)
+{
+    // The one event formatter writes ts with integers only; a session
+    // file must keep the bytes that snprintf's "%.3f" of ns / 1000.0
+    // gave, for span edges and for warning instants alike.
+    for (const uint64_t ns :
+         {uint64_t{0}, uint64_t{999}, uint64_t{1000}, uint64_t{1001},
+          uint64_t{1} << 40}) {
+        SCOPED_TRACE(ns);
+        const double us = double(ns) / 1000.0;
+        char expect[512];
+        char line[obs::flight::kMaxEventLine];
+        std::snprintf(expect, sizeof expect,
+                      ",\n{\"name\":\"obs.test_format\",\"cat\":\"flight\","
+                      "\"ph\":\"E\",\"pid\":1,\"tid\":7,\"ts\":%.3f}",
+                      us);
+        EXPECT_EQ(std::string(line, obs::flight::formatEvent(
+                                        line, false, "obs.test_format",
+                                        'E', 0, 7, ns)),
+                  expect);
+        std::snprintf(expect, sizeof expect,
+                      "\n{\"name\":\"obs.test_format\",\"cat\":\"flight\","
+                      "\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":7,"
+                      "\"ts\":%.3f,\"args\":{\"level\":\"warn\"}}",
+                      us);
+        EXPECT_EQ(std::string(line,
+                              obs::flight::formatEvent(
+                                  line, true, "obs.test_format", 'L',
+                                  uint8_t(obs::LogLevel::kWarn), 7, ns)),
+                  expect);
+    }
+}
+
 TEST(Trace, LogEventsAreInstantsWithLevel)
 {
     if (obs::tracingEnabled())
@@ -759,7 +792,7 @@ TEST(TraceDeathTest, PoolTripwireWritesTheBalancedSession)
                         std::this_thread::sleep_for(
                             std::chrono::hours(1));
                 },
-                nullptr);
+                exec::kNoDeadline);
             pool.dispatchRegion(state, 1);
             while (!started.load(std::memory_order_seq_cst))
                 std::this_thread::yield();

@@ -60,7 +60,7 @@ TEST(ThreadPool, DestructionAfterRegionRetiresIsClean)
     ThreadPool pool(2);
     std::atomic<std::size_t> hits{0};
     auto state = std::make_shared<runtime::detail::RegionState>(
-        4, [&](std::size_t) { ++hits; }, nullptr);
+        4, [&](std::size_t) { ++hits; }, exec::kNoDeadline);
     pool.dispatchRegion(state, 1);
     EXPECT_EQ(pool.activeRegions(), 1u);
     state->runAs();
@@ -83,7 +83,7 @@ TEST(ThreadPool, OfferWakesASleepingWorker)
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     std::atomic<std::size_t> hits{0};
     auto state = std::make_shared<runtime::detail::RegionState>(
-        3, [&](std::size_t) { ++hits; }, nullptr);
+        3, [&](std::size_t) { ++hits; }, exec::kNoDeadline);
     pool.dispatchRegion(state, 1);
     state->waitDone();
     state->rethrowIfFailed();
@@ -138,7 +138,7 @@ TEST(ThreadPoolDeathTest, DestructionDuringActiveRegionAborts)
                             std::this_thread::sleep_for(
                                 std::chrono::hours(1));
                     },
-                    nullptr);
+                    exec::kNoDeadline);
             pool.dispatchRegion(state, 1);
             while (!started.load())
                 std::this_thread::yield();
@@ -331,7 +331,7 @@ TEST(GuidedScheduling, OneRunnerClaimsLargestChunksFirst)
     std::vector<std::size_t> order;
     auto state = std::make_shared<runtime::detail::RegionState>(
         plan.chunks(), [&](std::size_t c) { order.push_back(c); },
-        nullptr);
+        exec::kNoDeadline);
     state->runAs();
     state->waitDone();
     state->rethrowIfFailed();
@@ -481,109 +481,57 @@ TEST(StealingExceptions, FirstErrorWinsIsOneOfTheThrown)
 // Cooperative cancellation at chunk-claim boundaries
 // --------------------------------------------------------------------
 
-TEST(Cancellation, PreStoppedTokenRunsNoChunk)
+TEST(Cancellation, PassedDeadlineRunsNoChunk)
 {
-    // A token that is already stopped fails the region before the
+    // A deadline that has already passed fails the region before the
     // first chunk-claim, sequential and parallel alike.
     for (std::size_t threads : {1u, 4u}) {
-        for (const bool deadline : {false, true}) {
-            exec::CancelToken tok;
-            if (deadline)
-                tok.setDeadline(exec::now() -
-                                std::chrono::nanoseconds(1));
-            else
-                tok.cancel();
-            Options opts{threads};
-            opts.cancel = &tok;
-            std::atomic<std::size_t> executed{0};
-            try {
-                runtime::parallel_for(
-                    opts, 100, 1,
-                    [&](std::size_t, std::size_t, std::size_t) {
-                        ++executed;
-                    });
-                FAIL() << "expected CancelledError";
-            } catch (const exec::CancelledError &e) {
-                EXPECT_EQ(e.reason(),
-                          deadline
-                              ? exec::StopReason::kDeadlineExceeded
-                              : exec::StopReason::kCancelled);
-            }
-            EXPECT_EQ(executed.load(), 0u);
-        }
+        std::atomic<std::size_t> executed{0};
+        EXPECT_THROW(runtime::parallel_for(
+                         Options{threads}, 100, 1,
+                         [&](std::size_t, std::size_t, std::size_t) {
+                             ++executed;
+                         },
+                         exec::now() - std::chrono::nanoseconds(1)),
+                     exec::CancelledError);
+        EXPECT_EQ(executed.load(), 0u);
     }
 }
 
-TEST(Cancellation, CancelFromInsideARegionSkipsTheRemainder)
+TEST(Cancellation, DeadlinePassingInsideARegionSkipsTheRemainder)
 {
-    // The first executed chunk cancels the token; every later claim
-    // observes the stop and is skipped, so the region unwinds with
-    // CancelledError after a small fraction of the range.
+    // Every chunk runs until the deadline has passed, so every later
+    // claim observes the stop and is skipped, and the region unwinds
+    // with CancelledError after a small fraction of the range.
     for (std::size_t threads : {1u, 4u}) {
-        exec::CancelToken tok;
-        Options opts{threads};
-        opts.cancel = &tok;
+        const exec::TimePoint deadline =
+            exec::now() + std::chrono::milliseconds(20);
         std::atomic<std::size_t> executed{0};
-        try {
-            runtime::parallel_for(
-                opts, 1000, 1,
-                [&](std::size_t, std::size_t, std::size_t) {
-                    ++executed;
-                    tok.cancel();
-                });
-            FAIL() << "expected CancelledError";
-        } catch (const exec::CancelledError &e) {
-            EXPECT_EQ(e.reason(), exec::StopReason::kCancelled);
-        }
-        // A chunk per runner can already be in flight when the stop
-        // lands; each runner's next claim sees the stop its own
-        // chunk raised, so no runner executes a second chunk.
+        EXPECT_THROW(runtime::parallel_for(
+                         Options{threads}, 1000, 1,
+                         [&](std::size_t, std::size_t, std::size_t) {
+                             ++executed;
+                             while (!exec::passed(deadline))
+                                 std::this_thread::sleep_until(deadline);
+                         },
+                         deadline),
+                     exec::CancelledError);
+        // A chunk per runner can already be in flight when the
+        // deadline passes; each runner's next claim sees the stop, so
+        // no runner executes a second chunk.
         EXPECT_LE(executed.load(), threads) << threads;
     }
 }
 
-TEST(Cancellation, ExternalCancelRace)
+TEST(Cancellation, FutureDeadlineLeavesResultsBitIdentical)
 {
-    // TSan-stressed: another thread cancels while workers claim
-    // chunks. Either outcome (completed or cancelled) is legal; the
-    // invariants are no torn state and a correctly-typed error.
-    for (int round = 0; round < 8; ++round) {
-        exec::CancelToken tok;
-        Options opts{4};
-        opts.cancel = &tok;
-        std::atomic<std::size_t> executed{0};
-        std::thread canceller([&tok] { tok.cancel(); });
-        bool cancelled = false;
-        try {
-            runtime::parallel_for(
-                opts, 400, 1,
-                [&](std::size_t, std::size_t, std::size_t) {
-                    ++executed;
-                });
-        } catch (const exec::CancelledError &e) {
-            cancelled = true;
-            EXPECT_EQ(e.reason(), exec::StopReason::kCancelled);
-        }
-        canceller.join();
-        if (!cancelled)
-            EXPECT_EQ(executed.load(), 400u);
-        else
-            EXPECT_LE(executed.load(), 400u);
-    }
-}
-
-TEST(Cancellation, BenignTokenLeavesResultsBitIdentical)
-{
-    // The determinism contract: a token that never stops must not
-    // change a byte of the result at any thread count — the
+    // The determinism contract: a deadline that never passes must
+    // not change a byte of the result at any thread count — the
     // non-commutative fold exposes any scheduling disturbance.
-    exec::CancelToken tok;
-    tok.setDeadline(exec::now() + std::chrono::hours(1));
-    auto run = [&tok](std::size_t threads) {
-        Options opts{threads};
-        opts.cancel = &tok;
+    const exec::TimePoint deadline = exec::now() + std::chrono::hours(1);
+    auto run = [deadline](std::size_t threads) {
         return runtime::parallel_reduce(
-            opts, 26, 0, std::string{},
+            Options{threads}, 26, 0, std::string{},
             [](std::size_t begin, std::size_t end, std::size_t) {
                 std::string s;
                 for (std::size_t i = begin; i < end; ++i)
@@ -592,7 +540,8 @@ TEST(Cancellation, BenignTokenLeavesResultsBitIdentical)
             },
             [](std::string acc, const std::string &x) {
                 return acc + x;
-            });
+            },
+            deadline);
     };
     const std::string expect = "abcdefghijklmnopqrstuvwxyz";
     EXPECT_EQ(run(1), expect);

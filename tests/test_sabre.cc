@@ -182,23 +182,23 @@ TEST(Sabre, RejectsInvalidOptions)
         mapCircuit(circ, arch, zero).mapped, arch));
 }
 
-TEST(Sabre, CancelledContextStopsMapping)
+TEST(Sabre, PassedDeadlineStopsMapping)
 {
-    exec::Context ctx;
-    ctx.cancel();
     EXPECT_THROW(mapCircuit(benchmarks::qft(8), arch::ibm16Q(false),
-                            MappingOptions{}, ctx),
+                            MappingOptions{},
+                            exec::now() - std::chrono::nanoseconds(1)),
                  exec::CancelledError);
 }
 
-TEST(Sabre, UnfiredContextLeavesMappingUnchanged)
+TEST(Sabre, FutureDeadlineLeavesMappingUnchanged)
 {
     auto circ = benchmarks::qft(10);
     auto arch = arch::ibm16Q(true);
-    exec::Context ctx;
-    ctx.setDeadlineAfter(std::chrono::hours(1));
+    const exec::TimePoint deadline =
+        exec::deadlineAfter(std::chrono::hours(1));
     const auto plain = mapCircuit(circ, arch);
-    const auto polled = mapCircuit(circ, arch, MappingOptions{}, ctx);
+    const auto polled =
+        mapCircuit(circ, arch, MappingOptions{}, deadline);
     EXPECT_EQ(polled.swaps, plain.swaps);
     EXPECT_EQ(polled.total_gates, plain.total_gates);
     EXPECT_EQ(polled.two_qubit_gates, plain.two_qubit_gates);
@@ -207,22 +207,20 @@ TEST(Sabre, UnfiredContextLeavesMappingUnchanged)
     EXPECT_EQ(polled.mapped, plain.mapped);
 }
 
-TEST(Sabre, CancelledContextStopsCounting)
+TEST(Sabre, PassedDeadlineStopsCounting)
 {
     auto circ = benchmarks::qft(10);
     auto arch = arch::ibm16Q(true);
-    exec::Context cancelled;
-    cancelled.cancel();
     EXPECT_THROW(
-        mapping::countMapping(circ, arch, MappingOptions{}, cancelled),
+        mapping::countMapping(circ, arch, MappingOptions{},
+                              exec::now() - std::chrono::nanoseconds(1)),
         exec::CancelledError);
 
-    // A deadline that never fires leaves the counts as they are.
-    exec::Context ctx;
-    ctx.setDeadlineAfter(std::chrono::hours(1));
+    // A deadline that never passes leaves the counts as they are.
     const auto plain = mapping::countMapping(circ, arch);
-    const auto polled =
-        mapping::countMapping(circ, arch, MappingOptions{}, ctx);
+    const auto polled = mapping::countMapping(
+        circ, arch, MappingOptions{},
+        exec::deadlineAfter(std::chrono::hours(1)));
     EXPECT_EQ(polled.swaps, plain.swaps);
     EXPECT_EQ(polled.total_gates, plain.total_gates);
 }

@@ -336,7 +336,7 @@ expectResumesMatchFullEstimates(const Architecture &arch,
                              << stats << " threads " << threads);
                 opts.exec.num_threads = threads;
                 const YieldResult resumed = estimateYield(
-                    arch, opts, exec::Context::none(), prior);
+                    arch, opts, exec::kNoDeadline, prior);
                 EXPECT_EQ(resumed.trials, full.trials);
                 EXPECT_EQ(resumed.successes, full.successes);
                 EXPECT_EQ(resumed.condition_trials, full.condition_trials);
@@ -376,7 +376,7 @@ TEST(YieldResume, RejectsAPriorLargerThanTheBudget)
     opts.trials = 2000;
     const YieldResult prior = estimateYield(arch, opts);
     opts.trials = 1000;
-    EXPECT_THROW(estimateYield(arch, opts, exec::Context::none(), prior),
+    EXPECT_THROW(estimateYield(arch, opts, exec::kNoDeadline, prior),
                  std::logic_error);
 }
 
