@@ -141,18 +141,14 @@ settleZone(const CandidateGrid &grid, double magnitude)
                       -47);
 }
 
-/** The grid and the model of one visit, in grid-index units. */
+/** The grid and the model of one visit. */
 struct Frame
 {
     Frame(const CandidateGrid &grid, const CollisionModel &model)
         : model(model), freqs(grid.freqs.data()), n(grid.freqs.size()),
           words((n + 63) / 64),
           pad(n % 64 == 0 ? 0 : ~uint64_t{0} << (n % 64)),
-          last(double(n) - 1.0), inv_step(1.0 / grid.step),
-          d(model.delta * inv_step), dh(model.delta / 2 * inv_step),
-          t1(model.thr1 * inv_step), t2(model.thr2 * inv_step),
-          t3(model.thr3 * inv_step), t5(model.thr5 * inv_step),
-          t6(model.thr6 * inv_step), t7(model.thr7 * inv_step)
+          last(double(n) - 1.0), inv_step(1.0 / grid.step)
     {
     }
 
@@ -165,9 +161,72 @@ struct Frame
     uint64_t pad;
     double last;
     double inv_step;
-    // delta, delta / 2 and the thresholds in index units.
-    double d, dh, t1, t2, t3, t5, t6, t7;
 };
+
+/**
+ * The windows of the conditions of one term, solved alike by
+ * TrialSweep (on double) and LaneSweep (on VecD): each range end is
+ * computed with the same operations in the same order, in index units
+ * from s.idx, and settled, where TrialSweep settles, by the term's
+ * condition in GHz from s.ghz with q's frequency x in q's slot.
+ */
+
+/** Conditions 1-4 on the edge (q, b); q is the pair's `a`. */
+template <typename Sweep, typename V>
+inline void
+pairWindows(Sweep &s, V b)
+{
+    using Ops = typename Sweep::Ops;
+    const auto &g = s.idx;
+    const auto &c = s.ghz;
+    const V pb = s.pos(b);
+    const V below = Ops::sub(pb, g.d), above = Ops::add(pb, g.d);
+    s.window(pb, g.t1, [&](auto x) { return c.c1(x, b); });
+    s.window(Ops::sub(pb, g.dh), g.t2, [&](auto x) { return c.c2(x, b); });
+    s.window(Ops::add(pb, g.dh), g.t2, [&](auto x) { return c.c2(b, x); });
+    s.window(below, g.t3, [&](auto x) { return c.c3(x, b); });
+    s.window(above, g.t3, [&](auto x) { return c.c3(b, x); });
+    s.suffix(below, [&](auto x) { return c.c4(x, b); });
+    s.prefix(above, [&](auto x) { return c.c4(b, x); });
+}
+
+/**
+ * Conditions 5-7 of a triple with shared neighbour j whose outer
+ * qubits are q and o, with q as the triple's k. IEEE subtraction is
+ * antisymmetric and addition commutative, so these round exactly as
+ * with q as its i.
+ */
+template <typename Sweep, typename V>
+inline void
+outerWindows(Sweep &s, V j, V o)
+{
+    using Ops = typename Sweep::Ops;
+    const auto &g = s.idx;
+    const auto &c = s.ghz;
+    const V po = s.pos(o);
+    const V jd = Ops::add(Ops::add(j, j), c.d); // 2 j + delta, exactly
+    s.window(po, g.t5, [&](auto x) { return c.c5(o, x); });
+    s.window(Ops::add(po, g.d), g.t6, [&](auto x) { return c.c6(o, x); });
+    s.window(Ops::sub(po, g.d), g.t6, [&](auto x) { return c.c6(x, o); });
+    s.window(s.pos(Ops::sub(jd, o)), g.t7,
+             [&](auto x) { return c.c7(j, x, o); });
+}
+
+/**
+ * Condition 7 of a triple centred on q: slope 2 in x, so its window
+ * sits at (k + i - delta) / 2 and is half as wide (halving is exact).
+ * Conditions 5-6 do not involve q: VisitSweep applies them whole.
+ */
+template <typename Sweep, typename V>
+inline void
+centreWindow(Sweep &s, V k, V i)
+{
+    using Ops = typename Sweep::Ops;
+    const auto &c = s.ghz;
+    const V mid = Sweep::halve(Ops::sub(Ops::add(k, i), c.d));
+    s.window(s.pos(mid), Sweep::halve(s.idx.t7),
+             [&](auto x) { return c.c7(x, k, i); });
+}
 
 /**
  * The dead set of one trial over the grid: candidate c is dead when
@@ -175,16 +234,19 @@ struct Frame
  * in grid-index units, where candidate c sits at c up to rounding.
  * The scalar sweep: it runs grids wider than one word, and the lanes
  * whose range ends LaneSweep cannot place.
- *
- * Each `fires(x)` predicate below repeats its pairConditionMask /
- * tripleConditionMask expression verbatim, operand order included: it
- * is what settles a grid point near a range end, so it must round
- * exactly as the collision kernels do.
  */
 class TrialSweep
 {
   public:
-    explicit TrialSweep(const Frame &f) : f_(f), dead_(f.words) {}
+    using Ops = yield::ScalarOps;
+
+    explicit TrialSweep(const Frame &f)
+        : ghz(f.model), idx(f.model, f.inv_step), f_(f), dead_(f.words)
+    {
+    }
+
+    /** The conditions in GHz, and their constants in index units. */
+    const yield::Conditions<Ops> ghz, idx;
 
     const std::vector<uint64_t> &dead() const { return dead_; }
 
@@ -206,84 +268,43 @@ class TrialSweep
         return true;
     }
 
-    /** Conditions 1-4 on the edge (q, b); q is `fa`. */
-    void pair(double b)
-    {
-        const CollisionModel &m = f_.model;
-        const double d = m.delta;
-        const double pb = pos(b);
-        window(pb, f_.t1,
-               [&](double x) { return std::fabs(x - b) < m.thr1; });
-        window(pb - f_.dh, f_.t2, [&](double x) {
-            return std::fabs(x - (b - d / 2)) < m.thr2;
-        });
-        window(pb + f_.dh, f_.t2, [&](double x) {
-            return std::fabs(b - (x - d / 2)) < m.thr2;
-        });
-        window(pb - f_.d, f_.t3, [&](double x) {
-            return std::fabs(x - (b - d)) < m.thr3;
-        });
-        window(pb + f_.d, f_.t3, [&](double x) {
-            return std::fabs(b - (x - d)) < m.thr3;
-        });
-        suffix(pb - f_.d, [&](double x) { return x > b - d; });
-        prefix(pb + f_.d, [&](double x) { return b > x - d; });
-    }
-
-    /**
-     * Conditions 5-7 of a triple with shared neighbour j whose outer
-     * qubits are q and o. IEEE subtraction is antisymmetric and
-     * addition commutative, so these expressions round exactly as the
-     * kernels' whether q is their `fk` or their `fi`.
-     */
-    void outer(double j, double o)
-    {
-        const CollisionModel &m = f_.model;
-        const double d = m.delta;
-        const double po = pos(o);
-        const double jd = 2 * j + d;
-        window(po, f_.t5,
-               [&](double x) { return std::fabs(o - x) < m.thr5; });
-        window(po + f_.d, f_.t6, [&](double x) {
-            return std::fabs(o - (x - d)) < m.thr6;
-        });
-        window(po - f_.d, f_.t6, [&](double x) {
-            return std::fabs(x - (o - d)) < m.thr6;
-        });
-        window(pos(jd - o), f_.t7, [&](double x) {
-            return std::fabs(jd - (x + o)) < m.thr7;
-        });
-    }
-
-    /**
-     * Conditions 5-6 of a triple centred on q: q is not involved, so
-     * they kill every candidate or none.
-     */
-    void centreFires(double k, double i)
-    {
-        const CollisionModel &m = f_.model;
-        const double d = m.delta;
-        if (std::fabs(i - k) < m.thr5 ||
-            std::fabs(i - (k - d)) < m.thr6 ||
-            std::fabs(k - (i - d)) < m.thr6)
-            mark(0, f_.n);
-    }
-
-    /** Condition 7 of a triple centred on q: slope 2 in x. */
-    void centre(double k, double i)
-    {
-        const CollisionModel &m = f_.model;
-        const double d = m.delta;
-        const double ki = k + i;
-        window(pos((ki - d) / 2), f_.t7 / 2, [&](double x) {
-            return std::fabs(2 * x + d - ki) < m.thr7;
-        });
-    }
-
-  private:
     /** Index position of q frequency v in this trial. */
     double pos(double v) const { return (v - base_) * f_.inv_step; }
 
+    static double halve(double v) { return v / 2; }
+
+    /** Every candidate is dead if `fires`. */
+    void killIf(bool fires)
+    {
+        if (fires)
+            mark(0, f_.n);
+    }
+
+    /** A |.| < thr condition centred at `mid` with half-width `half`. */
+    template <typename Fires>
+    void window(double mid, double half, const Fires &fires)
+    {
+        const double lo = mid - half, hi = mid + half;
+        if (hi < -eps_ || lo > f_.last + eps_)
+            return; // misses the grid
+        mark(rise(lo, fires), fall(hi, fires));
+    }
+
+    /** A condition firing below the boundary at u. */
+    template <typename Fires>
+    void prefix(double u, const Fires &fires)
+    {
+        mark(0, fall(u, fires));
+    }
+
+    /** A condition firing above the boundary at u. */
+    template <typename Fires>
+    void suffix(double u, const Fires &fires)
+    {
+        mark(rise(u, fires), f_.n);
+    }
+
+  private:
     /** Grid indices c <= v: floor(v) + 1 clamped to [0, C]. */
     std::size_t upTo(double v) const
     {
@@ -320,30 +341,6 @@ class TrialSweep
         return c;
     }
 
-    /** A |.| < thr condition centred at `mid` with half-width `half`. */
-    template <typename Fires>
-    void window(double mid, double half, const Fires &fires)
-    {
-        const double lo = mid - half, hi = mid + half;
-        if (hi < -eps_ || lo > f_.last + eps_)
-            return; // misses the grid
-        mark(rise(lo, fires), fall(hi, fires));
-    }
-
-    /** A condition firing below the boundary at u. */
-    template <typename Fires>
-    void prefix(double u, const Fires &fires)
-    {
-        mark(0, fall(u, fires));
-    }
-
-    /** A condition firing above the boundary at u. */
-    template <typename Fires>
-    void suffix(double u, const Fires &fires)
-    {
-        mark(rise(u, fires), f_.n);
-    }
-
     void mark(std::size_t lo, std::size_t hi)
     {
         if (lo >= hi)
@@ -366,31 +363,49 @@ class TrialSweep
     std::vector<uint64_t> dead_;
 };
 
+/** Conditions' ops on the eight lanes of a VecD; a mask lane is
+ * all-ones where the condition fires. */
+struct VecOps
+{
+    using V = VecD;
+    using M = VecU;
+    static VecD splat(double x) { return vec8::splat(x); }
+    static VecD add(VecD a, VecD b) { return vadd(a, b); }
+    static VecD sub(VecD a, VecD b) { return vsub(a, b); }
+    static VecD abs(VecD a)
+    {
+        return vand(a, fromBits(splatU(~uint64_t{0} >> 1)));
+    }
+    static VecU lt(VecD a, VecD b) { return toBits(vlt(a, b)); }
+    static VecU either(VecU a, VecU b) { return uor(a, b); }
+};
+
 /**
  * TrialSweep for the eight trials of one block at once, on grids of
  * at most 64 candidates: lane l's dead set is one word, and a range
  * [lo, hi) is ((1 << hi) - 1) & ~((1 << lo) - 1). Every range end is
- * solved with TrialSweep's operations in TrialSweep's order, so it is
- * the same double, and taken as TrialSweep takes an end with no grid
+ * solved by the same window template as TrialSweep's, so it is the
+ * same double, and taken as TrialSweep takes an end with no grid
  * point in its settle zone: upTo(u + eps). A lane with a grid point
  * in some end's zone (u - eps, u + eps] is flagged instead, and its
  * trial goes to TrialSweep, which settles the point; its word here is
- * not used. A window that misses the grid needs no test, as its
- * clamped ends give an empty range; one that misses it in every lane
- * is skipped only to save the work.
+ * not used, nor is any `fires` predicate. A window that misses the
+ * grid needs no test, as its clamped ends give an empty range; one
+ * that misses it in every lane is skipped only to save the work.
  */
 class LaneSweep
 {
   public:
+    using Ops = VecOps;
+
     explicit LaneSweep(const Frame &f)
-        : inv_step_(splat(f.inv_step)), freq0_(splat(f.freqs[0])),
-          last_(splat(f.last)), d_(splat(f.d)), dh_(splat(f.dh)),
-          t1_(splat(f.t1)), t2_(splat(f.t2)), t3_(splat(f.t3)),
-          t5_(splat(f.t5)), t6_(splat(f.t6)), t7_(splat(f.t7)),
-          t7h_(splat(f.t7 / 2)), delta_(splat(f.model.delta)),
-          thr5_(splat(f.model.thr5)), thr6_(splat(f.model.thr6))
+        : ghz(f.model), idx(f.model, f.inv_step),
+          inv_step_(splat(f.inv_step)), freq0_(splat(f.freqs[0])),
+          last_(splat(f.last))
     {
     }
+
+    const yield::Conditions<Ops> ghz, idx;
 
     /**
      * Start a block with q's noise per lane and the block's settle
@@ -412,52 +427,39 @@ class LaneSweep
     /** Bit l set iff lane l needs TrialSweep. */
     unsigned flagged() const { return laneMask(flags_); }
 
-    void pair(VecD b)
-    {
-        const VecD pb = pos(b);
-        const VecD below = vsub(pb, d_), above = vadd(pb, d_);
-        window(pb, t1_);
-        window(vsub(pb, dh_), t2_);
-        window(vadd(pb, dh_), t2_);
-        window(below, t3_);
-        window(above, t3_);
-        dead_ = uor(dead_, uandnot(bitsBelow(end(below)),
-                                   splatU(~uint64_t{0}))); // suffix
-        dead_ = uor(dead_, bitsBelow(end(above)));         // prefix
-    }
+    VecD pos(VecD v) const { return vmul(vsub(v, base_), inv_step_); }
 
-    void outer(VecD j, VecD o)
-    {
-        const VecD po = pos(o);
-        const VecD jd = vadd(vadd(j, j), delta_); // 2 j + delta, exactly
-        window(po, t5_);
-        window(vadd(po, d_), t6_);
-        window(vsub(po, d_), t6_);
-        window(pos(vsub(jd, o)), t7_);
-    }
+    static VecD halve(VecD v) { return vmul(v, splat(0.5)); }
 
-    void centreFires(VecD k, VecD i)
+    /** Every candidate of the lanes where `fires` is set is dead. */
+    void killIf(VecU fires) { dead_ = uor(dead_, fires); }
+
+    template <typename Fires>
+    void window(VecD mid, VecD half, const Fires &)
     {
-        const VecD abs_mask = fromBits(splatU(~uint64_t{0} >> 1));
-        const VecD c5 =
-            vlt(vand(vsub(i, k), abs_mask), thr5_);
-        const VecD c6a =
-            vlt(vand(vsub(i, vsub(k, delta_)), abs_mask), thr6_);
-        const VecD c6b =
-            vlt(vand(vsub(k, vsub(i, delta_)), abs_mask), thr6_);
+        const VecD lo = vsub(mid, half), hi = vadd(mid, half);
+        // TrialSweep's test for a window that misses the grid.
+        const VecU misses = uor(toBits(vlt(hi, below_grid_)),
+                                toBits(vlt(above_grid_, lo)));
+        if (laneMask(misses) == (1u << kLanes) - 1)
+            return;
         dead_ = uor(dead_,
-                    uor(toBits(c5), uor(toBits(c6a), toBits(c6b))));
+                    uandnot(bitsBelow(end(lo)), bitsBelow(end(hi))));
     }
 
-    void centre(VecD k, VecD i)
+    template <typename Fires>
+    void prefix(VecD u, const Fires &)
     {
-        // (k + i - delta) / 2: halving is exact either way.
-        window(pos(vmul(vsub(vadd(k, i), delta_), splat(0.5))), t7h_);
+        dead_ = uor(dead_, bitsBelow(end(u)));
+    }
+
+    template <typename Fires>
+    void suffix(VecD u, const Fires &)
+    {
+        dead_ = uor(dead_, uandnot(bitsBelow(end(u)), splatU(~uint64_t{0})));
     }
 
   private:
-    VecD pos(VecD v) const { return vmul(vsub(v, base_), inv_step_); }
-
     /**
      * upTo(u + eps) as an integer per lane, flagging the lanes where
      * the zone (u - eps, u + eps] holds a grid index: the largest
@@ -480,21 +482,7 @@ class LaneSweep
         return uadd(ushlv(splatU(1), n), splatU(~uint64_t{0}));
     }
 
-    void window(VecD mid, VecD half)
-    {
-        const VecD lo = vsub(mid, half), hi = vadd(mid, half);
-        // TrialSweep's test for a window that misses the grid.
-        const VecU misses = uor(toBits(vlt(hi, below_grid_)),
-                                toBits(vlt(above_grid_, lo)));
-        if (laneMask(misses) == (1u << kLanes) - 1)
-            return;
-        dead_ = uor(dead_,
-                    uandnot(bitsBelow(end(lo)), bitsBelow(end(hi))));
-    }
-
     VecD inv_step_, freq0_, last_;
-    VecD d_, dh_, t1_, t2_, t3_, t5_, t6_, t7_, t7h_;
-    VecD delta_, thr5_, thr6_;
     VecD base_, eps_, below_grid_, above_grid_;
     VecU dead_, flags_;
 };
@@ -662,22 +650,24 @@ class VisitSweep
     template <typename Sweep, typename At>
     void sweepTerms(Sweep &sweep, const At &at) const
     {
+        // Conditions 5-6 of a triple centred on q do not involve q:
+        // they kill every candidate or none.
         for (const auto &[k, i] : centre_ki_)
-            sweep.centreFires(at(k), at(i));
+            sweep.killIf(sweep.ghz.outerPair(at(k), at(i)));
         if (sweep.allDead())
             return;
         for (std::size_t b : pair_b_) {
-            sweep.pair(at(b));
+            pairWindows(sweep, at(b));
             if (sweep.allDead())
                 return;
         }
         for (const auto &[j, o] : outer_jo_) {
-            sweep.outer(at(j), at(o));
+            outerWindows(sweep, at(j), at(o));
             if (sweep.allDead())
                 return;
         }
         for (const auto &[k, i] : centre_ki_) {
-            sweep.centre(at(k), at(i));
+            centreWindow(sweep, at(k), at(i));
             if (sweep.allDead())
                 return;
         }

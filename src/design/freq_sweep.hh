@@ -14,17 +14,17 @@
  *  - Fix one trial. The partners' frequencies are constants, and q's
  *    frequency x_c = grid[c] + noise is monotone in c: the grid
  *    ascends and IEEE addition is monotone.
- *  - Every condition of pairConditionMask / tripleConditionMask is a
- *    chain of IEEE add/sub (and x2) on x_c, so it is monotone in c too,
- *    and |y| < thr is y < thr && -y < thr. Each condition therefore
- *    fires on one index range [lo, hi) of the grid; condition 4's two
- *    halves give a prefix and a suffix. When q is the shared neighbour
- *    j of a triple, conditions 5-6 do not involve q at all and
- *    condition 7 has slope 2.
+ *  - Every condition of yield::Conditions is a chain of IEEE add/sub
+ *    (and x2) on x_c, so it is monotone in c too, and |y| < thr is
+ *    y < thr && -y < thr. Each condition therefore fires on one index
+ *    range [lo, hi) of the grid; condition 4's two halves give a
+ *    prefix and a suffix. When q is the shared neighbour j of a
+ *    triple, conditions 5-6 do not involve q at all and condition 7
+ *    has slope 2.
  *  - Each range end is solved linearly in index units. An end farther
  *    than a rounding bound (freq_sweep.cc) from every grid point is
  *    exact as solved; the grid points within the bound are settled by
- *    evaluating the condition's own expression there.
+ *    evaluating the condition, from yield::Conditions, there.
  *  - The ranges are OR-ed into a per-trial dead bitset of
  *    ceil(C / 64) words, and survivors are counted per fixed
  *    1024-trial chunk.
@@ -37,7 +37,8 @@
  * bit-sliced counters. A trial with a range end near a grid point,
  * and every trial on a wider grid, runs the scalar sweep instead;
  * the design.freq_settled_lanes counter counts the trials the vector
- * pass hands over.
+ * pass hands over. Both sweeps solve their windows with one set of
+ * term templates, so they compute every range end alike.
  *
  * The counts are integers, so scores, the argmax, and every output
  * byte are those of the brute-force scan at every thread count.

@@ -1,7 +1,5 @@
 #include "yield/collision.hh"
 
-#include <cmath>
-
 namespace qpad::yield
 {
 
@@ -25,46 +23,34 @@ CollisionChecker::CollisionChecker(const arch::Architecture &arch,
 namespace
 {
 
-inline bool
-near(double value, double target, double thr)
-{
-    return std::fabs(value - target) < thr;
-}
+using Scalar = Conditions<ScalarOps>;
 
 /**
- * Single source of truth for the pair conditions 1-4. StopAtFirst
- * restores the predicate callers' intra-term short-circuit (the mask
- * is then only meaningful as zero/nonzero) without duplicating any
- * condition expression.
+ * The pair conditions 1-4 as bits. StopAtFirst restores the predicate
+ * callers' intra-term short-circuit (the mask is then only meaningful
+ * as zero/nonzero).
  */
 template <bool StopAtFirst>
 inline unsigned
-pairMask(const CollisionModel &model, double fa, double fb)
+pairMask(const Scalar &c, double fa, double fb)
 {
-    const double d = model.delta;
     unsigned mask = 0;
-    // Condition 1 (symmetric).
-    if (near(fa, fb, model.thr1)) {
+    if (c.c1(fa, fb)) {
         mask |= 1u << 1;
         if constexpr (StopAtFirst)
             return mask;
     }
-    // Conditions 2/3 in both orientations (either qubit may act as
-    // the cross-resonance control).
-    if (near(fa, fb - d / 2, model.thr2) ||
-        near(fb, fa - d / 2, model.thr2)) {
+    if (c.c2(fa, fb) || c.c2(fb, fa)) {
         mask |= 1u << 2;
         if constexpr (StopAtFirst)
             return mask;
     }
-    if (near(fa, fb - d, model.thr3) || near(fb, fa - d, model.thr3)) {
+    if (c.c3(fa, fb) || c.c3(fb, fa)) {
         mask |= 1u << 3;
         if constexpr (StopAtFirst)
             return mask;
     }
-    // Condition 4: delta < 0, so this fires when the detuning
-    // exceeds the anharmonicity in either direction.
-    if (fa > fb - d || fb > fa - d)
+    if (c.c4(fa, fb) || c.c4(fb, fa))
         mask |= 1u << 4;
     return mask;
 }
@@ -72,25 +58,20 @@ pairMask(const CollisionModel &model, double fa, double fb)
 /** Same for the triple conditions 5-7 (shared neighbour j). */
 template <bool StopAtFirst>
 inline unsigned
-tripleMask(const CollisionModel &model, double fj, double fk, double fi)
+tripleMask(const Scalar &c, double fj, double fk, double fi)
 {
-    const double d = model.delta;
     unsigned mask = 0;
-    // Condition 5 (symmetric in i, k).
-    if (near(fi, fk, model.thr5)) {
+    if (c.c5(fi, fk)) {
         mask |= 1u << 5;
         if constexpr (StopAtFirst)
             return mask;
     }
-    // Condition 6, both orientations.
-    if (near(fi, fk - d, model.thr6) ||
-        near(fk, fi - d, model.thr6)) {
+    if (c.c6(fi, fk) || c.c6(fk, fi)) {
         mask |= 1u << 6;
         if constexpr (StopAtFirst)
             return mask;
     }
-    // Condition 7 (symmetric in i, k).
-    if (near(2 * fj + d, fk + fi, model.thr7))
+    if (c.c7(fj, fk, fi))
         mask |= 1u << 7;
     return mask;
 }
@@ -100,37 +81,38 @@ tripleMask(const CollisionModel &model, double fj, double fk, double fi)
 unsigned
 pairConditionMask(const CollisionModel &model, double fa, double fb)
 {
-    return pairMask<false>(model, fa, fb);
+    return pairMask<false>(Scalar(model), fa, fb);
 }
 
 unsigned
 tripleConditionMask(const CollisionModel &model, double fj, double fk,
                     double fi)
 {
-    return tripleMask<false>(model, fj, fk, fi);
+    return tripleMask<false>(Scalar(model), fj, fk, fi);
 }
 
 bool
 pairCollides(const CollisionModel &model, double fa, double fb)
 {
-    return pairMask<true>(model, fa, fb) != 0;
+    return pairMask<true>(Scalar(model), fa, fb) != 0;
 }
 
 bool
 tripleCollides(const CollisionModel &model, double fj, double fk,
                double fi)
 {
-    return tripleMask<true>(model, fj, fk, fi) != 0;
+    return tripleMask<true>(Scalar(model), fj, fk, fi) != 0;
 }
 
 bool
 CollisionChecker::anyCollision(const std::vector<double> &freqs) const
 {
+    const Scalar c(model_);
     for (const PairTerm &p : pairs_)
-        if (pairCollides(model_, freqs[p.a], freqs[p.b]))
+        if (pairMask<true>(c, freqs[p.a], freqs[p.b]))
             return true;
     for (const TripleTerm &t : triples_)
-        if (tripleCollides(model_, freqs[t.j], freqs[t.k], freqs[t.i]))
+        if (tripleMask<true>(c, freqs[t.j], freqs[t.k], freqs[t.i]))
             return true;
     return false;
 }
@@ -138,16 +120,16 @@ CollisionChecker::anyCollision(const std::vector<double> &freqs) const
 ConditionCounts
 CollisionChecker::countCollisions(const std::vector<double> &freqs) const
 {
+    const Scalar c(model_);
     ConditionCounts counts{};
     for (const PairTerm &p : pairs_) {
-        const unsigned mask =
-            pairConditionMask(model_, freqs[p.a], freqs[p.b]);
+        const unsigned mask = pairMask<false>(c, freqs[p.a], freqs[p.b]);
         for (int c = 1; c <= 4; ++c)
             counts[c] += (mask >> c) & 1u;
     }
     for (const TripleTerm &t : triples_) {
-        const unsigned mask = tripleConditionMask(
-            model_, freqs[t.j], freqs[t.k], freqs[t.i]);
+        const unsigned mask =
+            tripleMask<false>(c, freqs[t.j], freqs[t.k], freqs[t.i]);
         for (int c = 5; c <= 7; ++c)
             counts[c] += (mask >> c) & 1u;
     }

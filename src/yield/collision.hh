@@ -13,6 +13,7 @@
 #define QPAD_YIELD_COLLISION_HH
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -34,15 +35,119 @@ struct CollisionModel
     double thr7 = 0.017; ///< 2 f_j + delta ~ f_k + f_i
 };
 
+/**
+ * The seven conditions, written once for every lane type: the scalar
+ * oracle below and the batched kernel's lane groups
+ * (collision_batch.cc) evaluate them, and Algorithm 3's candidate
+ * sweep (design/freq_sweep.cc) settles its range ends with them.
+ * `Ops` gives a lane type V, its mask type M (a lane is set where a
+ * condition fires) and splat, add, sub, abs, lt (<) and either (mask
+ * OR), each an IEEE-754 correctly-rounded or exact bit operation. The
+ * operand order of every condition is fixed here and nowhere else, so
+ * each instantiation rounds alike and all of them agree bit for bit
+ * on every input.
+ *
+ * The constants are the model's times `scale`: 1 keeps GHz, and
+ * 1 / step gives the sweep's grid-index units, in which only the
+ * constants mean anything.
+ */
+template <typename Ops>
+struct Conditions
+{
+    using V = typename Ops::V;
+    using M = typename Ops::M;
+
+    explicit Conditions(const CollisionModel &m, double scale = 1.0)
+        : d(Ops::splat(m.delta * scale)),
+          dh(Ops::splat(m.delta / 2 * scale)),
+          t1(Ops::splat(m.thr1 * scale)), t2(Ops::splat(m.thr2 * scale)),
+          t3(Ops::splat(m.thr3 * scale)), t5(Ops::splat(m.thr5 * scale)),
+          t6(Ops::splat(m.thr6 * scale)), t7(Ops::splat(m.thr7 * scale))
+    {
+    }
+
+    /** delta, delta / 2 and the thresholds. */
+    V d, dh, t1, t2, t3, t5, t6, t7;
+
+    /** 1: |f_a - f_b| < thr1 (symmetric). */
+    M c1(V a, V b) const { return near(a, b, t1); }
+    /** 2: f_a ~ f_b - delta/2; a pair checks both orientations (either
+     * qubit may act as the cross-resonance control), as for 3 and 4. */
+    M c2(V a, V b) const { return near(a, Ops::sub(b, dh), t2); }
+    /** 3: f_a ~ f_b - delta. */
+    M c3(V a, V b) const { return near(a, Ops::sub(b, d), t3); }
+    /** 4: f_a > f_b - delta. delta < 0, so with both orientations it
+     * fires when the detuning exceeds the anharmonicity. */
+    M c4(V a, V b) const { return Ops::lt(Ops::sub(b, d), a); }
+    /** 5: |f_i - f_k| < thr5 (symmetric in i, k; shared neighbour j). */
+    M c5(V i, V k) const { return near(i, k, t5); }
+    /** 6: f_i ~ f_k - delta; a triple checks both orientations. */
+    M c6(V i, V k) const { return near(i, Ops::sub(k, d), t6); }
+    /** 7: 2 f_j + delta ~ f_k + f_i (symmetric in i, k). */
+    M c7(V j, V k, V i) const
+    {
+        return near(Ops::add(Ops::add(j, j), d), Ops::add(k, i), t7);
+    }
+
+    /** Conditions 1-4 on a connected pair, both orientations. */
+    M pair(V a, V b) const
+    {
+        return any(c1(a, b), c2(a, b), c2(b, a), c3(a, b), c3(b, a),
+                   c4(a, b), c4(b, a));
+    }
+    /** Conditions 5-6, the ones that do not involve the triple's j. */
+    M outerPair(V k, V i) const
+    {
+        return any(c5(i, k), c6(i, k), c6(k, i));
+    }
+    /** Conditions 5-7 on a triple with shared neighbour j. */
+    M triple(V j, V k, V i) const
+    {
+        return any(outerPair(k, i), c7(j, k, i));
+    }
+
+  private:
+    static M near(V value, V target, V thr)
+    {
+        return Ops::lt(Ops::abs(Ops::sub(value, target)), thr);
+    }
+
+    template <typename... Ms>
+    static M any(M m, Ms... ms)
+    {
+        ((m = Ops::either(m, ms)), ...);
+        return m;
+    }
+};
+
+namespace
+{
+/**
+ * Conditions' ops on one double. In an unnamed namespace, like
+ * common/vec8.hh: each includer instantiates its own copy under its
+ * own compile flags.
+ */
+struct ScalarOps
+{
+    using V = double;
+    using M = bool;
+    static double splat(double x) { return x; }
+    static double add(double a, double b) { return a + b; }
+    static double sub(double a, double b) { return a - b; }
+    static double abs(double a) { return std::fabs(a); }
+    static bool lt(double a, double b) { return a < b; }
+    static bool either(bool a, bool b) { return a | b; }
+};
+} // namespace
+
 /** Per-condition hit counters (index 1..7; index 0 unused). */
 using ConditionCounts = std::array<std::size_t, 8>;
 
 /**
  * Bitmask of the pair conditions firing on a connected pair: bit c
  * is set iff condition c (1..4) fires, both orientations checked.
- * Single source of truth for the pair-condition arithmetic —
- * pairCollides and CollisionChecker::countCollisions both consume
- * this evaluator, so the any/count views cannot drift apart.
+ * pairCollides and CollisionChecker::countCollisions read the same
+ * Conditions, so the any/count views cannot drift apart.
  */
 unsigned pairConditionMask(const CollisionModel &model, double fa,
                            double fb);

@@ -8,14 +8,15 @@
  * and serial when millions of surviving trials each scan every term.
  * BatchCollisionChecker packs the term endpoints into flat index
  * arrays at construction and evaluates kLanes = 8 Monte Carlo trials
- * at once over a qubit-major frequency block: per term, the eight
- * lane comparisons are straight-line fabs/compare arithmetic with no
- * data-dependent branches, implemented with AVX2 intrinsics when the
- * translation unit is built with -mavx2 (the CMake probe runs an
- * AVX2 snippet on the build host before enabling it). Per-half
- * dead-lane skips and an all-lanes-dead early-out keep the batch
- * ahead of the short-circuiting scalar walk even on zero-yield
- * inputs; bench/bench_collision_batch.cc measures both kernels.
+ * at once over a qubit-major frequency block: per term, a group of
+ * lanes (four in one AVX2 register when the translation unit is
+ * built with -mavx2, which the CMake probe enables only after running
+ * an AVX2 snippet on the build host) runs straight-line fabs/compare
+ * arithmetic with no data-dependent branches. A group whose lanes
+ * have all collided is skipped, and an all-lanes-dead early-out stops
+ * the block, which keeps the batch ahead of the short-circuiting
+ * scalar walk even on zero-yield inputs;
+ * bench/bench_collision_batch.cc measures both kernels.
  *
  * Term order and the staged scan: the pair terms, and separately the
  * triple terms, are stored stably sorted by their largest qubit index
@@ -34,22 +35,19 @@
  * discards compose bit-exactly (common/gauss_block.hh), so neither
  * the masks nor any later draw depend on where a scan stops.
  *
- * Without AVX2 a portable lane loop is compiled instead. It is the
- * reference implementation the property tests and the bench compare
- * against, but it measures SLOWER than the scalar oracle, so
+ * Without AVX2 a group is one lane. The agreement tests and the
+ * bench run it, but it measures SLOWER than the scalar oracle, so
  * useBatchedKernel() steers the yield paths back to the oracle on
  * such builds — the batch is only the default where it wins.
  *
- * The lane arithmetic mirrors pairConditionMask /
- * tripleConditionMask expression-for-expression — same operand
- * order, no algebraic rearrangement — so the batch and scalar
- * kernels agree bit-for-bit on every trial (tests/test_yield.cc
- * asserts this trial-for-trial, including remainder batches). Each
- * backend holds one copy of the seven condition expressions, in the
- * staged scan both entry points share.
- * Setting QPAD_SCALAR_KERNEL non-empty in the environment makes
- * estimateYield fall back to the scalar oracle. (Algorithm 3 scores
- * its candidates with neither kernel: see design/freq_sweep.hh.)
+ * Both kernels evaluate the seven conditions of Conditions
+ * (yield/collision.hh), the one definition of their expressions, so
+ * they agree bit-for-bit on every trial (tests/test_yield.cc asserts
+ * this trial-for-trial, including remainder batches).
+ * Setting QPAD_SCALAR_KERNEL to `1` makes estimateYield fall back to
+ * the scalar oracle; `0`, empty or unset keep the default, and any
+ * other value exits 2 (scalarKernelForced()). (Algorithm 3 scores its
+ * candidates with neither kernel: see design/freq_sweep.hh.)
  */
 
 #ifndef QPAD_YIELD_COLLISION_BATCH_HH
@@ -98,8 +96,8 @@ class BatchCollisionChecker
      * lane l of qubit q lives at post[q * kLanes + l]. Returns a
      * bitmask with bit l set iff trial l survives all seven
      * conditions; bits >= active are zero. Lanes >= active start
-     * dead, but must still hold readable doubles (a half-block with
-     * a live lane is evaluated branch-free, all four lanes at once).
+     * dead, but must still hold readable doubles (a group with a live
+     * lane is evaluated branch-free, all its lanes at once).
      */
     uint8_t survivorMask(const double *post,
                          std::size_t active = kLanes) const;
@@ -163,7 +161,7 @@ bool scalarKernelForced();
 
 /**
  * True when the yield hot paths should run the batched kernel: it
- * was compiled with AVX2 lanes (the portable fallback loses to the
+ * was compiled with AVX2 lanes (one-lane groups lose to the
  * short-circuiting scalar oracle) and QPAD_SCALAR_KERNEL does not
  * force the oracle.
  */

@@ -579,6 +579,114 @@ TEST(FreqSweep, GridAlignedEndsAreSettledByTheScalarSweep)
     }
 }
 
+TEST(FreqSweep, SettlesEachConditionOnBothSidesOfATie)
+{
+    // One zero-noise visit per settle predicate on the 10 MHz grid,
+    // each with one term and every threshold 0 but the tested one
+    // (condition 4 has none; delta keeps it off the ties). A range end
+    // of the tested condition falls on grid point `f(n)`. Nudging the
+    // threshold (delta for condition 4) by +-1e-13 GHz, far above the
+    // rounding of the frequencies and well inside the ~1e-11 GHz
+    // settle zone, moves that point into or out of the range, and only
+    // the predicate the scalar sweep evaluates there decides which: an
+    // operand in the wrong slot or a swapped orientation fails one of
+    // the two sides.
+    const auto grid = sweep::candidateGrid(0.01);
+    auto f = [&](std::size_t n) { return grid.freqs[n]; };
+    auto gap = [&](std::size_t n) { return f(n) - f(0); };
+    const double half_step = grid.step / 2;
+    obs::Counter &settled = obs::counter("design.freq_settled_lanes");
+
+    struct TieVisit
+    {
+        const char *what;
+        sweep::LocalTerms terms;
+        std::vector<double> row; // column 0, q's own, is never read
+        double delta, thr;
+        double yield::CollisionModel::*knob;
+    };
+    using Model = yield::CollisionModel;
+    auto pair = [](double b) {
+        sweep::LocalTerms t;
+        t.involved = {0, 1};
+        t.pairs = {{0, 1}};
+        return std::pair{t, std::vector<double>{0.0, b}};
+    };
+    // q as k (as_i false) or as i of a triple centred on j.
+    auto outer = [](double j, double o, bool as_i) {
+        sweep::LocalTerms t;
+        t.involved = {0, 1, 2};
+        t.triples = {as_i ? yield::CollisionChecker::TripleTerm{1, 2, 0}
+                          : yield::CollisionChecker::TripleTerm{1, 0, 2}};
+        return std::pair{t, std::vector<double>{0.0, j, o}};
+    };
+    auto centre = [](double k, double i) {
+        sweep::LocalTerms t;
+        t.involved = {0, 1, 2};
+        t.triples = {{0, 1, 2}};
+        return std::pair{t, std::vector<double>{0.0, k, i}};
+    };
+    std::vector<TieVisit> visits;
+    auto add = [&](const char *what, auto visit, double delta, double thr,
+                   double Model::*knob) {
+        visits.push_back(
+            {what, visit.first, visit.second, delta, thr, knob});
+    };
+    // c1 at f(10) +- gap(2): ties at f(8) and f(12).
+    add("c1", pair(f(10)), -1.0, gap(2), &Model::thr1);
+    // c2 at f(17) -+ delta / 2 = f(27), f(7), +- gap(1).
+    add("c2", pair(f(17)), -gap(20), gap(1), &Model::thr2);
+    // c3 at f(17) -+ delta = f(27.5), f(6.5), +- 1.5 steps: ties at
+    // f(26) and f(8); condition 4 fires past f(27.5) and below f(6.5).
+    add("c3", pair(f(17)), -(gap(10) + half_step), 3 * half_step,
+        &Model::thr3);
+    // c4 above f(10) - delta = f(20) and below f(10) + delta = f(0).
+    add("c4", pair(f(10)), -gap(10), 0.0, &Model::delta);
+    for (bool as_i : {false, true}) {
+        // c5 at f(10) +- gap(2).
+        add(as_i ? "c5 q as i" : "c5 q as k", outer(f(20), f(10), as_i),
+            -1.0, gap(2), &Model::thr5);
+        // c6 at f(17) +- delta = f(7), f(27), +- gap(2).
+        add(as_i ? "c6 q as i" : "c6 q as k", outer(f(20), f(17), as_i),
+            -gap(10), gap(2), &Model::thr6);
+        // c7 at 2 f(20) + delta - f(10) = f(25), +- gap(1).
+        add(as_i ? "c7 q as i" : "c7 q as k", outer(f(20), f(10), as_i),
+            -gap(5), gap(1), &Model::thr7);
+    }
+    // c7 with q as j: at (f(10) + f(20) - delta) / 2 = f(25), +- gap(1).
+    add("c7 q as j", centre(f(10), f(20)), -gap(20), gap(2), &Model::thr7);
+
+    constexpr std::size_t kTrials = 8;
+    runtime::Options exec;
+    exec.num_threads = 1;
+    for (const TieVisit &v : visits) {
+        std::vector<std::size_t> sides[2];
+        for (int side = 0; side < 2; ++side) {
+            Model model;
+            model.delta = v.delta;
+            model.thr1 = model.thr2 = model.thr3 = 0.0;
+            model.thr5 = model.thr6 = model.thr7 = 0.0;
+            model.*v.knob = (v.knob == &Model::delta ? v.delta : v.thr) +
+                            (side == 0 ? -1e-13 : 1e-13);
+            std::vector<double> post;
+            for (std::size_t t = 0; t < kTrials; ++t)
+                post.insert(post.end(), v.row.begin(), v.row.end());
+            const std::vector<double> q_noise(kTrials, 0.0);
+            const uint64_t before = settled.value();
+            sides[side] = bruteForceSurvivors(v.terms, grid, post,
+                                              q_noise, model);
+            EXPECT_EQ(sweep::survivorCounts(v.terms, grid, post, q_noise,
+                                            model, exec),
+                      sides[side])
+                << v.what << " side " << side;
+            EXPECT_GT(settled.value(), before)
+                << v.what << " side " << side;
+        }
+        // The nudge moves a grid point across the range end.
+        EXPECT_NE(sides[0], sides[1]) << v.what;
+    }
+}
+
 /**
  * The CRN table of one visit drawn as allocateFrequencies drew it
  * ahead of the sweep: block after block of `sampler`'s fillAffine
